@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass
 
 from . import constraints as cst
-from .lm import perplexity, predicts_period, sequence_logprob
-from .model import SolutionRecord, render_prefix, render_sentence
+from .lm import sequence_logprob
+from .model import render_prefix, render_sentence
+from .solver import completes, make_record
 
 
 class HaltingMode(enum.Enum):
@@ -90,15 +91,8 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
         survivors = []
         solved_now = False
         for beam in beams:
-            if (
-                _structurally_complete(beam.words, task)
-                and beam.words
-                and (
-                    not task.require_period
-                    or predicts_period(lm, render_sentence(beam.words), params)
-                )
-            ):
-                solutions.append(_record(beam, task, lm, started))
+            if completes(beam.words, lm, task):
+                solutions.append(make_record(beam.words, lm, task, started))
                 solved_now = True
             else:
                 survivors.append(beam)
@@ -115,16 +109,6 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
         beams, dead = expand_beams(survivors, lm, task, k)
         bad_outputs.extend(render_prefix(b.words) for b in dead)
     return solutions, bad_outputs
-
-
-def _record(beam, task, lm, started):
-    words = list(beam.words) + ["."] if task.require_period else list(beam.words)
-    return SolutionRecord(
-        words=tuple(words),
-        sentence=render_sentence(words),
-        ppl=perplexity(lm, words, task.lm_params),
-        discovered_at=time.perf_counter() - started,
-    )
 
 
 def satisfaction_rate(solutions, bad_outputs):

@@ -52,7 +52,7 @@ def _build_parser():
     add_common(p_solve)
     p_solve.add_argument("--max-solutions", type=int)
     p_solve.add_argument("--backtrack-to", type=int, help="jump back to this variable after each solution")
-    p_solve.add_argument("--ordering", help="probability | ppl | char-target[:PIVOT]")
+    p_solve.add_argument("--ordering", help="probability | ppl (alias of probability) | char-target[:PIVOT]")
     p_solve.add_argument("--max-variables", type=int, default=64)
     p_solve.add_argument("--all", action="store_true", help="exhaust the search tree")
 
@@ -87,14 +87,7 @@ def _build_parser():
 
 
 def _load_task(args):
-    name = args.task
-    if name in cst.BUILTIN_TASK_NAMES:
-        task = cst.builtin_task(name)
-    else:
-        task = cst.load_task_file(name)
-    k = getattr(args, "k", None)
-    if isinstance(k, int):
-        task = cst.with_k(task, k)
+    task = cst.resolve_task(args.task, args.k)
     if args.seed_words is not None:
         seed = tuple(w for w in args.seed_words.split(",") if w)
         task = replace(task, seed=seed)

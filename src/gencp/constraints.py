@@ -3,6 +3,11 @@
 Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
+
+Each constraint class carries its own pruning: ``admits_word``,
+``admits_next`` and ``prefix_ok``, which ``word_valid``, ``filter_domain``
+and ``can_extend`` loop over.  ``check_complete`` is the plain specification
+that this pruning is fuzz-tested against.
 """
 
 from __future__ import annotations
@@ -15,8 +20,30 @@ from .lm import LMParams
 from .model import Domain, render_prefix, render_sentence
 
 
+class Constraint:
+    """Base of the constraint types: pruning hooks that admit by default.
+
+    ``length`` is the rendered length of partial + [word] in ``admits_next``
+    and of partial in ``prefix_ok``; ``reserve`` is 1 when a final period is
+    required.  The caps and ``required_words`` feed ``can_extend``'s lookahead.
+    """
+
+    word_cap = None
+    char_cap = None
+    required_words = ()
+
+    def admits_word(self, word):
+        return True
+
+    def admits_next(self, partial, word, length, reserve):
+        return True
+
+    def prefix_ok(self, partial, length):
+        return True
+
+
 @dataclass(frozen=True)
-class CharCountExact:
+class CharCountExact(Constraint):
     """Rendered sentence must have exactly n characters."""
 
     n: int
@@ -25,9 +52,17 @@ class CharCountExact:
         if self.n <= 0:
             raise ValueError("character count must be > 0")
 
+    char_cap = property(lambda self: self.n)
+
+    def admits_next(self, partial, word, length, reserve):
+        return length + reserve <= self.n
+
+    def prefix_ok(self, partial, length):
+        return length <= self.n
+
 
 @dataclass(frozen=True)
-class WordCountRange:
+class WordCountRange(Constraint):
     """Content word count must lie in [lo, hi]; hi None means unbounded."""
 
     lo: int
@@ -39,9 +74,17 @@ class WordCountRange:
         if self.hi is not None and self.lo > self.hi:
             raise ValueError("lo must not exceed hi")
 
+    word_cap = property(lambda self: self.hi)
+
+    def admits_next(self, partial, word, length, reserve):
+        return self.hi is None or len(partial) < self.hi
+
+    def prefix_ok(self, partial, length):
+        return self.hi is None or len(partial) < self.hi
+
 
 @dataclass(frozen=True)
-class MaxWordLen:
+class MaxWordLen(Constraint):
     """Every content word is at most ``limit`` characters long."""
 
     limit: int
@@ -50,9 +93,16 @@ class MaxWordLen:
         if self.limit < 1:
             raise ValueError("word length limit must be >= 1")
 
+    def admits_word(self, word):
+        return len(word) <= self.limit
+
+    def prefix_ok(self, partial, length):
+        limit = self.limit
+        return not any(len(w) > limit for w in partial)
+
 
 @dataclass(frozen=True)
-class PositionLexical:
+class PositionLexical(Constraint):
     """The word at a fixed 1-based position must equal ``word`` exactly."""
 
     position: int
@@ -64,9 +114,15 @@ class PositionLexical:
         if not self.word:
             raise ValueError("pinned word is empty")
 
+    def admits_next(self, partial, word, length, reserve):
+        return len(partial) + 1 != self.position or word == self.word
+
+    def prefix_ok(self, partial, length):
+        return self.position > len(partial) or partial[self.position - 1] == self.word
+
 
 @dataclass(frozen=True)
-class MandatoryKeywords:
+class MandatoryKeywords(Constraint):
     """Each keyword must appear as a whole word (case-insensitive)."""
 
     words: frozenset
@@ -76,9 +132,11 @@ class MandatoryKeywords:
         if not self.words:
             raise ValueError("keyword set is empty")
 
+    required_words = property(lambda self: self.words)
+
 
 @dataclass(frozen=True)
-class KeywordSeparation:
+class KeywordSeparation(Constraint):
     """Any two keyword occurrences need >= min_gap words strictly between them."""
 
     words: frozenset
@@ -92,9 +150,24 @@ class KeywordSeparation:
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
+    def admits_next(self, partial, word, length, reserve):
+        lowered = {w.casefold() for w in self.words}
+        if word.casefold() not in lowered:
+            return True
+        position = len(partial) + 1
+        return not any(
+            earlier.casefold() in lowered and position - j - 1 < self.min_gap
+            for j, earlier in enumerate(partial, start=1)
+        )
+
+    def prefix_ok(self, partial, length):
+        lowered = {w.casefold() for w in self.words}
+        hits = [j for j, w in enumerate(partial, start=1) if w.casefold() in lowered]
+        return all(b - a - 1 >= self.min_gap for a, b in zip(hits, hits[1:]))
+
 
 @dataclass(frozen=True)
-class ForbiddenChars:
+class ForbiddenChars(Constraint):
     """No content word may contain any of these characters."""
 
     chars: frozenset
@@ -104,9 +177,16 @@ class ForbiddenChars:
         if not self.chars:
             raise ValueError("forbidden character set is empty")
 
+    def admits_word(self, word):
+        return not any(ch in self.chars for ch in word)
+
+    def prefix_ok(self, partial, length):
+        chars = self.chars
+        return not any(ch in chars for w in partial for ch in w)
+
 
 @dataclass(frozen=True)
-class StartsWith:
+class StartsWith(Constraint):
     """The sentence must begin with these exact words."""
 
     prefix: tuple
@@ -115,6 +195,12 @@ class StartsWith:
         object.__setattr__(self, "prefix", tuple(prefix))
         if not self.prefix:
             raise ValueError("prefix is empty")
+
+    def admits_next(self, partial, word, length, reserve):
+        return len(partial) >= len(self.prefix) or word == self.prefix[len(partial)]
+
+    def prefix_ok(self, partial, length):
+        return all(h == p for h, p in zip(partial, self.prefix))
 
 
 @dataclass(frozen=True)
@@ -144,9 +230,7 @@ def word_valid(word, constraints):
     if not word:
         raise ValueError("empty word")
     for c in constraints:
-        if isinstance(c, ForbiddenChars) and any(ch in c.chars for ch in word):
-            return False
-        if isinstance(c, MaxWordLen) and len(word) > c.limit:
+        if not c.admits_word(word):
             return False
     return True
 
@@ -171,76 +255,27 @@ def only_words(candidates, keep_period=False):
     return kept
 
 
-def _char_budget(constraints, require_period):
-    budget = None
-    for c in constraints:
-        if isinstance(c, CharCountExact):
-            n = c.n - (1 if require_period else 0)
-            budget = n if budget is None else min(budget, n)
-    return budget
-
-
-def _word_count_hi(constraints):
-    hi = None
-    for c in constraints:
-        if isinstance(c, WordCountRange) and c.hi is not None:
-            hi = c.hi if hi is None else min(hi, c.hi)
-    return hi
-
-
-def _pinned_words(constraints, position):
-    pins = []
-    for c in constraints:
-        if isinstance(c, PositionLexical) and c.position == position:
-            pins.append(c.word)
-        if isinstance(c, StartsWith) and position <= len(c.prefix):
-            pins.append(c.prefix[position - 1])
-    return pins
-
-
-def _separation_conflict(partial, word, constraint):
-    lowered = {w.casefold() for w in constraint.words}
-    if word.casefold() not in lowered:
-        return False
-    position = len(partial) + 1
-    for j, earlier in enumerate(partial, start=1):
-        if earlier.casefold() in lowered and position - j - 1 < constraint.min_gap:
-            return True
-    return False
-
-
 def filter_domain(partial, domain, constraints, task):
     """Drop candidates that cannot sit at position len(partial)+1.
 
-    Removes words that are invalid on their own, overflow the character
-    budget (one character stays reserved for the final period when the task
-    requires one), contradict a positional pin, sit too close to another
-    keyword, or exceed the word-count ceiling.  Survivor order is preserved.
+    A survivor is valid on its own (``word_valid``) and admitted at the next
+    position by every constraint; one character stays reserved for the final
+    period when the task requires one.  Survivor order is preserved.
     """
     partial = list(partial)
-    position = len(partial) + 1
-    pins = _pinned_words(constraints, position)
-    budget = _char_budget(constraints, task.require_period)
-    hi = _word_count_hi(constraints)
+    reserve = 1 if task.require_period else 0
     current = domain.current()
     survivors = []
     for cand in domain.values:
         word = cand.text
         if not word_valid(word, constraints):
             continue
-        if any(word != pin for pin in pins):
-            continue
-        if hi is not None and position > hi:
-            continue
-        if budget is not None and len(render_sentence(partial + [word])) > budget:
-            continue
-        if any(
-            _separation_conflict(partial, word, c)
-            for c in constraints
-            if isinstance(c, KeywordSeparation)
-        ):
-            continue
-        survivors.append(cand)
+        length = len(render_sentence(partial + [word]))
+        for c in constraints:
+            if not c.admits_next(partial, word, length, reserve):
+                break
+        else:
+            survivors.append(cand)
     cursor = None
     if current is not None and current in survivors:
         cursor = survivors.index(current)
@@ -251,48 +286,37 @@ def can_extend(partial, constraints):
     """Whether some completion of the partial sentence could still satisfy everything.
 
     Conservative: never rejects a prefix that has a satisfying completion.
+    Besides each constraint's own ``prefix_ok``, the keywords still missing
+    must fit under the tightest word and character caps.  A keyword counts
+    once however many constraints or case variants name it, and is charged
+    its shortest spelling, since case folding can lengthen a word.
     """
     partial = list(partial)
-    rendered_len = len(render_prefix(partial))
-    hi = _word_count_hi(constraints)
-    if hi is not None and len(partial) >= hi:
-        return False
-    missing = []
-    char_cap = None
+    length = len(render_prefix(partial))
     for c in constraints:
-        if isinstance(c, CharCountExact):
-            char_cap = c.n if char_cap is None else min(char_cap, c.n)
-            if rendered_len > c.n:
-                return False
-        elif isinstance(c, MaxWordLen):
-            if any(len(w) > c.limit for w in partial):
-                return False
-        elif isinstance(c, ForbiddenChars):
-            if any(ch in c.chars for w in partial for ch in w):
-                return False
-        elif isinstance(c, PositionLexical):
-            if c.position <= len(partial) and partial[c.position - 1] != c.word:
-                return False
-        elif isinstance(c, StartsWith):
-            if any(h != p for h, p in zip(partial, c.prefix)):
-                return False
-        elif isinstance(c, KeywordSeparation):
-            lowered = {w.casefold() for w in c.words}
-            hits = [j for j, w in enumerate(partial, start=1) if w.casefold() in lowered]
-            if any(b - a - 1 < c.min_gap for a, b in zip(hits, hits[1:])):
-                return False
-        elif isinstance(c, MandatoryKeywords):
-            present = {w.casefold() for w in partial}
-            missing.extend(w for w in c.words if w.casefold() not in present)
-    if missing:
-        if hi is not None and len(partial) + len(missing) > hi:
+        if not c.prefix_ok(partial, length):
             return False
-        if char_cap is not None:
-            needed = sum(len(w) + 1 for w in missing)
-            if not partial:
-                needed -= 1
-            if rendered_len + needed > char_cap:
-                return False
+    required = [w for c in constraints for w in c.required_words]
+    if not required:
+        return True
+    present = {w.casefold() for w in partial}
+    missing = {}  # casefolded keyword -> length of its shortest spelling
+    for w in required:
+        key = w.casefold()
+        if key not in present:
+            missing[key] = min(len(w), missing.get(key, len(w)))
+    if not missing:
+        return True
+    word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
+    if word_cap is not None and len(partial) + len(missing) > word_cap:
+        return False
+    char_cap = min((c.char_cap for c in constraints if c.char_cap is not None), default=None)
+    if char_cap is not None:
+        needed = sum(n + 1 for n in missing.values())
+        if not partial:
+            needed -= 1
+        if length + needed > char_cap:
+            return False
     return True
 
 
@@ -384,34 +408,49 @@ def builtin_task(name, lm_params=None):
     )
 
 
+# JSON field name -> value kind; a trailing "?" makes the field optional
 _CONSTRAINT_SCHEMAS = {
-    "char_count_exact": (CharCountExact, ("n",)),
-    "word_count_range": (WordCountRange, ("lo", "hi")),
-    "max_word_len": (MaxWordLen, ("limit",)),
-    "position_lexical": (PositionLexical, ("position", "word")),
-    "mandatory_keywords": (MandatoryKeywords, ("words",)),
-    "keyword_separation": (KeywordSeparation, ("words", "min_gap")),
-    "forbidden_chars": (ForbiddenChars, ("chars",)),
-    "starts_with": (StartsWith, ("prefix",)),
+    "char_count_exact": (CharCountExact, {"n": "int"}),
+    "word_count_range": (WordCountRange, {"lo": "int", "hi": "int?"}),
+    "max_word_len": (MaxWordLen, {"limit": "int"}),
+    "position_lexical": (PositionLexical, {"position": "int", "word": "str"}),
+    "mandatory_keywords": (MandatoryKeywords, {"words": "words"}),
+    "keyword_separation": (KeywordSeparation, {"words": "words", "min_gap": "int"}),
+    "forbidden_chars": (ForbiddenChars, {"chars": "str"}),
+    "starts_with": (StartsWith, {"prefix": "words"}),
 }
 
-_TASK_FILE_KEYS = {
-    "constraints",
-    "seed",
-    "k",
-    "top_k",
-    "top_p",
-    "temperature",
-    "oversample",
-    "require_period",
-    "ordering",
-    "backtrack_to",
+_TASK_FILE_FIELDS = {
+    "constraints": "list", "seed": "words", "k": "int", "top_k": "int", "top_p": "number",
+    "temperature": "number", "oversample": "int", "require_period": "bool",
+    "ordering": "str", "backtrack_to": "int?",
 }
+
+_KINDS = {  # kind -> (accepted JSON types, description)
+    "int": (int, "an integer"), "number": ((int, float), "a number"), "str": (str, "a string"),
+    "bool": (bool, "true or false"), "list": (list, "a list"),
+    "words": (list, "a list of non-empty strings"),
+}
+
+
+def _check_fields(where, obj, fields):
+    """Reject present fields of the wrong JSON type; null passes an optional field."""
+    for name, kind in fields.items():
+        if name not in obj or (obj[name] is None and kind.endswith("?")):
+            continue
+        value = obj[name]
+        kind = kind.rstrip("?")
+        types, text = _KINDS[kind]
+        ok = isinstance(value, types) and (kind == "bool" or not isinstance(value, bool))
+        if kind == "words":
+            ok = ok and all(isinstance(w, str) and w for w in value)
+        if not ok:
+            raise ValueError(f"{where}: {name!r} must be {text}, got {value!r}")
 
 
 def _parse_constraint(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError(f"constraint entry must be an object with a 'type': {obj!r}")
+    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
+        raise ValueError(f"constraint entry must be an object with a string 'type': {obj!r}")
     kind = obj["type"]
     if kind not in _CONSTRAINT_SCHEMAS:
         raise ValueError(
@@ -421,23 +460,24 @@ def _parse_constraint(obj):
     extra = set(obj) - {"type"} - set(fields)
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in {kind!r} constraint")
-    kwargs = {f: obj[f] for f in fields if f in obj}
-    missing = [f for f in fields if f not in kwargs and not (cls is WordCountRange and f == "hi")]
+    missing = [f for f, k in fields.items() if f not in obj and not k.endswith("?")]
     if missing:
         raise ValueError(f"constraint {kind!r} is missing {missing}")
-    return cls(**kwargs)
+    _check_fields(f"{kind!r} constraint", obj, fields)
+    return cls(**{f: obj[f] for f in fields if f in obj})
 
 
 def load_task_file(path):
-    """Parse a JSON task file into a TaskSpec; unknown keys are rejected."""
+    """Parse a JSON task file into a TaskSpec; unknown keys and wrong types are rejected."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: task file must hold a JSON object")
-    extra = set(data) - _TASK_FILE_KEYS
+    extra = set(data) - set(_TASK_FILE_FIELDS)
     if extra:
         raise ValueError(f"{path}: unknown keys {sorted(extra)}")
+    _check_fields(str(path), data, _TASK_FILE_FIELDS)
     constraints = tuple(_parse_constraint(obj) for obj in data.get("constraints", []))
     params = LMParams(
         k=data.get("k", LMParams.k),
@@ -455,6 +495,12 @@ def load_task_file(path):
         ordering=data.get("ordering", "probability"),
         backtrack_to=data.get("backtrack_to"),
     )
+
+
+def resolve_task(name, k=None):
+    """A builtin task by name, else a JSON task file; k replaced when given."""
+    task = builtin_task(name) if name in BUILTIN_TASK_NAMES else load_task_file(name)
+    return task if k is None else with_k(task, k)
 
 
 def with_k(task, k):

@@ -142,12 +142,6 @@ def _content_words(words):
     return words
 
 
-def _mean_ppl(records):
-    if not records:
-        return None
-    return statistics.fmean(r.ppl for r in records)
-
-
 def _max_variability(word_lists):
     if len(word_lists) < 2:
         return None
@@ -156,14 +150,6 @@ def _max_variability(word_lists):
         for j in range(i + 1, len(word_lists)):
             best = max(best, variability(word_lists[i], word_lists[j]))
     return best
-
-
-def _resolve_task(name, k):
-    if name in cst.BUILTIN_TASK_NAMES:
-        task = cst.builtin_task(name)
-    else:
-        task = cst.load_task_file(name)
-    return cst.with_k(task, k)
 
 
 def run_benchmark(config):
@@ -179,7 +165,7 @@ def run_benchmark(config):
     rows = []
     for task_name in config.tasks:
         for k in config.k_values:
-            task = _resolve_task(task_name, k)
+            task = cst.resolve_task(task_name, k)
             bs_reference = None
             for method in ordered_methods:
                 row = _run_method(method, task, lm, k, config, bs_reference)
@@ -192,6 +178,7 @@ def run_benchmark(config):
 
 def _run_method(method, task, lm, k, config, bs_reference):
     started = time.perf_counter()
+    extra = {"sat_pct": None, "n_bad_outputs": None, "n_backtracks": None}
     try:
         if method == "gencp":
             cap = config.max_solutions
@@ -206,56 +193,37 @@ def _run_method(method, task, lm, k, config, bs_reference):
             )
             outcome = run_search(task, lm, opts)
             seconds = time.perf_counter() - started
-            records = outcome.solutions
-            return ReportRow(
-                method=method,
-                task=task.name,
-                k=k,
-                seconds=seconds,
-                n_solutions=len(records),
-                sat_pct=100.0 if records else None,
-                n_bad_outputs=None,
-                n_backtracks=outcome.stats.backtracks,
-                mean_ppl=_mean_ppl(records),
-                max_variability=_max_variability([_content_words(r.words) for r in records]),
-            )
-        if method in ("bs-first", "bs-all"):
+            word_lists = [r.words for r in outcome.solutions]
+            ppls = [r.ppl for r in outcome.solutions]
+            extra.update(sat_pct=100.0 if ppls else None, n_backtracks=outcome.stats.backtracks)
+        elif method in ("bs-first", "bs-all"):
             mode = HaltingMode.FIRST_SOLUTION if method == "bs-first" else HaltingMode.ALL_SOLUTIONS
             records, bad = beam_search(
                 task, lm, k=k, mode=mode, time_budget=config.time_budget,
                 max_words=config.max_variables,
             )
             seconds = time.perf_counter() - started
-            return ReportRow(
-                method=method,
-                task=task.name,
-                k=k,
-                seconds=seconds,
-                n_solutions=len(records),
-                sat_pct=satisfaction_rate(records, bad),
-                n_bad_outputs=len(bad),
-                n_backtracks=None,
-                mean_ppl=_mean_ppl(records),
-                max_variability=_max_variability([_content_words(r.words) for r in records]),
-            )
-        if method == "oracle":
+            word_lists = [r.words for r in records]
+            ppls = [r.ppl for r in records]
+            extra.update(sat_pct=satisfaction_rate(records, bad), n_bad_outputs=len(bad))
+        elif method == "oracle":
             sentences = sorted(brute_force_oracle(task, lm, depth_cap=config.max_variables))
             seconds = time.perf_counter() - started
             word_lists = [_sentence_words(s) for s in sentences]
             ppls = [perplexity(lm, words, task.lm_params) for words in word_lists]
-            return ReportRow(
-                method=method,
-                task=task.name,
-                k=k,
-                seconds=seconds,
-                n_solutions=len(sentences),
-                sat_pct=100.0 if sentences else None,
-                n_bad_outputs=None,
-                n_backtracks=None,
-                mean_ppl=statistics.fmean(ppls) if ppls else None,
-                max_variability=_max_variability([_content_words(w) for w in word_lists]),
-            )
-        raise ValueError(f"unknown method {method!r}")
+            extra.update(sat_pct=100.0 if sentences else None)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        return ReportRow(
+            method=method,
+            task=task.name,
+            k=k,
+            seconds=seconds,
+            n_solutions=len(word_lists),
+            mean_ppl=statistics.fmean(ppls) if ppls else None,
+            max_variability=_max_variability([_content_words(w) for w in word_lists]),
+            **extra,
+        )
     except (TransportError, SearchAborted, OracleLimitError) as exc:
         seconds = time.perf_counter() - started
         partial = getattr(exc, "solutions", [])

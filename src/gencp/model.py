@@ -111,7 +111,6 @@ class SavedState:
     """
 
     num_variables: int
-    num_constraints: int
     domains: tuple
 
 
@@ -130,14 +129,13 @@ class SolutionRecord:
 
 
 class SolverModel:
-    """Mutable search state: variables, scoped constraints, trail, counters.
+    """Mutable search state: variables, trail, counters.
 
     Confined to a single search; never share one instance across threads.
     """
 
     def __init__(self):
         self.variables = []
-        self.constraints = []  # (variable index, constraint) pairs, append-only
         self.trail = []
         self.stats = SearchStats()
 
@@ -179,7 +177,6 @@ class SolverModel:
         """Push a snapshot; later mutations are undoable to this point."""
         snap = SavedState(
             num_variables=len(self.variables),
-            num_constraints=len(self.constraints),
             domains=tuple(var.domain.snapshot() for var in self.variables),
         )
         self.trail.append(snap)
@@ -187,7 +184,6 @@ class SolverModel:
 
     def _restore(self, snap):
         del self.variables[snap.num_variables:]
-        del self.constraints[snap.num_constraints:]
         for var, dom_snap in zip(self.variables, snap.domains):
             var.domain.restore(dom_snap)
 
@@ -195,8 +191,8 @@ class SolverModel:
         """Undo to the most recent snapshot and try the next value there.
 
         Pops trail levels until one still has an untried value; deeper
-        variables and their constraints are deleted along the way.  Returns
-        False when the trail is exhausted.
+        variables are deleted along the way.  Returns False when the trail
+        is exhausted.
         """
         while self.trail:
             snap = self.trail.pop()
@@ -220,8 +216,6 @@ class SolverModel:
         if n >= len(self.variables):
             raise ValueError("nothing to delete")
         del self.variables[n:]
-        while self.constraints and self.constraints[-1][0] > n:
-            self.constraints.pop()
         while self.trail and self.trail[-1].num_variables > n:
             self.trail.pop()
         return self.backtrack()

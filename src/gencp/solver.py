@@ -30,26 +30,30 @@ class SearchAborted(RuntimeError):
 class Ordering:
     """How a freshly created domain is ordered before values are tried.
 
-    ``probability`` keeps the backend ranking.  ``ppl`` sorts by ascending
-    perplexity of the extended prefix.  ``char-target`` tries longer words
-    first for variables before ``pivot`` and shorter words first from the
-    pivot on, which steers exact-character tasks toward their target length.
+    ``probability`` keeps the backend ranking.  ``char-target`` tries longer
+    words first for variables before ``pivot`` and shorter words first from
+    the pivot on, which steers exact-character tasks toward their target
+    length.
     """
 
     kind: str
     pivot: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("probability", "ppl", "char-target"):
+        if self.kind not in ("probability", "char-target"):
             raise ValueError(f"unknown ordering {self.kind!r}")
         if self.pivot < 1:
             raise ValueError("pivot must be >= 1")
 
 
 def parse_ordering(name):
-    """Parse "probability", "ppl", "char-target" or "char-target:<pivot>"."""
+    """Parse "probability", "ppl", "char-target" or "char-target:<pivot>".
+
+    "ppl" is an alias of "probability": every candidate extends the same
+    prefix, so ascending perplexity is the backend's own ranking.
+    """
     if name in ("probability", "ppl"):
-        return Ordering(name)
+        return Ordering("probability")
     if name == "char-target":
         return Ordering("char-target")
     if name.startswith("char-target:"):
@@ -59,16 +63,11 @@ def parse_ordering(name):
     )
 
 
-def order_candidates(candidates, ordering, var_index, partial, lm, params):
+def order_candidates(candidates, ordering, var_index):
     """Apply an ordering strategy; ties always break lexicographically."""
     candidates = list(candidates)
     if ordering.kind == "probability":
         return candidates
-    if ordering.kind == "ppl":
-        return sorted(
-            candidates,
-            key=lambda c: (perplexity(lm, list(partial) + [c.text], params), c.text),
-        )
     if var_index < ordering.pivot:
         return sorted(candidates, key=lambda c: (-len(c.text), c.text))
     return sorted(candidates, key=lambda c: (len(c.text), c.text))
@@ -107,58 +106,67 @@ def generate_domain(model, lm, task):
 
 
 def generate_constraints(model, task):
-    """Scope the task constraints to the newest variable and filter its domain."""
+    """Filter the newest domain against the task constraints and the prefix."""
     var = model.variables[-1]
-    partial = model.assigned_words()
-    for c in task.constraints:
-        model.constraints.append((var.index, c))
-    var.domain = cst.filter_domain(partial, var.domain, task.constraints, task)
+    var.domain = cst.filter_domain(model.assigned_words(), var.domain, task.constraints, task)
     return var.domain
 
 
-def apply_helping(model, task, ordering, lm):
+def apply_helping(model, ordering):
     """Order the newest unassigned domain (implicit-constraint handling)."""
     if not model.variables:
         return
     var = model.variables[-1]
     if var.domain.cursor is not None:
         return
-    partial = model.assigned_words()
-    var.domain = Domain(
-        order_candidates(var.domain.values, ordering, var.index, partial, lm, task.lm_params)
-    )
+    var.domain = Domain(order_candidates(var.domain.values, ordering, var.index))
 
 
-def propagate(model, task):
-    """Re-filter the newest domain and assign its first remaining value.
+def propagate(model):
+    """Assign the first value of the newest domain.
 
-    A variable whose value was already chosen by a backtrack is left alone:
-    its domain was filtered against the same prefix when it was created.
+    The domain was already filtered against the same prefix when the
+    variable was created, so nothing is re-filtered here.  A variable whose
+    value was already chosen by a backtrack is left alone.
     """
     if not model.variables:
         return
     var = model.variables[-1]
-    if var.domain.cursor is not None:
-        return
-    partial = model.assigned_words()
-    var.domain = cst.filter_domain(partial, var.domain, task.constraints, task)
-    if var.domain.values:
+    if var.domain.cursor is None and var.domain.values:
         var.domain.cursor = 0
 
 
+def completes(words, lm, task):
+    """Solution predicate shared by the solver and beam search.
+
+    The content ``words`` (no trailing ".") satisfy every constraint, and,
+    when the task requires a period, the LM ranks "." among its next words.
+    """
+    final = list(words) + ["."] if task.require_period else list(words)
+    if not cst.check_complete(final, task):
+        return False
+    return not task.require_period or predicts_period(lm, render_sentence(words), task.lm_params)
+
+
+def make_record(words, lm, task, started):
+    """Solution record for content ``words``, timed from perf_counter value ``started``."""
+    final = list(words) + ["."] if task.require_period else list(words)
+    return SolutionRecord(
+        words=tuple(final),
+        sentence=render_sentence(final),
+        ppl=perplexity(lm, final, task.lm_params),
+        discovered_at=time.perf_counter() - started,
+    )
+
+
 def is_solution(model, lm, task):
-    """Solution predicate: all constraints hold and the LM signals end of sentence."""
+    """Whether every variable is assigned and the words form a solution."""
     if not model.variables:
         return False
     words = model.assigned_words()
     if len(words) != len(model.variables):
         return False
-    final = words + ["."] if task.require_period else list(words)
-    if not cst.check_complete(final, task):
-        return False
-    if task.require_period and not predicts_period(lm, render_sentence(words), task.lm_params):
-        return False
-    return True
+    return completes(words, lm, task)
 
 
 @dataclass
@@ -207,19 +215,19 @@ def run_search(task, lm, options=None, exhaustive=False):
                 generate_constraints(model, task)
                 state = "help"
             elif state == "help":
-                apply_helping(model, task, ordering, lm)
+                apply_helping(model, ordering)
                 state = "backtrack" if model.contains_empty_variable() else "save"
             elif state == "save":
                 model.save_state()
                 state = "propagate"
             elif state == "propagate":
-                propagate(model, task)
+                propagate(model)
                 state = "backtrack" if model.contains_empty_variable() else "check"
             elif state == "check":
                 if not is_solution(model, lm, task):
                     state = "generate"
                     continue
-                record = _record_solution(model, lm, task, started)
+                record = make_record(model.assigned_words(), lm, task, started)
                 if record.sentence not in seen:
                     seen.add(record.sentence)
                     solutions.append(record)
@@ -239,18 +247,6 @@ def run_search(task, lm, options=None, exhaustive=False):
     except TransportError as exc:
         raise SearchAborted(str(exc), solutions, model.stats) from exc
     return SearchOutcome(solutions=solutions, stats=model.stats)
-
-
-def _record_solution(model, lm, task, started):
-    words = model.assigned_words()
-    if task.require_period:
-        words = words + ["."]
-    return SolutionRecord(
-        words=tuple(words),
-        sentence=render_sentence(words),
-        ppl=perplexity(lm, words, task.lm_params),
-        discovered_at=time.perf_counter() - started,
-    )
 
 
 def solve(task, lm, options=None):

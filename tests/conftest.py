@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from gencp import LMParams, TableLM, TaskSpec, WordCountRange, render_prefix
 
-settings.register_profile("suite", deadline=None, max_examples=60)
+settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
 
 FIXTURES_DIR = Path(__file__).resolve().parents[1] / "fixtures"

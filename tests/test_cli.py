@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from gencp import NGramLM, parse_report
 from gencp.cli import main
@@ -149,3 +150,27 @@ class TestExitCodes:
             "solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", "nonsense",
         ])
         assert code == 1
+
+
+WORDS_2 = {"type": "word_count_range", "lo": 2, "hi": 2}
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"constraints": [{"type": "char_count_exact", "n": "60"}]}, "'n'"),
+        ({"constraints": [WORDS_2], "k": "3"}, "'k'"),
+        ({"constraints": [{"type": "mandatory_keywords", "words": "beach"}]}, "'words'"),
+        ({"constraints": [{"type": "starts_with", "prefix": "The"}]}, "'prefix'"),
+        ({"constraints": [WORDS_2], "seed": "The"}, "'seed'"),
+    ],
+    ids=["string-n", "string-k", "string-words", "string-prefix", "string-seed"],
+)
+def test_malformed_task_file_exits_1(payload, field, fixtures_dir, tmp_path, capsys):
+    task = tmp_path / "bad.json"
+    task.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["solve", "--task", str(task), "--lm", f"table:{fixtures_dir / 'bs_miss.tbl'}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert field in err
+    assert "Traceback" not in err
