@@ -84,30 +84,40 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     bad_outputs = []
     started = time.perf_counter()
 
-    while beams:
-        if time_budget is not None and time.perf_counter() - started > time_budget:
-            bad_outputs.extend(render_prefix(b.words) for b in beams)
-            break
-        survivors = []
-        solved_now = False
-        for beam in beams:
-            if completes(beam.words, lm, task):
-                solutions.append(make_record(beam.words, lm, task, started))
-                solved_now = True
-            else:
-                survivors.append(beam)
-        if solved_now and mode is HaltingMode.FIRST_SOLUTION:
-            for beam in survivors:
+    try:
+        while beams:
+            if time_budget is not None and time.perf_counter() - started > time_budget:
+                bad_outputs.extend(render_prefix(b.words) for b in beams)
+                break
+            if task.require_period:
+                lm.prefetch(
+                    (render_sentence(b.words) for b in beams
+                     if _structurally_complete(b.words, task)),
+                    params,
+                )
+            survivors = []
+            solved_now = False
+            for beam in beams:
+                if completes(beam.words, lm, task):
+                    solutions.append(make_record(beam.words, lm, task, started))
+                    solved_now = True
+                else:
+                    survivors.append(beam)
+            if solved_now and mode is HaltingMode.FIRST_SOLUTION:
+                for beam in survivors:
+                    beam.alive = False
+                    bad_outputs.append(render_prefix(beam.words))
+                return solutions, bad_outputs
+            overgrown = [b for b in survivors if len(b.words) >= max_words]
+            for beam in overgrown:
                 beam.alive = False
                 bad_outputs.append(render_prefix(beam.words))
-            return solutions, bad_outputs
-        overgrown = [b for b in survivors if len(b.words) >= max_words]
-        for beam in overgrown:
-            beam.alive = False
-            bad_outputs.append(render_prefix(beam.words))
-        survivors = [b for b in survivors if len(b.words) < max_words]
-        beams, dead = expand_beams(survivors, lm, task, k)
-        bad_outputs.extend(render_prefix(b.words) for b in dead)
+            survivors = [b for b in survivors if len(b.words) < max_words]
+            lm.prefetch((render_prefix(b.words) for b in survivors), params, k)
+            beams, dead = expand_beams(survivors, lm, task, k)
+            bad_outputs.extend(render_prefix(b.words) for b in dead)
+    finally:
+        lm.cancel_prefetch()
     return solutions, bad_outputs
 
 

@@ -164,7 +164,9 @@ def _cmd_bench(args):
 def _cmd_oracle(args):
     task = _load_task(args)
     lm = load_backend(args.lm)
-    sentences = sorted(brute_force_oracle(task, lm, depth_cap=args.max_variables))
+    sentences = sorted(
+        brute_force_oracle(task, lm, depth_cap=args.max_variables, time_budget=args.time_budget)
+    )
     for sentence in sentences:
         print(sentence)
     print(f"{len(sentences)} solution(s)", file=sys.stderr)

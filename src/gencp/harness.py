@@ -83,22 +83,24 @@ class RunConfig:
 
 
 class OracleLimitError(RuntimeError):
-    """The enumeration would exceed the configured node budget."""
+    """The enumeration would exceed the configured node or time budget."""
 
 
-def brute_force_oracle(task, lm, depth_cap, node_limit=8**8):
+def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     """Every reachable solution sentence, by direct enumeration.
 
     Depth-first walk over the top-k valid words per prefix, deliberately
     sharing no machinery with the solver: plain recursion, no trail, no
     domain filtering.  A branch stops at the first prefix that satisfies the
     solution predicate, since nothing past a finished sentence is reachable
-    by a search that backtracks on success.
+    by a search that backtracks on success.  Raises OracleLimitError past
+    ``node_limit`` visited prefixes or ``time_budget`` seconds.
     """
     params = task.lm_params
     constraints = task.constraints
     visited = 0
     found = set()
+    started = time.perf_counter()
 
     def predicate(words):
         final = words + ["."] if task.require_period else list(words)
@@ -108,11 +110,24 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8):
             return False
         return True
 
+    def queried_children(words, kept):
+        """Rendered children whose walk asks the backend, for a period check or next words."""
+        for cand in kept:
+            child = words + [cand.text]
+            if task.require_period:
+                asks = len(child) < depth_cap or cst.check_complete(child + ["."], task)
+            else:
+                asks = len(child) < depth_cap and not cst.check_complete(child, task)
+            if asks:
+                yield render_sentence(child)
+
     def walk(words):
         nonlocal visited
         visited += 1
         if visited > node_limit:
             raise OracleLimitError(f"enumeration exceeded {node_limit} nodes")
+        if time_budget is not None and time.perf_counter() - started > time_budget:
+            raise OracleLimitError(f"enumeration exceeded its {time_budget} s time budget")
         if words and predicate(words):
             final = words + ["."] if task.require_period else list(words)
             found.add(render_sentence(final))
@@ -121,10 +136,15 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8):
             return
         raw = lm.predict(render_prefix(words), params)
         valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
-        for cand in valid[: params.k]:
+        kept = valid[: params.k]
+        lm.prefetch(queried_children(words, kept), params)
+        for cand in kept:
             walk(words + [cand.text])
 
-    walk(list(task.seed))
+    try:
+        walk(list(task.seed))
+    finally:
+        lm.cancel_prefetch()
     return found
 
 
@@ -207,7 +227,9 @@ def _run_method(method, task, lm, k, config, bs_reference):
             ppls = [r.ppl for r in records]
             extra.update(sat_pct=satisfaction_rate(records, bad), n_bad_outputs=len(bad))
         elif method == "oracle":
-            sentences = sorted(brute_force_oracle(task, lm, depth_cap=config.max_variables))
+            sentences = sorted(brute_force_oracle(
+                task, lm, depth_cap=config.max_variables, time_budget=config.time_budget
+            ))
             seconds = time.perf_counter() - started
             word_lists = [_sentence_words(s) for s in sentences]
             ppls = [perplexity(lm, words, task.lm_params) for words in word_lists]

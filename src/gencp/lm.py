@@ -4,7 +4,8 @@ Every backend answers a ranked candidate list for a sentence prefix and can
 score individual conditionals.  Rankings must be deterministic within a
 process run: the search re-queries the same prefixes after backtracking and
 relies on getting the same answers.  The remote backend memoizes responses to
-guarantee this (and to avoid paying twice for the same prompt).
+guarantee this (and to avoid paying twice for the same prompt), and fetches
+the prefixes a search announces through ``prefetch`` while it works.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import re
 import threading
 from collections import defaultdict
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import requests
@@ -25,6 +27,9 @@ PROB_FLOOR = 1e-10  # conditional probability charged for words a backend never 
 DEFAULT_TIMEOUT_SECS = 120.0
 TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
 DEFAULT_RESPONSE_PATH = "completion_probabilities[0].probs"
+# Requests a RemoteLM keeps in flight, as many as the parallel slots of a
+# typical llama.cpp server (``--parallel 4``).
+REMOTE_WORKERS = 4
 
 
 class TransportError(RuntimeError):
@@ -78,6 +83,16 @@ class LanguageModel:
     def conditional_logprob(self, prefix_words, word, params):
         """ln P(word | prefix words), or None when the backend never offers it."""
         raise NotImplementedError
+
+    def prefetch(self, sentences, params, k=None):
+        """Hint that ``predict(s, params, k)`` will follow for each s in ``sentences``.
+
+        Backends that answer at once ignore it without iterating
+        ``sentences``, so callers may pass a lazy generator.
+        """
+
+    def cancel_prefetch(self):
+        """Drop announced predictions that have not started; searches call it on return."""
 
 
 def sequence_logprob(lm, words, params):
@@ -319,13 +334,30 @@ def _parse_response_path(path):
     return keys
 
 
+def _reusable(fut):
+    """Whether a memoized response future is pending or has succeeded."""
+    return fut is not None and not (fut.done() and fut.exception() is not None)
+
+
 class RemoteLM(LanguageModel):
     """Client for an HTTP completion server reporting per-token probabilities.
 
-    One POST per distinct (sentence, parameters) pair: responses are memoized
-    for the lifetime of the instance, which both keeps rankings stable across
-    backtracking and avoids duplicate inference cost.  Safe to share across
-    concurrent searches.
+    One POST per distinct (sentence, parameters) pair: the memo maps each
+    pair to the future of its response for the lifetime of the instance,
+    which both keeps rankings stable across backtracking and avoids
+    duplicate inference cost.  Prompts announced through ``prefetch`` are
+    POSTed on the instance's pool of ``REMOTE_WORKERS`` threads while the
+    search works.  ``predict`` waits on the future of an announced prompt,
+    and POSTs any other prompt on the caller's thread, so an unannounced
+    request never queues behind announced ones.  A failed response is not
+    reused: the next request for that prompt POSTs again.
+    ``cancel_prefetch`` drops the announced prompts no thread has started;
+    at exit the interpreter still waits for the started ones, each for up
+    to ``timeout`` seconds.  Safe to share across concurrent searches; one
+    search's ``cancel_prefetch`` also drops the others' queued prompts,
+    which their ``predict`` then POSTs itself.  The searches announce only
+    prompts they will ask for, so an announced prompt waits behind needed
+    work only.
     """
 
     def __init__(self, endpoint, response_path=DEFAULT_RESPONSE_PATH, timeout=None, session=None):
@@ -338,14 +370,46 @@ class RemoteLM(LanguageModel):
         self._session = session if session is not None else requests.Session()
         self._memo = {}
         self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
+
+    def prefetch(self, sentences, params, k=None):
+        k = params.k if k is None else k
+        for sentence in sentences:
+            key = (sentence, k, params)
+            with self._lock:
+                if _reusable(self._memo.get(key)):
+                    continue
+                self._memo[key] = self._pool.submit(self._post, sentence, k, params)
+
+    def cancel_prefetch(self):
+        with self._lock:
+            for key, fut in list(self._memo.items()):
+                if fut.cancel():
+                    del self._memo[key]
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k
         key = (sentence, k, params)
-        with self._lock:
-            hit = self._memo.get(key)
-        if hit is not None:
-            return list(hit)
+        while True:
+            with self._lock:
+                fut = self._memo.get(key)
+                if not _reusable(fut):
+                    own = self._memo[key] = Future()
+                    own.set_running_or_notify_cancel()
+                    break
+            try:
+                return list(fut.result())
+            except CancelledError:
+                continue  # another search's cancel_prefetch dropped it
+        try:
+            result = self._post(sentence, k, params)
+        except BaseException as exc:
+            own.set_exception(exc)
+            raise
+        own.set_result(result)
+        return list(result)
+
+    def _post(self, sentence, k, params):
         payload = {
             "prompt": sentence,
             "n_predict": 1,
@@ -364,10 +428,7 @@ class RemoteLM(LanguageModel):
             doc = resp.json()
         except ValueError as exc:
             raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
-        cands = _rank(self._extract(doc))[: k * params.oversample]
-        with self._lock:
-            self._memo[key] = tuple(cands)
-        return list(cands)
+        return tuple(_rank(self._extract(doc))[: k * params.oversample])
 
     def _extract(self, doc):
         node = doc

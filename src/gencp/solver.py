@@ -159,6 +159,25 @@ def make_record(words, lm, task, started):
     )
 
 
+def _queried_children(words, domain, task, max_variables):
+    """Rendered children of ``words`` that the search will ask the backend about.
+
+    A child is asked for its next words when it can still grow below
+    ``max_variables``, and for its period check when it completes
+    structurally.  Lazy, so that a backend ignoring ``prefetch`` pays nothing
+    for it.
+    """
+    for cand in domain.values:
+        child = words + [cand.text]
+        grows = len(child) < max_variables and cst.can_extend(child, task.constraints)
+        if task.require_period:
+            queried = grows or cst.check_complete(child + ["."], task)
+        else:
+            queried = grows and not cst.check_complete(child, task)
+        if queried:
+            yield render_sentence(child)
+
+
 def is_solution(model, lm, task):
     """Whether every variable is assigned and the words form a solution."""
     if not model.variables:
@@ -192,6 +211,11 @@ def run_search(task, lm, options=None, exhaustive=False):
         max_solutions = opts.max_solutions
         jump_to = opts.backtrack_to if opts.backtrack_to is not None else task.backtrack_to
 
+    # A capped or jump-back search may never come back for a word's
+    # siblings, so only a search that visits them all announces them.
+    enumerating = max_solutions is None and jump_to is None
+    parent = None  # prefix of the newest domain, when its children are announced
+
     model = SolverModel.from_seed(task.seed)
     solutions = []
     seen = set()
@@ -213,9 +237,17 @@ def run_search(task, lm, options=None, exhaustive=False):
                 generate_variable(model)
                 generate_domain(model, lm, task)
                 generate_constraints(model, task)
+                parent = words if enumerating else None
                 state = "help"
             elif state == "help":
                 apply_helping(model, ordering)
+                if parent is not None:
+                    # Announced in the order the search visits them.
+                    domain = model.variables[-1].domain
+                    lm.prefetch(
+                        _queried_children(parent, domain, task, opts.max_variables),
+                        task.lm_params,
+                    )
                 state = "backtrack" if model.contains_empty_variable() else "save"
             elif state == "save":
                 model.save_state()
@@ -246,6 +278,8 @@ def run_search(task, lm, options=None, exhaustive=False):
                 state = "save"
     except TransportError as exc:
         raise SearchAborted(str(exc), solutions, model.stats) from exc
+    finally:
+        lm.cancel_prefetch()
     return SearchOutcome(solutions=solutions, stats=model.stats)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -110,6 +111,16 @@ class _StubHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.requests.append(payload)
             server.counts[payload["prompt"]] = server.counts.get(payload["prompt"], 0) + 1
+            server.in_flight += 1
+            server.peak_in_flight = max(server.peak_in_flight, server.in_flight)
+        try:
+            time.sleep(server.delay)
+            self._answer(server, payload)
+        finally:
+            with server.lock:
+                server.in_flight -= 1
+
+    def _answer(self, server, payload):
         if server.fail_with is not None:
             self.send_response(server.fail_with)
             self.end_headers()
@@ -137,9 +148,13 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer:
-    """In-process completion server; tokens get llama-style leading spaces."""
+    """In-process completion server; tokens get llama-style leading spaces.
 
-    def __init__(self, table):
+    ``delay`` seconds pass before each answer; ``peak_in_flight`` is the most
+    requests the server was handling at once.
+    """
+
+    def __init__(self, table, delay=0.0):
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._httpd.table = {
             prefix: [(" " + word if word != "." else ".", prob) for word, prob in entries]
@@ -150,6 +165,9 @@ class StubServer:
         self._httpd.lock = threading.Lock()
         self._httpd.fail_with = None
         self._httpd.raw_body = None
+        self._httpd.delay = delay
+        self._httpd.in_flight = 0
+        self._httpd.peak_in_flight = 0
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
         )
@@ -167,6 +185,10 @@ class StubServer:
     @property
     def requests(self):
         return self._httpd.requests
+
+    @property
+    def peak_in_flight(self):
+        return self._httpd.peak_in_flight
 
     def fail_with(self, status):
         self._httpd.fail_with = status
@@ -187,8 +209,8 @@ class StubServer:
 def stub_server():
     servers = []
 
-    def start(table):
-        server = StubServer(table)
+    def start(table, delay=0.0):
+        server = StubServer(table, delay)
         servers.append(server)
         return server
 

@@ -103,6 +103,16 @@ class TestOracleCommand:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["My cat."]
 
+    def test_time_budget_is_backend_failure(self, fixtures_dir, stub_server, capsys):
+        server = stub_server({"": [("My", 0.6), ("We", 0.4)], "My": [("cat", 0.5)],
+                              "My cat": [(".", 1.0)]}, delay=0.05)
+        code = main([
+            "oracle", "--task", str(fixtures_dir / "two_words.json"),
+            "--lm", f"remote:{server.url}", "--time-budget", "0.01",
+        ])
+        assert code == 2
+        assert "time budget" in capsys.readouterr().err
+
 
 class TestTrainNgramCommand:
     def test_trains_and_saves(self, tmp_path, capsys):

@@ -6,7 +6,9 @@ solver's exhaustive enumeration must equal the brute-force oracle, and
 Constraint parameters come from one target sentence that the table ends, so
 many instances have solutions and the pruning bounds are tight.  Keyword
 sets are drawn from its words, which come in case pairs, so sets often
-overlap across constraints or differ only by case.
+overlap across constraints or differ only by case.  The same instances check
+that the prefetch hints of all three searches name exactly the prompts they
+then ask for, in the order they ask for them.
 """
 
 import random
@@ -28,8 +30,10 @@ from gencp import (
     TableLM,
     TaskSpec,
     WordCountRange,
+    beam_search,
     brute_force_oracle,
     can_extend,
+    parse_ordering,
     render_prefix,
     render_sentence,
     solve_all,
@@ -154,3 +158,62 @@ def test_missing_keywords_are_counted_once(constraints):
     assert can_extend([], constraints)
     assert [s.sentence for s in solve_all(task, lm)] == ["beach."]
     assert brute_force_oracle(task, lm, depth_cap=2) == {"beach."}
+
+
+class HintedTableLM(TableLM):
+    """Records, in order, the prompt batches announced through prefetch and the prompts asked."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.log = []
+
+    def prefetch(self, sentences, params, k=None):
+        k = params.k if k is None else k
+        self.log.append(("hint", [(s, k) for s in sentences]))
+
+    def predict(self, sentence, params, k=None):
+        self.log.append(("ask", (sentence, params.k if k is None else k)))
+        return super().predict(sentence, params, k)
+
+    def prompts(self, kind):
+        if kind == "hint":
+            return {key for what, batch in self.log if what == "hint" for key in batch}
+        return {key for what, key in self.log if what == "ask"}
+
+    def batches_follow_visit_order(self):
+        """Whether each batch's prompts are next asked in the order they were announced."""
+        for i, (what, batch) in enumerate(self.log):
+            if what != "hint":
+                continue
+            members, order = set(batch), []
+            for later, key in self.log[i + 1:]:
+                if later == "ask" and key in members and key not in order:
+                    order.append(key)
+            if order != batch:
+                return False
+        return True
+
+
+@settings(max_examples=400)
+@given(instances())
+def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
+    table, constraints, k, require_period = instance
+    task = TaskSpec(
+        name="fuzz", constraints=constraints, lm_params=LMParams(k=k), require_period=require_period
+    )
+    searches = (
+        lambda lm: solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH)),
+        # Short words first: the visit order differs from the backend's ranking.
+        lambda lm: solve_all(
+            task, lm, SolveOptions(max_variables=MAX_DEPTH, ordering=parse_ordering("char-target"))
+        ),
+        lambda lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
+        lambda lm: beam_search(task, lm, max_words=MAX_DEPTH),
+    )
+    for search in searches:
+        lm = HintedTableLM(table)
+        search(lm)
+        hinted, asked = lm.prompts("hint"), lm.prompts("ask")
+        assert hinted <= asked  # nothing fetched that the search does not use
+        assert asked - hinted <= {("", k)}  # only the root is asked unannounced
+        assert lm.batches_follow_visit_order()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -59,6 +60,15 @@ class TestBruteForceOracle:
         with pytest.raises(OracleLimitError):
             brute_force_oracle(task, lm, depth_cap=5, node_limit=10)
 
+    def test_refuses_past_time_budget(self, fig_task):
+        class SlowTableLM(TableLM):
+            def predict(self, sentence, params, k=None):
+                time.sleep(0.02)
+                return super().predict(sentence, params, k)
+
+        with pytest.raises(OracleLimitError, match="time budget"):
+            brute_force_oracle(fig_task, SlowTableLM(FIG_TABLE), depth_cap=8, time_budget=0.01)
+
     def test_respects_seed(self):
         lm = TableLM({
             "": [("A", 1.0)],
@@ -113,6 +123,14 @@ class TestRunBenchmark:
         assert rows[0].method == "oracle"
         assert rows[0].n_solutions == 1
         assert rows[0].sat_pct == 100.0
+
+    def test_oracle_method_honours_time_budget(self, fixtures_dir, stub_server):
+        server = stub_server({"": [("My", 0.6), ("We", 0.4)], "My": [("cat", 0.5)],
+                              "My cat": [(".", 1.0)]}, delay=0.05)
+        config = self._config(fixtures_dir, methods=("oracle",), lm_spec=f"remote:{server.url}",
+                              time_budget=0.01)
+        row = run_benchmark(config)[0]
+        assert (row.method, row.n_solutions, row.sat_pct) == ("oracle", 0, None)
 
     def test_rows_are_sorted_and_deterministic(self, fixtures_dir):
         config = self._config(fixtures_dir, k_values=(2, 3), methods=("bs-all", "gencp"))

@@ -105,6 +105,19 @@ class TestTableLM:
         assert lm.predict("A", PARAMS) == lm.predict("A", PARAMS)
 
 
+def _unreadable_hint():
+    raise AssertionError("the prefetch hint was iterated")
+    yield
+
+
+class TestPrefetchHint:
+    def test_local_backends_never_iterate_the_hint(self):
+        for lm in (TableLM(FIG4_TABLE), train_ngram("the cat sat .", order=1)):
+            lm.prefetch(_unreadable_hint(), PARAMS)
+            lm.prefetch(_unreadable_hint(), PARAMS, k=1)
+            lm.cancel_prefetch()
+
+
 class TestSequenceLogProb:
     def test_hand_computed_chain(self):
         lm = TableLM(FIG4_TABLE)

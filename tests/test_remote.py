@@ -1,18 +1,31 @@
 import math
+import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
+import requests
 
 from gencp import (
+    LanguageModel,
     LMParams,
     RemoteLM,
+    SearchAborted,
     SolveOptions,
+    TableLM,
     TaskSpec,
     TransportError,
     WordCountRange,
+    beam_search,
+    brute_force_oracle,
+    render_prefix,
     run_search,
     sequence_logprob,
+    solve_all,
 )
-from gencp.lm import TIMEOUT_ENV_VAR, _parse_response_path
+from gencp.lm import REMOTE_WORKERS, TIMEOUT_ENV_VAR, _parse_response_path
 
 PARAMS = LMParams(k=2)
 
@@ -22,6 +35,49 @@ TREE = {
     "We": [("run", 0.9), ("eat", 0.1)],
     "My cat": [(".", 1.0)],
 }
+
+
+def full_tree(words, depth):
+    """Every word under every prefix to ``depth``; "." ranks first from two words on."""
+    table = {}
+
+    def grow(prefix):
+        entries = [(".", 0.4)] if len(prefix) >= 2 else []
+        if len(prefix) < depth:
+            entries += [(w, 0.5 / len(words)) for w in words]
+            for w in words:
+                grow(prefix + [w])
+        table[render_prefix(prefix)] = entries
+
+    grow([])
+    return table
+
+
+WIDE = full_tree(("red", "big", "old"), 3)
+WIDE_TASK = TaskSpec(name="two-or-three", constraints=(WordCountRange(2, 3),),
+                     lm_params=LMParams(k=3), require_period=True)
+
+
+class SequentialRemoteLM(RemoteLM):
+    """The client as a backend that ignores prefetch hints would drive it."""
+
+    prefetch = LanguageModel.prefetch
+
+
+class FailingSession(requests.Session):
+    """Fails the POST for one prompt after 50 ms, as a dropped connection would."""
+
+    def __init__(self, prompt):
+        super().__init__()
+        self.prompt = prompt
+        self.refused = threading.Event()
+
+    def post(self, url, json=None, **kwargs):
+        if json["prompt"] == self.prompt:
+            self.refused.set()
+            time.sleep(0.05)
+            raise requests.ConnectionError("connection reset")
+        return super().post(url, json=json, **kwargs)
 
 
 class TestResponsePath:
@@ -80,6 +136,16 @@ class TestRemotePredict:
         with pytest.raises(TransportError, match="HTTP 500"):
             RemoteLM(server.url).predict("x", PARAMS)
 
+    def test_failed_post_is_not_memoized(self, stub_server):
+        server = stub_server({"x": [("ok", 0.5)]})
+        lm = RemoteLM(server.url)
+        server.fail_with(500)
+        with pytest.raises(TransportError, match="HTTP 500"):
+            lm.predict("x", PARAMS)
+        server.respond_normally()
+        assert [c.text for c in lm.predict("x", PARAMS)] == ["ok"]
+        assert server.counts == {"x": 2}
+
     def test_malformed_json_is_transport_error(self, stub_server):
         server = stub_server({})
         server.respond_raw(b"this is not json")
@@ -119,3 +185,152 @@ class TestRemoteEndToEnd:
         assert [s.sentence for s in outcome.solutions] == ["My cat."]
         assert max(server.counts.values()) == 1
         assert set(server.counts) == {"", "My", "My dog", "My cat", "We", "We run", "We eat"}
+
+
+def _solve(lm):
+    return [r.sentence for r in solve_all(WIDE_TASK, lm, SolveOptions(max_variables=4))]
+
+
+def _beam(lm):
+    solutions, bad = beam_search(WIDE_TASK, lm, k=3, max_words=4)
+    return [r.sentence for r in solutions], bad
+
+
+def _oracle(lm):
+    return sorted(brute_force_oracle(WIDE_TASK, lm, depth_cap=4))
+
+
+SEARCHES = {"solve_all": _solve, "beam_search": _beam, "oracle": _oracle}
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_exhaustive_runs_post_each_sequential_prompt_once(self, stub_server, search):
+        sequential = stub_server(WIDE)
+        expected = SEARCHES[search](SequentialRemoteLM(sequential.url))
+        overlapped = stub_server(WIDE, delay=0.02)
+        assert SEARCHES[search](RemoteLM(overlapped.url)) == expected
+        posted = Counter((r["prompt"], r["n_probs"]) for r in overlapped.requests)
+        assert max(posted.values()) == 1
+        assert posted == Counter((r["prompt"], r["n_probs"]) for r in sequential.requests)
+        assert overlapped.peak_in_flight >= 2
+        assert sequential.peak_in_flight == 1
+
+    @pytest.mark.parametrize(
+        "options",
+        [SolveOptions(max_solutions=2), SolveOptions(backtrack_to=1),
+         SolveOptions(max_solutions=3, backtrack_to=1)],
+        ids=["solution-cap", "jump-back", "both"],
+    )
+    def test_capped_and_jump_back_runs_post_only_what_they_ask(self, stub_server, options):
+        sequential = stub_server(WIDE)
+        expected = run_search(WIDE_TASK, SequentialRemoteLM(sequential.url), options).solutions
+        overlapped = stub_server(WIDE, delay=0.02)
+        outcome = run_search(WIDE_TASK, RemoteLM(overlapped.url), options)
+        time.sleep(0.1)  # nothing may arrive after the search returned
+        assert [r.sentence for r in outcome.solutions] == [r.sentence for r in expected]
+        assert overlapped.requests == sequential.requests
+        assert overlapped.peak_in_flight == 1
+
+    @pytest.mark.parametrize("refused", [None, "yak"], ids=["unannounced", "failed"])
+    def test_predict_does_not_queue_behind_prefetches(self, stub_server, refused):
+        words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl")
+        server = stub_server({w: [("ok", 0.5)] for w in words + ("yak",)}, delay=0.05)
+        session = FailingSession(refused)
+        lm = RemoteLM(server.url, session=session)
+        if refused is not None:
+            lm.prefetch([refused], PARAMS)
+            assert session.refused.wait(timeout=5)
+            time.sleep(0.1)  # the failure is in the memo
+            session.prompt = None
+        lm.prefetch(words, PARAMS)
+        assert [c.text for c in lm.predict("yak", PARAMS)] == ["ok"]
+        lm.cancel_prefetch()
+        # "yak" went out at once, beside the prefetches already started,
+        # not behind the ones still queued.
+        assert "yak" in [r["prompt"] for r in server.requests[: REMOTE_WORKERS + 1]]
+        assert server.counts["yak"] == 1
+
+    def test_predict_survives_a_cancel_of_the_prompt_it_waits_on(self, stub_server):
+        words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl", "yak")
+        server = stub_server({w: [("ok", 0.5)] for w in words}, delay=0.05)
+        lm = RemoteLM(server.url)
+        lm.prefetch(words, PARAMS)
+        answers = []
+        waiter = threading.Thread(target=lambda: answers.append(lm.predict("yak", PARAMS)))
+        waiter.start()
+        time.sleep(0.02)  # the waiter waits on the queued prefetch of "yak"
+        lm.cancel_prefetch()  # as another search sharing the client does on return
+        waiter.join(timeout=5)
+        assert [[c.text for c in a] for a in answers] == [["ok"]]
+        assert server.counts["yak"] == 1
+
+    @pytest.mark.parametrize(
+        "options, refused",
+        [(SolveOptions(time_budget=0.08), None), (SolveOptions(), "ant")],
+        ids=["time-budget", "aborted"],
+    )
+    def test_search_end_drops_queued_prefetches(self, stub_server, options, refused):
+        words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl", "yak")
+        server = stub_server(full_tree(words, 2), delay=0.05)
+        task = TaskSpec(name="two", constraints=(WordCountRange(2, 2),),
+                        lm_params=LMParams(k=12), require_period=True)
+        lm = RemoteLM(server.url, session=FailingSession(refused))
+        if refused is None:
+            run_search(task, lm, options)
+        else:
+            with pytest.raises(SearchAborted):
+                run_search(task, lm, options)
+        at_return = len(server.requests)
+        time.sleep(0.5)
+        # Only requests a worker had started may still arrive; the children
+        # of "" and "ant" queued behind them were dropped.
+        assert len(server.requests) - at_return <= REMOTE_WORKERS
+        assert len(server.requests) < 1 + 2 * len(words)
+
+    def test_failed_prefetch_does_not_abort_a_search_that_never_asks(self, stub_server):
+        server = stub_server(TREE)
+        session = FailingSession("We")
+        lm = RemoteLM(server.url, session=session)
+        lm.prefetch(["We"], PARAMS)
+        assert session.refused.wait(timeout=5)
+        task = TaskSpec(name="two-words", constraints=(WordCountRange(2, 2),),
+                        lm_params=PARAMS, require_period=True)
+        outcome = run_search(task, lm, SolveOptions(max_variables=4, max_solutions=1))
+        assert [s.sentence for s in outcome.solutions] == ["My cat."]
+        assert "We" not in server.counts
+
+    def test_concurrent_callers_share_one_post_per_prompt(self, stub_server):
+        server = stub_server(WIDE)
+        lm = RemoteLM(server.url)
+        params = WIDE_TASK.lm_params
+        prompts = sorted(WIDE)
+        answers, errors = {}, []
+
+        def caller(seed):
+            order = prompts[:]
+            random.Random(seed).shuffle(order)
+            try:
+                lm.prefetch(order, params)
+                lm.cancel_prefetch()
+                for prompt in reversed(order):
+                    answers[seed, prompt] = lm.predict(prompt, params)
+            except Exception as exc:  # reported below; a thread cannot fail the test itself
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert server.counts == {prompt: 1 for prompt in prompts}
+        local = TableLM(WIDE)
+        assert answers == {(seed, prompt): local.predict(prompt, params)
+                           for seed in range(8) for prompt in prompts}
