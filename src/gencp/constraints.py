@@ -145,13 +145,14 @@ class KeywordSeparation(Constraint):
     def __init__(self, words, min_gap):
         object.__setattr__(self, "words", frozenset(words))
         object.__setattr__(self, "min_gap", min_gap)
+        object.__setattr__(self, "_folded", frozenset(w.casefold() for w in self.words))
         if not self.words:
             raise ValueError("keyword set is empty")
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
     def admits_next(self, partial, word, length, reserve):
-        lowered = {w.casefold() for w in self.words}
+        lowered = self._folded
         if word.casefold() not in lowered:
             return True
         position = len(partial) + 1
@@ -161,7 +162,7 @@ class KeywordSeparation(Constraint):
         )
 
     def prefix_ok(self, partial, length):
-        lowered = {w.casefold() for w in self.words}
+        lowered = self._folded
         hits = [j for j, w in enumerate(partial, start=1) if w.casefold() in lowered]
         return all(b - a - 1 >= self.min_gap for a, b in zip(hits, hits[1:]))
 

@@ -1,9 +1,10 @@
 """Core search state: word variables, their candidate domains, and the undo trail.
 
-The search assigns sentence positions left to right.  Every mutation made after
-a snapshot (new variables, domain filtering, cursor moves) can be undone by
-backtracking, which also advances the deepest surviving variable to its next
-untried value.
+The search assigns sentence positions left to right, so every variable but the
+newest is assigned.  After a save at level n the search only moves the cursor
+of x_n and appends deeper variables, so one trail entry (the variable count
+and x_n's cursor) undoes it all.  Backtracking also advances the deepest
+surviving variable to its next untried value.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ class Domain:
         """True when there is nothing assigned and nothing left to try."""
         return self.cursor is None and not self.values
 
-    def snapshot(self):
-        return tuple(self.values), self.cursor
-
-    def restore(self, snap):
-        values, cursor = snap
-        self.values = list(values)
-        self.cursor = cursor
-
     def __len__(self):
         return len(self.values)
 
@@ -104,14 +97,15 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SavedState:
-    """Snapshot of the model at one choice point.
+    """One trail entry: the variable count n and x_n's cursor at the save.
 
-    Candidate objects are immutable, so snapshotting the value tuples is
-    cheap and restoring yields a state element-wise equal to the original.
+    Variables before x_n neither move nor change their domains until this
+    entry is popped, and variables after it are deleted, so these two values
+    restore the whole model.
     """
 
     num_variables: int
-    domains: tuple
+    cursor: int | None
 
 
 @dataclass(frozen=True)
@@ -131,11 +125,14 @@ class SolutionRecord:
 class SolverModel:
     """Mutable search state: variables, trail, counters.
 
-    Confined to a single search; never share one instance across threads.
+    ``words`` holds the assigned words, kept in step by ``assign``, through
+    which every cursor move goes.  Confined to a single search; never share
+    one instance across threads.
     """
 
     def __init__(self):
         self.variables = []
+        self.words = []
         self.trail = []
         self.stats = SearchStats()
 
@@ -144,8 +141,8 @@ class SolverModel:
         """Model whose first variables are pinned to the given words."""
         model = cls()
         for word in seed_words:
-            var = model.add_variable()
-            var.domain = Domain([WordCandidate(word, 0.0)], cursor=0)
+            model.add_variable().domain = Domain([WordCandidate(word, 0.0)])
+            model.assign(0)
         return model
 
     def add_variable(self):
@@ -154,41 +151,34 @@ class SolverModel:
         self.variables.append(var)
         return var
 
+    def assign(self, cursor):
+        """Set the newest variable's cursor (None unassigns it) and update ``words``."""
+        var = self.variables[-1]
+        var.domain.cursor = cursor
+        del self.words[var.index - 1:]
+        if cursor is not None and len(self.words) == var.index - 1:
+            self.words.append(var.domain.values[cursor].text)
+
     def assigned_words(self):
         """Words assigned so far, stopping at the first unassigned variable."""
-        words = []
-        for var in self.variables:
-            cand = var.domain.current()
-            if cand is None:
-                break
-            words.append(cand.text)
-        return words
+        return list(self.words)
 
     def current_sentence(self):
         """Rendering of the assigned words; empty string for an empty model."""
-        words = self.assigned_words()
-        return render_sentence(words) if words else ""
+        return render_prefix(self.words)
 
     def contains_empty_variable(self):
-        """True when some variable has no assigned and no remaining value."""
-        return any(var.domain.is_empty() for var in self.variables)
+        """True when the newest variable has no value; every earlier one is assigned."""
+        return bool(self.variables) and self.variables[-1].domain.is_empty()
 
     def save_state(self):
-        """Push a snapshot; later mutations are undoable to this point."""
-        snap = SavedState(
-            num_variables=len(self.variables),
-            domains=tuple(var.domain.snapshot() for var in self.variables),
-        )
+        """Push a trail entry; later mutations are undoable to this point."""
+        snap = SavedState(len(self.variables), self.variables[-1].domain.cursor)
         self.trail.append(snap)
         return snap
 
-    def _restore(self, snap):
-        del self.variables[snap.num_variables:]
-        for var, dom_snap in zip(self.variables, snap.domains):
-            var.domain.restore(dom_snap)
-
     def backtrack(self):
-        """Undo to the most recent snapshot and try the next value there.
+        """Undo to the most recent trail entry and try the next value there.
 
         Pops trail levels until one still has an untried value; deeper
         variables are deleted along the way.  Returns False when the trail
@@ -196,14 +186,14 @@ class SolverModel:
         """
         while self.trail:
             snap = self.trail.pop()
-            deepest = self.variables[snap.num_variables - 1]
-            tried = deepest.domain.cursor
-            self._restore(snap)
-            nxt = 0 if tried is None else tried + 1
-            if nxt < len(deepest.domain.values):
-                deepest.domain.cursor = nxt
+            del self.variables[snap.num_variables:]
+            domain = self.variables[-1].domain
+            nxt = 0 if domain.cursor is None else domain.cursor + 1
+            if nxt < len(domain.values):
+                self.assign(nxt)
                 self.stats.backtracks += 1
                 return True
+            self.assign(snap.cursor)
         return False
 
     def backtrack_to(self, n):
@@ -216,6 +206,7 @@ class SolverModel:
         if n >= len(self.variables):
             raise ValueError("nothing to delete")
         del self.variables[n:]
+        del self.words[n:]
         while self.trail and self.trail[-1].num_variables > n:
             self.trail.pop()
         return self.backtrack()

@@ -108,7 +108,7 @@ def generate_domain(model, lm, task):
 def generate_constraints(model, task):
     """Filter the newest domain against the task constraints and the prefix."""
     var = model.variables[-1]
-    var.domain = cst.filter_domain(model.assigned_words(), var.domain, task.constraints, task)
+    var.domain = cst.filter_domain(model.words, var.domain, task.constraints, task)
     return var.domain
 
 
@@ -133,7 +133,7 @@ def propagate(model):
         return
     var = model.variables[-1]
     if var.domain.cursor is None and var.domain.values:
-        var.domain.cursor = 0
+        model.assign(0)
 
 
 def completes(words, lm, task):
@@ -180,12 +180,8 @@ def _queried_children(words, domain, task, max_variables):
 
 def is_solution(model, lm, task):
     """Whether every variable is assigned and the words form a solution."""
-    if not model.variables:
-        return False
-    words = model.assigned_words()
-    if len(words) != len(model.variables):
-        return False
-    return completes(words, lm, task)
+    words = model.words
+    return bool(words) and len(words) == len(model.variables) and completes(words, lm, task)
 
 
 @dataclass
@@ -228,7 +224,7 @@ def run_search(task, lm, options=None, exhaustive=False):
     try:
         while not out_of_budget():
             if state == "generate":
-                words = model.assigned_words()
+                words = model.words
                 if len(model.variables) >= opts.max_variables or not cst.can_extend(
                     words, task.constraints
                 ):
@@ -237,7 +233,7 @@ def run_search(task, lm, options=None, exhaustive=False):
                 generate_variable(model)
                 generate_domain(model, lm, task)
                 generate_constraints(model, task)
-                parent = words if enumerating else None
+                parent = list(words) if enumerating else None
                 state = "help"
             elif state == "help":
                 apply_helping(model, ordering)
@@ -259,7 +255,7 @@ def run_search(task, lm, options=None, exhaustive=False):
                 if not is_solution(model, lm, task):
                     state = "generate"
                     continue
-                record = make_record(model.assigned_words(), lm, task, started)
+                record = make_record(model.words, lm, task, started)
                 if record.sentence not in seen:
                     seen.add(record.sentence)
                     solutions.append(record)

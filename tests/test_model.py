@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencp import (
     Domain,
@@ -155,7 +157,7 @@ class TestTrail:
             var = model.add_variable()
             var.domain = Domain(_cands(*values))
             model.save_state()
-            var.domain.cursor = 0
+            model.assign(0)
 
         model = SolverModel()
         fresh_level(model, [("a", -0.1), ("b", -0.7)])
@@ -180,14 +182,14 @@ class TestTrail:
         var = model.add_variable()
         var.domain = Domain(_cands(("a", -0.1), ("b", -0.7), ("c", -1.1)))
         model.save_state()
-        var.domain.cursor = 0
+        model.assign(0)
         seen = {tuple(model.assigned_words())}
         while model.backtrack():
             model.save_state()
             assignment = tuple(model.assigned_words())
             assert assignment not in seen
             seen.add(assignment)
-        assert len(seen) == 3
+        assert seen == {("a",), ("b",), ("c",)}
 
 
 class TestBacktrackTo:
@@ -198,7 +200,7 @@ class TestBacktrackTo:
             cands = [(word, -0.1)] + alternatives.get(i + 1, [])
             var.domain = Domain(_cands(*cands))
             model.save_state()
-            var.domain.cursor = 0
+            model.assign(0)
         return model
 
     def test_deletes_tail_and_changes_target(self):
@@ -222,6 +224,105 @@ class TestBacktrackTo:
         # x2 has no alternative, so the jump lands on x1 instead
         assert model.backtrack_to(2) is True
         assert [v.assigned_word for v in model.variables] == ["We"]
+
+
+class CopyingTrail:
+    """Reference trail: each save copies every (values, cursor) pair."""
+
+    def __init__(self):
+        self.domains = []
+        self.trail = []
+
+    def add(self, texts):
+        self.domains.append((texts, None))
+
+    def assign(self, cursor):
+        self.domains[-1] = (self.domains[-1][0], cursor)
+
+    def save(self):
+        self.trail.append(list(self.domains))
+
+    def backtrack(self):
+        while self.trail:
+            snap = self.trail.pop()
+            tried = self.domains[len(snap) - 1][1]
+            self.domains = list(snap)
+            nxt = 0 if tried is None else tried + 1
+            if nxt < len(self.domains[-1][0]):
+                self.assign(nxt)
+                return True
+        return False
+
+    def backtrack_to(self, n):
+        del self.domains[n:]
+        while self.trail and len(self.trail[-1]) > n:
+            self.trail.pop()
+        return self.backtrack()
+
+
+def _words_from_cursors(model):
+    words = []
+    for var in model.variables:
+        if var.domain.cursor is None:
+            break
+        words.append(var.domain.values[var.domain.cursor].text)
+    return words
+
+
+# (operation, argument) pairs; "add" and "assign" are drawn twice as often
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "assign", "assign", "save", "backtrack", "backtrack_to"]),
+        st.integers(0, 3),
+    ),
+    max_size=30,
+)
+
+
+class TestIncrementalState:
+    @settings(max_examples=300)
+    @given(st.integers(0, 3), _steps)
+    def test_matches_copying_trail(self, seed_len, steps):
+        # seed words are assigned without trail entries, as in the search
+        seed = [f"s{i}" for i in range(seed_len)]
+        model, ref = SolverModel.from_seed(seed), CopyingTrail()
+        for word in seed:
+            ref.add((word,))
+            ref.assign(0)
+
+        def check():
+            assert model.assigned_words() == _words_from_cursors(model)
+            assert [
+                (tuple(c.text for c in v.domain.values), v.domain.cursor) for v in model.variables
+            ] == ref.domains
+            assert len(model.trail) == len(ref.trail)
+
+        for step, arg in steps:
+            if step == "add":
+                texts = tuple(f"w{len(model.variables)}v{i}" for i in range(arg))
+                model.add_variable().domain = Domain(_cands(*((t, -1.0) for t in texts)))
+                ref.add(texts)
+            elif step == "save" and model.variables:
+                model.save_state()
+                ref.save()
+            elif step == "assign" and model.variables and model.variables[-1].domain.values:
+                choices = [*range(len(model.variables[-1].domain)), None]
+                cursor = choices[arg % len(choices)]
+                model.assign(cursor)
+                ref.assign(cursor)
+            elif step == "backtrack":
+                assert model.backtrack() == ref.backtrack()
+            elif step == "backtrack_to" and len(model.variables) > 1:
+                n = 1 + arg % (len(model.variables) - 1)
+                assert model.backtrack_to(n) == ref.backtrack_to(n)
+            check()
+        # each landing consumes a trail entry, so this ends; the last pop
+        # restores the cursor at the lowest saved level
+        while model.backtrack():
+            assert ref.backtrack()
+            check()
+        assert not ref.backtrack()
+        check()
 
 
 class TestContainsEmptyVariable:
