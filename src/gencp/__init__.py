@@ -15,6 +15,7 @@ from .constraints import (
     MandatoryKeywords,
     MaxWordLen,
     PositionLexical,
+    PrefixSummary,
     StartsWith,
     TaskSpec,
     WordCountRange,
@@ -24,6 +25,7 @@ from .constraints import (
     filter_domain,
     load_task_file,
     only_words,
+    summarize,
     with_k,
     word_valid,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import constraints as cst
 from .lm import sequence_logprob
@@ -25,16 +25,27 @@ class HaltingMode(enum.Enum):
 
 @dataclass
 class Beam:
-    """A candidate word sequence and its cumulative log-probability."""
+    """A candidate word sequence and its cumulative log-probability.
+
+    ``summary`` is the ``PrefixSummary`` of ``words``, built on first use
+    when not given.
+    """
 
     words: tuple
     cum_logprob: float
     alive: bool = True
+    summary: cst.PrefixSummary | None = field(default=None, compare=False, repr=False)
 
 
-def _structurally_complete(words, task):
-    final = list(words) + ["."] if task.require_period else list(words)
-    return cst.check_complete(final, task)
+def _summary(beam, task):
+    if beam.summary is None:
+        beam.summary = cst.summarize(beam.words, task.constraints)
+    return beam.summary
+
+
+def _structurally_complete(beam, task):
+    """Whether the beam's words, with the period when required, pass ``check_complete``."""
+    return _summary(beam, task).complete(1 if task.require_period else 0)
 
 
 def expand_beams(beams, lm, task, k):
@@ -47,16 +58,18 @@ def expand_beams(beams, lm, task, k):
     params = task.lm_params
     extensions = []
     dead = []
+    reserve = 1 if task.require_period else 0
     for beam in beams:
+        summary = _summary(beam, task)
         raw = lm.predict(render_prefix(beam.words), params, k)
         valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, task.constraints)]
         kept_any = False
         for cand in valid[:k]:
-            ext_words = beam.words + (cand.text,)
-            if cst.can_extend(ext_words, task.constraints) or _structurally_complete(
-                ext_words, task
-            ):
-                extensions.append(Beam(ext_words, beam.cum_logprob + cand.logprob))
+            child = summary.push(cand.text)
+            if child.can_extend() or child.complete(reserve):
+                extensions.append(
+                    Beam(beam.words + (cand.text,), beam.cum_logprob + cand.logprob, summary=child)
+                )
                 kept_any = True
         if not kept_any:
             beam.alive = False
@@ -79,7 +92,7 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     params = task.lm_params
     seed = tuple(task.seed)
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
-    beams = [Beam(seed, start_cum)]
+    beams = [Beam(seed, start_cum, summary=cst.summarize(seed, task.constraints))]
     solutions = []
     bad_outputs = []
     started = time.perf_counter()
@@ -92,13 +105,13 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
             if task.require_period:
                 lm.prefetch(
                     (render_sentence(b.words) for b in beams
-                     if _structurally_complete(b.words, task)),
+                     if _structurally_complete(b, task)),
                     params,
                 )
             survivors = []
             solved_now = False
             for beam in beams:
-                if completes(beam.words, lm, task):
+                if completes(beam.words, _summary(beam, task), lm, task):
                     solutions.append(make_record(beam.words, lm, task, started))
                     solved_now = True
                 else:

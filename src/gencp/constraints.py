@@ -4,41 +4,54 @@ Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
 
-Each constraint class carries its own pruning: ``admits_word``,
-``admits_next`` and ``prefix_ok``, which ``word_valid``, ``filter_domain``
-and ``can_extend`` loop over.  ``check_complete`` is the plain specification
+Each constraint class carries its own pruning hooks: ``admits_word``,
+``admits_next`` and ``admits_end``.  The searches do not rescan a prefix to
+apply them.  They keep one ``PrefixSummary`` per prefix (word count,
+rendered length, where the keywords stand, whether a word failed its test),
+extended by one word at a time, and ``filter_domain``, ``can_extend`` and the
+solution predicate read it.  ``check_complete`` is the plain specification
 that this pruning is fuzz-tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .lm import LMParams
-from .model import Domain, render_prefix, render_sentence
+from .model import Domain, render_sentence
 
 
 class Constraint:
     """Base of the constraint types: pruning hooks that admit by default.
 
-    ``length`` is the rendered length of partial + [word] in ``admits_next``
-    and of partial in ``prefix_ok``; ``reserve`` is 1 when a final period is
-    required.  The caps and ``required_words`` feed ``can_extend``'s lookahead.
+    ``prefix`` is the ``PrefixSummary`` of the words before ``word`` in
+    ``admits_next`` and of the whole sentence in ``admits_end``; ``length``
+    is the rendered length with ``word``; ``reserve`` is 1 when a final
+    period is required, and a word admitted with it is admitted without.
+    ``keywords`` are the casefolded words whose last positions the summary
+    records, and the caps and ``required_words`` feed ``can_extend``'s
+    lookahead.
     """
 
     word_cap = None
     char_cap = None
+    keywords = ()
     required_words = ()
 
     def admits_word(self, word):
+        """Whether the word, on its own, may appear at all."""
         return True
 
-    def admits_next(self, partial, word, length, reserve):
+    def admits_next(self, prefix, word, length, reserve):
+        """Whether the word may follow the prefix; no later word undoes a rejection."""
         return True
 
-    def prefix_ok(self, partial, length):
+    def admits_end(self, prefix, reserve):
+        """Whether a sentence whose words all passed the tests above may end here."""
         return True
 
 
@@ -54,11 +67,11 @@ class CharCountExact(Constraint):
 
     char_cap = property(lambda self: self.n)
 
-    def admits_next(self, partial, word, length, reserve):
+    def admits_next(self, prefix, word, length, reserve):
         return length + reserve <= self.n
 
-    def prefix_ok(self, partial, length):
-        return length <= self.n
+    def admits_end(self, prefix, reserve):
+        return prefix.length + reserve == self.n
 
 
 @dataclass(frozen=True)
@@ -76,11 +89,11 @@ class WordCountRange(Constraint):
 
     word_cap = property(lambda self: self.hi)
 
-    def admits_next(self, partial, word, length, reserve):
-        return self.hi is None or len(partial) < self.hi
+    def admits_next(self, prefix, word, length, reserve):
+        return self.hi is None or prefix.count < self.hi
 
-    def prefix_ok(self, partial, length):
-        return self.hi is None or len(partial) < self.hi
+    def admits_end(self, prefix, reserve):
+        return prefix.count >= self.lo
 
 
 @dataclass(frozen=True)
@@ -96,10 +109,6 @@ class MaxWordLen(Constraint):
     def admits_word(self, word):
         return len(word) <= self.limit
 
-    def prefix_ok(self, partial, length):
-        limit = self.limit
-        return not any(len(w) > limit for w in partial)
-
 
 @dataclass(frozen=True)
 class PositionLexical(Constraint):
@@ -114,11 +123,11 @@ class PositionLexical(Constraint):
         if not self.word:
             raise ValueError("pinned word is empty")
 
-    def admits_next(self, partial, word, length, reserve):
-        return len(partial) + 1 != self.position or word == self.word
+    def admits_next(self, prefix, word, length, reserve):
+        return prefix.count + 1 != self.position or word == self.word
 
-    def prefix_ok(self, partial, length):
-        return self.position > len(partial) or partial[self.position - 1] == self.word
+    def admits_end(self, prefix, reserve):
+        return prefix.count >= self.position
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,15 @@ class MandatoryKeywords(Constraint):
 
     def __init__(self, words):
         object.__setattr__(self, "words", frozenset(words))
+        object.__setattr__(self, "keywords", frozenset(w.casefold() for w in self.words))
         if not self.words:
             raise ValueError("keyword set is empty")
 
-    required_words = property(lambda self: self.words)
+    required_words = property(lambda self: self.keywords)
+
+    def admits_end(self, prefix, reserve):
+        seen = prefix.seen
+        return all(w in seen for w in self.keywords)
 
 
 @dataclass(frozen=True)
@@ -145,26 +159,18 @@ class KeywordSeparation(Constraint):
     def __init__(self, words, min_gap):
         object.__setattr__(self, "words", frozenset(words))
         object.__setattr__(self, "min_gap", min_gap)
-        object.__setattr__(self, "_folded", frozenset(w.casefold() for w in self.words))
+        object.__setattr__(self, "keywords", frozenset(w.casefold() for w in self.words))
         if not self.words:
             raise ValueError("keyword set is empty")
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
-    def admits_next(self, partial, word, length, reserve):
-        lowered = self._folded
-        if word.casefold() not in lowered:
+    def admits_next(self, prefix, word, length, reserve):
+        if word.casefold() not in self.keywords:
             return True
-        position = len(partial) + 1
-        return not any(
-            earlier.casefold() in lowered and position - j - 1 < self.min_gap
-            for j, earlier in enumerate(partial, start=1)
-        )
-
-    def prefix_ok(self, partial, length):
-        lowered = self._folded
-        hits = [j for j, w in enumerate(partial, start=1) if w.casefold() in lowered]
-        return all(b - a - 1 >= self.min_gap for a, b in zip(hits, hits[1:]))
+        seen = prefix.seen
+        last = max(seen.get(w, 0) for w in self.keywords)
+        return not last or prefix.count - last >= self.min_gap
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,7 @@ class ForbiddenChars(Constraint):
             raise ValueError("forbidden character set is empty")
 
     def admits_word(self, word):
-        return not any(ch in self.chars for ch in word)
-
-    def prefix_ok(self, partial, length):
-        chars = self.chars
-        return not any(ch in chars for w in partial for ch in w)
+        return self.chars.isdisjoint(word)
 
 
 @dataclass(frozen=True)
@@ -197,11 +199,11 @@ class StartsWith(Constraint):
         if not self.prefix:
             raise ValueError("prefix is empty")
 
-    def admits_next(self, partial, word, length, reserve):
-        return len(partial) >= len(self.prefix) or word == self.prefix[len(partial)]
+    def admits_next(self, prefix, word, length, reserve):
+        return prefix.count >= len(self.prefix) or word == self.prefix[prefix.count]
 
-    def prefix_ok(self, partial, length):
-        return all(h == p for h, p in zip(partial, self.prefix))
+    def admits_end(self, prefix, reserve):
+        return prefix.count >= len(self.prefix)
 
 
 @dataclass(frozen=True)
@@ -256,27 +258,158 @@ def only_words(candidates, keep_period=False):
     return kept
 
 
-def filter_domain(partial, domain, constraints, task):
+@functools.lru_cache(maxsize=None)
+def _multi_folds():
+    """Strings of two or more characters that a single character casefolds to."""
+    return frozenset(
+        f for f in map(str.casefold, map(chr, range(sys.maxunicode + 1))) if len(f) > 1
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def fold_length(key):
+    """Length of the shortest string whose ``casefold()`` is ``key``.
+
+    Case folding maps each character on its own, some to two or three
+    characters ("ß" to "ss"), so a word can be shorter than the keyword it
+    matches; this is the least any spelling of the keyword can cost.
+    """
+    folds = _multi_folds()
+    best = [0]  # best[i]: length of the shortest string that folds to key[:i]
+    for i in range(1, len(key) + 1):
+        best.append(1 + min(best[j] for j in range(i) if j == i - 1 or key[j:i] in folds))
+    return best[-1]
+
+
+class _Rules:
+    """A constraint tuple sorted by the hooks each type overrides, plus the lookahead caps."""
+
+    def __init__(self, constraints):
+        def overriding(hook):
+            base = getattr(Constraint, hook)
+            return tuple(c for c in constraints if getattr(type(c), hook) is not base)
+
+        self.word_tests = overriding("admits_word")
+        self.next_tests = overriding("admits_next")
+        self.end_tests = overriding("admits_end")
+        self.keywords = frozenset(w for c in constraints for w in c.keywords)
+        self.required = frozenset(w for c in constraints for w in c.required_words)
+        self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
+        self.char_cap = min((c.char_cap for c in constraints if c.char_cap is not None), default=None)
+
+
+class PrefixSummary:
+    """What the pruning needs to know about a prefix of content words.
+
+    ``count`` words render to ``length`` characters; ``failed`` says that
+    some word failed ``admits_word`` or ``admits_next`` (with no period
+    reserve) where it stands, which no later word can mend; ``seen`` maps
+    each tracked keyword (casefolded) to the last position that holds it.
+    ``push`` gives the summary one word longer in O(#constraints +
+    #keywords), so a search keeps one summary per prefix instead of
+    rescanning it.  Summaries are never changed once made and may be shared.
+    """
+
+    __slots__ = ("rules", "count", "length", "failed", "seen")
+
+    def __init__(self, rules, count, length, failed, seen):
+        self.rules = rules
+        self.count = count
+        self.length = length
+        self.failed = failed
+        self.seen = seen
+
+    def push(self, word, admitted=False):
+        """Summary of the prefix followed by ``word``.
+
+        ``admitted`` skips the word tests for a word that ``filter_domain``
+        already admitted after this prefix.
+        """
+        rules = self.rules
+        count = self.count
+        length = self.length + len(word) + 1 if count else len(word)
+        failed = self.failed or not (admitted or self.admits(word, length, 0))
+        seen = self.seen
+        if rules.keywords:
+            key = word.casefold()
+            if key in rules.keywords:
+                seen = {**seen, key: count + 1}
+        return PrefixSummary(rules, count + 1, length, failed, seen)
+
+    def admits(self, word, length, reserve):
+        """Whether ``word``, making the prefix ``length`` characters long, may come next."""
+        for c in self.rules.word_tests:
+            if not c.admits_word(word):
+                return False
+        for c in self.rules.next_tests:
+            if not c.admits_next(self, word, length, reserve):
+                return False
+        return True
+
+    def can_extend(self):
+        """Whether some completion with one more word could still satisfy everything.
+
+        Conservative: never rejects a prefix that has a satisfying
+        completion.  Besides the word tests, the keywords still missing must
+        fit under the tightest word and character caps.  A keyword counts
+        once however many constraints or case variants name it, and is
+        charged the shortest string that casefolds to it (``fold_length``).
+        """
+        if self.failed:
+            return False
+        rules = self.rules
+        count = self.count
+        word_cap = rules.word_cap
+        if word_cap is not None and count >= word_cap:
+            return False
+        if not rules.required:
+            return True
+        seen = self.seen
+        missing = [w for w in rules.required if w not in seen]
+        if not missing:
+            return True
+        if word_cap is not None and count + len(missing) > word_cap:
+            return False
+        if rules.char_cap is not None:
+            needed = sum(fold_length(w) + 1 for w in missing) - (0 if count else 1)
+            if self.length + needed > rules.char_cap:
+                return False
+        return True
+
+    def complete(self, reserve):
+        """Whether the words, with a final period when ``reserve`` is 1, pass ``check_complete``."""
+        if self.failed or not self.count:
+            return False
+        for c in self.rules.end_tests:
+            if not c.admits_end(self, reserve):
+                return False
+        return True
+
+
+def summarize(words, constraints):
+    """The ``PrefixSummary`` of content ``words`` under the constraints, built word by word."""
+    summary = PrefixSummary(_Rules(constraints), 0, 0, False, {})
+    for word in words:
+        summary = summary.push(word)
+    return summary
+
+
+def filter_domain(partial, domain, constraints, task, summary=None):
     """Drop candidates that cannot sit at position len(partial)+1.
 
     A survivor is valid on its own (``word_valid``) and admitted at the next
     position by every constraint; one character stays reserved for the final
     period when the task requires one.  Survivor order is preserved.
+    ``summary``, the ``PrefixSummary`` of ``partial`` when the caller keeps
+    one, saves rebuilding it.
     """
-    partial = list(partial)
+    if summary is None:
+        summary = summarize(partial, constraints)
     reserve = 1 if task.require_period else 0
+    base = summary.length + 1 if summary.count else 0
     current = domain.current()
-    survivors = []
-    for cand in domain.values:
-        word = cand.text
-        if not word_valid(word, constraints):
-            continue
-        length = len(render_sentence(partial + [word]))
-        for c in constraints:
-            if not c.admits_next(partial, word, length, reserve):
-                break
-        else:
-            survivors.append(cand)
+    survivors = [cand for cand in domain.values
+                 if summary.admits(cand.text, base + len(cand.text), reserve)]
     cursor = None
     if current is not None and current in survivors:
         cursor = survivors.index(current)
@@ -286,39 +419,10 @@ def filter_domain(partial, domain, constraints, task):
 def can_extend(partial, constraints):
     """Whether some completion of the partial sentence could still satisfy everything.
 
-    Conservative: never rejects a prefix that has a satisfying completion.
-    Besides each constraint's own ``prefix_ok``, the keywords still missing
-    must fit under the tightest word and character caps.  A keyword counts
-    once however many constraints or case variants name it, and is charged
-    its shortest spelling, since case folding can lengthen a word.
+    See ``PrefixSummary.can_extend``, which the searches call on the
+    summaries they keep.
     """
-    partial = list(partial)
-    length = len(render_prefix(partial))
-    for c in constraints:
-        if not c.prefix_ok(partial, length):
-            return False
-    required = [w for c in constraints for w in c.required_words]
-    if not required:
-        return True
-    present = {w.casefold() for w in partial}
-    missing = {}  # casefolded keyword -> length of its shortest spelling
-    for w in required:
-        key = w.casefold()
-        if key not in present:
-            missing[key] = min(len(w), missing.get(key, len(w)))
-    if not missing:
-        return True
-    word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
-    if word_cap is not None and len(partial) + len(missing) > word_cap:
-        return False
-    char_cap = min((c.char_cap for c in constraints if c.char_cap is not None), default=None)
-    if char_cap is not None:
-        needed = sum(n + 1 for n in missing.values())
-        if not partial:
-            needed -= 1
-        if length + needed > char_cap:
-            return False
-    return True
+    return summarize(partial, constraints).can_extend()
 
 
 def check_complete(words, task):

@@ -4,7 +4,10 @@ The search assigns sentence positions left to right, so every variable but the
 newest is assigned.  After a save at level n the search only moves the cursor
 of x_n and appends deeper variables, so one trail entry (the variable count
 and x_n's cursor) undoes it all.  Backtracking also advances the deepest
-surviving variable to its next untried value.
+surviving variable to its next untried value.  Beside the assigned words the
+model keeps one prefix summary per prefix (see
+``gencp.constraints.PrefixSummary``); cutting the word list back cuts the
+summaries back with it, so the trail needs no entry for them.
 """
 
 from __future__ import annotations
@@ -126,23 +129,27 @@ class SolverModel:
     """Mutable search state: variables, trail, counters.
 
     ``words`` holds the assigned words, kept in step by ``assign``, through
-    which every cursor move goes.  Confined to a single search; never share
-    one instance across threads.
+    which every cursor move goes.  Given the summary of the empty prefix,
+    ``summaries`` holds the summary of every prefix of ``words``, the empty
+    one first, and ``summary`` is the last of them; without it the model
+    keeps none and ``summary`` is None.  Confined to a single search; never
+    share one instance across threads.
     """
 
-    def __init__(self):
+    def __init__(self, root=None):
         self.variables = []
         self.words = []
+        self.summaries = [] if root is None else [root]
         self.trail = []
         self.stats = SearchStats()
 
     @classmethod
-    def from_seed(cls, seed_words):
+    def from_seed(cls, seed_words, root=None):
         """Model whose first variables are pinned to the given words."""
-        model = cls()
+        model = cls(root)
         for word in seed_words:
             model.add_variable().domain = Domain([WordCandidate(word, 0.0)])
-            model.assign(0)
+            model.assign(0, admitted=False)
         return model
 
     def add_variable(self):
@@ -151,13 +158,27 @@ class SolverModel:
         self.variables.append(var)
         return var
 
-    def assign(self, cursor):
-        """Set the newest variable's cursor (None unassigns it) and update ``words``."""
+    @property
+    def summary(self):
+        """Summary of the assigned words, or None when the model keeps none."""
+        return self.summaries[-1] if self.summaries else None
+
+    def assign(self, cursor, admitted=True):
+        """Set the newest variable's cursor (None unassigns it); update ``words`` and ``summaries``.
+
+        ``admitted`` says that ``filter_domain`` admitted the variable's
+        values after the words before it (see ``PrefixSummary.push``).
+        """
         var = self.variables[-1]
         var.domain.cursor = cursor
-        del self.words[var.index - 1:]
-        if cursor is not None and len(self.words) == var.index - 1:
-            self.words.append(var.domain.values[cursor].text)
+        words, summaries = self.words, self.summaries
+        del words[var.index - 1:]
+        del summaries[var.index:]
+        if cursor is not None and len(words) == var.index - 1:
+            word = var.domain.values[cursor].text
+            words.append(word)
+            if summaries:
+                summaries.append(summaries[-1].push(word, admitted))
 
     def assigned_words(self):
         """Words assigned so far, stopping at the first unassigned variable."""
@@ -193,7 +214,7 @@ class SolverModel:
                 self.assign(nxt)
                 self.stats.backtracks += 1
                 return True
-            self.assign(snap.cursor)
+            self.assign(snap.cursor, admitted=False)  # a seed word, which no filter admitted
         return False
 
     def backtrack_to(self, n):
@@ -207,6 +228,7 @@ class SolverModel:
             raise ValueError("nothing to delete")
         del self.variables[n:]
         del self.words[n:]
+        del self.summaries[n + 1:]
         while self.trail and self.trail[-1].num_variables > n:
             self.trail.pop()
         return self.backtrack()

@@ -108,7 +108,9 @@ def generate_domain(model, lm, task):
 def generate_constraints(model, task):
     """Filter the newest domain against the task constraints and the prefix."""
     var = model.variables[-1]
-    var.domain = cst.filter_domain(model.words, var.domain, task.constraints, task)
+    var.domain = cst.filter_domain(
+        model.words, var.domain, task.constraints, task, _summary(model, task)
+    )
     return var.domain
 
 
@@ -136,14 +138,14 @@ def propagate(model):
         model.assign(0)
 
 
-def completes(words, lm, task):
+def completes(words, summary, lm, task):
     """Solution predicate shared by the solver and beam search.
 
-    The content ``words`` (no trailing ".") satisfy every constraint, and,
-    when the task requires a period, the LM ranks "." among its next words.
+    The content ``words`` (no trailing "."), whose ``PrefixSummary`` is
+    ``summary``, satisfy every constraint, and, when the task requires a
+    period, the LM ranks "." among its next words.
     """
-    final = list(words) + ["."] if task.require_period else list(words)
-    if not cst.check_complete(final, task):
+    if not summary.complete(1 if task.require_period else 0):
         return False
     return not task.require_period or predicts_period(lm, render_sentence(words), task.lm_params)
 
@@ -159,7 +161,7 @@ def make_record(words, lm, task, started):
     )
 
 
-def _queried_children(words, domain, task, max_variables):
+def _queried_children(words, summary, domain, task, max_variables):
     """Rendered children of ``words`` that the search will ask the backend about.
 
     A child is asked for its next words when it can still grow below
@@ -168,20 +170,27 @@ def _queried_children(words, domain, task, max_variables):
     for it.
     """
     for cand in domain.values:
-        child = words + [cand.text]
-        grows = len(child) < max_variables and cst.can_extend(child, task.constraints)
+        child = summary.push(cand.text, admitted=True)
+        grows = child.count < max_variables and child.can_extend()
         if task.require_period:
-            queried = grows or cst.check_complete(child + ["."], task)
+            queried = grows or child.complete(1)
         else:
-            queried = grows and not cst.check_complete(child, task)
+            queried = grows and not child.complete(0)
         if queried:
-            yield render_sentence(child)
+            yield render_sentence(words + [cand.text])
+
+
+def _summary(model, task):
+    """The model's summary of its words, built from them when the model keeps none."""
+    summary = model.summary
+    return summary if summary is not None else cst.summarize(model.words, task.constraints)
 
 
 def is_solution(model, lm, task):
     """Whether every variable is assigned and the words form a solution."""
     words = model.words
-    return bool(words) and len(words) == len(model.variables) and completes(words, lm, task)
+    return (bool(words) and len(words) == len(model.variables)
+            and completes(words, _summary(model, task), lm, task))
 
 
 @dataclass
@@ -210,9 +219,9 @@ def run_search(task, lm, options=None, exhaustive=False):
     # A capped or jump-back search may never come back for a word's
     # siblings, so only a search that visits them all announces them.
     enumerating = max_solutions is None and jump_to is None
-    parent = None  # prefix of the newest domain, when its children are announced
+    parent = None  # (words, summary) of the newest domain's prefix, when its children are announced
 
-    model = SolverModel.from_seed(task.seed)
+    model = SolverModel.from_seed(task.seed, cst.summarize((), task.constraints))
     solutions = []
     seen = set()
     started = time.perf_counter()
@@ -224,16 +233,14 @@ def run_search(task, lm, options=None, exhaustive=False):
     try:
         while not out_of_budget():
             if state == "generate":
-                words = model.words
-                if len(model.variables) >= opts.max_variables or not cst.can_extend(
-                    words, task.constraints
-                ):
+                words, summary = model.words, model.summary
+                if len(model.variables) >= opts.max_variables or not summary.can_extend():
                     state = "backtrack"
                     continue
                 generate_variable(model)
                 generate_domain(model, lm, task)
                 generate_constraints(model, task)
-                parent = list(words) if enumerating else None
+                parent = (list(words), summary) if enumerating else None
                 state = "help"
             elif state == "help":
                 apply_helping(model, ordering)
@@ -241,7 +248,7 @@ def run_search(task, lm, options=None, exhaustive=False):
                     # Announced in the order the search visits them.
                     domain = model.variables[-1].domain
                     lm.prefetch(
-                        _queried_children(parent, domain, task, opts.max_variables),
+                        _queried_children(*parent, domain, task, opts.max_variables),
                         task.lm_params,
                     )
                 state = "backtrack" if model.contains_empty_variable() else "save"

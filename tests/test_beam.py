@@ -155,7 +155,7 @@ class TestBeamSearch:
         task = _task(WordCountRange(1, 4), k=3)
         beams = [Beam((), 0.0)]
         for _ in range(4):
-            survivors = [b for b in beams if not _structurally_complete(b.words, task)]
+            survivors = [b for b in beams if not _structurally_complete(b, task)]
             beams, _dead = expand_beams(survivors, lm, task, k=3)
             assert len(beams) <= 3
             if not beams:

@@ -1,14 +1,18 @@
 """Differential fuzz: the incremental pruning against the plain specification.
 
-Random small prefix tables and random mixes of all 8 constraint types.  The
-solver's exhaustive enumeration must equal the brute-force oracle, and
-``can_extend`` must accept every proper prefix of every oracle solution.
-Constraint parameters come from one target sentence that the table ends, so
-many instances have solutions and the pruning bounds are tight.  Keyword
-sets are drawn from its words, which come in case pairs, so sets often
-overlap across constraints or differ only by case.  The same instances check
-that the prefetch hints of all three searches name exactly the prompts they
-then ask for, in the order they ask for them.
+Random small prefix tables and random mixes of all 8 constraint types, with
+0-2 seed words along a table path.  The solver's exhaustive enumeration must
+equal the brute-force oracle, and ``can_extend`` must accept every proper
+prefix of every oracle solution.  Constraint parameters come from one target
+sentence that the table ends, so many instances have solutions and the
+pruning bounds are tight.  Keyword sets are drawn from its words, which come
+in case pairs ("strasse" and "Straße" fold alike but differ in length), so
+sets often overlap across constraints or differ only by case.  The same
+instances check that the prefetch hints of all three searches name exactly
+the prompts they then ask for, in the order they ask for them.  Random
+push, backtrack and jump-back sequences on a ``SolverModel`` check its
+prefix summaries against ``can_extend`` rebuilt by rescanning the prefix and
+against ``check_complete``.
 """
 
 import random
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from gencp import (
     CharCountExact,
+    Domain,
     ForbiddenChars,
     KeywordSeparation,
     LMParams,
@@ -26,23 +31,31 @@ from gencp import (
     MaxWordLen,
     PositionLexical,
     SolveOptions,
+    SolverModel,
     StartsWith,
     TableLM,
     TaskSpec,
+    WordCandidate,
     WordCountRange,
     beam_search,
     brute_force_oracle,
     can_extend,
+    check_complete,
+    filter_domain,
     parse_ordering,
     render_prefix,
     render_sentence,
     solve_all,
+    summarize,
+    word_valid,
 )
+from gencp.constraints import fold_length
 
 MAX_DEPTH = 6
 MAX_FANOUT = 4
 MAX_NODES = 24  # prefixes that get children; keeps one example to a few ms
-VOCAB = ("cat", "Cat", "sun", "Sun", "beach", "Beach", "a", "of", "sky", "run", "to", "glass")
+VOCAB = ("cat", "Cat", "sun", "Sun", "beach", "Beach", "a", "of", "sky", "run", "to", "glass",
+         "strasse", "Straße")
 
 
 def _table(rng):
@@ -79,20 +92,18 @@ def _sentences(table):
             if any(word == "." for word, _ in entries)]
 
 
-@st.composite
-def instances(draw):
-    """A table, 0-3 constraints of any of the 8 types, k and require_period."""
-    table = draw(tables)
-    require_period = draw(st.booleans())
-    target = draw(st.sampled_from(_sentences(table) or [["cat"]]))
+def _constraints(draw, target, require_period):
+    """0-3 constraints of any of the 8 types, with parameters taken from the target words."""
     n = len(target)
     word = st.sampled_from(target)
 
     def keywords():
-        if draw(st.booleans()):
-            w = draw(word)
-            return {w.lower(), w.capitalize()}
-        return draw(st.lists(word, min_size=1, max_size=2))
+        form = draw(st.integers(0, 2))
+        if form == 2:
+            return draw(st.lists(word, min_size=1, max_size=2))
+        w = draw(word)
+        # casefolding can lengthen a word: "Straße" gives the keyword "strasse"
+        return {w.lower(), w.capitalize()} if form == 0 else {w.casefold()}
 
     def constraint(kind):
         if kind == 0:
@@ -114,11 +125,40 @@ def instances(draw):
             return ForbiddenChars(draw(st.text(alphabet="aeiouyt", min_size=1, max_size=2)))
         return StartsWith(target[: draw(st.integers(1, n))])
 
-    constraints = [constraint(kind) for kind in draw(st.lists(st.integers(0, 7), max_size=3))]
-    return table, constraints, draw(st.integers(1, MAX_FANOUT)), require_period
+    return [constraint(kind) for kind in draw(st.lists(st.integers(0, 7), max_size=3))]
+
+
+def _path(table, rng, length):
+    """Up to ``length`` words along a random path of the table."""
+    words = []
+    while len(words) < length:
+        children = [w for w, _ in table.get(render_prefix(words), ()) if w != "."]
+        if not children:
+            break
+        words.append(rng.choice(children))
+    return words
+
+
+@st.composite
+def instances(draw):
+    """A table, 0-3 constraints, k, require_period and a seed of 0-2 words.
+
+    The seed follows a table path and may break StartsWith, PositionLexical
+    or a separation; a seed with a word that ``TaskSpec`` refuses is dropped.
+    """
+    table = draw(tables)
+    require_period = draw(st.booleans())
+    target = draw(st.sampled_from(_sentences(table) or [["cat"]]))
+    constraints = _constraints(draw, target, require_period)
+    seed = _path(table, random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 2)))
+    if not all(word_valid(w, constraints) for w in seed):
+        seed = []
+    return table, constraints, draw(st.integers(1, MAX_FANOUT)), require_period, tuple(seed)
 
 
 BEACH = {"": [("beach", 0.5)], "beach": [(".", 0.5)]}
+# "a Straße" has 8 characters; the keyword "strasse" alone has 7
+STRASSE = {"": [("a", 0.5)], "a": [("Straße", 0.5)]}
 
 
 def _content_words(sentence, require_period):
@@ -127,12 +167,14 @@ def _content_words(sentence, require_period):
 
 @settings(max_examples=400)
 @given(instances())
-@example((BEACH, [MandatoryKeywords({"beach", "Beach"}), CharCountExact(6)], 1, True))
+@example((BEACH, [MandatoryKeywords({"beach", "Beach"}), CharCountExact(6)], 1, True, ()))
+@example((STRASSE, [MandatoryKeywords({"strasse"}), CharCountExact(8)], 1, False, ()))
 def test_exhaustive_search_equals_oracle(instance):
-    table, constraints, k, require_period = instance
+    table, constraints, k, require_period, seed = instance
     lm = TableLM(table)
     task = TaskSpec(
-        name="fuzz", constraints=constraints, lm_params=LMParams(k=k), require_period=require_period
+        name="fuzz", constraints=constraints, seed=seed, lm_params=LMParams(k=k),
+        require_period=require_period,
     )
     oracle = brute_force_oracle(task, lm, depth_cap=MAX_DEPTH)
     searched = [s.sentence for s in solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))]
@@ -141,6 +183,18 @@ def test_exhaustive_search_equals_oracle(instance):
         words = _content_words(sentence, require_period)
         for i in range(len(words)):
             assert can_extend(words[:i], task.constraints), (sentence, words[:i])
+
+
+def test_keyword_is_charged_its_shortest_folding_spelling():
+    constraints = (MandatoryKeywords({"strasse"}), CharCountExact(8))
+    task = TaskSpec(name="strasse", constraints=constraints, require_period=False)
+    lm = TableLM(STRASSE)
+    assert "\ufb06raße".casefold() == "strasse"  # the ligature "\ufb06" folds to "st"
+    assert fold_length("strasse") == 5
+    assert fold_length("beach") == 5
+    assert can_extend(["a"], constraints)
+    assert brute_force_oracle(task, lm, depth_cap=2) == {"a Straße"}
+    assert [s.sentence for s in solve_all(task, lm)] == ["a Straße"]
 
 
 @pytest.mark.parametrize(
@@ -197,9 +251,10 @@ class HintedTableLM(TableLM):
 @settings(max_examples=400)
 @given(instances())
 def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
-    table, constraints, k, require_period = instance
+    table, constraints, k, require_period, seed = instance
     task = TaskSpec(
-        name="fuzz", constraints=constraints, lm_params=LMParams(k=k), require_period=require_period
+        name="fuzz", constraints=constraints, seed=seed, lm_params=LMParams(k=k),
+        require_period=require_period,
     )
     searches = (
         lambda lm: solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH)),
@@ -215,5 +270,96 @@ def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
         search(lm)
         hinted, asked = lm.prompts("hint"), lm.prompts("ask")
         assert hinted <= asked  # nothing fetched that the search does not use
-        assert asked - hinted <= {("", k)}  # only the root is asked unannounced
+        assert asked - hinted <= {(render_prefix(seed), k)}  # only the root is asked unannounced
         assert lm.batches_follow_visit_order()
+
+
+def _words_pass(words, constraints, reserve=0):
+    """Whether every word passes its own tests where it stands, by rescanning the prefix."""
+    n, length = len(words), len(render_prefix(words))
+    for c in constraints:
+        if isinstance(c, CharCountExact) and length + reserve > c.n:
+            return False
+        if isinstance(c, WordCountRange) and c.hi is not None and n > c.hi:
+            return False
+        if isinstance(c, MaxWordLen) and any(len(w) > c.limit for w in words):
+            return False
+        if isinstance(c, ForbiddenChars) and any(ch in c.chars for w in words for ch in w):
+            return False
+        if isinstance(c, PositionLexical) and n >= c.position and words[c.position - 1] != c.word:
+            return False
+        if isinstance(c, StartsWith) and any(w != p for w, p in zip(words, c.prefix)):
+            return False
+        if isinstance(c, KeywordSeparation):
+            keys = {k.casefold() for k in c.words}
+            hits = [j for j, w in enumerate(words) if w.casefold() in keys]
+            if any(b - a - 1 < c.min_gap for a, b in zip(hits, hits[1:])):
+                return False
+    return True
+
+
+def _rescanned_can_extend(words, constraints):
+    """``can_extend`` written as rescans of the whole prefix, with no summary."""
+    if not _words_pass(words, constraints):
+        return False
+    n, length = len(words), len(render_prefix(words))
+    missing = {k.casefold() for c in constraints if isinstance(c, MandatoryKeywords)
+               for k in c.words} - {w.casefold() for w in words}
+    word_caps = [c.hi for c in constraints if isinstance(c, WordCountRange) and c.hi is not None]
+    if word_caps and (n >= min(word_caps) or n + len(missing) > min(word_caps)):
+        return False
+    char_caps = [c.n for c in constraints if isinstance(c, CharCountExact)]
+    if char_caps and missing:
+        needed = sum(fold_length(k) + 1 for k in missing) - (0 if words else 1)
+        return length + needed <= min(char_caps)
+    return True
+
+
+# ("push", i, width): a variable whose domain is width words from position i of
+# the target followed by VOCAB, filtered and assigned as the solver does;
+# ("next", ...): backtrack; ("jump", i, ...): backtrack_to
+_moves = st.lists(
+    st.tuples(st.sampled_from(["push", "push", "next", "jump"]),
+              st.integers(0, len(VOCAB) - 1), st.integers(1, 3)),
+    max_size=12,
+)
+
+
+@settings(max_examples=400)
+@given(st.data(), st.lists(st.sampled_from(VOCAB), max_size=2), _moves)
+def test_model_summaries_match_the_specification(data, seed, moves):
+    target = data.draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=MAX_DEPTH))
+    constraints = _constraints(data.draw, target, True)
+    tasks = {reserve: TaskSpec(name="summary", constraints=constraints, require_period=bool(reserve))
+             for reserve in (0, 1)}
+    # seed words are never filtered, so they may break any constraint
+    model = SolverModel.from_seed(seed, summarize((), constraints))
+
+    def check():
+        words, summary = model.words, model.summary
+        scratch = summarize(words, constraints)
+        assert (summary.count, summary.length, summary.failed, summary.seen) == (
+            scratch.count, scratch.length, scratch.failed, scratch.seen)
+        assert summary.can_extend() == _rescanned_can_extend(words, constraints) == can_extend(
+            words, constraints)
+        for reserve, task in tasks.items():
+            assert summary.complete(reserve) == check_complete(words + ["."] * reserve, task)
+
+    check()
+    for move, i, width in moves:
+        if move == "push" and len(model.words) == len(model.variables):
+            words = (target + list(VOCAB))[i:i + width]
+            cands = Domain([WordCandidate(w, -1.0) for w in dict.fromkeys(words)])
+            domain = filter_domain(model.words, cands, constraints, tasks[1], model.summary)
+            if not model.summary.failed:
+                assert [c.text for c in domain.values] == [
+                    c.text for c in cands.values if _words_pass(model.words + [c.text], constraints, 1)]
+            if domain.values:
+                model.add_variable().domain = domain
+                model.save_state()
+                model.assign(0)
+        elif move == "next":
+            model.backtrack()
+        elif move == "jump" and len(model.variables) > 1:
+            model.backtrack_to(1 + i % (len(model.variables) - 1))
+        check()

@@ -2,17 +2,25 @@ import random
 
 import pytest
 
+import gencp.constraints
 from gencp import (
+    CharCountExact,
     Domain,
     ForbiddenChars,
+    KeywordSeparation,
     LMParams,
+    MandatoryKeywords,
+    MaxWordLen,
     Ordering,
+    PositionLexical,
     SolveOptions,
     SolverModel,
+    StartsWith,
     TableLM,
     TaskSpec,
     WordCandidate,
     WordCountRange,
+    beam_search,
     check_complete,
     parse_ordering,
     run_search,
@@ -374,3 +382,51 @@ class TestStatsAccounting:
         outcome = run_search(fig_task, fig_lm, SolveOptions(max_solutions=1, max_variables=8))
         # domains generated: x2("A"), x3("A boy") empty, x3("A man"), x4("A man drinks")
         assert outcome.stats.lm_calls == 4
+
+
+def _deep_chains(depth=40):
+    """Four chains of ``depth`` words under all 8 constraint types, each a solution.
+
+    The chains branch at positions 2 and 3; the keywords and the pinned word
+    sit at fixed positions, and every other word is three equal letters.
+    """
+    fixed = {1: "Go", 7: "sun", 12: "sea", 16: "pin"}
+    letters = "abcdefghijklmnoprstuvwy"
+    table = {}
+    for chain in range(4):
+        branch = {2: chain >> 1}  # which chains share the word at a position
+        words = [fixed.get(p) or letters[(7 * p + 5 * branch.get(p, chain)) % 23] * 3
+                 for p in range(1, depth + 1)]
+        for p, word in enumerate(words + ["."]):
+            entries = table.setdefault(" ".join(words[:p]), [])
+            if all(w != word for w, _ in entries):
+                entries.append((word, 0.4))
+    length = len(" ".join(words)) + 1
+    constraints = (
+        StartsWith(("Go",)), MaxWordLen(6), ForbiddenChars("qxz"),
+        KeywordSeparation({"sun", "sea"}, 4), MandatoryKeywords({"sun", "Sea"}),
+        PositionLexical(16, "pin"), CharCountExact(length), WordCountRange(depth, depth),
+    )
+    task = TaskSpec(name="chains", constraints=constraints, seed=("Go",), lm_params=LMParams(k=3))
+    return TableLM(table), task
+
+
+def test_searches_never_rescan_the_prefix(monkeypatch):
+    """Per-node work stays O(1) in the depth: the searches read prefix summaries."""
+    lm, task = _deep_chains()
+    rebuild = gencp.constraints.summarize
+
+    def refuse(words, task):
+        raise AssertionError("check_complete rescans the whole prefix")
+
+    def seed_only(words, constraints):
+        assert len(words) <= len(task.seed), "a summary was rebuilt from the whole prefix"
+        return rebuild(words, constraints)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(gencp.constraints, "check_complete", refuse)
+        patched.setattr(gencp.constraints, "summarize", seed_only)
+        solved = solve_all(task, lm, SolveOptions(max_variables=48))
+        beamed, _bad = beam_search(task, lm, k=3, max_words=48)
+    assert len(solved) == 4 and 1 <= len(beamed) <= 3
+    assert all(check_complete(s.words, task) for s in solved + beamed)
