@@ -74,7 +74,10 @@ def expand_beams(beams, lm, task, k):
         if not kept_any:
             beam.alive = False
             dead.append(beam)
-    extensions.sort(key=lambda b: (-b.cum_logprob, render_sentence(b.words)))
+    # The extensions of one step are equally long, and words hold no
+    # character below the space that joins them, so comparing the word
+    # tuples orders ties as comparing the rendered sentences would.
+    extensions.sort(key=lambda b: (-b.cum_logprob, b.words))
     return extensions[:k], dead
 
 
@@ -111,8 +114,9 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
             survivors = []
             solved_now = False
             for beam in beams:
-                if completes(beam.words, _summary(beam, task), lm, task):
-                    solutions.append(make_record(beam.words, lm, task, started))
+                end = completes(beam.words, _summary(beam, task), lm, task)
+                if end is not None:
+                    solutions.append(make_record(beam.words, beam.cum_logprob, end, task, started))
                     solved_now = True
                 else:
                     survivors.append(beam)

@@ -118,11 +118,19 @@ def perplexity(lm, words, params):
     return math.exp(-sequence_logprob(lm, words, params) / len(words))
 
 
-def predicts_period(lm, sentence, params):
-    """Whether "." ranks among the first k raw candidates after ``sentence``."""
+def period_logprob(lm, sentence, params):
+    """ln P("." | sentence) when "." ranks among the first k raw candidates, else None."""
     if not sentence:
         raise ValueError("empty sentence")
-    return any(c.text == "." for c in lm.predict(sentence, params)[: params.k])
+    for cand in lm.predict(sentence, params)[: params.k]:
+        if cand.text == ".":
+            return cand.logprob
+    return None
+
+
+def predicts_period(lm, sentence, params):
+    """Whether "." ranks among the first k raw candidates after ``sentence``."""
+    return period_logprob(lm, sentence, params) is not None
 
 
 def _rank(candidates):

@@ -113,7 +113,13 @@ class SavedState:
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """A finished sentence: its words, rendering, perplexity, and discovery time."""
+    """A finished sentence: its words, rendering, perplexity, and discovery time.
+
+    ``ppl`` is ``exp(-logprob / len(words))``, with the final "." among the
+    words.  The solver and beam search sum ``logprob`` from the candidates
+    they chose (see ``gencp.solver.make_record``), so it needs no call to
+    the backend beyond scoring the seed.
+    """
 
     words: tuple
     sentence: str

@@ -9,11 +9,12 @@ diverge early.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from . import constraints as cst
-from .lm import TransportError, perplexity, predicts_period
+from .lm import TransportError, period_logprob, sequence_logprob
 from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_sentence
 
 
@@ -143,20 +144,32 @@ def completes(words, summary, lm, task):
 
     The content ``words`` (no trailing "."), whose ``PrefixSummary`` is
     ``summary``, satisfy every constraint, and, when the task requires a
-    period, the LM ranks "." among its next words.
+    period, the LM ranks "." among its next words.  Returns the
+    log-probability of the sentence's end, ln P("." | words) from that same
+    ranking or 0.0 when no period is required, and None when ``words`` are
+    not a solution.
     """
     if not summary.complete(1 if task.require_period else 0):
-        return False
-    return not task.require_period or predicts_period(lm, render_sentence(words), task.lm_params)
+        return None
+    if not task.require_period:
+        return 0.0
+    return period_logprob(lm, render_sentence(words), task.lm_params)
 
 
-def make_record(words, lm, task, started):
-    """Solution record for content ``words``, timed from perf_counter value ``started``."""
+def make_record(words, logprob, end, task, started):
+    """Solution record for content ``words``, timed from perf_counter value ``started``.
+
+    ``logprob`` is the sum of the words' conditional log-probabilities, added
+    left to right from 0.0, and ``end`` is what ``completes`` returned for
+    them.  The perplexity is computed as ``perplexity`` computes it, so it
+    equals the backend's rescoring whenever the backend scores each word
+    as its ranking did.
+    """
     final = list(words) + ["."] if task.require_period else list(words)
     return SolutionRecord(
         words=tuple(final),
         sentence=render_sentence(final),
-        ppl=perplexity(lm, final, task.lm_params),
+        ppl=math.exp(-(logprob + end) / len(final)),
         discovered_at=time.perf_counter() - started,
     )
 
@@ -190,7 +203,20 @@ def is_solution(model, lm, task):
     """Whether every variable is assigned and the words form a solution."""
     words = model.words
     return (bool(words) and len(words) == len(model.variables)
-            and completes(words, _summary(model, task), lm, task))
+            and completes(words, _summary(model, task), lm, task) is not None)
+
+
+def _path_logprob(model, seed_logprob, n_seed):
+    """The model's words scored from the candidates the search assigned.
+
+    ``seed_logprob`` scores the first ``n_seed`` words, which the model
+    holds with a placeholder log-probability; the assigned candidates of
+    the later variables are added to it left to right.
+    """
+    total = seed_logprob
+    for var in model.variables[n_seed:]:
+        total += var.domain.current().logprob
+    return total
 
 
 @dataclass
@@ -222,6 +248,7 @@ def run_search(task, lm, options=None, exhaustive=False):
     parent = None  # (words, summary) of the newest domain's prefix, when its children are announced
 
     model = SolverModel.from_seed(task.seed, cst.summarize((), task.constraints))
+    seed_logprob = None  # the seed's score, asked of the backend at the first solution
     solutions = []
     seen = set()
     started = time.perf_counter()
@@ -259,10 +286,16 @@ def run_search(task, lm, options=None, exhaustive=False):
                 propagate(model)
                 state = "backtrack" if model.contains_empty_variable() else "check"
             elif state == "check":
-                if not is_solution(model, lm, task):
+                # every variable is assigned here, so ``completes`` is ``is_solution``
+                end = completes(model.words, model.summary, lm, task)
+                if end is None:
                     state = "generate"
                     continue
-                record = make_record(model.words, lm, task, started)
+                if seed_logprob is None:
+                    seed = task.seed
+                    seed_logprob = sequence_logprob(lm, seed, task.lm_params) if seed else 0.0
+                logprob = _path_logprob(model, seed_logprob, len(task.seed))
+                record = make_record(model.words, logprob, end, task, started)
                 if record.sentence not in seen:
                     seen.add(record.sentence)
                     solutions.append(record)

@@ -9,6 +9,7 @@ import pytest
 import requests
 
 from gencp import (
+    ForbiddenChars,
     LanguageModel,
     LMParams,
     RemoteLM,
@@ -185,6 +186,27 @@ class TestRemoteEndToEnd:
         assert [s.sentence for s in outcome.solutions] == ["My cat."]
         assert max(server.counts.values()) == 1
         assert set(server.counts) == {"", "My", "My dog", "My cat", "We", "We run", "We eat"}
+
+
+class TestRemoteScoring:
+    # Four forbidden words outrank the only allowed one, so the task-k
+    # request for "" (k=1, 4 candidates with the default oversample) holds
+    # the "q" words only; a width-2 beam asks for 8 and finds "fine".
+    TABLE = {
+        "": [("qa", 0.2), ("qb", 0.2), ("qc", 0.2), ("qd", 0.2), ("fine", 0.1)],
+        "fine": [(".", 0.9)],
+    }
+
+    def test_beam_wider_than_k_scores_words_outside_the_task_window(self, stub_server):
+        task = TaskSpec(name="no-q", constraints=(ForbiddenChars("q"), WordCountRange(1, 3)),
+                        lm_params=LMParams(k=1), require_period=True)
+        server = stub_server(self.TABLE)
+        remote, _bad = beam_search(task, RemoteLM(server.url), k=2)
+        table, _bad = beam_search(task, TableLM(self.TABLE), k=2)
+        assert [r.sentence for r in remote] == [r.sentence for r in table] == ["fine."]
+        # ln(0.1) + ln(0.9) over two words; rescoring "fine" in the k=1
+        # window charged it the 1e-10 floor, a ppl of about 105,409
+        assert remote[0].ppl == table[0].ppl == pytest.approx(10 / 3)
 
 
 def _solve(lm):

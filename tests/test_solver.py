@@ -23,6 +23,7 @@ from gencp import (
     beam_search,
     check_complete,
     parse_ordering,
+    perplexity,
     run_search,
     solve,
     solve_all,
@@ -430,3 +431,22 @@ def test_searches_never_rescan_the_prefix(monkeypatch):
         beamed, _bad = beam_search(task, lm, k=3, max_words=48)
     assert len(solved) == 4 and 1 <= len(beamed) <= 3
     assert all(check_complete(s.words, task) for s in solved + beamed)
+
+
+def test_searches_score_solutions_without_the_backend(monkeypatch):
+    """Solutions are scored from the candidates the search assigned, the seed aside."""
+    lm, task = _deep_chains()
+    asked = lm.conditional_logprob
+
+    def seed_only(prefix_words, word, params):
+        assert len(prefix_words) < len(task.seed), f"rescored {word!r} after {prefix_words}"
+        return asked(prefix_words, word, params)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lm, "conditional_logprob", seed_only)
+        solved = solve_all(task, lm, SolveOptions(max_variables=48))
+        jumped = solve(task, lm, SolveOptions(max_solutions=3, backtrack_to=2, max_variables=48))
+        beamed, _bad = beam_search(task, lm, k=3, max_words=48)
+    assert len(solved) == 4 and len(jumped) == 2 and 1 <= len(beamed) <= 3
+    for record in solved + jumped + beamed:
+        assert record.ppl == perplexity(lm, list(record.words), task.lm_params)
