@@ -65,7 +65,7 @@ def expand_beams(beams, lm, task, k):
         valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, task.constraints)]
         kept_any = False
         for cand in valid[:k]:
-            child = summary.push(cand.text)
+            child = summary.push(cand.text, word_tested=True)
             if child.can_extend() or child.complete(reserve):
                 extensions.append(
                     Beam(beam.words + (cand.text,), beam.cum_logprob + cand.logprob, summary=child)

@@ -319,16 +319,17 @@ class PrefixSummary:
         self.failed = failed
         self.seen = seen
 
-    def push(self, word, admitted=False):
+    def push(self, word, admitted=False, word_tested=False):
         """Summary of the prefix followed by ``word``.
 
-        ``admitted`` skips the word tests for a word that ``filter_domain``
-        already admitted after this prefix.
+        ``admitted`` skips every test for a word that ``filter_domain``
+        already admitted after this prefix; ``word_tested`` skips only the
+        ``admits_word`` tests, for a word that already passed ``word_valid``.
         """
         rules = self.rules
         count = self.count
         length = self.length + len(word) + 1 if count else len(word)
-        failed = self.failed or not (admitted or self.admits(word, length, 0))
+        failed = self.failed or not (admitted or self.admits(word, length, 0, word_tested))
         seen = self.seen
         if rules.keywords:
             key = word.casefold()
@@ -336,11 +337,16 @@ class PrefixSummary:
                 seen = {**seen, key: count + 1}
         return PrefixSummary(rules, count + 1, length, failed, seen)
 
-    def admits(self, word, length, reserve):
-        """Whether ``word``, making the prefix ``length`` characters long, may come next."""
-        for c in self.rules.word_tests:
-            if not c.admits_word(word):
-                return False
+    def admits(self, word, length, reserve, word_tested=False):
+        """Whether ``word``, making the prefix ``length`` characters long, may come next.
+
+        ``word_tested`` skips the ``admits_word`` tests, which ``word_valid``
+        already passed.
+        """
+        if not word_tested:
+            for c in self.rules.word_tests:
+                if not c.admits_word(word):
+                    return False
         for c in self.rules.next_tests:
             if not c.admits_next(self, word, length, reserve):
                 return False
@@ -394,14 +400,15 @@ def summarize(words, constraints):
     return summary
 
 
-def filter_domain(partial, domain, constraints, task, summary=None):
+def filter_domain(partial, domain, constraints, task, summary=None, word_tested=False):
     """Drop candidates that cannot sit at position len(partial)+1.
 
     A survivor is valid on its own (``word_valid``) and admitted at the next
     position by every constraint; one character stays reserved for the final
     period when the task requires one.  Survivor order is preserved.
     ``summary``, the ``PrefixSummary`` of ``partial`` when the caller keeps
-    one, saves rebuilding it.
+    one, saves rebuilding it.  ``word_tested`` says every candidate already
+    passed ``word_valid``, so only the tests against the prefix run.
     """
     if summary is None:
         summary = summarize(partial, constraints)
@@ -409,7 +416,7 @@ def filter_domain(partial, domain, constraints, task, summary=None):
     base = summary.length + 1 if summary.count else 0
     current = domain.current()
     survivors = [cand for cand in domain.values
-                 if summary.admits(cand.text, base + len(cand.text), reserve)]
+                 if summary.admits(cand.text, base + len(cand.text), reserve, word_tested)]
     cursor = None
     if current is not None and current in survivors:
         cursor = survivors.index(current)

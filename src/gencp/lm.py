@@ -5,21 +5,27 @@ score individual conditionals.  Rankings must be deterministic within a
 process run: the search re-queries the same prefixes after backtracking and
 relies on getting the same answers.  The remote backend memoizes responses to
 guarantee this (and to avoid paying twice for the same prompt), and fetches
-the prefixes a search announces through ``prefetch`` while it works.
+the prefixes a search announces through ``prefetch`` while it works.  It
+speaks HTTP/1.1 through the standard library, over one keep-alive connection
+per thread that POSTs.  The one request it ever sends again is a POST that
+found its reused idle connection already closed by the server, before any
+response arrived: that POST goes out once more on a new connection.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
 import re
+import socket
+import ssl
 import threading
+import urllib.parse
 from collections import defaultdict
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from .model import WordCandidate, render_prefix
 
@@ -33,9 +39,11 @@ REMOTE_WORKERS = 4
 
 
 class TransportError(RuntimeError):
-    """A remote backend failed (connection, HTTP status, malformed payload).
+    """A remote backend failed (connection, timeout, HTTP status, malformed payload).
 
-    Retriable: the request had no lasting effect and may be reissued.
+    Retriable: the request had no lasting effect and may be reissued.  The
+    client itself resends nothing that raises this: its only resend is the
+    silent one of a POST whose reused idle connection the server had closed.
     """
 
 
@@ -221,7 +229,9 @@ class NGramLM(LanguageModel):
     ``order`` is the context length in words.  Counts are kept for every
     context length from 0 up to ``order``; prediction uses the longest
     context, backing off to shorter ones only when smoothing is zero and the
-    context was never observed.
+    context was never observed.  ``predict`` and ``conditional_logprob``
+    both condition on the tokens of the rendered prefix, so a word that is
+    not one token ("U.S.") gets the same context from each.
     """
 
     def __init__(self, order, smoothing, counts, totals, vocabulary):
@@ -255,7 +265,7 @@ class NGramLM(LanguageModel):
         return _rank(cands)[: k * params.oversample]
 
     def conditional_logprob(self, prefix_words, word, params):
-        p = self._distribution(prefix_words).get(word)
+        p = self._distribution(tokenize(render_prefix(prefix_words))).get(word)
         return math.log(p) if p else None
 
     def to_dict(self):
@@ -347,6 +357,10 @@ def _reusable(fut):
     return fut is not None and not (fut.done() and fut.exception() is not None)
 
 
+# Characters a URL may not carry into the request line: controls and spaces.
+_URL_UNSAFE_RE = re.compile(r"[\x00-\x20\x7f]")
+
+
 class RemoteLM(LanguageModel):
     """Client for an HTTP completion server reporting per-token probabilities.
 
@@ -366,16 +380,42 @@ class RemoteLM(LanguageModel):
     which their ``predict`` then POSTs itself.  The searches announce only
     prompts they will ask for, so an announced prompt waits behind needed
     work only.
+
+    Every thread that POSTs (the pool's and each caller's) keeps one
+    HTTP/1.1 keep-alive connection, and sends each request, headers and
+    body, in one write.  When a reused connection turns out to have been
+    closed by the server while idle (a reset, a broken pipe or a close
+    before any response), that one request is sent once more on a new
+    connection.  Nothing else is resent: a refused or failed new
+    connection, a timeout, a failure after the response began, a non-2xx
+    status, malformed JSON or a missing response path raises
+    ``TransportError``.  ``https`` endpoints are verified through the
+    default SSL context; proxy environment variables are not read.
     """
 
-    def __init__(self, endpoint, response_path=DEFAULT_RESPONSE_PATH, timeout=None, session=None):
+    def __init__(self, endpoint, response_path=DEFAULT_RESPONSE_PATH, timeout=None):
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname or _URL_UNSAFE_RE.search(endpoint):
+            raise ValueError(
+                f"bad endpoint {endpoint!r}; expected http://host[:port]/path or https://..."
+            )
+        tls = url.scheme == "https"
         self.endpoint = endpoint
+        self._address = (url.hostname, url.port or (443 if tls else 80))
+        self._tls = ssl.create_default_context() if tls else None
+        target = url.path or "/"
+        if url.query:
+            target += "?" + url.query
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {url.netloc.rpartition('@')[2]}\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
         self._path = _parse_response_path(response_path)
         if timeout is None:
             env = os.environ.get(TIMEOUT_ENV_VAR)
             timeout = float(env) if env else DEFAULT_TIMEOUT_SECS
         self.timeout = timeout
-        self._session = session if session is not None else requests.Session()
+        self._local = threading.local()  # ``sock``: this thread's idle connection, if any
         self._memo = {}
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
@@ -427,16 +467,65 @@ class RemoteLM(LanguageModel):
             "top_p": params.top_p,
         }
         try:
-            resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
+            status, data = self._request(json.dumps(payload).encode())
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"POST {self.endpoint} failed: {exc}") from exc
-        if not 200 <= resp.status_code < 300:
-            raise TransportError(f"{self.endpoint} answered HTTP {resp.status_code}")
+        if not 200 <= status < 300:
+            raise TransportError(f"{self.endpoint} answered HTTP {status}")
         try:
-            doc = resp.json()
+            doc = json.loads(data)
         except ValueError as exc:
             raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
         return tuple(_rank(self._extract(doc))[: k * params.oversample])
+
+    def _request(self, body):
+        """POST ``body`` on this thread's connection; returns the status and the response body.
+
+        The connection is kept for the thread's next request unless the
+        server said it will close it.
+        """
+        request = self._head + b"%d\r\n\r\n" % len(body) + body
+        local = self._local
+        sock, local.sock = getattr(local, "sock", None), None
+        try:
+            try:
+                response = None if sock is None else self._exchange(sock, request)
+            except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected too
+                # The server closed the idle connection; it never read this request.
+                sock.close()
+                response = None
+            if response is None:
+                sock = self._connect()
+                response = self._exchange(sock, request)
+            data = response.read()
+        except BaseException:
+            if sock is not None:
+                sock.close()
+            raise
+        if response.will_close:
+            sock.close()
+        else:
+            local.sock = sock
+        return response.status, data
+
+    def _connect(self):
+        sock = socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    @staticmethod
+    def _exchange(sock, request):
+        """Send ``request`` in one write and read the response's status line and headers."""
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock, method="POST")
+        response.begin()
+        return response
 
     def _extract(self, doc):
         node = doc
@@ -492,5 +581,8 @@ def load_backend(spec):
         with open(path, encoding="utf-8") as fh:
             return train_ngram(fh, int(order))
     if kind == "remote":
-        return RemoteLM(rest)
+        try:
+            return RemoteLM(rest)
+        except ValueError as exc:
+            raise ValueError(f"bad backend spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -148,6 +148,7 @@ class SolverModel:
         self.summaries = [] if root is None else [root]
         self.trail = []
         self.stats = SearchStats()
+        self.pinned = 0  # the first variables, which hold seed words no filter admitted
 
     @classmethod
     def from_seed(cls, seed_words, root=None):
@@ -156,6 +157,7 @@ class SolverModel:
         for word in seed_words:
             model.add_variable().domain = Domain([WordCandidate(word, 0.0)])
             model.assign(0, admitted=False)
+        model.pinned = len(model.variables)
         return model
 
     def add_variable(self):
@@ -220,7 +222,7 @@ class SolverModel:
                 self.assign(nxt)
                 self.stats.backtracks += 1
                 return True
-            self.assign(snap.cursor, admitted=False)  # a seed word, which no filter admitted
+            self.assign(snap.cursor, admitted=snap.num_variables > self.pinned)
         return False
 
     def backtrack_to(self, n):

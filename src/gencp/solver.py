@@ -106,11 +106,15 @@ def generate_domain(model, lm, task):
     return model.variables[-1].domain
 
 
-def generate_constraints(model, task):
-    """Filter the newest domain against the task constraints and the prefix."""
+def generate_constraints(model, task, word_tested=False):
+    """Filter the newest domain against the task constraints and the prefix.
+
+    ``word_tested`` says the domain holds only words that passed
+    ``word_valid``, as ``generate_domain`` leaves it.
+    """
     var = model.variables[-1]
     var.domain = cst.filter_domain(
-        model.words, var.domain, task.constraints, task, _summary(model, task)
+        model.words, var.domain, task.constraints, task, _summary(model, task), word_tested
     )
     return var.domain
 
@@ -266,7 +270,7 @@ def run_search(task, lm, options=None, exhaustive=False):
                     continue
                 generate_variable(model)
                 generate_domain(model, lm, task)
-                generate_constraints(model, task)
+                generate_constraints(model, task, word_tested=True)
                 parent = (list(words), summary) if enumerating else None
                 state = "help"
             elif state == "help":

@@ -104,6 +104,14 @@ def random_table(rng, seed_words=(), depth=6, branching=3, period_prob=0.5,
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
@@ -119,10 +127,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         finally:
             with server.lock:
                 server.in_flight -= 1
+        # Hang up without saying so, as a server dropping an idle connection does.
+        self.close_connection = server.drop_idle
 
     def _answer(self, server, payload):
         if server.fail_with is not None:
             self.send_response(server.fail_with)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         if server.raw_body is not None:
@@ -150,8 +161,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 class StubServer:
     """In-process completion server; tokens get llama-style leading spaces.
 
-    ``delay`` seconds pass before each answer; ``peak_in_flight`` is the most
-    requests the server was handling at once.
+    Connections are HTTP/1.1 keep-alive.  ``delay`` seconds pass before each
+    answer; ``peak_in_flight`` is the most requests the server was handling
+    at once, and ``connections`` the connections it accepted.
     """
 
     def __init__(self, table, delay=0.0):
@@ -168,6 +180,8 @@ class StubServer:
         self._httpd.delay = delay
         self._httpd.in_flight = 0
         self._httpd.peak_in_flight = 0
+        self._httpd.connections = 0
+        self._httpd.drop_idle = False
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
         )
@@ -189,6 +203,14 @@ class StubServer:
     @property
     def peak_in_flight(self):
         return self._httpd.peak_in_flight
+
+    @property
+    def connections(self):
+        return self._httpd.connections
+
+    def drop_idle_connections(self):
+        """Close each connection after its response, without a ``Connection: close``."""
+        self._httpd.drop_idle = True
 
     def fail_with(self, status):
         self._httpd.fail_with = status

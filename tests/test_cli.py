@@ -155,6 +155,15 @@ class TestExitCodes:
         assert code == 2
         assert "backend failure" in capsys.readouterr().err
 
+    def test_malformed_remote_endpoint_exits_1(self, fixtures_dir, capsys):
+        code = main([
+            "solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", "remote:localhost:8080",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'remote:localhost:8080'" in err
+        assert "Traceback" not in err
+
     def test_bad_lm_spec_is_usage_error(self, fixtures_dir):
         code = main([
             "solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", "nonsense",

@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import gencp.constraints as cst
 from gencp import (
     BUILTIN_TASK_NAMES,
     CharCountExact,
@@ -23,9 +25,13 @@ from gencp import (
     filter_domain,
     load_task_file,
     only_words,
+    SolveOptions,
+    beam_search,
     render_prefix,
+    solve_all,
     word_valid,
 )
+from gencp.constraints import Constraint
 
 from conftest import random_table
 
@@ -138,6 +144,39 @@ class TestFilterDomain:
         domain = Domain(_cands(("abcde", -0.1), ("ab", -0.2)))
         out = filter_domain([], domain, task.constraints, task)
         assert set(c.text for c in out.values) <= set(c.text for c in domain.values)
+
+
+class _CountingWordTest(Constraint):
+    """Admits every word and counts its ``admits_word`` calls per word."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def admits_word(self, word):
+        self.calls[word] += 1
+        return True
+
+
+@pytest.mark.parametrize("search", ["solve_all", "beam_search"])
+def test_searches_run_the_word_tests_once_per_candidate(search, monkeypatch):
+    """``word_valid`` tests each candidate; the prefix filtering does not test it again."""
+    counting = _CountingWordTest()
+    task = TaskSpec(name="t", constraints=(counting, WordCountRange(1, 4)),
+                    lm_params=LMParams(k=2), require_period=True)
+    lm = random_table(random.Random(5), depth=5)
+    validated = Counter()
+
+    def word_valid_counted(word, constraints):
+        validated[word] += 1
+        return word_valid(word, constraints)
+
+    monkeypatch.setattr(cst, "word_valid", word_valid_counted)
+    if search == "solve_all":
+        assert solve_all(task, lm, SolveOptions(max_variables=5))
+    else:
+        assert beam_search(task, lm, k=2)[0]
+    assert sum(validated.values()) > 0
+    assert counting.calls == validated
 
 
 class TestCanExtend:

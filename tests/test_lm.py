@@ -6,11 +6,15 @@ import pytest
 from gencp import (
     LMParams,
     NGramLM,
+    SolveOptions,
     TableLM,
+    TaskSpec,
     WordCandidate,
+    WordCountRange,
     perplexity,
     predicts_period,
     sequence_logprob,
+    solve_all,
     tokenize,
     train_ngram,
 )
@@ -238,6 +242,17 @@ class TestTrainNGram:
         b = train_ngram("the cat sat . the cat ran .", order=2)
         assert a.predict("the cat", PARAMS) == b.predict("the cat", PARAMS)
 
+    def test_search_scores_equal_rescoring_after_a_multi_token_seed(self):
+        # "U.S." is four tokens; predict conditions on them, and so must
+        # conditional_logprob, or the rescoring disagrees with the search.
+        lm = train_ngram("the U.S. cat ran . the dog sat . U.S. dog ran . a cat sat .", order=2)
+        task = TaskSpec(name="us", constraints=(WordCountRange(2, 3),), seed=("U.S.",),
+                        lm_params=PARAMS, require_period=True)
+        records = solve_all(task, lm, SolveOptions(max_variables=4))
+        assert len(records) == 3
+        for record in records:
+            assert record.ppl == perplexity(lm, record.words, PARAMS)
+
     def test_save_load_roundtrip(self, tmp_path):
         lm = train_ngram("the cat sat on the mat .", order=2, smoothing=0.5)
         path = tmp_path / "model.json"
@@ -290,3 +305,13 @@ class TestLoadBackend:
             load_backend("carrier:x")
         with pytest.raises(ValueError, match="ngram spec"):
             load_backend("ngram:no-order-here")
+
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:8080", "127.0.0.1:8080/completion", "/completion", "ftp://host/completion",
+        "http://", "http:///completion", "http://host:port/completion", "http://host/a b",
+    ])
+    def test_rejects_malformed_remote_endpoints(self, endpoint):
+        from gencp import load_backend
+
+        with pytest.raises(ValueError, match=f"'remote:{endpoint}'"):
+            load_backend(f"remote:{endpoint}")

@@ -1,13 +1,17 @@
+import json
 import math
 import random
+import socket
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
-import requests
 
+import gencp
 from gencp import (
     ForbiddenChars,
     LanguageModel,
@@ -65,20 +69,20 @@ class SequentialRemoteLM(RemoteLM):
     prefetch = LanguageModel.prefetch
 
 
-class FailingSession(requests.Session):
+class FailingRemoteLM(RemoteLM):
     """Fails the POST for one prompt after 50 ms, as a dropped connection would."""
 
-    def __init__(self, prompt):
-        super().__init__()
+    def __init__(self, url, prompt):
+        super().__init__(url)
         self.prompt = prompt
         self.refused = threading.Event()
 
-    def post(self, url, json=None, **kwargs):
-        if json["prompt"] == self.prompt:
+    def _request(self, body):
+        if json.loads(body)["prompt"] == self.prompt:
             self.refused.set()
             time.sleep(0.05)
-            raise requests.ConnectionError("connection reset")
-        return super().post(url, json=json, **kwargs)
+            raise ConnectionResetError("connection reset")
+        return super()._request(body)
 
 
 class TestResponsePath:
@@ -176,6 +180,75 @@ class TestRemotePredict:
         assert got == pytest.approx(math.log(0.6) + math.log(0.1))
 
 
+class TestConnections:
+    def test_exhaustive_solve_opens_one_connection_per_posting_thread(self, stub_server):
+        sequential = stub_server(WIDE)
+        expected = _solve(SequentialRemoteLM(sequential.url))
+        overlapped = stub_server(WIDE, delay=0.01)
+        assert _solve(RemoteLM(overlapped.url)) == expected
+        assert len(overlapped.requests) == len(sequential.requests) > REMOTE_WORKERS + 1
+        assert sequential.connections == 1
+        assert overlapped.connections <= REMOTE_WORKERS + 1
+
+    def test_dropped_idle_connection_costs_one_silent_reconnect(self, stub_server):
+        server = stub_server(TREE)
+        server.drop_idle_connections()
+        lm = RemoteLM(server.url)
+        for prompt in ("", "My", "We"):
+            lm.predict(prompt, PARAMS)
+        assert server.counts == {"": 1, "My": 1, "We": 1}
+        assert server.connections == 3
+
+    def test_refused_connection_is_not_retried(self, stub_server, monkeypatch):
+        attempts = []
+        connect = socket.create_connection
+
+        def counting(address, *args, **kwargs):
+            attempts.append(address)
+            return connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting)
+        lm = RemoteLM("http://127.0.0.1:9/completion", timeout=5)
+        started = time.perf_counter()
+        with pytest.raises(TransportError, match="refused"):
+            lm.predict("x", PARAMS)
+        assert time.perf_counter() - started < 1
+        assert attempts == [("127.0.0.1", 9)]
+        # A dropped idle connection is reopened once; when that is refused,
+        # the request fails.
+        server = stub_server(TREE)
+        server.drop_idle_connections()
+        lm = RemoteLM(server.url, timeout=5)
+        lm.predict("", PARAMS)
+        server.close()
+        attempts.clear()
+        with pytest.raises(TransportError, match="refused"):
+            lm.predict("My", PARAMS)
+        assert len(attempts) == 1
+
+
+class TestStandardLibraryOnly:
+    def test_import_and_remote_backend_load_only_the_standard_library(self):
+        src = Path(gencp.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import gencp\n"
+            "gencp.load_backend('remote:http://127.0.0.1:9/completion')\n"
+            "print(sorted({name.partition('.')[0] for name in sys.modules}\n"
+            "             - set(sys.stdlib_module_names) - {'gencp', '__main__'}))\n"
+        )
+        # -S: no site hooks, which may import third-party modules of their own
+        run = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "[]"
+
+    def test_project_declares_no_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
 class TestRemoteEndToEnd:
     def test_search_with_one_post_per_prefix(self, stub_server):
         server = stub_server(TREE)
@@ -258,13 +331,12 @@ class TestPrefetch:
     def test_predict_does_not_queue_behind_prefetches(self, stub_server, refused):
         words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl")
         server = stub_server({w: [("ok", 0.5)] for w in words + ("yak",)}, delay=0.05)
-        session = FailingSession(refused)
-        lm = RemoteLM(server.url, session=session)
+        lm = FailingRemoteLM(server.url, refused)
         if refused is not None:
             lm.prefetch([refused], PARAMS)
-            assert session.refused.wait(timeout=5)
+            assert lm.refused.wait(timeout=5)
             time.sleep(0.1)  # the failure is in the memo
-            session.prompt = None
+            lm.prompt = None
         lm.prefetch(words, PARAMS)
         assert [c.text for c in lm.predict("yak", PARAMS)] == ["ok"]
         lm.cancel_prefetch()
@@ -297,7 +369,7 @@ class TestPrefetch:
         server = stub_server(full_tree(words, 2), delay=0.05)
         task = TaskSpec(name="two", constraints=(WordCountRange(2, 2),),
                         lm_params=LMParams(k=12), require_period=True)
-        lm = RemoteLM(server.url, session=FailingSession(refused))
+        lm = FailingRemoteLM(server.url, refused)
         if refused is None:
             run_search(task, lm, options)
         else:
@@ -312,10 +384,9 @@ class TestPrefetch:
 
     def test_failed_prefetch_does_not_abort_a_search_that_never_asks(self, stub_server):
         server = stub_server(TREE)
-        session = FailingSession("We")
-        lm = RemoteLM(server.url, session=session)
+        lm = FailingRemoteLM(server.url, "We")
         lm.prefetch(["We"], PARAMS)
-        assert session.refused.wait(timeout=5)
+        assert lm.refused.wait(timeout=5)
         task = TaskSpec(name="two-words", constraints=(WordCountRange(2, 2),),
                         lm_params=PARAMS, require_period=True)
         outcome = run_search(task, lm, SolveOptions(max_variables=4, max_solutions=1))
