@@ -73,14 +73,10 @@ from .solver import (
     SearchAborted,
     SearchOutcome,
     SolveOptions,
-    apply_helping,
-    generate_constraints,
-    generate_domain,
     generate_variable,
     is_solution,
     order_candidates,
     parse_ordering,
-    propagate,
     run_search,
     solve,
     solve_all,

@@ -25,27 +25,12 @@ class HaltingMode(enum.Enum):
 
 @dataclass
 class Beam:
-    """A candidate word sequence and its cumulative log-probability.
-
-    ``summary`` is the ``PrefixSummary`` of ``words``, built on first use
-    when not given.
-    """
+    """A candidate word sequence, its cumulative log-probability and its ``PrefixSummary``."""
 
     words: tuple
     cum_logprob: float
+    summary: cst.PrefixSummary = field(compare=False, repr=False)
     alive: bool = True
-    summary: cst.PrefixSummary | None = field(default=None, compare=False, repr=False)
-
-
-def _summary(beam, task):
-    if beam.summary is None:
-        beam.summary = cst.summarize(beam.words, task.constraints)
-    return beam.summary
-
-
-def _structurally_complete(beam, task):
-    """Whether the beam's words, with the period when required, pass ``check_complete``."""
-    return _summary(beam, task).complete(1 if task.require_period else 0)
 
 
 def expand_beams(beams, lm, task, k):
@@ -60,18 +45,15 @@ def expand_beams(beams, lm, task, k):
     dead = []
     reserve = 1 if task.require_period else 0
     for beam in beams:
-        summary = _summary(beam, task)
         raw = lm.predict(render_prefix(beam.words), params, k)
-        valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, task.constraints)]
-        kept_any = False
-        for cand in valid[:k]:
-            child = summary.push(cand.text, word_tested=True)
+        before = len(extensions)
+        for cand in cst.valid_words(raw, task.constraints, k):
+            child = beam.summary.push(cand.text, word_tested=True)
             if child.can_extend() or child.complete(reserve):
                 extensions.append(
-                    Beam(beam.words + (cand.text,), beam.cum_logprob + cand.logprob, summary=child)
+                    Beam(beam.words + (cand.text,), beam.cum_logprob + cand.logprob, child)
                 )
-                kept_any = True
-        if not kept_any:
+        if len(extensions) == before:
             beam.alive = False
             dead.append(beam)
     # The extensions of one step are equally long, and words hold no
@@ -95,7 +77,7 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     params = task.lm_params
     seed = tuple(task.seed)
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
-    beams = [Beam(seed, start_cum, summary=cst.summarize(seed, task.constraints))]
+    beams = [Beam(seed, start_cum, cst.summarize(seed, task.constraints))]
     solutions = []
     bad_outputs = []
     started = time.perf_counter()
@@ -107,14 +89,13 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 break
             if task.require_period:
                 lm.prefetch(
-                    (render_sentence(b.words) for b in beams
-                     if _structurally_complete(b, task)),
+                    (render_sentence(b.words) for b in beams if b.summary.complete(1)),
                     params,
                 )
             survivors = []
             solved_now = False
             for beam in beams:
-                end = completes(beam.words, _summary(beam, task), lm, task)
+                end = completes(beam.words, beam.summary, lm, task)
                 if end is not None:
                     solutions.append(make_record(beam.words, beam.cum_logprob, end, task, started))
                     solved_now = True

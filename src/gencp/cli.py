@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from dataclasses import replace
 
 from . import constraints as cst
@@ -101,7 +102,6 @@ def _print_records(records):
 
 def _cmd_solve(args):
     task = _load_task(args)
-    lm = load_backend(args.lm)
     opts = SolveOptions(
         max_solutions=args.max_solutions,
         time_budget=args.time_budget,
@@ -109,7 +109,8 @@ def _cmd_solve(args):
         backtrack_to=args.backtrack_to,
         max_variables=args.max_variables,
     )
-    outcome = run_search(task, lm, opts, exhaustive=args.all)
+    with closing(load_backend(args.lm)) as lm:
+        outcome = run_search(task, lm, opts, exhaustive=args.all)
     _print_records(outcome.solutions)
     print(
         f"{len(outcome.solutions)} solution(s), {outcome.stats.backtracks} backtracks, "
@@ -121,12 +122,12 @@ def _cmd_solve(args):
 
 def _cmd_beam(args):
     task = _load_task(args)
-    lm = load_backend(args.lm)
     mode = HaltingMode.FIRST_SOLUTION if args.mode == "first" else HaltingMode.ALL_SOLUTIONS
-    records, bad = beam_search(
-        task, lm, k=args.k, mode=mode, time_budget=args.time_budget,
-        max_words=args.max_variables,
-    )
+    with closing(load_backend(args.lm)) as lm:
+        records, bad = beam_search(
+            task, lm, k=args.k, mode=mode, time_budget=args.time_budget,
+            max_words=args.max_variables,
+        )
     _print_records(records)
     rate = satisfaction_rate(records, bad)
     rate_text = "n/a" if rate is None else f"{rate:.1f}%"
@@ -153,20 +154,18 @@ def _cmd_bench(args):
         max_variables=args.max_variables,
         ordering=args.ordering,
         backtrack_to=args.backtrack_to,
-        out_path=args.out,
-        report_format=args.format,
     )
     rows = run_benchmark(config)
-    emit_report(rows, fmt=config.report_format, path=config.out_path)
+    emit_report(rows, fmt=args.format, path=args.out)
     return 0
 
 
 def _cmd_oracle(args):
     task = _load_task(args)
-    lm = load_backend(args.lm)
-    sentences = sorted(
-        brute_force_oracle(task, lm, depth_cap=args.max_variables, time_budget=args.time_budget)
-    )
+    with closing(load_backend(args.lm)) as lm:
+        sentences = sorted(brute_force_oracle(
+            task, lm, depth_cap=args.max_variables, time_budget=args.time_budget
+        ))
     for sentence in sentences:
         print(sentence)
     print(f"{len(sentences)} solution(s)", file=sys.stderr)

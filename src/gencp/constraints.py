@@ -258,6 +258,14 @@ def only_words(candidates, keep_period=False):
     return kept
 
 
+def valid_words(candidates, constraints, k):
+    """The first k candidates that are words passing ``word_valid``, in rank order.
+
+    The window from which the solver and beam search take a node's words.
+    """
+    return [c for c in only_words(candidates) if word_valid(c.text, constraints)][:k]
+
+
 @functools.lru_cache(maxsize=None)
 def _multi_folds():
     """Strings of two or more characters that a single character casefolds to."""
@@ -405,22 +413,18 @@ def filter_domain(partial, domain, constraints, task, summary=None, word_tested=
 
     A survivor is valid on its own (``word_valid``) and admitted at the next
     position by every constraint; one character stays reserved for the final
-    period when the task requires one.  Survivor order is preserved.
-    ``summary``, the ``PrefixSummary`` of ``partial`` when the caller keeps
-    one, saves rebuilding it.  ``word_tested`` says every candidate already
-    passed ``word_valid``, so only the tests against the prefix run.
+    period when the task requires one.  Survivor order is preserved, and the
+    returned domain is unassigned.  ``summary``, the ``PrefixSummary`` of
+    ``partial`` when the caller keeps one, saves rebuilding it.
+    ``word_tested`` says every candidate already passed ``word_valid``, so
+    only the tests against the prefix run.
     """
     if summary is None:
         summary = summarize(partial, constraints)
     reserve = 1 if task.require_period else 0
     base = summary.length + 1 if summary.count else 0
-    current = domain.current()
-    survivors = [cand for cand in domain.values
-                 if summary.admits(cand.text, base + len(cand.text), reserve, word_tested)]
-    cursor = None
-    if current is not None and current in survivors:
-        cursor = survivors.index(current)
-    return Domain(survivors, cursor=cursor)
+    return Domain([cand for cand in domain.values
+                   if summary.admits(cand.text, base + len(cand.text), reserve, word_tested)])
 
 
 def can_extend(partial, constraints):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import statistics
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,8 +68,6 @@ class RunConfig:
     max_variables: int = 64
     ordering: str | None = None
     backtrack_to: int | None = None
-    out_path: str | None = None
-    report_format: str = "csv"
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -78,8 +78,6 @@ class RunConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")
-        if self.report_format not in ("csv", "json"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
 
 
 class OracleLimitError(RuntimeError):
@@ -165,11 +163,7 @@ def _content_words(words):
 def _max_variability(word_lists):
     if len(word_lists) < 2:
         return None
-    best = 0
-    for i in range(len(word_lists)):
-        for j in range(i + 1, len(word_lists)):
-            best = max(best, variability(word_lists[i], word_lists[j]))
-    return best
+    return max(variability(a, b) for a, b in itertools.combinations(word_lists, 2))
 
 
 def run_benchmark(config):
@@ -180,18 +174,18 @@ def run_benchmark(config):
     still shows up as 0 vs 1).  Rows come back sorted; failures are logged
     and leave a zeroed row rather than stopping the run.
     """
-    lm = load_backend(config.lm_spec)
     ordered_methods = [m for m in METHODS if m in config.methods]
     rows = []
-    for task_name in config.tasks:
-        for k in config.k_values:
-            task = cst.resolve_task(task_name, k)
-            bs_reference = None
-            for method in ordered_methods:
-                row = _run_method(method, task, lm, k, config, bs_reference)
-                if config.pair_gencp_to_bs and method.startswith("bs-"):
-                    bs_reference = row.n_solutions
-                rows.append(row)
+    with closing(load_backend(config.lm_spec)) as lm:
+        for task_name in config.tasks:
+            for k in config.k_values:
+                task = cst.resolve_task(task_name, k)
+                bs_reference = None
+                for method in ordered_methods:
+                    row = _run_method(method, task, lm, k, config, bs_reference)
+                    if config.pair_gencp_to_bs and method.startswith("bs-"):
+                        bs_reference = row.n_solutions
+                    rows.append(row)
     rows.sort(key=lambda r: (r.task, r.method, r.k))
     return rows
 

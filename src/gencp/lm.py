@@ -102,6 +102,9 @@ class LanguageModel:
     def cancel_prefetch(self):
         """Drop announced predictions that have not started; searches call it on return."""
 
+    def close(self):
+        """Release what the backend holds open; it takes no request afterwards."""
+
 
 def sequence_logprob(lm, words, params):
     """Sum of conditional log-probabilities along the sequence.
@@ -203,9 +206,6 @@ class TableLM(LanguageModel):
                     raise ValueError(f"{path}:{lineno}: duplicate word {word!r} for prefix {prefix!r}")
                 table[prefix].append((word, prob))
         return cls(table)
-
-    def prefixes(self):
-        return set(self._table)
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k
@@ -379,7 +379,8 @@ class RemoteLM(LanguageModel):
     search's ``cancel_prefetch`` also drops the others' queued prompts,
     which their ``predict`` then POSTs itself.  The searches announce only
     prompts they will ask for, so an announced prompt waits behind needed
-    work only.
+    work only.  ``close`` drops the queued prompts, waits for the started
+    ones, stops the pool and closes every connection the client opened.
 
     Every thread that POSTs (the pool's and each caller's) keeps one
     HTTP/1.1 keep-alive connection, and sends each request, headers and
@@ -416,6 +417,7 @@ class RemoteLM(LanguageModel):
             timeout = float(env) if env else DEFAULT_TIMEOUT_SECS
         self.timeout = timeout
         self._local = threading.local()  # ``sock``: this thread's idle connection, if any
+        self._socks = set()  # every open connection, for ``close``
         self._memo = {}
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
@@ -434,6 +436,14 @@ class RemoteLM(LanguageModel):
             for key, fut in list(self._memo.items()):
                 if fut.cancel():
                     del self._memo[key]
+
+    def close(self):
+        self.cancel_prefetch()
+        self._pool.shutdown()
+        with self._lock:
+            socks, self._socks = self._socks, set()
+        for sock in socks:
+            sock.close()
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k
@@ -492,7 +502,7 @@ class RemoteLM(LanguageModel):
                 response = None if sock is None else self._exchange(sock, request)
             except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected too
                 # The server closed the idle connection; it never read this request.
-                sock.close()
+                self._drop(sock)
                 response = None
             if response is None:
                 sock = self._connect()
@@ -500,10 +510,10 @@ class RemoteLM(LanguageModel):
             data = response.read()
         except BaseException:
             if sock is not None:
-                sock.close()
+                self._drop(sock)
             raise
         if response.will_close:
-            sock.close()
+            self._drop(sock)
         else:
             local.sock = sock
         return response.status, data
@@ -517,7 +527,14 @@ class RemoteLM(LanguageModel):
         except BaseException:
             sock.close()
             raise
+        with self._lock:
+            self._socks.add(sock)
         return sock
+
+    def _drop(self, sock):
+        with self._lock:
+            self._socks.discard(sock)
+        sock.close()
 
     @staticmethod
     def _exchange(sock, request):

@@ -135,41 +135,40 @@ class SolverModel:
     """Mutable search state: variables, trail, counters.
 
     ``words`` holds the assigned words, kept in step by ``assign``, through
-    which every cursor move goes.  Given the summary of the empty prefix,
-    ``summaries`` holds the summary of every prefix of ``words``, the empty
-    one first, and ``summary`` is the last of them; without it the model
-    keeps none and ``summary`` is None.  Confined to a single search; never
-    share one instance across threads.
+    which every cursor move goes.  ``root`` is the summary of the empty
+    prefix; ``summaries`` holds the summary of every prefix of ``words``,
+    ``root`` first, and ``summary`` is the last of them.  Confined to a
+    single search; never share one instance across threads.
     """
 
-    def __init__(self, root=None):
+    def __init__(self, root):
         self.variables = []
         self.words = []
-        self.summaries = [] if root is None else [root]
+        self.summaries = [root]
         self.trail = []
         self.stats = SearchStats()
         self.pinned = 0  # the first variables, which hold seed words no filter admitted
 
     @classmethod
-    def from_seed(cls, seed_words, root=None):
+    def from_seed(cls, seed_words, root):
         """Model whose first variables are pinned to the given words."""
         model = cls(root)
         for word in seed_words:
-            model.add_variable().domain = Domain([WordCandidate(word, 0.0)])
+            model.add_variable(Domain([WordCandidate(word, 0.0)]))
             model.assign(0, admitted=False)
         model.pinned = len(model.variables)
         return model
 
-    def add_variable(self):
-        """Append the next sentence-position variable with an empty domain."""
-        var = Variable(len(self.variables) + 1)
+    def add_variable(self, domain=None):
+        """Append the next sentence-position variable, its domain empty when not given."""
+        var = Variable(len(self.variables) + 1, domain)
         self.variables.append(var)
         return var
 
     @property
     def summary(self):
-        """Summary of the assigned words, or None when the model keeps none."""
-        return self.summaries[-1] if self.summaries else None
+        """Summary of the assigned words."""
+        return self.summaries[-1]
 
     def assign(self, cursor, admitted=True):
         """Set the newest variable's cursor (None unassigns it); update ``words`` and ``summaries``.
@@ -185,8 +184,7 @@ class SolverModel:
         if cursor is not None and len(words) == var.index - 1:
             word = var.domain.values[cursor].text
             words.append(word)
-            if summaries:
-                summaries.append(summaries[-1].push(word, admitted))
+            summaries.append(summaries[-1].push(word, admitted))
 
     def assigned_words(self):
         """Words assigned so far, stopping at the first unassigned variable."""
@@ -202,9 +200,7 @@ class SolverModel:
 
     def save_state(self):
         """Push a trail entry; later mutations are undoable to this point."""
-        snap = SavedState(len(self.variables), self.variables[-1].domain.cursor)
-        self.trail.append(snap)
-        return snap
+        self.trail.append(SavedState(len(self.variables), self.variables[-1].domain.cursor))
 
     def backtrack(self):
         """Undo to the most recent trail entry and try the next value there.

@@ -1,10 +1,18 @@
 """Generate-and-backtrack search with LM-predicted word domains.
 
-The loop grows the sentence one variable at a time: create a variable, fill
-its domain from the language model, filter it against the constraints, order
-it, snapshot, assign, and test the solution predicate.  Dead ends backtrack
-chronologically; an optional jump-back target forces later solutions to
-diverge early.
+The search creates each variable, its domain and its constraints when it
+reaches that sentence position, in one loop of three steps, with every
+variable assigned between steps:
+
+- check: when the assigned words finish a sentence, record it, then
+  backtrack, or jump back to an optional target so that later solutions
+  diverge early;
+- grow: otherwise, when the prefix can still lead to a solution below the
+  variable cap, create the next variable through ``generate_variable`` (the
+  backend's first k valid words, ordered, then filtered against the
+  constraints and the prefix), snapshot, and assign its first value;
+- backtrack: otherwise, move to the next untried value of the deepest
+  variable that has one, and snapshot; stop when none is left.
 """
 
 from __future__ import annotations
@@ -91,56 +99,22 @@ class SolveOptions:
             raise ValueError("max_variables must be >= 1")
 
 
-def generate_variable(model):
-    """Append the next sentence-position variable with an empty domain."""
-    return model.add_variable()
+def generate_variable(model, lm, task, ordering):
+    """Append the next sentence-position variable with its candidate domain.
 
-
-def generate_domain(model, lm, task):
-    """Fill the newest variable with the first k valid predictions."""
-    params = task.lm_params
-    raw = lm.predict(model.current_sentence(), params)
-    valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, task.constraints)]
-    model.variables[-1].domain = Domain(valid[: params.k])
+    The node's one candidate pipeline: the first k word-valid predictions
+    after the model's words, ordered, then filtered against the constraints
+    and the prefix.  Filtering keeps order, and ordering sorts on a total
+    key, so the two steps commute.
+    """
+    raw = lm.predict(model.current_sentence(), task.lm_params)
     model.stats.lm_calls += 1
-    return model.variables[-1].domain
-
-
-def generate_constraints(model, task, word_tested=False):
-    """Filter the newest domain against the task constraints and the prefix.
-
-    ``word_tested`` says the domain holds only words that passed
-    ``word_valid``, as ``generate_domain`` leaves it.
-    """
-    var = model.variables[-1]
-    var.domain = cst.filter_domain(
-        model.words, var.domain, task.constraints, task, _summary(model, task), word_tested
+    window = cst.valid_words(raw, task.constraints, task.lm_params.k)
+    ordered = Domain(order_candidates(window, ordering, len(model.variables) + 1))
+    domain = cst.filter_domain(
+        model.words, ordered, task.constraints, task, model.summary, word_tested=True
     )
-    return var.domain
-
-
-def apply_helping(model, ordering):
-    """Order the newest unassigned domain (implicit-constraint handling)."""
-    if not model.variables:
-        return
-    var = model.variables[-1]
-    if var.domain.cursor is not None:
-        return
-    var.domain = Domain(order_candidates(var.domain.values, ordering, var.index))
-
-
-def propagate(model):
-    """Assign the first value of the newest domain.
-
-    The domain was already filtered against the same prefix when the
-    variable was created, so nothing is re-filtered here.  A variable whose
-    value was already chosen by a backtrack is left alone.
-    """
-    if not model.variables:
-        return
-    var = model.variables[-1]
-    if var.domain.cursor is None and var.domain.values:
-        model.assign(0)
+    return model.add_variable(domain)
 
 
 def completes(words, summary, lm, task):
@@ -178,17 +152,21 @@ def make_record(words, logprob, end, task, started):
     )
 
 
+def _grows(summary, max_variables):
+    """Whether the search creates a variable after the prefix that ``summary`` describes."""
+    return summary.count < max_variables and summary.can_extend()
+
+
 def _queried_children(words, summary, domain, task, max_variables):
     """Rendered children of ``words`` that the search will ask the backend about.
 
-    A child is asked for its next words when it can still grow below
-    ``max_variables``, and for its period check when it completes
-    structurally.  Lazy, so that a backend ignoring ``prefetch`` pays nothing
-    for it.
+    A child is asked for its next words when it grows, and for its period
+    check when it completes structurally.  Lazy, so that a backend ignoring
+    ``prefetch`` pays nothing for it.
     """
     for cand in domain.values:
         child = summary.push(cand.text, admitted=True)
-        grows = child.count < max_variables and child.can_extend()
+        grows = _grows(child, max_variables)
         if task.require_period:
             queried = grows or child.complete(1)
         else:
@@ -197,17 +175,11 @@ def _queried_children(words, summary, domain, task, max_variables):
             yield render_sentence(words + [cand.text])
 
 
-def _summary(model, task):
-    """The model's summary of its words, built from them when the model keeps none."""
-    summary = model.summary
-    return summary if summary is not None else cst.summarize(model.words, task.constraints)
-
-
 def is_solution(model, lm, task):
     """Whether every variable is assigned and the words form a solution."""
     words = model.words
     return (bool(words) and len(words) == len(model.variables)
-            and completes(words, _summary(model, task), lm, task) is not None)
+            and completes(words, model.summary, lm, task) is not None)
 
 
 def _path_logprob(model, seed_logprob, n_seed):
@@ -249,73 +221,47 @@ def run_search(task, lm, options=None, exhaustive=False):
     # A capped or jump-back search may never come back for a word's
     # siblings, so only a search that visits them all announces them.
     enumerating = max_solutions is None and jump_to is None
-    parent = None  # (words, summary) of the newest domain's prefix, when its children are announced
 
     model = SolverModel.from_seed(task.seed, cst.summarize((), task.constraints))
     seed_logprob = None  # the seed's score, asked of the backend at the first solution
     solutions = []
-    seen = set()
     started = time.perf_counter()
 
-    def out_of_budget():
-        return opts.time_budget is not None and time.perf_counter() - started > opts.time_budget
-
-    state = "help" if model.variables else "generate"
+    if model.variables:
+        model.save_state()  # the seed's level, as every grown level gets one
     try:
-        while not out_of_budget():
-            if state == "generate":
-                words, summary = model.words, model.summary
-                if len(model.variables) >= opts.max_variables or not summary.can_extend():
-                    state = "backtrack"
-                    continue
-                generate_variable(model)
-                generate_domain(model, lm, task)
-                generate_constraints(model, task, word_tested=True)
-                parent = (list(words), summary) if enumerating else None
-                state = "help"
-            elif state == "help":
-                apply_helping(model, ordering)
-                if parent is not None:
-                    # Announced in the order the search visits them.
-                    domain = model.variables[-1].domain
-                    lm.prefetch(
-                        _queried_children(*parent, domain, task, opts.max_variables),
-                        task.lm_params,
-                    )
-                state = "backtrack" if model.contains_empty_variable() else "save"
-            elif state == "save":
-                model.save_state()
-                state = "propagate"
-            elif state == "propagate":
-                propagate(model)
-                state = "backtrack" if model.contains_empty_variable() else "check"
-            elif state == "check":
-                # every variable is assigned here, so ``completes`` is ``is_solution``
-                end = completes(model.words, model.summary, lm, task)
-                if end is None:
-                    state = "generate"
-                    continue
+        while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
+            # Every variable is assigned here.
+            words, summary = model.words, model.summary
+            end = completes(words, summary, lm, task) if words else None
+            if end is not None:  # check: the words finish a sentence
                 if seed_logprob is None:
-                    seed = task.seed
-                    seed_logprob = sequence_logprob(lm, seed, task.lm_params) if seed else 0.0
+                    seed_logprob = sequence_logprob(lm, task.seed, task.lm_params) if task.seed else 0.0
                 logprob = _path_logprob(model, seed_logprob, len(task.seed))
-                record = make_record(model.words, logprob, end, task, started)
-                if record.sentence not in seen:
-                    seen.add(record.sentence)
-                    solutions.append(record)
+                solutions.append(make_record(words, logprob, end, task, started))
                 if max_solutions is not None and len(solutions) >= max_solutions:
                     break
                 if jump_to is not None and 1 <= jump_to < len(model.variables):
                     moved = model.backtrack_to(jump_to)
                 else:
                     moved = model.backtrack()
-                if not moved:
-                    break
-                state = "save"
-            else:  # backtrack
-                if not model.backtrack():
-                    break
-                state = "save"
+            else:
+                if _grows(summary, opts.max_variables):  # grow: a new variable at its first value
+                    domain = generate_variable(model, lm, task, ordering).domain
+                    if enumerating:
+                        # Announced in the order the search visits them.
+                        lm.prefetch(
+                            _queried_children(list(words), summary, domain, task, opts.max_variables),
+                            task.lm_params,
+                        )
+                    if domain.values:
+                        model.save_state()
+                        model.assign(0)
+                        continue
+                moved = model.backtrack()  # backtrack out of a dead end
+            if not moved:
+                break
+            model.save_state()
     except TransportError as exc:
         raise SearchAborted(str(exc), solutions, model.stats) from exc
     finally:

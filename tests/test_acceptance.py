@@ -244,6 +244,7 @@ def test_criterion_10_remote_backend_end_to_end(stub_server):
     task = TaskSpec(name="two-words", constraints=(WordCountRange(2, 2),),
                     lm_params=LMParams(k=2), require_period=True)
     outcome = run_search(task, lm, SolveOptions(max_variables=4))
+    lm.close()
     assert [s.sentence for s in outcome.solutions] == ["My cat."]
     posts = sum(server.counts.values())
     distinct = len(server.counts)

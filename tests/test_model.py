@@ -9,6 +9,7 @@ from gencp import (
     WordCandidate,
     render_prefix,
     render_sentence,
+    summarize,
     variability,
 )
 
@@ -91,7 +92,7 @@ def _cands(*pairs):
 
 
 def _assigned_model(words):
-    model = SolverModel.from_seed(words)
+    model = SolverModel.from_seed(words, summarize((), ()))
     return model
 
 
@@ -100,7 +101,7 @@ class TestCurrentSentence:
         assert _assigned_model(["A", "man"]).current_sentence() == "A man"
 
     def test_empty_model(self):
-        assert SolverModel().current_sentence() == ""
+        assert SolverModel(summarize((), ())).current_sentence() == ""
 
     def test_single_seed(self):
         assert _assigned_model(["The"]).current_sentence() == "The"
@@ -118,7 +119,7 @@ class TestTrail:
         assert state_fingerprint(model) == before
 
     def test_stack_discipline(self):
-        model = SolverModel()
+        model = SolverModel(summarize((), ()))
         v1 = model.add_variable()
         v1.domain = Domain(_cands(("a", -0.1), ("b", -0.5)), cursor=0)
         model.save_state()
@@ -138,10 +139,10 @@ class TestTrail:
         assert depth2[0][0][0] == 1  # sanity on the fingerprint shape
 
     def test_backtrack_empty_trail(self):
-        assert SolverModel().backtrack() is False
+        assert SolverModel(summarize((), ())).backtrack() is False
 
     def test_trail_depth_never_exceeds_variables(self):
-        model = SolverModel()
+        model = SolverModel(summarize((), ()))
         for i in range(3):
             var = model.add_variable()
             var.domain = Domain(_cands((f"w{i}", -0.5), (f"v{i}", -1.0)), cursor=0)
@@ -159,7 +160,7 @@ class TestTrail:
             model.save_state()
             model.assign(0)
 
-        model = SolverModel()
+        model = SolverModel(summarize((), ()))
         fresh_level(model, [("a", -0.1), ("b", -0.7)])
         level2 = [("x", -0.2), ("y", -0.4), ("z", -0.8)]
         fresh_level(model, level2)
@@ -178,7 +179,7 @@ class TestTrail:
 
     def test_no_assignment_revisited(self):
         # corollary of the visit-order check above, kept separate for clarity
-        model = SolverModel()
+        model = SolverModel(summarize((), ()))
         var = model.add_variable()
         var.domain = Domain(_cands(("a", -0.1), ("b", -0.7), ("c", -1.1)))
         model.save_state()
@@ -194,7 +195,7 @@ class TestTrail:
 
 class TestBacktrackTo:
     def _sentence_model(self, words, alternatives):
-        model = SolverModel()
+        model = SolverModel(summarize((), ()))
         for i, word in enumerate(words):
             var = model.add_variable()
             cands = [(word, -0.1)] + alternatives.get(i + 1, [])
@@ -285,7 +286,7 @@ class TestIncrementalState:
     def test_matches_copying_trail(self, seed_len, steps):
         # seed words are assigned without trail entries, as in the search
         seed = [f"s{i}" for i in range(seed_len)]
-        model, ref = SolverModel.from_seed(seed), CopyingTrail()
+        model, ref = SolverModel.from_seed(seed, summarize((), ())), CopyingTrail()
         for word in seed:
             ref.add((word,))
             ref.assign(0)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -6,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from gencp import (
     LanguageModel,
     LMParams,
     RemoteLM,
+    RunConfig,
     SearchAborted,
     SolveOptions,
     TableLM,
@@ -26,10 +30,12 @@ from gencp import (
     beam_search,
     brute_force_oracle,
     render_prefix,
+    run_benchmark,
     run_search,
     sequence_logprob,
     solve_all,
 )
+from gencp.cli import main
 from gencp.lm import REMOTE_WORKERS, TIMEOUT_ENV_VAR, _parse_response_path
 
 PARAMS = LMParams(k=2)
@@ -61,6 +67,47 @@ def full_tree(words, depth):
 WIDE = full_tree(("red", "big", "old"), 3)
 WIDE_TASK = TaskSpec(name="two-or-three", constraints=(WordCountRange(2, 3),),
                      lm_params=LMParams(k=3), require_period=True)
+
+
+@pytest.fixture(autouse=True)
+def close_clients(monkeypatch):
+    """Close every client a test makes, so that no connection is left to the garbage collector."""
+    made = []
+    init = RemoteLM.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(RemoteLM, "__init__", recording)
+    yield
+    for lm in made:
+        lm.close()
+
+
+def _record_connections(monkeypatch):
+    """Weak references to every client socket opened from now on."""
+    opened = []
+    connect = socket.create_connection
+
+    def recording(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        opened.append(weakref.ref(sock))
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    return opened
+
+
+def _open_sockets(opened):
+    """The recorded sockets still open, after collecting the unreachable ones."""
+    gc.collect()
+    return [ref() for ref in opened if ref() is not None and ref().fileno() != -1]
+
+
+def _unclosed(caught):
+    """Sockets the garbage collector found open, from the recorded warnings."""
+    return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class SequentialRemoteLM(RemoteLM):
@@ -225,6 +272,37 @@ class TestConnections:
         with pytest.raises(TransportError, match="refused"):
             lm.predict("My", PARAMS)
         assert len(attempts) == 1
+
+    def test_close_leaves_no_connection_open(self, stub_server, monkeypatch):
+        opened = _record_connections(monkeypatch)
+        server = stub_server(WIDE, delay=0.01)
+        running = set(threading.enumerate())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            lm = RemoteLM(server.url)
+            _solve(lm)
+            lm.prefetch(["red", "big"], WIDE_TASK.lm_params, 9)  # queued or in flight at close
+            lm.close()
+            assert _open_sockets(opened) == []
+        assert len(opened) > 1  # the caller's connection and the pool's
+        assert _unclosed(caught) == []
+        started = set(threading.enumerate()) - running
+        assert [t.name for t in started if t.name.startswith("gencp-remote")] == []
+
+    def test_cli_and_benchmark_close_the_backend_they_load(self, stub_server, monkeypatch, fixtures_dir):
+        opened = _record_connections(monkeypatch)
+        server = stub_server(TREE)
+        common = ["--task", str(fixtures_dir / "two_words.json"), "--lm", f"remote:{server.url}"]
+        config = RunConfig(tasks=(str(fixtures_dir / "two_words.json"),),
+                           lm_spec=f"remote:{server.url}", k_values=(2,), methods=("gencp",))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for command in (["solve", "--all"], ["beam"], ["oracle"]):
+                assert main(command[:1] + common + command[1:]) == 0
+            assert run_benchmark(config)[0].n_solutions == 1
+            assert _open_sockets(opened) == []
+        assert len(opened) >= 4  # one client per command and one for the benchmark
+        assert _unclosed(caught) == []
 
 
 class TestStandardLibraryOnly:

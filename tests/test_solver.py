@@ -5,9 +5,9 @@ import pytest
 import gencp.constraints
 from gencp import (
     CharCountExact,
-    Domain,
     ForbiddenChars,
     KeywordSeparation,
+    LanguageModel,
     LMParams,
     MandatoryKeywords,
     MaxWordLen,
@@ -21,17 +21,18 @@ from gencp import (
     WordCandidate,
     WordCountRange,
     beam_search,
+    builtin_task,
     check_complete,
     parse_ordering,
     perplexity,
     run_search,
     solve,
     solve_all,
+    summarize,
     variability,
+    with_k,
 )
 from gencp.solver import (
-    generate_constraints,
-    generate_domain,
     generate_variable,
     is_solution,
     order_candidates,
@@ -44,6 +45,9 @@ def _cands(*pairs):
     return [WordCandidate(text, lp) for text, lp in pairs]
 
 
+PROBABILITY = Ordering("probability")
+
+
 def _simple_task(**kwargs):
     defaults = dict(
         name="t", constraints=(), seed=(), lm_params=LMParams(k=3), require_period=True
@@ -54,14 +58,14 @@ def _simple_task(**kwargs):
 
 class TestGenerateVariable:
     def test_seeded_model_starts_with_singleton(self):
-        model = SolverModel.from_seed(["The"])
+        model = SolverModel.from_seed(["The"], summarize((), ()))
         assert len(model.variables) == 1
         assert [c.text for c in model.variables[0].domain.values] == ["The"]
         assert model.variables[0].domain.cursor == 0
 
     def test_appends_with_empty_domain(self):
-        model = SolverModel.from_seed(["A", "man"])
-        var = generate_variable(model)
+        model = SolverModel.from_seed(["A", "man"], summarize((), ()))
+        var = generate_variable(model, TableLM({}), _simple_task(), PROBABILITY)
         assert var.index == 3
         assert var.domain.is_empty()
 
@@ -73,9 +77,8 @@ class TestGenerateVariable:
 
 class TestGenerateDomain:
     def test_raw_predictions_become_domain(self, fig_lm):
-        model = SolverModel.from_seed(["A"])
-        generate_variable(model)
-        domain = generate_domain(model, fig_lm, _simple_task(seed=("A",)))
+        model = SolverModel.from_seed(["A"], summarize((), ()))
+        domain = generate_variable(model, fig_lm, _simple_task(seed=("A",)), PROBABILITY).domain
         assert [c.text for c in domain.values] == ["boy", "man", "house"]
         assert model.stats.lm_calls == 1
 
@@ -85,15 +88,13 @@ class TestGenerateDomain:
                       ("good", 0.05), ("-x", 0.04), ("nice", 0.02), ("warm", 0.01)]}
         lm = TableLM(table)
         task = _simple_task(lm_params=LMParams(k=5))
-        model = SolverModel()
-        generate_variable(model)
-        domain = generate_domain(model, lm, task)
+        model = SolverModel(summarize((), ()))
+        domain = generate_variable(model, lm, task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["ok", "fine", "good", "nice", "warm"]
 
     def test_unknown_prefix_yields_empty_domain(self, fig_lm):
-        model = SolverModel.from_seed(["A", "boy"])
-        generate_variable(model)
-        domain = generate_domain(model, fig_lm, _simple_task())
+        model = SolverModel.from_seed(["A", "boy"], summarize((), ()))
+        domain = generate_variable(model, fig_lm, _simple_task(), PROBABILITY).domain
         assert domain.values == []
         assert model.contains_empty_variable()
 
@@ -101,27 +102,24 @@ class TestGenerateDomain:
         words = ["apple", "berry", "cedar", "dates", "elder", "figs", "grape", "holly"]
         table = {"": [(w, 0.5 / 2**i) for i, w in enumerate(words)]}
         task = _simple_task(lm_params=LMParams(k=5))
-        model = SolverModel()
-        generate_variable(model)
-        domain = generate_domain(model, TableLM(table), task)
+        model = SolverModel(summarize((), ()))
+        domain = generate_variable(model, TableLM(table), task, PROBABILITY).domain
         assert [c.text for c in domain.values] == words[:5]
 
 
 class TestGenerateConstraints:
     def test_filters_new_domain(self):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
-        model = SolverModel.from_seed(["A"])
-        var = generate_variable(model)
-        var.domain = Domain(_cands(("man", -0.1), ("house", -0.2), ("boy", -0.3)))
-        domain = generate_constraints(model, task)
+        model = SolverModel.from_seed(["A"], summarize((), task.constraints))
+        lm = TableLM({"A": [("man", 0.4), ("house", 0.3), ("boy", 0.2)]})
+        domain = generate_variable(model, lm, task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["man", "boy"]
 
     def test_no_applicable_constraint_keeps_domain(self):
         task = _simple_task()
-        model = SolverModel.from_seed(["A"])
-        var = generate_variable(model)
-        var.domain = Domain(_cands(("man", -0.1), ("boy", -0.3)))
-        domain = generate_constraints(model, task)
+        model = SolverModel.from_seed(["A"], summarize((), task.constraints))
+        lm = TableLM({"A": [("man", 0.5), ("boy", 0.3)]})
+        domain = generate_variable(model, lm, task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["man", "boy"]
 
 
@@ -153,6 +151,18 @@ class TestOrdering:
         out = order_candidates(cands, Ordering("char-target", 10), 2)
         assert [c.text for c in out] == ["New", "new"]
 
+    def test_search_tries_values_in_the_given_order(self):
+        lm = TableLM({"": [("We", 1.0)], "We": [("go", 0.5), ("wander", 0.4)],
+                      "We go": [(".", 1.0)], "We wander": [(".", 1.0)]})
+        task = _simple_task(constraints=(WordCountRange(2, 2),))
+
+        def first(ordering):
+            opts = SolveOptions(max_solutions=1, ordering=parse_ordering(ordering))
+            return solve(task, lm, opts)[0].sentence
+
+        assert first("probability") == "We go."
+        assert first("char-target") == "We wander."  # longer words first before the pivot
+
     def test_parse_ordering(self):
         assert parse_ordering("probability") == Ordering("probability")
         assert parse_ordering("ppl") == Ordering("probability")
@@ -163,25 +173,25 @@ class TestOrdering:
 
 
 class TestBooleanPredicate:
-    def _model_with(self, words):
-        return SolverModel.from_seed(words)
+    def _model_with(self, words, root):
+        return SolverModel.from_seed(words, root)
 
     def test_all_conjuncts_hold(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [(".", 1.0)]})
-        model = self._model_with(["up", "down"])
+        model = self._model_with(["up", "down"], summarize((), task.constraints))
         assert is_solution(model, lm, task) is True
 
     def test_word_window_not_reached(self):
         task = _simple_task(constraints=(WordCountRange(3, 4),))
         lm = TableLM({"up down": [(".", 1.0)]})
-        model = self._model_with(["up", "down"])
+        model = self._model_with(["up", "down"], summarize((), task.constraints))
         assert is_solution(model, lm, task) is False
 
     def test_period_not_predicted(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [("more", 1.0)]})
-        model = self._model_with(["up", "down"])
+        model = self._model_with(["up", "down"], summarize((), task.constraints))
         assert is_solution(model, lm, task) is False
 
     def test_exact_char_count_with_reserved_period(self):
@@ -190,9 +200,9 @@ class TestBooleanPredicate:
         # "ab cd" is 5 chars; with the period that is 6
         task = _simple_task(constraints=(WordCountRange(1, 4), CharCountExact(6)))
         lm = TableLM({"ab cd": [(".", 1.0)], "ab": [("cd", 1.0)]})
-        model = self._model_with(["ab", "cd"])
+        model = self._model_with(["ab", "cd"], summarize((), task.constraints))
         assert is_solution(model, lm, task) is True
-        model_short = self._model_with(["ab"])
+        model_short = self._model_with(["ab"], summarize((), task.constraints))
         assert is_solution(model_short, lm, task) is False
 
 
@@ -383,6 +393,72 @@ class TestStatsAccounting:
         outcome = run_search(fig_task, fig_lm, SolveOptions(max_solutions=1, max_variables=8))
         # domains generated: x2("A"), x3("A boy") empty, x3("A man"), x4("A man drinks")
         assert outcome.stats.lm_calls == 4
+
+
+class _PromptLog(LanguageModel):
+    """A backend that logs every prompt ``predict`` is asked, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def predict(self, sentence, params, k=None):
+        self.prompts.append(sentence)
+        return self.inner.predict(sentence, params, k)
+
+    def conditional_logprob(self, prefix_words, word, params):
+        return self.inner.conditional_logprob(prefix_words, word, params)
+
+
+class TestVisitOrder:
+    """The order in which the search asks the backend, snapshots and backtracks."""
+
+    @pytest.fixture
+    def saved_levels(self, monkeypatch):
+        """The variable count at each ``save_state``, in order."""
+        levels = []
+        save = SolverModel.save_state
+
+        def counting(model):
+            levels.append(len(model.variables))
+            return save(model)
+
+        monkeypatch.setattr(SolverModel, "save_state", counting)
+        return levels
+
+    def test_exhaustive_walkthrough(self, fig_lm, fig_task, saved_levels):
+        lm = _PromptLog(fig_lm)
+        outcome = run_search(fig_task, lm, SolveOptions(max_variables=8), exhaustive=True)
+        # A prefix is asked for its period check, then for its next words;
+        # a finished sentence grows no further.
+        assert lm.prompts == [
+            "A", "A", "A boy", "A boy", "A man", "A man", "A man drinks", "A man drinks",
+            "A man drinks milk", "A man and", "A man and",
+        ]
+        assert outcome.stats.backtracks == 2
+        # the seed, boy, man (after boy's dead end), drinks, milk, and (after milk)
+        assert saved_levels == [1, 2, 2, 3, 4, 3]
+
+    def test_capped_jump_back_demo(self, fixtures_dir, saved_levels):
+        lm = _PromptLog(TableLM.from_file(fixtures_dir / "demo60.tbl"))
+        task = with_k(builtin_task("demo-60"), 10)
+        outcome = run_search(task, lm, SolveOptions(max_solutions=4, backtrack_to=2))
+        sentences = [
+            "The following is an article by the author of the above book.",
+            "The first time you see the movie version of your book on TV.",
+            "The New York Times has an article on the new book by Tim Wu.",
+            "The new year is here and we are ready to make the next step.",
+        ]
+        assert [s.sentence for s in outcome.solutions] == sentences
+        # The longest second word is tried first and leads nowhere; then each
+        # solution's prefixes are asked once, the last for its period check.
+        expected = ["The", "The extraordinarily"]
+        for sentence in sentences:
+            words = sentence[:-1].split(" ")
+            expected += [" ".join(words[:n]) for n in range(2, len(words) + 1)]
+        assert lm.prompts == expected
+        assert outcome.stats.backtracks == 4
+        assert len(saved_levels) == 51
 
 
 def _deep_chains(depth=40):

@@ -1,0 +1,27 @@
+"""The benchmark's tracer finds the functions it times by name.
+
+``perfbench/tracer.py`` wraps gencp functions listed in its ``MODULE_HOOKS``
+and records a hook point it cannot find as missing, so a rename in gencp
+silently zeroes a per-layer metric.  This pins the set of hook points that
+do not resolve.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_only_the_moved_scoring_hooks_are_unresolved():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    # resolved as ``Tracer.install`` resolves them
+    unresolved = {f"{owner}.{attr}" for owner, attr, _span in tracer.MODULE_HOOKS
+                  if getattr(tracer._resolve(owner), attr, None) is None}
+    # The solver and beam search score solutions from the search path and
+    # check the period through ``completes``, so they call neither function.
+    assert unresolved == {
+        "gencp.solver.predicts_period", "gencp.solver.perplexity",
+        "gencp.beam.predicts_period", "gencp.beam.perplexity",
+    }
