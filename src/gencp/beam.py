@@ -88,9 +88,11 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 bad_outputs.extend(render_prefix(b.words) for b in beams)
                 break
             if task.require_period:
+                # A beam's period check and its expansion ask the same prompt;
+                # announcing the wider of the two serves both with one POST.
                 lm.prefetch(
                     (render_sentence(b.words) for b in beams if b.summary.complete(1)),
-                    params,
+                    params, max(k, params.k),
                 )
             survivors = []
             solved_now = False

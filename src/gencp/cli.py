@@ -114,7 +114,7 @@ def _cmd_solve(args):
     _print_records(outcome.solutions)
     print(
         f"{len(outcome.solutions)} solution(s), {outcome.stats.backtracks} backtracks, "
-        f"{outcome.stats.lm_calls} LM calls",
+        f"{outcome.stats.lm_calls} domain fetches",
         file=sys.stderr,
     )
     return 0

@@ -4,12 +4,14 @@ Every backend answers a ranked candidate list for a sentence prefix and can
 score individual conditionals.  Rankings must be deterministic within a
 process run: the search re-queries the same prefixes after backtracking and
 relies on getting the same answers.  The remote backend memoizes responses to
-guarantee this (and to avoid paying twice for the same prompt), and fetches
-the prefixes a search announces through ``prefetch`` while it works.  It
-speaks HTTP/1.1 through the standard library, over one keep-alive connection
-per thread that POSTs.  The one request it ever sends again is a POST that
-found its reused idle connection already closed by the server, before any
-response arrived: that POST goes out once more on a new connection.
+guarantee this (and to avoid paying twice for the same prompt): one POST per
+prompt and sampling parameters, at the widest ``n_probs`` asked so far, from
+which every narrower request is answered.  It fetches the prefixes a search
+announces through ``prefetch`` while it works, and speaks HTTP/1.1 through
+the standard library, over one keep-alive connection per thread that POSTs.
+The one request it ever sends again is a POST that found its reused idle
+connection already closed by the server, before any response arrived: that
+POST goes out once more on a new connection.
 """
 
 from __future__ import annotations
@@ -354,7 +356,30 @@ def _parse_response_path(path):
 
 def _reusable(fut):
     """Whether a memoized response future is pending or has succeeded."""
-    return fut is not None and not (fut.done() and fut.exception() is not None)
+    return not (fut.done() and fut.exception() is not None)
+
+
+def _memo_key(sentence, params):
+    """What a request sends besides its width: the prompt and the sampling fields."""
+    return sentence, params.temperature, params.top_k, params.top_p
+
+
+def _candidates(raw, n):
+    """The answer to a request for ``n`` tokens, from the first ``n`` of a raw token list.
+
+    ``raw`` holds the response's (whitespace-stripped token, probability)
+    pairs in the server's order.  Empty tokens, tokens with inner
+    whitespace and non-positive probabilities are dropped, and a word that
+    several tokens spell (" the" and "the") keeps its highest probability.
+    """
+    best = {}
+    for text, prob in raw[:n]:
+        if not text or prob <= 0.0 or any(ch.isspace() for ch in text):
+            continue
+        prob = min(prob, 1.0)
+        if text not in best or prob > best[text]:
+            best[text] = prob
+    return _rank(WordCandidate(text, math.log(prob)) for text, prob in best.items())
 
 
 # Characters a URL may not carry into the request line: controls and spaces.
@@ -364,15 +389,23 @@ _URL_UNSAFE_RE = re.compile(r"[\x00-\x20\x7f]")
 class RemoteLM(LanguageModel):
     """Client for an HTTP completion server reporting per-token probabilities.
 
-    One POST per distinct (sentence, parameters) pair: the memo maps each
-    pair to the future of its response for the lifetime of the instance,
-    which both keeps rankings stable across backtracking and avoids
-    duplicate inference cost.  Prompts announced through ``prefetch`` are
-    POSTed on the instance's pool of ``REMOTE_WORKERS`` threads while the
-    search works.  ``predict`` waits on the future of an announced prompt,
-    and POSTs any other prompt on the caller's thread, so an unannounced
-    request never queues behind announced ones.  A failed response is not
-    reused: the next request for that prompt POSTs again.
+    One POST per prompt: the memo maps each (sentence, temperature,
+    top_k, top_p), the request's fields besides its width, to the widest
+    ``n_probs`` asked for it so far and the future of the server's raw token
+    list, for the lifetime of the instance.  That keeps rankings stable
+    across backtracking and avoids duplicate inference cost.  A request for
+    n <= that width is answered from the first n raw tokens, filtered,
+    deduplicated and ranked as the response to a request for n would be.
+    That is exactly the server's answer for n, unless tokens tie in
+    probability at the cut and the server would have kept another of them.
+    A wider request POSTs once and its response replaces the entry; an
+    answer once given for a width is given again for it.
+    Prompts announced through ``prefetch`` are POSTed on the instance's
+    pool of ``REMOTE_WORKERS`` threads while the search works.  ``predict``
+    waits on the future of an announced prompt, and POSTs any other prompt
+    on the caller's thread, so an unannounced request never queues behind
+    announced ones.  A failed response is not reused: the next request for
+    that prompt POSTs again.
     ``cancel_prefetch`` drops the announced prompts no thread has started;
     at exit the interpreter still waits for the started ones, each for up
     to ``timeout`` seconds.  Safe to share across concurrent searches; one
@@ -418,22 +451,22 @@ class RemoteLM(LanguageModel):
         self.timeout = timeout
         self._local = threading.local()  # ``sock``: this thread's idle connection, if any
         self._socks = set()  # every open connection, for ``close``
-        self._memo = {}
+        self._memo = {}  # memo key -> (widest n_probs asked, future of the raw token list)
+        self._answers = {}  # (memo key, n_probs) -> the candidates first answered
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
 
     def prefetch(self, sentences, params, k=None):
-        k = params.k if k is None else k
+        n = (params.k if k is None else k) * params.oversample
         for sentence in sentences:
-            key = (sentence, k, params)
+            key = _memo_key(sentence, params)
             with self._lock:
-                if _reusable(self._memo.get(key)):
-                    continue
-                self._memo[key] = self._pool.submit(self._post, sentence, k, params)
+                if self._covering(key, n) is None:
+                    self._store(key, n, self._pool.submit(self._post, sentence, n, params))
 
     def cancel_prefetch(self):
         with self._lock:
-            for key, fut in list(self._memo.items()):
+            for key, (_, fut) in list(self._memo.items()):
                 if fut.cancel():
                     del self._memo[key]
 
@@ -446,32 +479,72 @@ class RemoteLM(LanguageModel):
             sock.close()
 
     def predict(self, sentence, params, k=None):
-        k = params.k if k is None else k
-        key = (sentence, k, params)
+        n = (params.k if k is None else k) * params.oversample
+        key = _memo_key(sentence, params)
+        answer = self._answers.get((key, n))
+        if answer is None:
+            answer = self._answer(key, n, self._raw(sentence, key, n, params))
+        return list(answer)
+
+    def _answer(self, key, n, raw):
+        """The candidates recorded for width ``n`` of ``key``, from ``raw`` when none are yet.
+
+        The first answer for a width stays, also after a wider response
+        replaced the memo's entry.
+        """
+        answer = self._answers.get((key, n))
+        if answer is None:
+            answer = self._answers.setdefault((key, n), tuple(_candidates(raw, n)))
+        return answer
+
+    def _raw(self, sentence, key, n, params):
+        """The raw tokens of a memoized response at least ``n`` wide, POSTing when there is none."""
         while True:
             with self._lock:
-                fut = self._memo.get(key)
-                if not _reusable(fut):
-                    own = self._memo[key] = Future()
+                fut = self._covering(key, n)
+                if fut is None:
+                    own = Future()
                     own.set_running_or_notify_cancel()
+                    self._store(key, n, own)
                     break
             try:
-                return list(fut.result())
+                return fut.result()
             except CancelledError:
-                continue  # another search's cancel_prefetch dropped it
+                continue  # a cancel_prefetch, or a wider request, dropped it
         try:
-            result = self._post(sentence, k, params)
+            raw = self._post(sentence, n, params)
         except BaseException as exc:
             own.set_exception(exc)
             raise
-        own.set_result(result)
-        return list(result)
+        own.set_result(raw)
+        return raw
 
-    def _post(self, sentence, k, params):
+    def _covering(self, key, n):
+        """The memoized future for ``key`` that can answer ``n`` raw tokens, or None.
+
+        Call with the lock held.
+        """
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] >= n and _reusable(entry[1]):
+            return entry[1]
+        return None
+
+    def _store(self, key, n, fut):
+        """Memoize ``fut`` as the response of width ``n`` for ``key``.
+
+        Call with the lock held.  The future it replaces is cancelled unless
+        a thread has started its POST; whoever waits on it asks again.
+        """
+        old = self._memo.get(key)
+        if old is not None:
+            old[1].cancel()
+        self._memo[key] = (n, fut)
+
+    def _post(self, sentence, n, params):
         payload = {
             "prompt": sentence,
             "n_predict": 1,
-            "n_probs": k * params.oversample,
+            "n_probs": n,
             "temperature": params.temperature,
             "top_k": params.top_k,
             "top_p": params.top_p,
@@ -486,7 +559,10 @@ class RemoteLM(LanguageModel):
             doc = json.loads(data)
         except ValueError as exc:
             raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
-        return tuple(_rank(self._extract(doc))[: k * params.oversample])
+        raw = self._extract(doc)
+        # Ranked here, on the posting thread, while a search may be waiting.
+        self._answer(_memo_key(sentence, params), n, raw)
+        return raw
 
     def _request(self, body):
         """POST ``body`` on this thread's connection; returns the status and the response body.
@@ -553,22 +629,13 @@ class RemoteLM(LanguageModel):
                 raise TransportError(f"response lacks {key!r} along the configured path") from None
         if not isinstance(node, list):
             raise TransportError("configured response path does not hold a list")
-        best = {}
+        raw = []
         for item in node:
             try:
-                token = item["token"]
-                prob = float(item["prob"])
-            except (KeyError, TypeError, ValueError):
+                raw.append((item["token"].strip(), float(item["prob"])))
+            except (KeyError, TypeError, ValueError, AttributeError):
                 raise TransportError("token entry missing 'token'/'prob'") from None
-            text = token.strip()
-            if not text or any(ch.isspace() for ch in text):
-                continue
-            if prob <= 0.0:
-                continue
-            prob = min(prob, 1.0)
-            if text not in best or prob > best[text]:
-                best[text] = prob
-        return [WordCandidate(text, math.log(prob)) for text, prob in best.items()]
+        return tuple(raw)
 
     def conditional_logprob(self, prefix_words, word, params):
         for cand in self.predict(render_prefix(prefix_words), params):

@@ -95,7 +95,7 @@ class Variable:
 @dataclass
 class SearchStats:
     backtracks: int = 0
-    lm_calls: int = 0
+    lm_calls: int = 0  # domain fetches; period checks and scoring call the backend too
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,16 @@ class TestSolveCommand:
             assert len(sentence) == 60
             assert ppl.startswith("ppl=")
 
+    def test_summary_names_domain_fetches_not_backend_calls(self, fixtures_dir, capsys):
+        code = main([
+            "solve", "--task", "demo-60", "--lm", f"table:{fixtures_dir / 'demo60.tbl'}",
+            "--k", "10", "--max-solutions", "4", "--backtrack-to", "2",
+        ])
+        assert code == 0
+        # 47 predict calls fetch domains; the period checks call the backend
+        # too, so "47 LM calls" undercounted the backend's work.
+        assert capsys.readouterr().err == "4 solution(s), 4 backtracks, 47 domain fetches\n"
+
     def test_task_file(self, fixtures_dir, capsys):
         code = main([
             "solve", "--task", str(fixtures_dir / "two_words.json"),

@@ -9,10 +9,12 @@ pruning bounds are tight.  Keyword sets are drawn from its words, which come
 in case pairs ("strasse" and "Straße" fold alike but differ in length), so
 sets often overlap across constraints or differ only by case.  The same
 instances check that the prefetch hints of all three searches name exactly
-the prompts they then ask for, in the order they ask for them.  Random
-push, backtrack and jump-back sequences on a ``SolverModel`` check its
-prefix summaries against ``can_extend`` rebuilt by rescanning the prefix and
-against ``check_complete``.  On the same instances, the perplexity the
+the prompts they then ask for, in the order they ask for them, and that
+beam search at a width other than k first announces each prompt at the
+widest width it then asks for it.  Random push, backtrack and jump-back
+sequences on a ``SolverModel`` check its prefix summaries against
+``can_extend`` rebuilt by rescanning the prefix and against
+``check_complete``.  On the same instances, the perplexity the
 searches sum along their path equals the backend's rescoring exactly, and
 two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
@@ -361,6 +363,32 @@ def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
         assert hinted <= asked  # nothing fetched that the search does not use
         assert asked - hinted <= {(render_prefix(seed), k)}  # only the root is asked unannounced
         assert lm.batches_follow_visit_order()
+
+
+@settings(max_examples=400)
+@given(instances())
+def test_beam_hints_cover_every_ask_of_a_prompt_at_other_widths(instance):
+    """A beam wider or narrower than k first announces each prompt at its widest ask.
+
+    The period check asks at the task's k and the expansion at the beam's
+    width; when the first announcement covers both, a memo of the widest
+    response POSTs each prompt once.
+    """
+    table, constraints, k, require_period, seed = instance
+    task = _fuzz_task(constraints, k, require_period, seed)
+    for width in (k + 1, max(1, k - 1)):
+        lm = HintedTableLM(table)
+        beam_search(task, lm, k=width, max_words=MAX_DEPTH)
+        hinted, asked = lm.prompts("hint"), lm.prompts("ask")
+        assert {s for s, _ in hinted} <= {s for s, _ in asked}
+        first_hint = {}
+        for what, entry in lm.log:
+            if what == "hint":
+                for sentence, n in entry:
+                    first_hint.setdefault(sentence, n)
+            elif entry[0] != render_prefix(seed):
+                sentence, n = entry
+                assert first_hint.get(sentence, 0) >= n, (width, sentence, n)
 
 
 def _words_pass(words, constraints, reserve=0):

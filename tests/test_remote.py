@@ -29,6 +29,7 @@ from gencp import (
     WordCountRange,
     beam_search,
     brute_force_oracle,
+    predicts_period,
     render_prefix,
     run_benchmark,
     run_search,
@@ -358,6 +359,127 @@ class TestRemoteScoring:
         # ln(0.1) + ln(0.9) over two words; rescoring "fine" in the k=1
         # window charged it the 1e-10 floor, a ppl of about 105,409
         assert remote[0].ppl == table[0].ppl == pytest.approx(10 / 3)
+
+
+def period_tree(words, depth):
+    """Every word under every prefix to ``depth``, in falling probability.
+
+    "." ranks first after an even number of words and last after an odd
+    number, below the first k=3, so odd-length beams are checked for a
+    period, fail it and are expanded.
+    """
+    table = {}
+
+    def grow(prefix):
+        finish = len(prefix) % 2 == 0
+        entries = [(".", 0.25)] if prefix and finish else []
+        if len(prefix) < depth:
+            entries += [(w, 0.2 - 0.01 * i) for i, w in enumerate(words)]
+            for w in words:
+                grow(prefix + [w])
+        if prefix and not finish:
+            entries.append((".", 0.1))
+        table[render_prefix(prefix)] = entries
+
+    grow([])
+    return table
+
+
+class TestOnePostPerPrompt:
+    TABLE = period_tree(("red", "big", "old", "new"), 3)
+    TASK = TaskSpec(name="one-to-three", constraints=(WordCountRange(1, 3),),
+                    lm_params=LMParams(k=3), require_period=True)
+
+    @pytest.mark.parametrize("width", [9, 2])
+    def test_beam_wider_or_narrower_than_k_posts_each_prompt_once(self, stub_server, width):
+        server = stub_server(self.TABLE, delay=0.005)
+        remote, remote_bad = beam_search(self.TASK, RemoteLM(server.url), k=width)
+        table, table_bad = beam_search(self.TASK, TableLM(self.TABLE), k=width)
+        assert [(r.sentence, r.ppl) for r in remote] == [(r.sentence, r.ppl) for r in table]
+        assert remote_bad == table_bad
+        assert len(remote) > 1
+        # each odd-length beam was both checked for a period and expanded
+        assert set(server.counts.values()) == {1}
+
+    def test_narrower_request_is_served_from_a_wider_response(self, stub_server):
+        server = stub_server(self.TABLE)
+        lm = RemoteLM(server.url)
+        params = self.TASK.lm_params
+        wide = lm.predict("red", params, 9)
+        narrow = lm.predict("red", params)
+        lm.prefetch(["red"], params, 2)
+        assert [c.text for c in wide] == ["red", "big", "old", "new", "."]
+        assert narrow == RemoteLM(server.url).predict("red", params)
+        assert [r["n_probs"] for r in server.requests] == [36, 12]  # the second from a fresh client
+        assert server.counts == {"red": 2}
+
+    def test_wider_request_posts_once_more(self, stub_server):
+        server = stub_server(self.TABLE)
+        lm = RemoteLM(server.url)
+        params = self.TASK.lm_params
+        lm.predict("red", params)
+        lm.prefetch(["red"], params, 9)
+        for k in (9, 3, 2, 9):
+            lm.predict("red", params, k)
+        assert [r["n_probs"] for r in server.requests] == [12, 36]
+
+    def test_an_answer_once_given_survives_a_wider_response(self, stub_server):
+        # A server whose wider answer ranks differently, as one with ties at
+        # the cut may: the narrow answer the search already saw stays.
+        server = stub_server(self.TABLE)
+        lm = RemoteLM(server.url)
+        params = self.TASK.lm_params
+        narrow = lm.predict("red", params)
+        server.respond_raw(json.dumps({"completion_probabilities": [
+            {"probs": [{"token": " new", "prob": 0.5}, {"token": " red", "prob": 0.1}]}
+        ]}).encode())
+        assert [c.text for c in lm.predict("red", params, 9)] == ["new", "red"]
+        assert lm.predict("red", params) == narrow
+        assert [c.text for c in lm.predict("red", params, 2)] == ["new", "red"]
+        assert [r["n_probs"] for r in server.requests] == [12, 36]
+
+    def test_wider_announcement_drops_the_queued_narrower_one(self, stub_server):
+        words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl", "yak")
+        server = stub_server({w: [("ok", 0.5)] for w in words}, delay=0.05)
+        lm = RemoteLM(server.url)
+        lm.prefetch(words, PARAMS)
+        lm.prefetch(words, PARAMS, 9)
+        assert all([c.text for c in lm.predict(w, PARAMS)] == ["ok"] for w in words)
+        # Only the narrow requests a worker had started went out.
+        assert len([r for r in server.requests if r["n_probs"] == 8]) <= REMOTE_WORKERS
+        assert Counter(r["prompt"] for r in server.requests if r["n_probs"] == 36) == dict.fromkeys(words, 1)
+
+    def test_failed_wide_response_is_not_reused_for_a_narrow_request(self, stub_server):
+        server = stub_server(self.TABLE)
+        lm = RemoteLM(server.url)
+        params = self.TASK.lm_params
+        server.fail_with(500)
+        with pytest.raises(TransportError, match="HTTP 500"):
+            lm.predict("red", params, 9)
+        server.respond_normally()
+        assert lm.predict("red", params) == TableLM(self.TABLE).predict("red", params)
+        lm.predict("red", params, 2)
+        assert [r["n_probs"] for r in server.requests] == [36, 12]
+
+    def test_width_is_cut_before_duplicate_spellings_merge(self, stub_server):
+        # Each word comes as several whitespace variants (" a", "  a", " a "),
+        # so the first 12 tokens spell two words and "." is the 13th.  Merging
+        # the 36 tokens first and cutting at 12 would put "." third, inside
+        # the period check's window of k=3.
+        variants = ("a", " a", "a ", "b", " b", "b ") * 2
+        entries = [(word, 0.07 - 0.001 * i) for i, word in enumerate(variants)]
+        entries += [(".", 0.05), ("c", 0.04)]
+        server = stub_server({"p": entries})
+        params = self.TASK.lm_params
+        shared = RemoteLM(server.url)
+        shared.predict("p", params, 9)
+        narrow = shared.predict("p", params)
+        fresh = RemoteLM(server.url).predict("p", params)
+        assert [c.text for c in narrow] == [c.text for c in fresh] == ["a", "b"]
+        assert narrow == fresh
+        assert not predicts_period(shared, "p", params)
+        assert [c.text for c in shared.predict("p", params, 9)] == ["a", "b", ".", "c"]
+        assert server.counts == {"p": 2}
 
 
 def _solve(lm):
