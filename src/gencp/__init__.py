@@ -58,7 +58,6 @@ from .lm import (
 )
 from .model import (
     Domain,
-    SavedState,
     SearchStats,
     SolutionRecord,
     SolverModel,
@@ -74,7 +73,6 @@ from .solver import (
     SearchOutcome,
     SolveOptions,
     generate_variable,
-    is_solution,
     order_candidates,
     parse_ordering,
     run_search,

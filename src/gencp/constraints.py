@@ -243,19 +243,9 @@ def _looks_like_word(text):
     return all(piece and piece.isalpha() for piece in pieces)
 
 
-def only_words(candidates, keep_period=False):
-    """Drop sub-word fragments, symbols, and punctuation from a candidate list.
-
-    A bare "." is kept only when the caller is scanning for end-of-sentence.
-    """
-    kept = []
-    for cand in candidates:
-        if cand.text == ".":
-            if keep_period:
-                kept.append(cand)
-        elif _looks_like_word(cand.text):
-            kept.append(cand)
-    return kept
+def only_words(candidates):
+    """Drop sub-word fragments, symbols, and punctuation, "." among them, from a candidate list."""
+    return [cand for cand in candidates if _looks_like_word(cand.text)]
 
 
 def valid_words(candidates, constraints, k):

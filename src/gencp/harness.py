@@ -88,7 +88,7 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     """Every reachable solution sentence, by direct enumeration.
 
     Depth-first walk over the top-k valid words per prefix, deliberately
-    sharing no machinery with the solver: plain recursion, no trail, no
+    sharing no machinery with the solver: plain recursion, no SolverModel, no
     domain filtering.  A branch stops at the first prefix that satisfies the
     solution predicate, since nothing past a finished sentence is reachable
     by a search that backtracks on success.  Raises OracleLimitError past

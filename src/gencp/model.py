@@ -1,13 +1,14 @@
-"""Core search state: word variables, their candidate domains, and the undo trail.
+"""Core search state: word variables and their candidate domains.
 
 The search assigns sentence positions left to right, so every variable but the
-newest is assigned.  After a save at level n the search only moves the cursor
-of x_n and appends deeper variables, so one trail entry (the variable count
-and x_n's cursor) undoes it all.  Backtracking also advances the deepest
-surviving variable to its next untried value.  Beside the assigned words the
-model keeps one prefix summary per prefix (see
+newest is assigned.  A variable and its domain are made when the search
+reaches its position, and nothing narrows a domain afterwards, so the stack
+of variables is the whole backtracking state: each domain's cursor marks the
+values already tried, and backtracking deletes the exhausted variables and
+advances the deepest one left to its next value.  Beside the assigned words
+the model keeps one prefix summary per prefix (see
 ``gencp.constraints.PrefixSummary``); cutting the word list back cuts the
-summaries back with it, so the trail needs no entry for them.
+summaries back with it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class Domain:
     """Ordered candidate words for one sentence position.
 
     ``cursor`` is the index of the currently assigned value (``None`` when
-    unassigned).  Values before the cursor have already been tried and
-    rejected at the current trail level.
+    unassigned).  Values before the cursor have already been tried.
     """
 
     __slots__ = ("values", "cursor")
@@ -59,10 +59,6 @@ class Domain:
         if self.cursor is None:
             return None
         return self.values[self.cursor]
-
-    def is_empty(self):
-        """True when there is nothing assigned and nothing left to try."""
-        return self.cursor is None and not self.values
 
     def __len__(self):
         return len(self.values)
@@ -99,19 +95,6 @@ class SearchStats:
 
 
 @dataclass(frozen=True)
-class SavedState:
-    """One trail entry: the variable count n and x_n's cursor at the save.
-
-    Variables before x_n neither move nor change their domains until this
-    entry is popped, and variables after it are deleted, so these two values
-    restore the whole model.
-    """
-
-    num_variables: int
-    cursor: int | None
-
-
-@dataclass(frozen=True)
 class SolutionRecord:
     """A finished sentence: its words, rendering, perplexity, and discovery time.
 
@@ -132,7 +115,7 @@ class SolutionRecord:
 
 
 class SolverModel:
-    """Mutable search state: variables, trail, counters.
+    """Mutable search state: variables, counters.
 
     ``words`` holds the assigned words, kept in step by ``assign``, through
     which every cursor move goes.  ``root`` is the summary of the empty
@@ -145,22 +128,22 @@ class SolverModel:
         self.variables = []
         self.words = []
         self.summaries = [root]
-        self.trail = []
         self.stats = SearchStats()
-        self.pinned = 0  # the first variables, which hold seed words no filter admitted
 
     @classmethod
     def from_seed(cls, seed_words, root):
-        """Model whose first variables are pinned to the given words."""
+        """Model whose first variables each hold one given word as their only value."""
         model = cls(root)
         for word in seed_words:
             model.add_variable(Domain([WordCandidate(word, 0.0)]))
             model.assign(0, admitted=False)
-        model.pinned = len(model.variables)
         return model
 
     def add_variable(self, domain=None):
-        """Append the next sentence-position variable, its domain empty when not given."""
+        """Append the next sentence-position variable, its domain empty when not given.
+
+        Every variable must be assigned.
+        """
         var = Variable(len(self.variables) + 1, domain)
         self.variables.append(var)
         return var
@@ -171,58 +154,45 @@ class SolverModel:
         return self.summaries[-1]
 
     def assign(self, cursor, admitted=True):
-        """Set the newest variable's cursor (None unassigns it); update ``words`` and ``summaries``.
+        """Assign the newest variable its value at ``cursor``; update ``words`` and ``summaries``.
 
-        ``admitted`` says that ``filter_domain`` admitted the variable's
-        values after the words before it (see ``PrefixSummary.push``).
+        Every earlier variable must be assigned.  ``admitted`` says that
+        ``filter_domain`` admitted the variable's values after the words
+        before it (see ``PrefixSummary.push``).
         """
         var = self.variables[-1]
         var.domain.cursor = cursor
-        words, summaries = self.words, self.summaries
-        del words[var.index - 1:]
-        del summaries[var.index:]
-        if cursor is not None and len(words) == var.index - 1:
-            word = var.domain.values[cursor].text
-            words.append(word)
-            summaries.append(summaries[-1].push(word, admitted))
-
-    def assigned_words(self):
-        """Words assigned so far, stopping at the first unassigned variable."""
-        return list(self.words)
+        word = var.domain.values[cursor].text
+        del self.words[var.index - 1:]
+        del self.summaries[var.index:]
+        self.words.append(word)
+        self.summaries.append(self.summaries[-1].push(word, admitted))
 
     def current_sentence(self):
         """Rendering of the assigned words; empty string for an empty model."""
         return render_prefix(self.words)
 
-    def contains_empty_variable(self):
-        """True when the newest variable has no value; every earlier one is assigned."""
-        return bool(self.variables) and self.variables[-1].domain.is_empty()
-
-    def save_state(self):
-        """Push a trail entry; later mutations are undoable to this point."""
-        self.trail.append(SavedState(len(self.variables), self.variables[-1].domain.cursor))
-
     def backtrack(self):
-        """Undo to the most recent trail entry and try the next value there.
+        """Move the deepest variable that has an untried value to its next value.
 
-        Pops trail levels until one still has an untried value; deeper
-        variables are deleted along the way.  Returns False when the trail
-        is exhausted.
+        The variables after it, whose values are all tried, are deleted with
+        their words and summaries.  Returns False, with no variable left,
+        when no variable has an untried value.
         """
-        while self.trail:
-            snap = self.trail.pop()
-            del self.variables[snap.num_variables:]
-            domain = self.variables[-1].domain
-            nxt = 0 if domain.cursor is None else domain.cursor + 1
-            if nxt < len(domain.values):
+        while self.variables:
+            var = self.variables[-1]
+            nxt = 0 if var.domain.cursor is None else var.domain.cursor + 1
+            if nxt < len(var.domain.values):
                 self.assign(nxt)
                 self.stats.backtracks += 1
                 return True
-            self.assign(snap.cursor, admitted=snap.num_variables > self.pinned)
+            self.variables.pop()
+            del self.words[var.index - 1:]
+            del self.summaries[var.index:]
         return False
 
     def backtrack_to(self, n):
-        """Delete variables after position n, then backtrack landing at x_n.
+        """Delete the variables after position n, then backtrack.
 
         Returns False when no untried value remains at or above x_n.
         """
@@ -233,8 +203,6 @@ class SolverModel:
         del self.variables[n:]
         del self.words[n:]
         del self.summaries[n + 1:]
-        while self.trail and self.trail[-1].num_variables > n:
-            self.trail.pop()
         return self.backtrack()
 
 

@@ -10,9 +10,9 @@ variable assigned between steps:
 - grow: otherwise, when the prefix can still lead to a solution below the
   variable cap, create the next variable through ``generate_variable`` (the
   backend's first k valid words, ordered, then filtered against the
-  constraints and the prefix), snapshot, and assign its first value;
+  constraints and the prefix) and assign its first value;
 - backtrack: otherwise, move to the next untried value of the deepest
-  variable that has one, and snapshot; stop when none is left.
+  variable that has one; stop when none is left.
 """
 
 from __future__ import annotations
@@ -175,13 +175,6 @@ def _queried_children(words, summary, domain, task, max_variables):
             yield render_sentence(words + [cand.text])
 
 
-def is_solution(model, lm, task):
-    """Whether every variable is assigned and the words form a solution."""
-    words = model.words
-    return (bool(words) and len(words) == len(model.variables)
-            and completes(words, model.summary, lm, task) is not None)
-
-
 def _path_logprob(model, seed_logprob, n_seed):
     """The model's words scored from the candidates the search assigned.
 
@@ -227,8 +220,6 @@ def run_search(task, lm, options=None, exhaustive=False):
     solutions = []
     started = time.perf_counter()
 
-    if model.variables:
-        model.save_state()  # the seed's level, as every grown level gets one
     try:
         while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
             # Every variable is assigned here.
@@ -255,13 +246,11 @@ def run_search(task, lm, options=None, exhaustive=False):
                             task.lm_params,
                         )
                     if domain.values:
-                        model.save_state()
                         model.assign(0)
                         continue
                 moved = model.backtrack()  # backtrack out of a dead end
             if not moved:
                 break
-            model.save_state()
     except TransportError as exc:
         raise SearchAborted(str(exc), solutions, model.stats) from exc
     finally:

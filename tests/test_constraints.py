@@ -82,7 +82,6 @@ class TestOnlyWords:
     def test_period_only_when_scanning_for_end(self):
         cands = _cands((".", -0.1), ("ok", -0.2))
         assert [c.text for c in only_words(cands)] == ["ok"]
-        assert [c.text for c in only_words(cands, keep_period=True)] == [".", "ok"]
 
     def test_rejects_edge_hyphens(self):
         cands = _cands(("-dash", -0.1), ("dash-", -0.2), ("re-do", -0.3))

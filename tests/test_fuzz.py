@@ -473,7 +473,6 @@ def test_model_summaries_match_the_specification(data, seed, moves):
                     c.text for c in cands.values if _words_pass(model.words + [c.text], constraints, 1)]
             if domain.values:
                 model.add_variable().domain = domain
-                model.save_state()
                 model.assign(0)
         elif move == "next":
             model.backtrack()

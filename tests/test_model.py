@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,6 @@ from gencp import (
     summarize,
     variability,
 )
-
-
-def state_fingerprint(model):
-    return (
-        tuple((v.index, tuple(c.text for c in v.domain.values), v.domain.cursor) for v in model.variables),
-    )
 
 
 class TestRenderSentence:
@@ -83,8 +79,8 @@ class TestDomain:
             Domain([WordCandidate("a", -1.0)], cursor=1)
 
     def test_emptiness(self):
-        assert Domain().is_empty()
-        assert not Domain([WordCandidate("a", -1.0)]).is_empty()
+        assert (Domain().values, Domain().cursor) == ([], None)
+        assert Domain([WordCandidate("a", -1.0)]).values
 
 
 def _cands(*pairs):
@@ -107,28 +103,28 @@ class TestCurrentSentence:
         assert _assigned_model(["The"]).current_sentence() == "The"
 
 
+def _fresh_level(model, values):
+    """Append a variable with the given (text, logprob) values at its first value."""
+    model.add_variable(Domain(_cands(*values)))
+    model.assign(0)
+
+
 class TestTrail:
-    def test_save_then_mutate_then_restore(self):
-        model = _assigned_model(["A", "man"])
-        before = state_fingerprint(model)
-        model.save_state()
-        var = model.add_variable()
-        var.domain = Domain(_cands(("drinks", -0.7), ("and", -1.2)))
-        var.domain = Domain(var.domain.values[:1])  # filtering
-        assert model.backtrack() is False  # seed values have no alternatives
-        assert state_fingerprint(model) == before
+    """The stack of variables is the trail: each cursor marks the values tried."""
+
+    def test_failed_backtrack_leaves_no_variable(self):
+        root = summarize((), ())
+        model = SolverModel.from_seed(["A", "man"], root)
+        _fresh_level(model, [("drinks", -0.7)])
+        assert model.backtrack() is False  # no value is left untried
+        assert (model.variables, model.words, model.summaries) == ([], [], [root])
+        assert model.stats.backtracks == 0
 
     def test_stack_discipline(self):
         model = SolverModel(summarize((), ()))
-        v1 = model.add_variable()
-        v1.domain = Domain(_cands(("a", -0.1), ("b", -0.5)), cursor=0)
-        model.save_state()
-        v2 = model.add_variable()
-        v2.domain = Domain(_cands(("x", -0.2), ("y", -0.9)), cursor=0)
-        depth2 = state_fingerprint(model)
-        model.save_state()
-        v3 = model.add_variable()
-        v3.domain = Domain(_cands(("z", -0.3)), cursor=0)
+        _fresh_level(model, [("a", -0.1), ("b", -0.5)])
+        _fresh_level(model, [("x", -0.2), ("y", -0.9)])
+        _fresh_level(model, [("z", -0.3)])
         # first backtrack lands on v2's next value, second on v1's
         assert model.backtrack()
         assert [v.index for v in model.variables] == [1, 2]
@@ -136,42 +132,26 @@ class TestTrail:
         assert model.backtrack()
         assert [v.index for v in model.variables] == [1]
         assert model.variables[0].domain.cursor == 1
-        assert depth2[0][0][0] == 1  # sanity on the fingerprint shape
+        assert model.words == ["b"]
 
     def test_backtrack_empty_trail(self):
         assert SolverModel(summarize((), ())).backtrack() is False
-
-    def test_trail_depth_never_exceeds_variables(self):
-        model = SolverModel(summarize((), ()))
-        for i in range(3):
-            var = model.add_variable()
-            var.domain = Domain(_cands((f"w{i}", -0.5), (f"v{i}", -1.0)), cursor=0)
-            model.save_state()
-            assert len(model.trail) <= len(model.variables)
 
     def test_exhausted_level_pops_further(self):
         # hand enumeration: x1 in {a, b}, x2 in {x, y, z}; repeated backtracking
         # must visit (a,x) (a,y) (a,z) (b,x) (b,y) (b,z) and then fail
         visits = []
-
-        def fresh_level(model, values):
-            var = model.add_variable()
-            var.domain = Domain(_cands(*values))
-            model.save_state()
-            model.assign(0)
-
         model = SolverModel(summarize((), ()))
-        fresh_level(model, [("a", -0.1), ("b", -0.7)])
+        _fresh_level(model, [("a", -0.1), ("b", -0.7)])
         level2 = [("x", -0.2), ("y", -0.4), ("z", -0.8)]
-        fresh_level(model, level2)
-        visits.append(tuple(model.assigned_words()))
+        _fresh_level(model, level2)
+        visits.append(tuple(model.words))
         while True:
             if not model.backtrack():
                 break
-            model.save_state()
             if len(model.variables) == 1:
-                fresh_level(model, level2)
-            visits.append(tuple(model.assigned_words()))
+                _fresh_level(model, level2)
+            visits.append(tuple(model.words))
         assert visits == [
             ("a", "x"), ("a", "y"), ("a", "z"),
             ("b", "x"), ("b", "y"), ("b", "z"),
@@ -180,17 +160,32 @@ class TestTrail:
     def test_no_assignment_revisited(self):
         # corollary of the visit-order check above, kept separate for clarity
         model = SolverModel(summarize((), ()))
-        var = model.add_variable()
-        var.domain = Domain(_cands(("a", -0.1), ("b", -0.7), ("c", -1.1)))
-        model.save_state()
-        model.assign(0)
-        seen = {tuple(model.assigned_words())}
+        _fresh_level(model, [("a", -0.1), ("b", -0.7), ("c", -1.1)])
+        seen = {tuple(model.words)}
         while model.backtrack():
-            model.save_state()
-            assignment = tuple(model.assigned_words())
+            assignment = tuple(model.words)
             assert assignment not in seen
             seen.add(assignment)
         assert seen == {("a",), ("b",), ("c",)}
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_backtracking_visits_the_product_order(self, widths):
+        # Regrowing the same levels after every backtrack enumerates them as
+        # itertools.product does, each landing counted once.
+        levels = [[(f"w{i}v{j}", -1.0) for j in range(width)] for i, width in enumerate(widths)]
+        model = SolverModel(summarize((), ()))
+        visits = []
+        while True:
+            while len(model.variables) < len(levels):
+                _fresh_level(model, levels[len(model.variables)])
+            visits.append(tuple(model.words))
+            if not model.backtrack():
+                break
+        product = list(itertools.product(*([text for text, _ in level] for level in levels)))
+        assert visits == product
+        assert model.stats.backtracks == len(product) - 1
+        assert (model.variables, model.words, len(model.summaries)) == ([], [], 1)
 
 
 class TestBacktrackTo:
@@ -200,7 +195,6 @@ class TestBacktrackTo:
             var = model.add_variable()
             cands = [(word, -0.1)] + alternatives.get(i + 1, [])
             var.domain = Domain(_cands(*cands))
-            model.save_state()
             model.assign(0)
         return model
 
@@ -209,7 +203,7 @@ class TestBacktrackTo:
         model = self._sentence_model(words, {2: [("want", -0.9)]})
         assert model.backtrack_to(2) is True
         assert [v.assigned_word for v in model.variables] == ["I", "want"]
-        assert len(model.trail) == 1  # the level-2 snapshot was consumed by the jump
+        assert model.words == ["I", "want"]
 
     def test_singleton_target_fails(self):
         model = self._sentence_model(["The", "cat"], {})
@@ -227,37 +221,30 @@ class TestBacktrackTo:
         assert [v.assigned_word for v in model.variables] == ["We"]
 
 
-class CopyingTrail:
-    """Reference trail: each save copies every (values, cursor) pair."""
+class CopyingStack:
+    """Reference model: every move builds a new list of (values, cursor) pairs."""
 
     def __init__(self):
         self.domains = []
-        self.trail = []
 
     def add(self, texts):
-        self.domains.append((texts, None))
+        self.domains = self.domains + [(texts, None)]
 
     def assign(self, cursor):
-        self.domains[-1] = (self.domains[-1][0], cursor)
-
-    def save(self):
-        self.trail.append(list(self.domains))
+        self.domains = self.domains[:-1] + [(self.domains[-1][0], cursor)]
 
     def backtrack(self):
-        while self.trail:
-            snap = self.trail.pop()
-            tried = self.domains[len(snap) - 1][1]
-            self.domains = list(snap)
-            nxt = 0 if tried is None else tried + 1
-            if nxt < len(self.domains[-1][0]):
-                self.assign(nxt)
+        for depth in range(len(self.domains), 0, -1):
+            texts, cursor = self.domains[depth - 1]
+            nxt = 0 if cursor is None else cursor + 1
+            if nxt < len(texts):
+                self.domains = self.domains[:depth - 1] + [(texts, nxt)]
                 return True
+        self.domains = []
         return False
 
     def backtrack_to(self, n):
-        del self.domains[n:]
-        while self.trail and len(self.trail[-1]) > n:
-            self.trail.pop()
+        self.domains = self.domains[:n]
         return self.backtrack()
 
 
@@ -273,7 +260,7 @@ def _words_from_cursors(model):
 # (operation, argument) pairs; "add" and "assign" are drawn twice as often
 _steps = st.lists(
     st.tuples(
-        st.sampled_from(["add", "add", "assign", "assign", "save", "backtrack", "backtrack_to"]),
+        st.sampled_from(["add", "add", "assign", "assign", "backtrack", "backtrack_to"]),
         st.integers(0, 3),
     ),
     max_size=30,
@@ -284,31 +271,29 @@ class TestIncrementalState:
     @settings(max_examples=300)
     @given(st.integers(0, 3), _steps)
     def test_matches_copying_trail(self, seed_len, steps):
-        # seed words are assigned without trail entries, as in the search
         seed = [f"s{i}" for i in range(seed_len)]
-        model, ref = SolverModel.from_seed(seed, summarize((), ())), CopyingTrail()
+        root = summarize((), ())
+        model, ref = SolverModel.from_seed(seed, root), CopyingStack()
         for word in seed:
             ref.add((word,))
             ref.assign(0)
 
         def check():
-            assert model.assigned_words() == _words_from_cursors(model)
+            assert model.words == _words_from_cursors(model)
+            assert [s.count for s in model.summaries] == list(range(len(model.words) + 1))
+            assert model.summaries[0] is root
             assert [
                 (tuple(c.text for c in v.domain.values), v.domain.cursor) for v in model.variables
             ] == ref.domains
-            assert len(model.trail) == len(ref.trail)
 
         for step, arg in steps:
-            if step == "add":
+            newest_assigned = not model.variables or model.variables[-1].domain.cursor is not None
+            if step == "add" and newest_assigned:
                 texts = tuple(f"w{len(model.variables)}v{i}" for i in range(arg))
-                model.add_variable().domain = Domain(_cands(*((t, -1.0) for t in texts)))
+                model.add_variable(Domain(_cands(*((t, -1.0) for t in texts))))
                 ref.add(texts)
-            elif step == "save" and model.variables:
-                model.save_state()
-                ref.save()
             elif step == "assign" and model.variables and model.variables[-1].domain.values:
-                choices = [*range(len(model.variables[-1].domain)), None]
-                cursor = choices[arg % len(choices)]
+                cursor = arg % len(model.variables[-1].domain)
                 model.assign(cursor)
                 ref.assign(cursor)
             elif step == "backtrack":
@@ -317,26 +302,26 @@ class TestIncrementalState:
                 n = 1 + arg % (len(model.variables) - 1)
                 assert model.backtrack_to(n) == ref.backtrack_to(n)
             check()
-        # each landing consumes a trail entry, so this ends; the last pop
-        # restores the cursor at the lowest saved level
+        # each landing moves a cursor forward, so this ends with no variable left
         while model.backtrack():
             assert ref.backtrack()
             check()
         assert not ref.backtrack()
         check()
+        assert model.variables == []
 
 
 class TestContainsEmptyVariable:
     def test_empty_generated_domain(self):
         model = _assigned_model(["A", "boy"])
         model.add_variable()  # empty domain, as after a failed prediction
-        assert model.contains_empty_variable()
+        assert (model.variables[-1].domain.values, model.variables[-1].domain.cursor) == ([], None)
 
     def test_fresh_model_with_values(self):
         model = _assigned_model(["A"])
         var = model.add_variable()
         var.domain = Domain(_cands(("man", -0.5)))
-        assert not model.contains_empty_variable()
+        assert model.variables[-1].domain.values
 
     def test_fully_filtered_domain(self):
         from gencp import ForbiddenChars, TaskSpec, filter_domain
@@ -346,7 +331,7 @@ class TestContainsEmptyVariable:
         var = model.add_variable()
         var.domain = Domain(_cands(("the", -0.3), ("he", -0.9)))
         var.domain = filter_domain(["A"], var.domain, task.constraints, task)
-        assert model.contains_empty_variable()
+        assert (model.variables[-1].domain.values, model.variables[-1].domain.cursor) == ([], None)
 
 
 class TestLeftToRightInvariant:
@@ -355,7 +340,7 @@ class TestLeftToRightInvariant:
         var = model.add_variable()
         var.domain = Domain(_cands(("drinks", -0.4)))
         # last variable unassigned; all earlier ones assigned
-        assert model.assigned_words() == ["A", "man"]
+        assert model.words == ["A", "man"]
         assert all(v.domain.cursor is not None for v in model.variables[:-1])
 
 

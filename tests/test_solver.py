@@ -33,8 +33,8 @@ from gencp import (
     with_k,
 )
 from gencp.solver import (
+    completes,
     generate_variable,
-    is_solution,
     order_candidates,
 )
 
@@ -67,7 +67,7 @@ class TestGenerateVariable:
         model = SolverModel.from_seed(["A", "man"], summarize((), ()))
         var = generate_variable(model, TableLM({}), _simple_task(), PROBABILITY)
         assert var.index == 3
-        assert var.domain.is_empty()
+        assert (var.domain.values, var.domain.cursor) == ([], None)
 
     def test_cap_forces_backtrack_not_crash(self, fig_lm):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
@@ -96,7 +96,7 @@ class TestGenerateDomain:
         model = SolverModel.from_seed(["A", "boy"], summarize((), ()))
         domain = generate_variable(model, fig_lm, _simple_task(), PROBABILITY).domain
         assert domain.values == []
-        assert model.contains_empty_variable()
+        assert model.variables[-1].domain.cursor is None
 
     def test_keeps_at_most_k(self):
         words = ["apple", "berry", "cedar", "dates", "elder", "figs", "grape", "holly"]
@@ -180,19 +180,19 @@ class TestBooleanPredicate:
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [(".", 1.0)]})
         model = self._model_with(["up", "down"], summarize((), task.constraints))
-        assert is_solution(model, lm, task) is True
+        assert completes(model.words, model.summary, lm, task) is not None
 
     def test_word_window_not_reached(self):
         task = _simple_task(constraints=(WordCountRange(3, 4),))
         lm = TableLM({"up down": [(".", 1.0)]})
         model = self._model_with(["up", "down"], summarize((), task.constraints))
-        assert is_solution(model, lm, task) is False
+        assert completes(model.words, model.summary, lm, task) is None
 
     def test_period_not_predicted(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [("more", 1.0)]})
         model = self._model_with(["up", "down"], summarize((), task.constraints))
-        assert is_solution(model, lm, task) is False
+        assert completes(model.words, model.summary, lm, task) is None
 
     def test_exact_char_count_with_reserved_period(self):
         from gencp import CharCountExact
@@ -201,9 +201,9 @@ class TestBooleanPredicate:
         task = _simple_task(constraints=(WordCountRange(1, 4), CharCountExact(6)))
         lm = TableLM({"ab cd": [(".", 1.0)], "ab": [("cd", 1.0)]})
         model = self._model_with(["ab", "cd"], summarize((), task.constraints))
-        assert is_solution(model, lm, task) is True
+        assert completes(model.words, model.summary, lm, task) is not None
         model_short = self._model_with(["ab"], summarize((), task.constraints))
-        assert is_solution(model_short, lm, task) is False
+        assert completes(model_short.words, model_short.summary, lm, task) is None
 
 
 class TestSolve:
@@ -411,22 +411,9 @@ class _PromptLog(LanguageModel):
 
 
 class TestVisitOrder:
-    """The order in which the search asks the backend, snapshots and backtracks."""
+    """The order in which the search asks the backend and backtracks."""
 
-    @pytest.fixture
-    def saved_levels(self, monkeypatch):
-        """The variable count at each ``save_state``, in order."""
-        levels = []
-        save = SolverModel.save_state
-
-        def counting(model):
-            levels.append(len(model.variables))
-            return save(model)
-
-        monkeypatch.setattr(SolverModel, "save_state", counting)
-        return levels
-
-    def test_exhaustive_walkthrough(self, fig_lm, fig_task, saved_levels):
+    def test_exhaustive_walkthrough(self, fig_lm, fig_task):
         lm = _PromptLog(fig_lm)
         outcome = run_search(fig_task, lm, SolveOptions(max_variables=8), exhaustive=True)
         # A prefix is asked for its period check, then for its next words;
@@ -436,10 +423,8 @@ class TestVisitOrder:
             "A man drinks milk", "A man and", "A man and",
         ]
         assert outcome.stats.backtracks == 2
-        # the seed, boy, man (after boy's dead end), drinks, milk, and (after milk)
-        assert saved_levels == [1, 2, 2, 3, 4, 3]
 
-    def test_capped_jump_back_demo(self, fixtures_dir, saved_levels):
+    def test_capped_jump_back_demo(self, fixtures_dir):
         lm = _PromptLog(TableLM.from_file(fixtures_dir / "demo60.tbl"))
         task = with_k(builtin_task("demo-60"), 10)
         outcome = run_search(task, lm, SolveOptions(max_solutions=4, backtrack_to=2))
@@ -458,7 +443,6 @@ class TestVisitOrder:
             expected += [" ".join(words[:n]) for n in range(2, len(words) + 1)]
         assert lm.prompts == expected
         assert outcome.stats.backtracks == 4
-        assert len(saved_levels) == 51
 
 
 def _deep_chains(depth=40):

@@ -21,7 +21,11 @@ def test_only_the_moved_scoring_hooks_are_unresolved():
                   if getattr(tracer._resolve(owner), attr, None) is None}
     # The solver and beam search score solutions from the search path and
     # check the period through ``completes``, so they call neither function.
+    # The model keeps no trail and the search calls none of the other four,
+    # so they are gone; their metrics read -1 until the tracer drops them.
     assert unresolved == {
         "gencp.solver.predicts_period", "gencp.solver.perplexity",
         "gencp.beam.predicts_period", "gencp.beam.perplexity",
+        "gencp.model.SolverModel.save_state", "gencp.model.SolverModel.assigned_words",
+        "gencp.model.SolverModel.contains_empty_variable", "gencp.solver.is_solution",
     }
