@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import constraints as cst
 from .lm import sequence_logprob
 from .model import render_prefix, render_sentence
-from .solver import completes, make_record
+from .solver import check_time_budget, completes, make_record
 
 
 class HaltingMode(enum.Enum):
@@ -74,8 +74,11 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
         k = task.lm_params.k
     if k < 1:
         raise ValueError("k must be >= 1")
-    params = task.lm_params
     seed = tuple(task.seed)
+    if max_words < len(seed) + 1:
+        raise ValueError("max_words must exceed the seed length")
+    check_time_budget(time_budget)
+    params = task.lm_params
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
     beams = [Beam(seed, start_cum, cst.summarize(seed, task.constraints))]
     solutions = []

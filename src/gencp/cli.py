@@ -41,26 +41,25 @@ def _build_parser():
     parser = _Parser(prog="gencp", description="Constrained sentence generation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_k=True):
+    def add_common(p, with_k=True, max_variables=64):
         p.add_argument("--task", required=True, help="builtin task name or JSON task file")
         p.add_argument("--lm", required=True, help="backend: table:PATH | ngram:PATH,ORDER | ngram:MODEL.json | remote:URL")
         if with_k:
             p.add_argument("--k", type=int, help="words requested per LM call (and beam width)")
         p.add_argument("--seed-words", help="comma-separated words overriding the task seed")
         p.add_argument("--time-budget", type=float, help="wall-clock budget in seconds")
+        p.add_argument("--max-variables", type=int, default=max_variables)
 
     p_solve = sub.add_parser("solve", help="run the backtracking search once")
     add_common(p_solve)
     p_solve.add_argument("--max-solutions", type=int)
     p_solve.add_argument("--backtrack-to", type=int, help="jump back to this variable after each solution")
     p_solve.add_argument("--ordering", help="probability | ppl (alias of probability) | char-target[:PIVOT]")
-    p_solve.add_argument("--max-variables", type=int, default=64)
     p_solve.add_argument("--all", action="store_true", help="exhaust the search tree")
 
     p_beam = sub.add_parser("beam", help="run beam search once")
     add_common(p_beam)
     p_beam.add_argument("--mode", choices=["first", "all"], default="all")
-    p_beam.add_argument("--max-variables", type=int, default=64)
 
     p_bench = sub.add_parser("bench", help="run the method/task/k comparison grid")
     add_common(p_bench, with_k=False)
@@ -69,14 +68,12 @@ def _build_parser():
     p_bench.add_argument("--max-solutions", type=int)
     p_bench.add_argument("--backtrack-to", type=int)
     p_bench.add_argument("--ordering")
-    p_bench.add_argument("--max-variables", type=int, default=64)
     p_bench.add_argument("--pair", action="store_true", help="cap the search at beam search's solution count")
     p_bench.add_argument("--out", help="report file (stdout when omitted)")
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_oracle = sub.add_parser("oracle", help="enumerate every reachable solution")
-    add_common(p_oracle)
-    p_oracle.add_argument("--max-variables", type=int, default=10)
+    add_common(p_oracle, max_variables=10)
 
     p_train = sub.add_parser("train-ngram", help="train and save an n-gram backend")
     p_train.add_argument("--corpus", required=True, help="UTF-8 plain-text corpus file")

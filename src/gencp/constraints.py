@@ -471,46 +471,35 @@ def check_complete(words, task):
     return True
 
 
-BUILTIN_TASK_NAMES = ("sent-1", "sent-2", "sent-3", "sent-4", "sent-4*", "demo-60")
-
 _KEYWORDS = frozenset({"soft", "beach", "math"})
+
+# name -> constraints; every builtin task requires a period
+_BUILTIN_TASKS = {
+    "sent-1": (CharCountExact(82),),
+    "sent-2": (WordCountRange(10, 10), PositionLexical(3, "soft"), PositionLexical(7, "soft"),
+               PositionLexical(10, "math")),
+    "sent-3": (WordCountRange(20, None), MaxWordLen(6)),
+    "sent-4": (MandatoryKeywords(_KEYWORDS),),
+    "sent-4*": (MandatoryKeywords(_KEYWORDS), KeywordSeparation(_KEYWORDS, 3)),
+    "demo-60": (StartsWith(("The",)), WordCountRange(10, 15), CharCountExact(60)),
+}
+BUILTIN_TASK_NAMES = tuple(_BUILTIN_TASKS)
 
 
 def builtin_task(name, lm_params=None):
-    """One of the benchmark tasks by name; see BUILTIN_TASK_NAMES."""
-    params = lm_params if lm_params is not None else LMParams()
-    seed = ()
-    ordering = "probability"
-    if name == "sent-1":
-        constraints = (CharCountExact(82),)
-    elif name == "sent-2":
-        constraints = (
-            WordCountRange(10, 10),
-            PositionLexical(3, "soft"),
-            PositionLexical(7, "soft"),
-            PositionLexical(10, "math"),
-        )
-    elif name == "sent-3":
-        constraints = (WordCountRange(20, None), MaxWordLen(6))
-    elif name == "sent-4":
-        constraints = (MandatoryKeywords(_KEYWORDS),)
-    elif name == "sent-4*":
-        constraints = (MandatoryKeywords(_KEYWORDS), KeywordSeparation(_KEYWORDS, 3))
-    elif name == "demo-60":
-        constraints = (StartsWith(("The",)), WordCountRange(10, 15), CharCountExact(60))
-        seed = ("The",)
-        ordering = "char-target:10"
-    else:
-        raise ValueError(
-            f"unknown task {name!r}; expected one of {', '.join(BUILTIN_TASK_NAMES)}"
-        )
+    """One of the benchmark tasks by name; see BUILTIN_TASK_NAMES.
+
+    ``demo-60`` is seeded with "The" and orders its domains ``char-target:10``.
+    """
+    if name not in _BUILTIN_TASKS:
+        raise ValueError(f"unknown task {name!r}; expected one of {', '.join(BUILTIN_TASK_NAMES)}")
+    demo = name == "demo-60"
     return TaskSpec(
         name=name,
-        constraints=constraints,
-        seed=seed,
-        lm_params=params,
-        require_period=True,
-        ordering=ordering,
+        constraints=_BUILTIN_TASKS[name],
+        seed=("The",) if demo else (),
+        lm_params=lm_params if lm_params is not None else LMParams(),
+        ordering="char-target:10" if demo else "probability",
     )
 
 

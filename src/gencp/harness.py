@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -18,7 +19,7 @@ from . import constraints as cst
 from .beam import HaltingMode, beam_search, satisfaction_rate
 from .lm import TransportError, load_backend, perplexity, predicts_period
 from .model import render_prefix, render_sentence, variability
-from .solver import SearchAborted, SolveOptions, parse_ordering, run_search
+from .solver import SearchAborted, SolveOptions, check_time_budget, parse_ordering, run_search
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +79,7 @@ class RunConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")
+        check_time_budget(self.time_budget)
 
 
 class OracleLimitError(RuntimeError):
@@ -94,6 +96,9 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     by a search that backtracks on success.  Raises OracleLimitError past
     ``node_limit`` visited prefixes or ``time_budget`` seconds.
     """
+    if depth_cap < len(task.seed) + 1:
+        raise ValueError("depth_cap must exceed the seed length")
+    check_time_budget(time_budget)
     params = task.lm_params
     constraints = task.constraints
     visited = 0
@@ -108,16 +113,26 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
             return False
         return True
 
-    def queried_children(words, kept):
-        """Rendered children whose walk asks the backend, for a period check or next words."""
-        for cand in kept:
+    def kept_words(raw):  # the children the walk visits, from the ranked answer
+        valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
+        return valid[: params.k]
+
+    def hints(words, raw):
+        """Hints for the children whose walk asks the backend, from the answer ``raw`` at ``words``.
+
+        Each carries its own ``hints`` as its expansion; none where the walk stops.
+        """
+        final = task.require_period and cst.check_complete(words + ["."], task)
+        if (final and any(c.text == "." for c in raw[: params.k])) or len(words) >= depth_cap:
+            return
+        for cand in kept_words(raw):
             child = words + [cand.text]
             if task.require_period:
                 asks = len(child) < depth_cap or cst.check_complete(child + ["."], task)
             else:
                 asks = len(child) < depth_cap and not cst.check_complete(child, task)
             if asks:
-                yield render_sentence(child)
+                yield render_sentence(child), functools.partial(hints, child)
 
     def walk(words):
         nonlocal visited
@@ -133,10 +148,8 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
         if len(words) >= depth_cap:
             return
         raw = lm.predict(render_prefix(words), params)
-        valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
-        kept = valid[: params.k]
-        lm.prefetch(queried_children(words, kept), params)
-        for cand in kept:
+        lm.prefetch(hints(words, raw), params)
+        for cand in kept_words(raw):
             walk(words + [cand.text])
 
     try:
@@ -244,18 +257,8 @@ def _run_method(method, task, lm, k, config, bs_reference):
         seconds = time.perf_counter() - started
         partial = getattr(exc, "solutions", [])
         log.warning("%s on %s (k=%d) failed after %.2fs: %s", method, task.name, k, seconds, exc)
-        return ReportRow(
-            method=method,
-            task=task.name,
-            k=k,
-            seconds=seconds,
-            n_solutions=len(partial),
-            sat_pct=None,
-            n_bad_outputs=None,
-            n_backtracks=None,
-            mean_ppl=None,
-            max_variability=None,
-        )
+        return ReportRow(method=method, task=task.name, k=k, seconds=seconds,
+                         n_solutions=len(partial), **dict.fromkeys(_OPTIONAL_FIELDS))
 
 
 def _format_cell(value):

@@ -3,19 +3,14 @@
 Every backend answers a ranked candidate list for a sentence prefix and can
 score individual conditionals.  Rankings must be deterministic within a
 process run: the search re-queries the same prefixes after backtracking and
-relies on getting the same answers.  The remote backend memoizes responses to
-guarantee this (and to avoid paying twice for the same prompt): one POST per
-prompt and sampling parameters, at the widest ``n_probs`` asked so far, from
-which every narrower request is answered.  It fetches the prefixes a search
-announces through ``prefetch`` while it works, and speaks HTTP/1.1 through
-the standard library, over one keep-alive connection per thread that POSTs.
-The one request it ever sends again is a POST that found its reused idle
-connection already closed by the server, before any response arrived: that
-POST goes out once more on a new connection.
+relies on getting the same answers.  ``RemoteLM`` memoizes its server's
+responses to guarantee this, and fetches the prompts a search announces
+while the search works.
 """
 
 from __future__ import annotations
 
+import heapq
 import http.client
 import json
 import math
@@ -94,11 +89,13 @@ class LanguageModel:
         """ln P(word | prefix words), or None when the backend never offers it."""
         raise NotImplementedError
 
-    def prefetch(self, sentences, params, k=None):
-        """Hint that ``predict(s, params, k)`` will follow for each s in ``sentences``.
+    def prefetch(self, hints, params, k=None):
+        """Hint that ``predict(s, params, k)`` will follow for each prompt s in ``hints``.
 
-        Backends that answer at once ignore it without iterating
-        ``sentences``, so callers may pass a lazy generator.
+        A hint is a prompt, or a (prompt, expansion) pair whose expansion
+        maps the prompt's answer to the hints below it.  Hints come in visit
+        order, each expansion's before the next hint.  Backends that answer at once ignore them without iterating
+        ``hints``, so callers may pass a lazy generator.
         """
 
     def cancel_prefetch(self):
@@ -354,11 +351,6 @@ def _parse_response_path(path):
     return keys
 
 
-def _reusable(fut):
-    """Whether a memoized response future is pending or has succeeded."""
-    return not (fut.done() and fut.exception() is not None)
-
-
 def _memo_key(sentence, params):
     """What a request sends besides its width: the prompt and the sampling fields."""
     return sentence, params.temperature, params.top_k, params.top_p
@@ -389,42 +381,34 @@ _URL_UNSAFE_RE = re.compile(r"[\x00-\x20\x7f]")
 class RemoteLM(LanguageModel):
     """Client for an HTTP completion server reporting per-token probabilities.
 
-    One POST per prompt: the memo maps each (sentence, temperature,
-    top_k, top_p), the request's fields besides its width, to the widest
-    ``n_probs`` asked for it so far and the future of the server's raw token
-    list, for the lifetime of the instance.  That keeps rankings stable
-    across backtracking and avoids duplicate inference cost.  A request for
-    n <= that width is answered from the first n raw tokens, filtered,
-    deduplicated and ranked as the response to a request for n would be.
-    That is exactly the server's answer for n, unless tokens tie in
-    probability at the cut and the server would have kept another of them.
-    A wider request POSTs once and its response replaces the entry; an
-    answer once given for a width is given again for it.
-    Prompts announced through ``prefetch`` are POSTed on the instance's
-    pool of ``REMOTE_WORKERS`` threads while the search works.  ``predict``
-    waits on the future of an announced prompt, and POSTs any other prompt
-    on the caller's thread, so an unannounced request never queues behind
-    announced ones.  A failed response is not reused: the next request for
-    that prompt POSTs again.
-    ``cancel_prefetch`` drops the announced prompts no thread has started;
-    at exit the interpreter still waits for the started ones, each for up
-    to ``timeout`` seconds.  Safe to share across concurrent searches; one
-    search's ``cancel_prefetch`` also drops the others' queued prompts,
-    which their ``predict`` then POSTs itself.  The searches announce only
-    prompts they will ask for, so an announced prompt waits behind needed
-    work only.  ``close`` drops the queued prompts, waits for the started
-    ones, stops the pool and closes every connection the client opened.
+    One POST per prompt: the memo maps each (sentence, temperature, top_k,
+    top_p) to the widest ``n_probs`` asked for it so far and the future of
+    the server's raw token list, for the lifetime of the instance.  A
+    request for n <= that width is answered from the first n raw tokens, as
+    the server answers a request for n unless tokens tie in probability at
+    the cut; a wider one POSTs once and replaces the entry.  An answer once
+    given for a width is given again for it, and a failed response is not
+    reused.  Announced prompts are POSTed while the search works, on a pool
+    of up to ``REMOTE_WORKERS`` threads started on demand.  Each free thread
+    starts the queued prompt first in the search's depth-first visit order
+    (see ``_queue``), and queues its expansion's hints before handing its
+    response out, so an exhaustive search's whole subtree is fetched ahead
+    of it.  ``predict`` waits on an announced prompt's future and POSTs any
+    other prompt on the caller's thread, never behind announced ones.
+    ``cancel_prefetch`` drops the prompts no thread has started and the
+    expansions of those in flight, also those of other searches sharing the
+    client, whose ``predict`` then POSTs itself.  ``close`` drops the queued
+    prompts, waits for the started ones (as the interpreter does at exit,
+    each for up to ``timeout`` seconds), stops the pool and closes every
+    connection.
 
-    Every thread that POSTs (the pool's and each caller's) keeps one
-    HTTP/1.1 keep-alive connection, and sends each request, headers and
-    body, in one write.  When a reused connection turns out to have been
-    closed by the server while idle (a reset, a broken pipe or a close
-    before any response), that one request is sent once more on a new
-    connection.  Nothing else is resent: a refused or failed new
-    connection, a timeout, a failure after the response began, a non-2xx
-    status, malformed JSON or a missing response path raises
-    ``TransportError``.  ``https`` endpoints are verified through the
-    default SSL context; proxy environment variables are not read.
+    Every thread that POSTs keeps one HTTP/1.1 keep-alive connection and
+    sends each request in one write.  A request whose reused idle
+    connection the server had closed (a reset, a broken pipe or a close
+    before any response) is sent once more on a new connection; anything
+    else that fails raises ``TransportError``.  ``https`` endpoints are
+    verified through the default SSL context; proxy environment variables
+    are not read.
     """
 
     def __init__(self, endpoint, response_path=DEFAULT_RESPONSE_PATH, timeout=None):
@@ -454,18 +438,22 @@ class RemoteLM(LanguageModel):
         self._memo = {}  # memo key -> (widest n_probs asked, future of the raw token list)
         self._answers = {}  # (memo key, n_probs) -> the candidates first answered
         self._lock = threading.Lock()
+        self._pending = []  # heap of the queued prompts by visit order; see ``_queue``
+        self._batches = 0  # prefetch calls so far
+        self._epoch = 0  # cancel_prefetch calls so far
         self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
 
-    def prefetch(self, sentences, params, k=None):
+    def prefetch(self, hints, params, k=None):
         n = (params.k if k is None else k) * params.oversample
-        for sentence in sentences:
-            key = _memo_key(sentence, params)
-            with self._lock:
-                if self._covering(key, n) is None:
-                    self._store(key, n, self._pool.submit(self._post, sentence, n, params))
+        hints = list(hints)  # a lazy generator runs outside the lock
+        with self._lock:
+            self._batches += 1
+            self._queue(hints, params, n, (-self._batches,), self._epoch)
 
     def cancel_prefetch(self):
         with self._lock:
+            self._epoch += 1
+            self._pending.clear()
             for key, (_, fut) in list(self._memo.items()):
                 if fut.cancel():
                     del self._memo[key]
@@ -489,8 +477,7 @@ class RemoteLM(LanguageModel):
     def _answer(self, key, n, raw):
         """The candidates recorded for width ``n`` of ``key``, from ``raw`` when none are yet.
 
-        The first answer for a width stays, also after a wider response
-        replaced the memo's entry.
+        The first answer for a width stays, also after a wider response.
         """
         answer = self._answers.get((key, n))
         if answer is None:
@@ -511,12 +498,57 @@ class RemoteLM(LanguageModel):
                 return fut.result()
             except CancelledError:
                 continue  # a cancel_prefetch, or a wider request, dropped it
+        return self._fetch(own, sentence, n, params)
+
+    def _queue(self, hints, params, n, order, epoch):
+        """Queue each hinted prompt no memoized response covers, with a pool job that POSTs one.
+
+        Call with the lock held.  The i-th hint's visit-order key is
+        ``order + (i,)``, after the hints before it and their expansions', as
+        a depth-first walk visits them; a later ``prefetch`` call's keys come
+        first.  Nothing is queued once a ``cancel_prefetch`` ended ``epoch``.
+        """
+        if epoch != self._epoch:
+            return
+        for i, hint in enumerate(hints):
+            sentence, expand = (hint, None) if isinstance(hint, str) else hint
+            key = _memo_key(sentence, params)
+            if self._covering(key, n) is None:
+                self._pool.submit(self._post_earliest)  # raises after ``close``
+                fut = Future()
+                self._store(key, n, fut)
+                heapq.heappush(self._pending, (order + (i,), fut, sentence, params, n, expand, epoch))
+
+    def _post_earliest(self):
+        """Pool job: ``_fetch`` the queued prompt first in visit order."""
+        with self._lock:
+            while True:
+                if not self._pending:
+                    return  # a cancel, or another job, took the entry
+                order, fut, sentence, params, n, expand, epoch = heapq.heappop(self._pending)
+                if fut.set_running_or_notify_cancel():
+                    break
+        self._fetch(fut, sentence, n, params, expand, order, epoch)
+
+    def _fetch(self, fut, sentence, n, params, expand=None, order=None, epoch=None):
+        """POST for the running future ``fut``, rank the answer, queue its expansion, resolve ``fut``.
+
+        Queued first, the expansion's hints are found queued by a search
+        that announces them once it has the response.
+        """
         try:
             raw = self._post(sentence, n, params)
         except BaseException as exc:
-            own.set_exception(exc)
+            fut.set_exception(exc)
             raise
-        own.set_result(raw)
+        try:
+            answer = self._answer(_memo_key(sentence, params), n, raw)
+            if expand is not None:
+                hints = list(expand(list(answer)))
+                with self._lock:
+                    self._queue(hints, params, n, order, epoch)
+        finally:
+            fut.set_result(raw)
         return raw
 
     def _covering(self, key, n):
@@ -525,9 +557,9 @@ class RemoteLM(LanguageModel):
         Call with the lock held.
         """
         entry = self._memo.get(key)
-        if entry is not None and entry[0] >= n and _reusable(entry[1]):
-            return entry[1]
-        return None
+        if entry is None or entry[0] < n or (entry[1].done() and entry[1].exception() is not None):
+            return None  # none, too narrow, or failed
+        return entry[1]
 
     def _store(self, key, n, fut):
         """Memoize ``fut`` as the response of width ``n`` for ``key``.
@@ -559,10 +591,7 @@ class RemoteLM(LanguageModel):
             doc = json.loads(data)
         except ValueError as exc:
             raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
-        raw = self._extract(doc)
-        # Ranked here, on the posting thread, while a search may be waiting.
-        self._answer(_memo_key(sentence, params), n, raw)
-        return raw
+        return self._extract(doc)
 
     def _request(self, body):
         """POST ``body`` on this thread's connection; returns the status and the response body.

@@ -17,6 +17,7 @@ variable assigned between steps:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -82,6 +83,12 @@ def order_candidates(candidates, ordering, var_index):
     return sorted(candidates, key=lambda c: (len(c.text), c.text))
 
 
+def check_time_budget(seconds):
+    """Reject a wall-clock budget that is negative or NaN; None means no budget."""
+    if seconds is not None and not seconds >= 0:
+        raise ValueError(f"time budget must be >= 0 seconds, got {seconds}")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Run-level knobs; ordering/backtrack_to default to the task's own."""
@@ -97,24 +104,29 @@ class SolveOptions:
             raise ValueError("max_solutions must be >= 1")
         if self.max_variables < 1:
             raise ValueError("max_variables must be >= 1")
+        if self.backtrack_to is not None and self.backtrack_to < 1:
+            raise ValueError("backtrack_to must be >= 1")
+        check_time_budget(self.time_budget)
+
+
+def node_domain(words, summary, raw, task, ordering):
+    """The domain after ``words``, whose summary is ``summary``, from the backend's answer ``raw``.
+
+    The node's one candidate pipeline: the first k word-valid predictions,
+    ordered, then filtered against the constraints and the prefix.
+    Filtering keeps order, and ordering sorts on a total key, so the two
+    steps commute.
+    """
+    window = cst.valid_words(raw, task.constraints, task.lm_params.k)
+    ordered = Domain(order_candidates(window, ordering, len(words) + 1))
+    return cst.filter_domain(words, ordered, task.constraints, task, summary, word_tested=True)
 
 
 def generate_variable(model, lm, task, ordering):
-    """Append the next sentence-position variable with its candidate domain.
-
-    The node's one candidate pipeline: the first k word-valid predictions
-    after the model's words, ordered, then filtered against the constraints
-    and the prefix.  Filtering keeps order, and ordering sorts on a total
-    key, so the two steps commute.
-    """
+    """Append the next sentence-position variable with its ``node_domain``."""
     raw = lm.predict(model.current_sentence(), task.lm_params)
     model.stats.lm_calls += 1
-    window = cst.valid_words(raw, task.constraints, task.lm_params.k)
-    ordered = Domain(order_candidates(window, ordering, len(model.variables) + 1))
-    domain = cst.filter_domain(
-        model.words, ordered, task.constraints, task, model.summary, word_tested=True
-    )
-    return model.add_variable(domain)
+    return model.add_variable(node_domain(model.words, model.summary, raw, task, ordering))
 
 
 def completes(words, summary, lm, task):
@@ -157,12 +169,13 @@ def _grows(summary, max_variables):
     return summary.count < max_variables and summary.can_extend()
 
 
-def _queried_children(words, summary, domain, task, max_variables):
-    """Rendered children of ``words`` that the search will ask the backend about.
+def _queried_children(words, summary, domain, task, ordering, max_variables):
+    """Prefetch hints for the children of ``words`` that the search will ask the backend about.
 
     A child is asked for its next words when it grows, and for its period
-    check when it completes structurally.  Lazy, so that a backend ignoring
-    ``prefetch`` pays nothing for it.
+    check when it completes structurally.  Each hint carries the child's
+    ``_expansion``.  Lazy, so that a backend ignoring ``prefetch`` pays
+    nothing for it.
     """
     for cand in domain.values:
         child = summary.push(cand.text, admitted=True)
@@ -172,7 +185,18 @@ def _queried_children(words, summary, domain, task, max_variables):
         else:
             queried = grows and not child.complete(0)
         if queried:
-            yield render_sentence(words + [cand.text])
+            child_words = words + [cand.text]
+            args = (child_words, child, grows, task, ordering, max_variables)
+            yield render_sentence(child_words), functools.partial(_expansion, *args)
+
+
+def _expansion(words, summary, grows, task, ordering, max_variables, raw):
+    """The hints the search announces at ``words`` given the answer ``raw``; none at a leaf."""
+    final = task.require_period and summary.complete(1)
+    if not grows or (final and any(c.text == "." for c in raw[: task.lm_params.k])):
+        return ()
+    domain = node_domain(words, summary, raw, task, ordering)
+    return _queried_children(words, summary, domain, task, ordering, max_variables)
 
 
 def _path_logprob(model, seed_logprob, n_seed):
@@ -242,7 +266,9 @@ def run_search(task, lm, options=None, exhaustive=False):
                     if enumerating:
                         # Announced in the order the search visits them.
                         lm.prefetch(
-                            _queried_children(list(words), summary, domain, task, opts.max_variables),
+                            _queried_children(
+                                list(words), summary, domain, task, ordering, opts.max_variables
+                            ),
                             task.lm_params,
                         )
                     if domain.values:

@@ -168,13 +168,8 @@ class StubServer:
 
     def __init__(self, table, delay=0.0):
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-        self._httpd.table = {
-            prefix: [(" " + word if word != "." else ".", prob) for word, prob in entries]
-            for prefix, entries in table.items()
-        }
-        self._httpd.counts = {}
-        self._httpd.requests = []
         self._httpd.lock = threading.Lock()
+        self.serve(table)
         self._httpd.fail_with = None
         self._httpd.raw_body = None
         self._httpd.delay = delay
@@ -186,6 +181,16 @@ class StubServer:
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
         )
         self._thread.start()
+
+    def serve(self, table):
+        """Answer from ``table`` from now on, with no request counted yet."""
+        with self._httpd.lock:
+            self._httpd.table = {
+                prefix: [(" " + word if word != "." else ".", prob) for word, prob in entries]
+                for prefix, entries in table.items()
+            }
+            self._httpd.counts = {}
+            self._httpd.requests = []
 
     @property
     def url(self):
@@ -239,3 +244,11 @@ def stub_server():
     yield start
     for server in servers:
         server.close()
+
+
+@pytest.fixture(scope="module")
+def module_stub():
+    """One server for a module's tests, which swap its table through ``serve``."""
+    server = StubServer({})
+    yield server
+    server.close()

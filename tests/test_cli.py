@@ -180,6 +180,33 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["beam"], ["oracle"], ["bench", "--k", "10", "--method", "gencp"],
+    ], ids=lambda c: c[0])
+    def test_negative_or_nan_time_budget_exits_1(self, fixtures_dir, capsys, command, budget):
+        code = main(command + [
+            "--task", "demo-60", "--lm", f"table:{fixtures_dir / 'demo60.tbl'}",
+            "--time-budget", budget,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "time budget" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, field", [
+        (["oracle", "--max-variables", "0"], "depth_cap"),
+        (["beam", "--max-variables", "0"], "max_words"),
+        (["solve", "--max-variables", "0"], "max_variables"),
+        (["solve", "--backtrack-to", "0"], "backtrack_to"),
+    ], ids=["oracle-depth", "beam-words", "solve-variables", "solve-backtrack-to"])
+    def test_bound_below_its_minimum_exits_1(self, fixtures_dir, capsys, command, field):
+        code = main(command + ["--task", "demo-60", "--lm", f"table:{fixtures_dir / 'demo60.tbl'}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert field in err
+        assert "Traceback" not in err
+
 
 WORDS_2 = {"type": "word_count_range", "lo": 2, "hi": 2}
 

@@ -8,8 +8,9 @@ sentence that the table ends, so many instances have solutions and the
 pruning bounds are tight.  Keyword sets are drawn from its words, which come
 in case pairs ("strasse" and "Straße" fold alike but differ in length), so
 sets often overlap across constraints or differ only by case.  The same
-instances check that the prefetch hints of all three searches name exactly
-the prompts they then ask for, in the order they ask for them, and that
+instances check that the prefetch hints of all three searches, with the
+hints their expansions disclose, name exactly the prompts they then ask
+for, in the order they ask for them, and that
 beam search at a width other than k first announces each prompt at the
 widest width it then asks for it.  Random push, backtrack and jump-back
 sequences on a ``SolverModel`` check its prefix summaries against
@@ -18,10 +19,12 @@ sequences on a ``SolverModel`` check its prefix summaries against
 searches sum along their path equals the backend's rescoring exactly, and
 two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
-of exhaustive search.
+of exhaustive search.  Served through the stub server, the same tables give
+the same outputs from ``RemoteLM`` as from ``TableLM``.
 """
 
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +39,7 @@ from gencp import (
     MandatoryKeywords,
     MaxWordLen,
     PositionLexical,
+    RemoteLM,
     SolveOptions,
     SolverModel,
     StartsWith,
@@ -306,15 +310,35 @@ def test_missing_keywords_are_counted_once(constraints):
 
 
 class HintedTableLM(TableLM):
-    """Records, in order, the prompt batches announced through prefetch and the prompts asked."""
+    """Records, in order, the prompt batches announced through prefetch and the prompts asked.
+
+    Each hint's expansion is followed at once with the table's own answer,
+    and its hints are recorded as one more batch, depth first, as a backend
+    that fetched every announced prompt at once would see them.
+    ``disclosed`` collects the prompts of the first announcement and of
+    every batch its expansions disclose.
+    """
 
     def __init__(self, table):
         super().__init__(table)
         self.log = []
+        self.disclosed = set()
+        self._announcements = 0
+        self._following = 0
 
-    def prefetch(self, sentences, params, k=None):
+    def prefetch(self, hints, params, k=None):
         k = params.k if k is None else k
-        self.log.append(("hint", [(s, k) for s in sentences]))
+        hints = [(h, None) if isinstance(h, str) else h for h in hints]
+        batch = [(s, k) for s, _ in hints]
+        self.log.append(("hint", batch))
+        self._announcements += not self._following
+        if self._announcements == 1:
+            self.disclosed.update(batch)
+        self._following += 1
+        for sentence, expand in hints:
+            if expand is not None:
+                self.prefetch(expand(TableLM.predict(self, sentence, params, k)), params, k)
+        self._following -= 1
 
     def predict(self, sentence, params, k=None):
         self.log.append(("ask", (sentence, params.k if k is None else k)))
@@ -342,27 +366,39 @@ class HintedTableLM(TableLM):
 @settings(max_examples=400)
 @given(instances())
 def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
+    """The hints, expansions followed, are every prompt asked but the root, in visit order.
+
+    The solver's and the oracle's first announcement alone discloses them
+    all, so a backend that follows expansions fetches the whole tree ahead
+    of the search.
+    """
     table, constraints, k, require_period, seed = instance
     task = TaskSpec(
         name="fuzz", constraints=constraints, seed=seed, lm_params=LMParams(k=k),
         require_period=require_period,
     )
+    cap = MAX_DEPTH - 2  # below the tables' depth, so that the cap cuts branches
     searches = (
+        lambda lm: beam_search(task, lm, max_words=MAX_DEPTH),
         lambda lm: solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH)),
         # Short words first: the visit order differs from the backend's ranking.
         lambda lm: solve_all(
             task, lm, SolveOptions(max_variables=MAX_DEPTH, ordering=parse_ordering("char-target"))
         ),
+        lambda lm: solve_all(task, lm, SolveOptions(max_variables=cap)),
         lambda lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
-        lambda lm: beam_search(task, lm, max_words=MAX_DEPTH),
+        lambda lm: brute_force_oracle(task, lm, depth_cap=cap),
     )
+    root = (render_prefix(seed), k)
     for search in searches:
         lm = HintedTableLM(table)
         search(lm)
         hinted, asked = lm.prompts("hint"), lm.prompts("ask")
         assert hinted <= asked  # nothing fetched that the search does not use
-        assert asked - hinted <= {(render_prefix(seed), k)}  # only the root is asked unannounced
+        assert asked - hinted <= {root}  # only the root is asked unannounced
         assert lm.batches_follow_visit_order()
+        if search is not searches[0]:  # beam search's hints carry no expansion
+            assert lm.disclosed == asked - {root}
 
 
 @settings(max_examples=400)
@@ -479,3 +515,49 @@ def test_model_summaries_match_the_specification(data, seed, moves):
         elif move == "jump" and len(model.variables) > 1:
             model.backtrack_to(1 + i % (len(model.variables) - 1))
         check()
+
+
+def _records(records):
+    return [(r.sentence, r.words, r.ppl) for r in records]
+
+
+def _beam_outputs(task, lm):
+    found, bad = beam_search(task, lm, max_words=MAX_DEPTH)
+    return _records(found), bad
+
+
+EQUIVALENT_SEARCHES = {
+    "solve_all": lambda task, lm: _records(solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))),
+    "solve_all char-target": lambda task, lm: _records(solve_all(task, lm, SolveOptions(
+        max_variables=MAX_DEPTH, ordering=parse_ordering("char-target")))),
+    "oracle": lambda task, lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
+    "beam": _beam_outputs,
+}
+
+
+@settings(max_examples=200)
+@given(instances())
+def test_remote_backend_over_the_stub_equals_the_table(module_stub, instance):
+    """``remote:`` over the stub server finds what ``TableLM`` finds, with one POST per prompt.
+
+    The stub serves the instance's table, each prompt's tokens in the
+    table's order, which is the order of falling probability, as a server
+    ranks them.  The tables give the entries of a prefix distinct
+    probabilities (0.5 / 2**i), so no tokens tie at a width cut and the
+    width rule's documented exception cannot apply.  Each search runs on a
+    fresh client, so its prefetches, their expansions and the memo all take
+    part, and the stub must see each prompt the search asks exactly once,
+    and no other prompt but the seed's prefixes, which scoring the seed asks.
+    """
+    table, constraints, k, require_period, seed = instance
+    task = _fuzz_task(constraints, k, require_period, seed)
+    scoring = {render_prefix(seed[:i]) for i in range(len(seed))}
+    for name, search in EQUIVALENT_SEARCHES.items():
+        local = HintedTableLM(table)
+        expected = search(task, local)
+        module_stub.serve(table)
+        with closing(RemoteLM(module_stub.url)) as remote:
+            assert search(task, remote) == expected, name
+        asked = {sentence for sentence, _ in local.prompts("ask")}
+        assert set(module_stub.counts.values()) <= {1}, name
+        assert asked <= set(module_stub.counts) <= asked | scoring, name

@@ -627,3 +627,109 @@ class TestPrefetch:
         local = TableLM(WIDE)
         assert answers == {(seed, prompt): local.predict(prompt, params)
                            for seed in range(8) for prompt in prompts}
+
+
+class RecordingRemoteLM(RemoteLM):
+    """Records each POSTed prompt and whether a pool thread sent it.
+
+    The POST of a prompt in ``held`` waits until ``gate`` is set; ``holding``
+    is set once one does.
+    """
+
+    def __init__(self, url, held=()):
+        super().__init__(url)
+        self.held = set(held)
+        self.gate = threading.Event()
+        self.holding = threading.Event()
+        self.posts = []
+
+    def _post(self, sentence, n, params):
+        self.posts.append((sentence, threading.current_thread().name.startswith("gencp-remote")))
+        if sentence in self.held:
+            self.holding.set()
+            assert self.gate.wait(timeout=5)
+        return super()._post(sentence, n, params)
+
+
+def _fixed(*hints):
+    """An expansion that discloses ``hints`` whatever the answer."""
+    return lambda answer: list(hints)
+
+
+class TestSubtreePrefetch:
+    def test_grandchild_is_posted_before_the_search_asks_for_its_parent(self, stub_server):
+        server = stub_server(WIDE, delay=0.01)
+        seen = {}
+
+        class WaitingRemoteLM(RemoteLM):
+            def predict(self, sentence, params, k=None):
+                if sentence == "red":  # a child of the root, which the search asks first
+                    deadline = time.perf_counter() + 2
+                    while "red old" not in server.counts and time.perf_counter() < deadline:
+                        time.sleep(0.005)
+                    seen[sentence] = "red old" in server.counts
+                return super().predict(sentence, params, k)
+
+        assert _solve(WaitingRemoteLM(server.url)) == _solve(TableLM(WIDE))
+        # Only the expansion of "red" announces "red old" before the search
+        # has "red"'s answer; each prompt still goes out once.
+        assert seen == {"red": True}
+        assert set(server.counts.values()) == {1}
+
+    def test_pool_starts_the_earliest_prompt_in_visit_order(self, stub_server, monkeypatch):
+        monkeypatch.setattr(gencp.lm, "REMOTE_WORKERS", 1)
+        order = ["hold", "c", "a", "a1", "a2", "a2x", "b"]
+        server = stub_server({p: [("ok", 0.5)] for p in order})
+        lm = RecordingRemoteLM(server.url, held={"hold"})
+        lm.prefetch(["hold"], PARAMS)
+        assert lm.holding.wait(timeout=5)  # the one pool thread is busy
+        lm.prefetch([("a", _fixed("a1", ("a2", _fixed("a2x")))), "b"], PARAMS)
+        lm.prefetch(["c"], PARAMS)  # a search announces from where it stands
+        lm.gate.set()
+        assert all([c.text for c in lm.predict(p, PARAMS)] == ["ok"] for p in order)
+        # The later call's prompt first, then depth first: each prompt's
+        # expansion before the next prompt of its batch.
+        assert lm.posts == [(p, True) for p in order]
+        assert [r["prompt"] for r in server.requests] == order
+
+    def test_cancel_stops_the_expansion_of_a_prompt_in_flight(self, stub_server):
+        server = stub_server({"a": [("ok", 0.5)], "a1": [("ok", 0.5)]})
+        lm = RecordingRemoteLM(server.url, held={"a"})
+        lm.prefetch([("a", _fixed("a1"))], PARAMS)
+        assert lm.holding.wait(timeout=5)
+        lm.cancel_prefetch()  # "a" is in flight, so only its expansion can be dropped
+        lm.gate.set()
+        lm.predict("a", PARAMS)
+        lm.predict("a1", PARAMS)
+        # "a1" was never queued, so the caller POSTed it.
+        assert lm.posts == [("a", True), ("a1", False)]
+        assert server.counts == {"a": 1, "a1": 1}
+
+    def test_concurrent_searches_share_one_post_per_prompt(self, stub_server):
+        # Each search's return cancels the others' queued prompts and drops
+        # the expansions in flight; each prompt still goes out once.
+        server = stub_server(WIDE)
+        lm = RemoteLM(server.url)
+        expected = {name: search(TableLM(WIDE)) for name, search in SEARCHES.items()}
+        results, errors = [], []
+
+        def run(name):
+            try:
+                results.append((name, SEARCHES[name](lm)))
+            except Exception as exc:  # reported below; a thread cannot fail the test itself
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(name,)) for name in sorted(SEARCHES) * 3]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(results) == sorted((name, expected[name]) for name in sorted(SEARCHES) * 3)
+        assert set(server.counts.values()) == {1}

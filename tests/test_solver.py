@@ -17,10 +17,12 @@ from gencp import (
     SolverModel,
     StartsWith,
     TableLM,
+    RunConfig,
     TaskSpec,
     WordCandidate,
     WordCountRange,
     beam_search,
+    brute_force_oracle,
     builtin_task,
     check_complete,
     parse_ordering,
@@ -252,6 +254,37 @@ class TestSolve:
         task = _simple_task(seed=("A",))
         with pytest.raises(ValueError, match="max_variables"):
             solve(task, fig_lm, SolveOptions(max_variables=1))
+
+
+class TestInputBounds:
+    """Out-of-range run parameters raise ValueError before the backend is asked."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"time_budget": -1.0}, "time budget"),
+        ({"time_budget": float("nan")}, "time budget"),
+        ({"backtrack_to": 0}, "backtrack_to"),
+    ], ids=["negative-budget", "nan-budget", "backtrack-to-0"])
+    def test_solve_options(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SolveOptions(**fields)
+
+    def test_beam_search_and_oracle(self):
+        task = _simple_task(seed=("A",))
+        lm = TableLM({})  # answers nothing, so only the checks can raise
+        with pytest.raises(ValueError, match="max_words"):
+            beam_search(task, lm, max_words=1)
+        with pytest.raises(ValueError, match="depth_cap"):
+            brute_force_oracle(task, lm, depth_cap=1)
+        for budget in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="time budget"):
+                beam_search(task, lm, time_budget=budget)
+            with pytest.raises(ValueError, match="time budget"):
+                brute_force_oracle(task, lm, depth_cap=2, time_budget=budget)
+            with pytest.raises(ValueError, match="time budget"):
+                RunConfig(tasks=("demo-60",), lm_spec="table:x", k_values=(1,),
+                          methods=("gencp",), time_budget=budget)
+        assert beam_search(task, lm, max_words=2) == ([], ["A"])
+        assert brute_force_oracle(task, lm, depth_cap=2) == set()
 
 
 class TestBacktrackToVariability:
