@@ -30,7 +30,6 @@ class Beam:
     words: tuple
     cum_logprob: float
     summary: cst.PrefixSummary = field(compare=False, repr=False)
-    alive: bool = True
 
 
 def expand_beams(beams, lm, task, k):
@@ -46,15 +45,19 @@ def expand_beams(beams, lm, task, k):
     reserve = 1 if task.require_period else 0
     for beam in beams:
         raw = lm.predict(render_prefix(beam.words), params, k)
+        summary = beam.summary
+        base = summary.length + 1 if summary.count else 0
         before = len(extensions)
         for cand in cst.valid_words(raw, task.constraints, k):
-            child = beam.summary.push(cand.text, word_tested=True)
+            # The period's character stays reserved, as ``filter_domain`` reserves it.
+            if not summary.admits(cand.text, base + len(cand.text), reserve, word_tested=True):
+                continue
+            child = summary.push(cand.text, admitted=True)
             if child.can_extend() or child.complete(reserve):
                 extensions.append(
                     Beam(beam.words + (cand.text,), beam.cum_logprob + cand.logprob, child)
                 )
         if len(extensions) == before:
-            beam.alive = False
             dead.append(beam)
     # The extensions of one step are equally long, and words hold no
     # character below the space that joins them, so comparing the word
@@ -98,23 +101,18 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                     params, max(k, params.k),
                 )
             survivors = []
-            solved_now = False
             for beam in beams:
-                end = completes(beam.words, beam.summary, lm, task)
+                checked = task.require_period and beam.summary.complete(1)
+                raw = lm.predict(render_sentence(beam.words), params) if checked else None
+                end = completes(beam.summary, raw, task)
                 if end is not None:
                     solutions.append(make_record(beam.words, beam.cum_logprob, end, task, started))
-                    solved_now = True
                 else:
                     survivors.append(beam)
-            if solved_now and mode is HaltingMode.FIRST_SOLUTION:
-                for beam in survivors:
-                    beam.alive = False
-                    bad_outputs.append(render_prefix(beam.words))
+            if len(survivors) < len(beams) and mode is HaltingMode.FIRST_SOLUTION:
+                bad_outputs.extend(render_prefix(b.words) for b in survivors)
                 return solutions, bad_outputs
-            overgrown = [b for b in survivors if len(b.words) >= max_words]
-            for beam in overgrown:
-                beam.alive = False
-                bad_outputs.append(render_prefix(beam.words))
+            bad_outputs.extend(render_prefix(b.words) for b in survivors if len(b.words) >= max_words)
             survivors = [b for b in survivors if len(b.words) < max_words]
             lm.prefetch((render_prefix(b.words) for b in survivors), params, k)
             beams, dead = expand_beams(survivors, lm, task, k)

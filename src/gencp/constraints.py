@@ -317,17 +317,16 @@ class PrefixSummary:
         self.failed = failed
         self.seen = seen
 
-    def push(self, word, admitted=False, word_tested=False):
+    def push(self, word, admitted=False):
         """Summary of the prefix followed by ``word``.
 
-        ``admitted`` skips every test for a word that ``filter_domain``
-        already admitted after this prefix; ``word_tested`` skips only the
-        ``admits_word`` tests, for a word that already passed ``word_valid``.
+        ``admitted`` skips every test for a word that ``filter_domain`` or
+        beam search already admitted after this prefix.
         """
         rules = self.rules
         count = self.count
         length = self.length + len(word) + 1 if count else len(word)
-        failed = self.failed or not (admitted or self.admits(word, length, 0, word_tested))
+        failed = self.failed or not (admitted or self.admits(word, length, 0))
         seen = self.seen
         if rules.keywords:
             key = word.casefold()

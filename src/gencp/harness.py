@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import constraints as cst
 from .beam import HaltingMode, beam_search, satisfaction_rate
-from .lm import TransportError, load_backend, perplexity, predicts_period
+from .lm import TransportError, load_backend, perplexity, ranked_period
 from .model import render_prefix, render_sentence, variability
 from .solver import SearchAborted, SolveOptions, check_time_budget, parse_ordering, run_search
 
@@ -93,7 +93,8 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     sharing no machinery with the solver: plain recursion, no SolverModel, no
     domain filtering.  A branch stops at the first prefix that satisfies the
     solution predicate, since nothing past a finished sentence is reachable
-    by a search that backtracks on success.  Raises OracleLimitError past
+    by a search that backtracks on success.  One backend answer per prefix
+    serves its period check and its children.  Raises OracleLimitError past
     ``node_limit`` visited prefixes or ``time_budget`` seconds.
     """
     if depth_cap < len(task.seed) + 1:
@@ -105,34 +106,30 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     found = set()
     started = time.perf_counter()
 
-    def predicate(words):
-        final = words + ["."] if task.require_period else list(words)
-        if not cst.check_complete(final, task):
-            return False
-        if task.require_period and not predicts_period(lm, render_sentence(words), params):
-            return False
-        return True
+    def finished(words):  # the words finish a sentence, the period check aside
+        return bool(words) and cst.check_complete(words + ["."] if task.require_period else words, task)
 
-    def kept_words(raw):  # the children the walk visits, from the ranked answer
+    def asks(words, whole):
+        """Whether the walk asks about ``words``, which ``whole`` says finish a sentence."""
+        if task.require_period:
+            return whole or len(words) < depth_cap
+        return not whole and len(words) < depth_cap
+
+    def children(words, whole, raw):
+        """The prefixes the walk visits below ``words``, from its answer ``raw``; None at a solution."""
+        if whole and (not task.require_period or ranked_period(raw, params.k) is not None):
+            return None
+        if len(words) >= depth_cap:
+            return []
         valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
-        return valid[: params.k]
+        return [words + [c.text] for c in valid[: params.k]]
 
-    def hints(words, raw):
-        """Hints for the children whose walk asks the backend, from the answer ``raw`` at ``words``.
-
-        Each carries its own ``hints`` as its expansion; none where the walk stops.
-        """
-        final = task.require_period and cst.check_complete(words + ["."], task)
-        if (final and any(c.text == "." for c in raw[: params.k])) or len(words) >= depth_cap:
-            return
-        for cand in kept_words(raw):
-            child = words + [cand.text]
-            if task.require_period:
-                asks = len(child) < depth_cap or cst.check_complete(child + ["."], task)
-            else:
-                asks = len(child) < depth_cap and not cst.check_complete(child, task)
-            if asks:
-                yield render_sentence(child), functools.partial(hints, child)
+    def hints(words, whole, raw):
+        """Hints for the children of ``words`` that the walk asks about, each expanding likewise."""
+        for child in children(words, whole, raw) or ():
+            known = finished(child)
+            if asks(child, known):
+                yield render_sentence(child), functools.partial(hints, child, known)
 
     def walk(words):
         nonlocal visited
@@ -141,16 +138,15 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
             raise OracleLimitError(f"enumeration exceeded {node_limit} nodes")
         if time_budget is not None and time.perf_counter() - started > time_budget:
             raise OracleLimitError(f"enumeration exceeded its {time_budget} s time budget")
-        if words and predicate(words):
-            final = words + ["."] if task.require_period else list(words)
-            found.add(render_sentence(final))
+        whole = finished(words)
+        raw = lm.predict(render_prefix(words), params) if asks(words, whole) else None
+        below = children(words, whole, raw)
+        if below is None:
+            found.add(render_sentence(words + ["."] if task.require_period else words))
             return
-        if len(words) >= depth_cap:
-            return
-        raw = lm.predict(render_prefix(words), params)
-        lm.prefetch(hints(words, raw), params)
-        for cand in kept_words(raw):
-            walk(words + [cand.text])
+        lm.prefetch(hints(words, whole, raw), params)
+        for child in below:
+            walk(child)
 
     try:
         walk(list(task.seed))

@@ -2,10 +2,11 @@
 
 Every backend answers a ranked candidate list for a sentence prefix and can
 score individual conditionals.  Rankings must be deterministic within a
-process run: the search re-queries the same prefixes after backtracking and
-relies on getting the same answers.  ``RemoteLM`` memoizes its server's
-responses to guarantee this, and fetches the prompts a search announces
-while the search works.
+process run: searches that share a backend, and the rescoring of their
+solutions, rely on getting the same answer for the same prefix.  A search
+asks each prefix once; backtracking re-asks nothing.  ``RemoteLM`` memoizes
+its server's responses to guarantee this, and fetches the prompts a search
+announces while the search works.
 """
 
 from __future__ import annotations
@@ -128,11 +129,9 @@ def perplexity(lm, words, params):
     return math.exp(-sequence_logprob(lm, words, params) / len(words))
 
 
-def period_logprob(lm, sentence, params):
-    """ln P("." | sentence) when "." ranks among the first k raw candidates, else None."""
-    if not sentence:
-        raise ValueError("empty sentence")
-    for cand in lm.predict(sentence, params)[: params.k]:
+def ranked_period(raw, k):
+    """ln P("." | prefix) when "." is among the first ``k`` of the ranked answer ``raw``, else None."""
+    for cand in raw[:k]:
         if cand.text == ".":
             return cand.logprob
     return None
@@ -140,7 +139,9 @@ def period_logprob(lm, sentence, params):
 
 def predicts_period(lm, sentence, params):
     """Whether "." ranks among the first k raw candidates after ``sentence``."""
-    return period_logprob(lm, sentence, params) is not None
+    if not sentence:
+        raise ValueError("empty sentence")
+    return ranked_period(lm.predict(sentence, params), params.k) is not None
 
 
 def _rank(candidates):
@@ -429,10 +430,15 @@ class RemoteLM(LanguageModel):
             "Content-Type: application/json\r\nContent-Length: "
         ).encode("ascii")
         self._path = _parse_response_path(response_path)
+        where, value = "timeout", timeout
         if timeout is None:
-            env = os.environ.get(TIMEOUT_ENV_VAR)
-            timeout = float(env) if env else DEFAULT_TIMEOUT_SECS
-        self.timeout = timeout
+            where, value = TIMEOUT_ENV_VAR, os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECS
+        try:
+            self.timeout = float(value)
+        except (TypeError, ValueError):
+            self.timeout = math.nan
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"{where} must be a finite number of seconds > 0, got {value!r}")
         self._local = threading.local()  # ``sock``: this thread's idle connection, if any
         self._socks = set()  # every open connection, for ``close``
         self._memo = {}  # memo key -> (widest n_probs asked, future of the raw token list)
@@ -479,10 +485,7 @@ class RemoteLM(LanguageModel):
 
         The first answer for a width stays, also after a wider response.
         """
-        answer = self._answers.get((key, n))
-        if answer is None:
-            answer = self._answers.setdefault((key, n), tuple(_candidates(raw, n)))
-        return answer
+        return self._answers.setdefault((key, n), tuple(_candidates(raw, n)))
 
     def _raw(self, sentence, key, n, params):
         """The raw tokens of a memoized response at least ``n`` wide, POSTing when there is none."""

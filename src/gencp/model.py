@@ -91,7 +91,7 @@ class Variable:
 @dataclass
 class SearchStats:
     backtracks: int = 0
-    lm_calls: int = 0  # domain fetches; period checks and scoring call the backend too
+    lm_calls: int = 0  # domains made, each from its node's one answer; leaves and scoring ask too
 
 
 @dataclass(frozen=True)

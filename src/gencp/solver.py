@@ -1,8 +1,8 @@
 """Generate-and-backtrack search with LM-predicted word domains.
 
 The search creates each variable, its domain and its constraints when it
-reaches that sentence position, in one loop of three steps, with every
-variable assigned between steps:
+reaches that sentence position, in one loop of three steps that read one
+backend answer per node, with every variable assigned between steps:
 
 - check: when the assigned words finish a sentence, record it, then
   backtrack, or jump back to an optional target so that later solutions
@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from . import constraints as cst
-from .lm import TransportError, period_logprob, sequence_logprob
+from .lm import TransportError, ranked_period, sequence_logprob
 from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_sentence
 
 
@@ -122,28 +122,27 @@ def node_domain(words, summary, raw, task, ordering):
     return cst.filter_domain(words, ordered, task.constraints, task, summary, word_tested=True)
 
 
-def generate_variable(model, lm, task, ordering):
-    """Append the next sentence-position variable with its ``node_domain``."""
-    raw = lm.predict(model.current_sentence(), task.lm_params)
+def generate_variable(model, raw, task, ordering):
+    """Append the next sentence-position variable with the ``node_domain`` of the answer ``raw``."""
     model.stats.lm_calls += 1
     return model.add_variable(node_domain(model.words, model.summary, raw, task, ordering))
 
 
-def completes(words, summary, lm, task):
+def completes(summary, raw, task):
     """Solution predicate shared by the solver and beam search.
 
-    The content ``words`` (no trailing "."), whose ``PrefixSummary`` is
-    ``summary``, satisfy every constraint, and, when the task requires a
-    period, the LM ranks "." among its next words.  Returns the
-    log-probability of the sentence's end, ln P("." | words) from that same
-    ranking or 0.0 when no period is required, and None when ``words`` are
+    The content words (no trailing ".") whose ``PrefixSummary`` is
+    ``summary`` satisfy every constraint, and, when the task requires a
+    period, "." ranks among the first k of ``raw``, the backend's answer for
+    them, or None when none was asked.  Returns ln P("." | words) from that
+    answer, or 0.0 when no period is required, and None when the words are
     not a solution.
     """
-    if not summary.complete(1 if task.require_period else 0):
-        return None
     if not task.require_period:
-        return 0.0
-    return period_logprob(lm, render_sentence(words), task.lm_params)
+        return 0.0 if summary.complete(0) else None
+    if raw is None or not summary.complete(1):
+        return None
+    return ranked_period(raw, task.lm_params.k)
 
 
 def make_record(words, logprob, end, task, started):
@@ -169,22 +168,23 @@ def _grows(summary, max_variables):
     return summary.count < max_variables and summary.can_extend()
 
 
+def _asks(summary, grows, task):
+    """Whether the search asks about a prefix: for its period check, or for the children it ``grows``."""
+    if task.require_period:
+        return grows or summary.complete(1)
+    return grows and not summary.complete(0)
+
+
 def _queried_children(words, summary, domain, task, ordering, max_variables):
     """Prefetch hints for the children of ``words`` that the search will ask the backend about.
 
-    A child is asked for its next words when it grows, and for its period
-    check when it completes structurally.  Each hint carries the child's
-    ``_expansion``.  Lazy, so that a backend ignoring ``prefetch`` pays
-    nothing for it.
+    Each hint carries the child's ``_expansion``.  Lazy, so that a backend
+    ignoring ``prefetch`` pays nothing for it.
     """
     for cand in domain.values:
         child = summary.push(cand.text, admitted=True)
         grows = _grows(child, max_variables)
-        if task.require_period:
-            queried = grows or child.complete(1)
-        else:
-            queried = grows and not child.complete(0)
-        if queried:
+        if _asks(child, grows, task):
             child_words = words + [cand.text]
             args = (child_words, child, grows, task, ordering, max_variables)
             yield render_sentence(child_words), functools.partial(_expansion, *args)
@@ -192,8 +192,7 @@ def _queried_children(words, summary, domain, task, ordering, max_variables):
 
 def _expansion(words, summary, grows, task, ordering, max_variables, raw):
     """The hints the search announces at ``words`` given the answer ``raw``; none at a leaf."""
-    final = task.require_period and summary.complete(1)
-    if not grows or (final and any(c.text == "." for c in raw[: task.lm_params.k])):
+    if not grows or completes(summary, raw, task) is not None:
         return ()
     domain = node_domain(words, summary, raw, task, ordering)
     return _queried_children(words, summary, domain, task, ordering, max_variables)
@@ -248,7 +247,10 @@ def run_search(task, lm, options=None, exhaustive=False):
         while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
             # Every variable is assigned here.
             words, summary = model.words, model.summary
-            end = completes(words, summary, lm, task) if words else None
+            grows = _grows(summary, opts.max_variables)
+            asked = _asks(summary, grows, task)
+            raw = lm.predict(model.current_sentence(), task.lm_params) if asked else None
+            end = completes(summary, raw, task)
             if end is not None:  # check: the words finish a sentence
                 if seed_logprob is None:
                     seed_logprob = sequence_logprob(lm, task.seed, task.lm_params) if task.seed else 0.0
@@ -261,8 +263,8 @@ def run_search(task, lm, options=None, exhaustive=False):
                 else:
                     moved = model.backtrack()
             else:
-                if _grows(summary, opts.max_variables):  # grow: a new variable at its first value
-                    domain = generate_variable(model, lm, task, ordering).domain
+                if grows:  # grow: a new variable at its first value
+                    domain = generate_variable(model, raw, task, ordering).domain
                     if enumerating:
                         # Announced in the order the search visits them.
                         lm.prefetch(

@@ -55,7 +55,6 @@ class TestExpandBeams:
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert kept == []
         assert [b.words for b in dead] == [("sideways",)]
-        assert dead[0].alive is False
 
     def test_infeasible_extensions_dropped_before_cut(self):
         # the char budget kills the high-probability long word, so the short
@@ -73,6 +72,22 @@ class TestExpandBeams:
         beams = [Beam(("ab",), 0.0, summarize(("ab",), task.constraints))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
+
+    def test_period_character_stays_reserved(self):
+        # "a xyz" and "b cde" fill all 5 characters and leave none for the period
+        lm = TableLM({
+            "": [("a", 0.5), ("b", 0.4)],
+            "a": [("xyz", 0.3), ("xy", 0.2)],
+            "b": [("cde", 0.9)],
+            "a xy": [(".", 0.9)],
+            "a xyz": [(".", 0.9)],
+            "b cde": [(".", 0.9)],
+        })
+        task = _task(CharCountExact(5), k=2)
+        sols, bad = beam_search(task, lm)
+        assert [s.sentence for s in sols] == ["a xy."]
+        assert bad == ["b"]
+        assert brute_force_oracle(task, lm, depth_cap=3) == {"a xy."}
 
     def test_tie_break_on_rendered_text(self):
         lm = TableLM({"go": [("beta", 0.5), ("alfa", 0.5)]})

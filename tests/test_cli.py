@@ -174,6 +174,21 @@ class TestExitCodes:
         assert "'remote:localhost:8080'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_remote_timeout_exits_1_before_any_request(
+        self, fixtures_dir, stub_server, monkeypatch, capsys, timeout
+    ):
+        server = stub_server({"": [("My", 0.6)], "My": [("cat", 0.5)], "My cat": [(".", 1.0)]})
+        monkeypatch.setenv("GENCP_LM_TIMEOUT_SECS", timeout)
+        code = main([
+            "solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", f"remote:{server.url}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "GENCP_LM_TIMEOUT_SECS" in err
+        assert "Traceback" not in err
+        assert server.counts == {}
+
     def test_bad_lm_spec_is_usage_error(self, fixtures_dir):
         code = main([
             "solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", "nonsense",

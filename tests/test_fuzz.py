@@ -20,7 +20,8 @@ searches sum along their path equals the backend's rescoring exactly, and
 two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
 of exhaustive search.  Served through the stub server, the same tables give
-the same outputs from ``RemoteLM`` as from ``TableLM``.
+the same outputs from ``RemoteLM`` as from ``TableLM``, and the solver and
+the oracle ask the backend about each prompt once.
 """
 
 import random
@@ -56,6 +57,7 @@ from gencp import (
     perplexity,
     render_prefix,
     render_sentence,
+    solve,
     solve_all,
     summarize,
     word_valid,
@@ -521,8 +523,8 @@ def _records(records):
     return [(r.sentence, r.words, r.ppl) for r in records]
 
 
-def _beam_outputs(task, lm):
-    found, bad = beam_search(task, lm, max_words=MAX_DEPTH)
+def _beam_outputs(task, lm, width=None):
+    found, bad = beam_search(task, lm, k=width, max_words=MAX_DEPTH)
     return _records(found), bad
 
 
@@ -530,8 +532,14 @@ EQUIVALENT_SEARCHES = {
     "solve_all": lambda task, lm: _records(solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))),
     "solve_all char-target": lambda task, lm: _records(solve_all(task, lm, SolveOptions(
         max_variables=MAX_DEPTH, ordering=parse_ordering("char-target")))),
+    "solve capped jump-back": lambda task, lm: _records(solve(task, lm, SolveOptions(
+        max_variables=MAX_DEPTH, max_solutions=2, backtrack_to=1))),
     "oracle": lambda task, lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
     "beam": _beam_outputs,
+    # narrower and wider than k, so the width rule serves each period check
+    # and expansion from one response
+    "beam k-1": lambda task, lm: _beam_outputs(task, lm, max(1, task.lm_params.k - 1)),
+    "beam k+1": lambda task, lm: _beam_outputs(task, lm, task.lm_params.k + 1),
 }
 
 
@@ -561,3 +569,23 @@ def test_remote_backend_over_the_stub_equals_the_table(module_stub, instance):
         asked = {sentence for sentence, _ in local.prompts("ask")}
         assert set(module_stub.counts.values()) <= {1}, name
         assert asked <= set(module_stub.counts) <= asked | scoring, name
+
+
+@settings(max_examples=400)
+@given(instances())
+def test_searches_ask_each_prompt_once(instance):
+    """The solver and the oracle send each (prompt, width) to ``predict`` once.
+
+    A node's period check and its children are read from one answer, so no
+    backend, memoizing or not, pays twice for a node.  Beam search asks a
+    beam's prompt for its period check and again for its expansion.
+    """
+    table, constraints, k, require_period, seed = instance
+    task = _fuzz_task(constraints, k, require_period, seed)
+    for name, search in EQUIVALENT_SEARCHES.items():
+        if name.startswith("beam"):
+            continue
+        lm = HintedTableLM(table)
+        search(task, lm)
+        asked = [key for what, key in lm.log if what == "ask"]
+        assert len(asked) == len(set(asked)), name

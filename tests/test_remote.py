@@ -221,6 +221,17 @@ class TestRemotePredict:
         lm = RemoteLM("http://127.0.0.1:9/x")
         assert lm.timeout == 7.5
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    def test_bad_timeout_env_is_rejected_at_construction(self, monkeypatch, value):
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, value)
+        with pytest.raises(ValueError, match=f"^{TIMEOUT_ENV_VAR} must be .*{value!r}"):
+            RemoteLM("http://127.0.0.1:9/x")
+
+    @pytest.mark.parametrize("value", [0, -1, math.nan, math.inf])
+    def test_bad_timeout_argument_is_rejected_at_construction(self, value):
+        with pytest.raises(ValueError, match="^timeout must be"):
+            RemoteLM("http://127.0.0.1:9/x", timeout=value)
+
     def test_conditional_logprob_via_server(self, stub_server):
         server = stub_server(TREE)
         lm = RemoteLM(server.url)

@@ -67,7 +67,7 @@ class TestGenerateVariable:
 
     def test_appends_with_empty_domain(self):
         model = SolverModel.from_seed(["A", "man"], summarize((), ()))
-        var = generate_variable(model, TableLM({}), _simple_task(), PROBABILITY)
+        var = generate_variable(model, [], _simple_task(), PROBABILITY)
         assert var.index == 3
         assert (var.domain.values, var.domain.cursor) == ([], None)
 
@@ -80,7 +80,8 @@ class TestGenerateVariable:
 class TestGenerateDomain:
     def test_raw_predictions_become_domain(self, fig_lm):
         model = SolverModel.from_seed(["A"], summarize((), ()))
-        domain = generate_variable(model, fig_lm, _simple_task(seed=("A",)), PROBABILITY).domain
+        task = _simple_task(seed=("A",))
+        domain = generate_variable(model, fig_lm.predict("A", task.lm_params), task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["boy", "man", "house"]
         assert model.stats.lm_calls == 1
 
@@ -91,12 +92,15 @@ class TestGenerateDomain:
         lm = TableLM(table)
         task = _simple_task(lm_params=LMParams(k=5))
         model = SolverModel(summarize((), ()))
-        domain = generate_variable(model, lm, task, PROBABILITY).domain
+        domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
+                                   task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["ok", "fine", "good", "nice", "warm"]
 
     def test_unknown_prefix_yields_empty_domain(self, fig_lm):
         model = SolverModel.from_seed(["A", "boy"], summarize((), ()))
-        domain = generate_variable(model, fig_lm, _simple_task(), PROBABILITY).domain
+        task = _simple_task()
+        domain = generate_variable(model, fig_lm.predict("A boy", task.lm_params), task,
+                                   PROBABILITY).domain
         assert domain.values == []
         assert model.variables[-1].domain.cursor is None
 
@@ -105,7 +109,8 @@ class TestGenerateDomain:
         table = {"": [(w, 0.5 / 2**i) for i, w in enumerate(words)]}
         task = _simple_task(lm_params=LMParams(k=5))
         model = SolverModel(summarize((), ()))
-        domain = generate_variable(model, TableLM(table), task, PROBABILITY).domain
+        domain = generate_variable(model, TableLM(table).predict("", task.lm_params), task,
+                                   PROBABILITY).domain
         assert [c.text for c in domain.values] == words[:5]
 
 
@@ -114,14 +119,16 @@ class TestGenerateConstraints:
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
         model = SolverModel.from_seed(["A"], summarize((), task.constraints))
         lm = TableLM({"A": [("man", 0.4), ("house", 0.3), ("boy", 0.2)]})
-        domain = generate_variable(model, lm, task, PROBABILITY).domain
+        domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
+                                   task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["man", "boy"]
 
     def test_no_applicable_constraint_keeps_domain(self):
         task = _simple_task()
         model = SolverModel.from_seed(["A"], summarize((), task.constraints))
         lm = TableLM({"A": [("man", 0.5), ("boy", 0.3)]})
-        domain = generate_variable(model, lm, task, PROBABILITY).domain
+        domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
+                                   task, PROBABILITY).domain
         assert [c.text for c in domain.values] == ["man", "boy"]
 
 
@@ -178,23 +185,27 @@ class TestBooleanPredicate:
     def _model_with(self, words, root):
         return SolverModel.from_seed(words, root)
 
+    def _completes(self, model, lm, task):
+        """``completes`` on the backend's answer for the model's words."""
+        return completes(model.summary, lm.predict(model.current_sentence(), task.lm_params), task)
+
     def test_all_conjuncts_hold(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [(".", 1.0)]})
         model = self._model_with(["up", "down"], summarize((), task.constraints))
-        assert completes(model.words, model.summary, lm, task) is not None
+        assert self._completes(model, lm, task) is not None
 
     def test_word_window_not_reached(self):
         task = _simple_task(constraints=(WordCountRange(3, 4),))
         lm = TableLM({"up down": [(".", 1.0)]})
         model = self._model_with(["up", "down"], summarize((), task.constraints))
-        assert completes(model.words, model.summary, lm, task) is None
+        assert self._completes(model, lm, task) is None
 
     def test_period_not_predicted(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [("more", 1.0)]})
         model = self._model_with(["up", "down"], summarize((), task.constraints))
-        assert completes(model.words, model.summary, lm, task) is None
+        assert self._completes(model, lm, task) is None
 
     def test_exact_char_count_with_reserved_period(self):
         from gencp import CharCountExact
@@ -203,9 +214,9 @@ class TestBooleanPredicate:
         task = _simple_task(constraints=(WordCountRange(1, 4), CharCountExact(6)))
         lm = TableLM({"ab cd": [(".", 1.0)], "ab": [("cd", 1.0)]})
         model = self._model_with(["ab", "cd"], summarize((), task.constraints))
-        assert completes(model.words, model.summary, lm, task) is not None
+        assert self._completes(model, lm, task) is not None
         model_short = self._model_with(["ab"], summarize((), task.constraints))
-        assert completes(model_short.words, model_short.summary, lm, task) is None
+        assert self._completes(model_short, lm, task) is None
 
 
 class TestSolve:
@@ -449,12 +460,9 @@ class TestVisitOrder:
     def test_exhaustive_walkthrough(self, fig_lm, fig_task):
         lm = _PromptLog(fig_lm)
         outcome = run_search(fig_task, lm, SolveOptions(max_variables=8), exhaustive=True)
-        # A prefix is asked for its period check, then for its next words;
+        # A prefix is asked once, for its period check and its next words;
         # a finished sentence grows no further.
-        assert lm.prompts == [
-            "A", "A", "A boy", "A boy", "A man", "A man", "A man drinks", "A man drinks",
-            "A man drinks milk", "A man and", "A man and",
-        ]
+        assert lm.prompts == ["A", "A boy", "A man", "A man drinks", "A man drinks milk", "A man and"]
         assert outcome.stats.backtracks == 2
 
     def test_capped_jump_back_demo(self, fixtures_dir):
