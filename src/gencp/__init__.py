@@ -61,7 +61,6 @@ from .model import (
     SearchStats,
     SolutionRecord,
     SolverModel,
-    Variable,
     WordCandidate,
     render_prefix,
     render_sentence,

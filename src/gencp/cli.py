@@ -50,11 +50,14 @@ def _build_parser():
         p.add_argument("--time-budget", type=float, help="wall-clock budget in seconds")
         p.add_argument("--max-variables", type=int, default=max_variables)
 
+    def add_search(p):
+        p.add_argument("--max-solutions", type=int)
+        p.add_argument("--backtrack-to", type=int, help="jump back to this variable after each solution")
+        p.add_argument("--ordering", help="probability | ppl (alias of probability) | char-target[:PIVOT]")
+
     p_solve = sub.add_parser("solve", help="run the backtracking search once")
     add_common(p_solve)
-    p_solve.add_argument("--max-solutions", type=int)
-    p_solve.add_argument("--backtrack-to", type=int, help="jump back to this variable after each solution")
-    p_solve.add_argument("--ordering", help="probability | ppl (alias of probability) | char-target[:PIVOT]")
+    add_search(p_solve)
     p_solve.add_argument("--all", action="store_true", help="exhaust the search tree")
 
     p_beam = sub.add_parser("beam", help="run beam search once")
@@ -65,9 +68,7 @@ def _build_parser():
     add_common(p_bench, with_k=False)
     p_bench.add_argument("--k", required=True, help="comma-separated k values, e.g. 5,10,20")
     p_bench.add_argument("--method", required=True, help="comma-separated: gencp,bs-first,bs-all,oracle")
-    p_bench.add_argument("--max-solutions", type=int)
-    p_bench.add_argument("--backtrack-to", type=int)
-    p_bench.add_argument("--ordering")
+    add_search(p_bench)
     p_bench.add_argument("--pair", action="store_true", help="cap the search at beam search's solution count")
     p_bench.add_argument("--out", help="report file (stdout when omitted)")
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -92,6 +93,16 @@ def _load_task(args):
     return task
 
 
+def _solve_options(args):
+    return SolveOptions(
+        max_solutions=args.max_solutions,
+        time_budget=args.time_budget,
+        ordering=parse_ordering(args.ordering) if args.ordering else None,
+        backtrack_to=args.backtrack_to,
+        max_variables=args.max_variables,
+    )
+
+
 def _print_records(records):
     for rec in records:
         print(f"{rec.sentence}\tppl={rec.ppl:.4f}")
@@ -99,13 +110,7 @@ def _print_records(records):
 
 def _cmd_solve(args):
     task = _load_task(args)
-    opts = SolveOptions(
-        max_solutions=args.max_solutions,
-        time_budget=args.time_budget,
-        ordering=parse_ordering(args.ordering) if args.ordering else None,
-        backtrack_to=args.backtrack_to,
-        max_variables=args.max_variables,
-    )
+    opts = _solve_options(args)
     with closing(load_backend(args.lm)) as lm:
         outcome = run_search(task, lm, opts, exhaustive=args.all)
     _print_records(outcome.solutions)
@@ -145,12 +150,8 @@ def _cmd_bench(args):
         lm_spec=args.lm,
         k_values=k_values,
         methods=tuple(m for m in args.method.split(",") if m),
-        max_solutions=args.max_solutions,
-        time_budget=args.time_budget,
+        options=_solve_options(args),
         pair_gencp_to_bs=args.pair,
-        max_variables=args.max_variables,
-        ordering=args.ordering,
-        backtrack_to=args.backtrack_to,
     )
     rows = run_benchmark(config)
     emit_report(rows, fmt=args.format, path=args.out)

@@ -397,7 +397,7 @@ def summarize(words, constraints):
     return summary
 
 
-def filter_domain(partial, domain, constraints, task, summary=None, word_tested=False):
+def filter_domain(partial, domain, task, summary=None, word_tested=False):
     """Drop candidates that cannot sit at position len(partial)+1.
 
     A survivor is valid on its own (``word_valid``) and admitted at the next
@@ -409,7 +409,7 @@ def filter_domain(partial, domain, constraints, task, summary=None, word_tested=
     only the tests against the prefix run.
     """
     if summary is None:
-        summary = summarize(partial, constraints)
+        summary = summarize(partial, task.constraints)
     reserve = 1 if task.require_period else 0
     base = summary.length + 1 if summary.count else 0
     return Domain([cand for cand in domain.values

@@ -12,29 +12,16 @@ import statistics
 import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import constraints as cst
 from .beam import HaltingMode, beam_search, satisfaction_rate
 from .lm import TransportError, load_backend, perplexity, ranked_period
 from .model import render_prefix, render_sentence, variability
-from .solver import SearchAborted, SolveOptions, check_time_budget, parse_ordering, run_search
+from .solver import SearchAborted, SolveOptions, check_time_budget, run_search
 
 log = logging.getLogger(__name__)
-
-REPORT_FIELDS = (
-    "method",
-    "task",
-    "k",
-    "seconds",
-    "n_solutions",
-    "sat_pct",
-    "n_bad_outputs",
-    "n_backtracks",
-    "mean_ppl",
-    "max_variability",
-)
 
 METHODS = ("bs-first", "bs-all", "oracle", "gencp")
 
@@ -55,20 +42,19 @@ class ReportRow:
     max_variability: int | None
 
 
+REPORT_FIELDS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """What to run: tasks x k values x methods against one backend."""
+    """What to run: tasks x k values x methods against one backend, with one set of run options."""
 
     tasks: tuple
     lm_spec: str
     k_values: tuple
     methods: tuple
-    max_solutions: int | None = None
-    time_budget: float | None = None
+    options: SolveOptions = SolveOptions()
     pair_gencp_to_bs: bool = False
-    max_variables: int = 64
-    ordering: str | None = None
-    backtrack_to: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -79,7 +65,6 @@ class RunConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")
-        check_time_budget(self.time_budget)
 
 
 class OracleLimitError(RuntimeError):
@@ -200,20 +185,13 @@ def run_benchmark(config):
 
 
 def _run_method(method, task, lm, k, config, bs_reference):
+    opts = config.options
     started = time.perf_counter()
     extra = {"sat_pct": None, "n_bad_outputs": None, "n_backtracks": None}
     try:
         if method == "gencp":
-            cap = config.max_solutions
             if bs_reference is not None:
-                cap = max(bs_reference, 1)
-            opts = SolveOptions(
-                max_solutions=cap,
-                time_budget=config.time_budget,
-                ordering=parse_ordering(config.ordering) if config.ordering else None,
-                backtrack_to=config.backtrack_to,
-                max_variables=config.max_variables,
-            )
+                opts = replace(opts, max_solutions=max(bs_reference, 1))
             outcome = run_search(task, lm, opts)
             seconds = time.perf_counter() - started
             word_lists = [r.words for r in outcome.solutions]
@@ -222,8 +200,8 @@ def _run_method(method, task, lm, k, config, bs_reference):
         elif method in ("bs-first", "bs-all"):
             mode = HaltingMode.FIRST_SOLUTION if method == "bs-first" else HaltingMode.ALL_SOLUTIONS
             records, bad = beam_search(
-                task, lm, k=k, mode=mode, time_budget=config.time_budget,
-                max_words=config.max_variables,
+                task, lm, k=k, mode=mode, time_budget=opts.time_budget,
+                max_words=opts.max_variables,
             )
             seconds = time.perf_counter() - started
             word_lists = [r.words for r in records]
@@ -231,7 +209,7 @@ def _run_method(method, task, lm, k, config, bs_reference):
             extra.update(sat_pct=satisfaction_rate(records, bad), n_bad_outputs=len(bad))
         elif method == "oracle":
             sentences = sorted(brute_force_oracle(
-                task, lm, depth_cap=config.max_variables, time_budget=config.time_budget
+                task, lm, depth_cap=opts.max_variables, time_budget=opts.time_budget
             ))
             seconds = time.perf_counter() - started
             word_lists = [_sentence_words(s) for s in sentences]

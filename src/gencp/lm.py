@@ -30,7 +30,6 @@ from .model import WordCandidate, render_prefix
 PROB_FLOOR = 1e-10  # conditional probability charged for words a backend never offered
 DEFAULT_TIMEOUT_SECS = 120.0
 TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
-DEFAULT_RESPONSE_PATH = "completion_probabilities[0].probs"
 # Requests a RemoteLM keeps in flight, as many as the parallel slots of a
 # typical llama.cpp server (``--parallel 4``).
 REMOTE_WORKERS = 4
@@ -285,18 +284,36 @@ class NGramLM(LanguageModel):
 
     @classmethod
     def from_dict(cls, data):
-        if data.get("format") != "gencp-ngram":
+        """Model from the form ``to_dict`` writes; a ValueError names the first bad field."""
+        if not isinstance(data, dict) or data.get("format") != "gencp-ngram":
             raise ValueError("not a saved n-gram model")
-        order = int(data["order"])
+        order, vocabulary, entries = data.get("order"), data.get("vocabulary"), data.get("counts")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"n-gram model field 'order' must be an integer >= 1, got {order!r}")
+        smoothing = _smoothing(data.get("smoothing"))
+        if not (isinstance(vocabulary, list) and vocabulary
+                and all(isinstance(w, str) for w in vocabulary)):
+            raise ValueError("n-gram model field 'vocabulary' must be a non-empty list of words")
+        if not isinstance(entries, list):
+            raise ValueError("n-gram model field 'counts' must be a list")
         counts = [{} for _ in range(order + 1)]
         totals = [{} for _ in range(order + 1)]
-        for length, ctx, pairs in data["counts"]:
-            ctx = tuple(ctx)
-            bucket = counts[length].setdefault(ctx, {})
-            for word, count in pairs:
-                bucket[word] = count
-                totals[length][ctx] = totals[length].get(ctx, 0) + count
-        return cls(order, float(data["smoothing"]), counts, totals, list(data["vocabulary"]))
+        for i, entry in enumerate(entries):
+            try:
+                length, ctx, pairs = entry
+                ctx = tuple(ctx)
+                if type(length) is not int or not 0 <= length <= order or len(ctx) != length:
+                    raise ValueError
+                bucket = counts[length].setdefault(ctx, {})
+                for word, count in pairs:
+                    if not isinstance(word, str) or type(count) is not int or count < 1:
+                        raise ValueError
+                    bucket[word] = count
+                    totals[length][ctx] = totals[length].get(ctx, 0) + count
+            except (TypeError, ValueError):
+                bad = f"must be [length <= {order}, context of that length, [[word, count >= 1], ...]]"
+                raise ValueError(f"n-gram model field 'counts[{i}]' {bad}") from None
+        return cls(order, smoothing, counts, totals, vocabulary)
 
     @classmethod
     def load(cls, path):
@@ -309,6 +326,13 @@ class NGramLM(LanguageModel):
             fh.write("\n")
 
 
+def _smoothing(value):
+    """``value`` as an additive smoothing constant, which must be a finite number >= 0."""
+    if not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"smoothing must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def train_ngram(corpus, order, smoothing=1.0):
     """Count-based training over whitespace/punctuation tokenized text.
 
@@ -317,8 +341,7 @@ def train_ngram(corpus, order, smoothing=1.0):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    smoothing = _smoothing(smoothing)
     text = corpus.read() if hasattr(corpus, "read") else corpus
     tokens = tokenize(text)
     if not tokens:
@@ -335,21 +358,6 @@ def train_ngram(corpus, order, smoothing=1.0):
             totals[length][ctx] = totals[length].get(ctx, 0) + 1
     vocabulary = sorted(set(tokens))
     return NGramLM(order, smoothing, counts, totals, vocabulary)
-
-
-_PATH_SEGMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
-
-
-def _parse_response_path(path):
-    keys = []
-    for segment in path.split("."):
-        m = _PATH_SEGMENT_RE.match(segment)
-        if m is None:
-            raise ValueError(f"bad response path segment {segment!r}")
-        keys.append(m.group(1))
-        for idx in re.findall(r"\[(\d+)\]", m.group(2)):
-            keys.append(int(idx))
-    return keys
 
 
 def _memo_key(sentence, params):
@@ -373,6 +381,28 @@ def _candidates(raw, n):
         if text not in best or prob > best[text]:
             best[text] = prob
     return _rank(WordCandidate(text, math.log(prob)) for text, prob in best.items())
+
+
+def _extract(doc):
+    """The (stripped token, probability) pairs of a decoded llama.cpp ``/completion`` response.
+
+    They are listed at ``completion_probabilities[0].probs``.
+    """
+    node = doc
+    for key in ("completion_probabilities", 0, "probs"):
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            raise TransportError(f"response lacks {key!r}") from None
+    if not isinstance(node, list):
+        raise TransportError("response holds no list at completion_probabilities[0].probs")
+    raw = []
+    for item in node:
+        try:
+            raw.append((item["token"].strip(), float(item["prob"])))
+        except (KeyError, TypeError, ValueError, AttributeError):
+            raise TransportError("token entry missing 'token'/'prob'") from None
+    return tuple(raw)
 
 
 # Characters a URL may not carry into the request line: controls and spaces.
@@ -412,7 +442,7 @@ class RemoteLM(LanguageModel):
     are not read.
     """
 
-    def __init__(self, endpoint, response_path=DEFAULT_RESPONSE_PATH, timeout=None):
+    def __init__(self, endpoint, timeout=None):
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname or _URL_UNSAFE_RE.search(endpoint):
             raise ValueError(
@@ -429,7 +459,6 @@ class RemoteLM(LanguageModel):
             f"POST {target} HTTP/1.1\r\nHost: {url.netloc.rpartition('@')[2]}\r\n"
             "Content-Type: application/json\r\nContent-Length: "
         ).encode("ascii")
-        self._path = _parse_response_path(response_path)
         where, value = "timeout", timeout
         if timeout is None:
             where, value = TIMEOUT_ENV_VAR, os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECS
@@ -594,7 +623,7 @@ class RemoteLM(LanguageModel):
             doc = json.loads(data)
         except ValueError as exc:
             raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
-        return self._extract(doc)
+        return _extract(doc)
 
     def _request(self, body):
         """POST ``body`` on this thread's connection; returns the status and the response body.
@@ -651,23 +680,6 @@ class RemoteLM(LanguageModel):
         response = http.client.HTTPResponse(sock, method="POST")
         response.begin()
         return response
-
-    def _extract(self, doc):
-        node = doc
-        for key in self._path:
-            try:
-                node = node[key]
-            except (KeyError, IndexError, TypeError):
-                raise TransportError(f"response lacks {key!r} along the configured path") from None
-        if not isinstance(node, list):
-            raise TransportError("configured response path does not hold a list")
-        raw = []
-        for item in node:
-            try:
-                raw.append((item["token"].strip(), float(item["prob"])))
-            except (KeyError, TypeError, ValueError, AttributeError):
-                raise TransportError("token entry missing 'token'/'prob'") from None
-        return tuple(raw)
 
     def conditional_logprob(self, prefix_words, word, params):
         for cand in self.predict(render_prefix(prefix_words), params):

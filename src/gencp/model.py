@@ -1,10 +1,10 @@
-"""Core search state: word variables and their candidate domains.
+"""Core search state: the candidate domains of the sentence positions.
 
-The search assigns sentence positions left to right, so every variable but the
-newest is assigned.  A variable and its domain are made when the search
-reaches its position, and nothing narrows a domain afterwards, so the stack
-of variables is the whole backtracking state: each domain's cursor marks the
-values already tried, and backtracking deletes the exhausted variables and
+The search assigns sentence positions, its variables, left to right, so
+every position but the newest is assigned.  A position's domain is made when
+the search reaches it, and nothing narrows a domain afterwards, so the stack
+of domains is the whole backtracking state: each domain's cursor marks the
+values already tried, and backtracking deletes the exhausted domains and
 advances the deepest one left to its next value.  Beside the assigned words
 the model keeps one prefix summary per prefix (see
 ``gencp.constraints.PrefixSummary``); cutting the word list back cuts the
@@ -68,26 +68,6 @@ class Domain:
         return f"Domain({texts}, cursor={self.cursor})"
 
 
-class Variable:
-    """One sentence position (1-based index) and its candidate domain."""
-
-    __slots__ = ("index", "domain")
-
-    def __init__(self, index, domain=None):
-        if index < 1:
-            raise ValueError("variable index must be >= 1")
-        self.index = index
-        self.domain = domain if domain is not None else Domain()
-
-    @property
-    def assigned_word(self):
-        cand = self.domain.current()
-        return cand.text if cand is not None else None
-
-    def __repr__(self):
-        return f"Variable(x{self.index}={self.assigned_word!r}, {self.domain!r})"
-
-
 @dataclass
 class SearchStats:
     backtracks: int = 0
@@ -115,56 +95,57 @@ class SolutionRecord:
 
 
 class SolverModel:
-    """Mutable search state: variables, counters.
+    """Mutable search state: one domain per sentence position, counters.
 
-    ``words`` holds the assigned words, kept in step by ``assign``, through
-    which every cursor move goes.  ``root`` is the summary of the empty
-    prefix; ``summaries`` holds the summary of every prefix of ``words``,
-    ``root`` first, and ``summary`` is the last of them.  Confined to a
-    single search; never share one instance across threads.
+    ``domains[i]`` is position i+1's.  ``words`` holds the assigned words,
+    kept in step by ``assign``, through which every cursor move goes.
+    ``root`` is the summary of the empty prefix; ``summaries`` holds the
+    summary of every prefix of ``words``, ``root`` first, and ``summary``
+    is the last of them.  Confined to a single search; never share one
+    instance across threads.
     """
 
     def __init__(self, root):
-        self.variables = []
+        self.domains = []
         self.words = []
         self.summaries = [root]
         self.stats = SearchStats()
 
     @classmethod
     def from_seed(cls, seed_words, root):
-        """Model whose first variables each hold one given word as their only value."""
+        """Model whose first positions each hold one given word as their only value."""
         model = cls(root)
         for word in seed_words:
             model.add_variable(Domain([WordCandidate(word, 0.0)]))
             model.assign(0, admitted=False)
         return model
 
-    def add_variable(self, domain=None):
-        """Append the next sentence-position variable, its domain empty when not given.
-
-        Every variable must be assigned.
-        """
-        var = Variable(len(self.variables) + 1, domain)
-        self.variables.append(var)
-        return var
+    def add_variable(self, domain):
+        """Append and return ``domain``, the next position's; every earlier position must be assigned."""
+        self.domains.append(domain)
+        return domain
 
     @property
     def summary(self):
         """Summary of the assigned words."""
         return self.summaries[-1]
 
-    def assign(self, cursor, admitted=True):
-        """Assign the newest variable its value at ``cursor``; update ``words`` and ``summaries``.
+    def _cut(self, n):
+        """Keep the first ``n`` words and the summaries of their prefixes."""
+        del self.words[n:]
+        del self.summaries[n + 1:]
 
-        Every earlier variable must be assigned.  ``admitted`` says that
-        ``filter_domain`` admitted the variable's values after the words
+    def assign(self, cursor, admitted=True):
+        """Assign the newest position its value at ``cursor``; update ``words`` and ``summaries``.
+
+        Every earlier position must be assigned.  ``admitted`` says that
+        ``filter_domain`` admitted the domain's values after the words
         before it (see ``PrefixSummary.push``).
         """
-        var = self.variables[-1]
-        var.domain.cursor = cursor
-        word = var.domain.values[cursor].text
-        del self.words[var.index - 1:]
-        del self.summaries[var.index:]
+        domain = self.domains[-1]
+        domain.cursor = cursor
+        word = domain.values[cursor].text
+        self._cut(len(self.domains) - 1)
         self.words.append(word)
         self.summaries.append(self.summaries[-1].push(word, admitted))
 
@@ -173,36 +154,34 @@ class SolverModel:
         return render_prefix(self.words)
 
     def backtrack(self):
-        """Move the deepest variable that has an untried value to its next value.
+        """Move the deepest position that has an untried value to its next value.
 
-        The variables after it, whose values are all tried, are deleted with
-        their words and summaries.  Returns False, with no variable left,
-        when no variable has an untried value.
+        The positions after it, whose values are all tried, are deleted with
+        their words and summaries.  Returns False, with no position left,
+        when no position has an untried value.
         """
-        while self.variables:
-            var = self.variables[-1]
-            nxt = 0 if var.domain.cursor is None else var.domain.cursor + 1
-            if nxt < len(var.domain.values):
+        while self.domains:
+            domain = self.domains[-1]
+            nxt = 0 if domain.cursor is None else domain.cursor + 1
+            if nxt < len(domain.values):
                 self.assign(nxt)
                 self.stats.backtracks += 1
                 return True
-            self.variables.pop()
-            del self.words[var.index - 1:]
-            del self.summaries[var.index:]
+            self.domains.pop()
+            self._cut(len(self.domains))
         return False
 
     def backtrack_to(self, n):
-        """Delete the variables after position n, then backtrack.
+        """Delete the positions after position n, then backtrack.
 
         Returns False when no untried value remains at or above x_n.
         """
         if n < 1:
             raise ValueError("backtrack target must be >= 1")
-        if n >= len(self.variables):
+        if n >= len(self.domains):
             raise ValueError("nothing to delete")
-        del self.variables[n:]
-        del self.words[n:]
-        del self.summaries[n + 1:]
+        del self.domains[n:]
+        self._cut(n)
         return self.backtrack()
 
 

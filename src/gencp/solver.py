@@ -119,11 +119,11 @@ def node_domain(words, summary, raw, task, ordering):
     """
     window = cst.valid_words(raw, task.constraints, task.lm_params.k)
     ordered = Domain(order_candidates(window, ordering, len(words) + 1))
-    return cst.filter_domain(words, ordered, task.constraints, task, summary, word_tested=True)
+    return cst.filter_domain(words, ordered, task, summary, word_tested=True)
 
 
 def generate_variable(model, raw, task, ordering):
-    """Append the next sentence-position variable with the ``node_domain`` of the answer ``raw``."""
+    """Append and return the next sentence position's domain: the ``node_domain`` of the answer ``raw``."""
     model.stats.lm_calls += 1
     return model.add_variable(node_domain(model.words, model.summary, raw, task, ordering))
 
@@ -198,19 +198,6 @@ def _expansion(words, summary, grows, task, ordering, max_variables, raw):
     return _queried_children(words, summary, domain, task, ordering, max_variables)
 
 
-def _path_logprob(model, seed_logprob, n_seed):
-    """The model's words scored from the candidates the search assigned.
-
-    ``seed_logprob`` scores the first ``n_seed`` words, which the model
-    holds with a placeholder log-probability; the assigned candidates of
-    the later variables are added to it left to right.
-    """
-    total = seed_logprob
-    for var in model.variables[n_seed:]:
-        total += var.domain.current().logprob
-    return total
-
-
 @dataclass
 class SearchOutcome:
     solutions: list
@@ -254,17 +241,20 @@ def run_search(task, lm, options=None, exhaustive=False):
             if end is not None:  # check: the words finish a sentence
                 if seed_logprob is None:
                     seed_logprob = sequence_logprob(lm, task.seed, task.lm_params) if task.seed else 0.0
-                logprob = _path_logprob(model, seed_logprob, len(task.seed))
+                # Seed domains hold placeholder scores: add the later candidates' to the seed's.
+                logprob = seed_logprob
+                for domain in model.domains[len(task.seed):]:
+                    logprob += domain.current().logprob
                 solutions.append(make_record(words, logprob, end, task, started))
                 if max_solutions is not None and len(solutions) >= max_solutions:
                     break
-                if jump_to is not None and 1 <= jump_to < len(model.variables):
+                if jump_to is not None and 1 <= jump_to < len(model.domains):
                     moved = model.backtrack_to(jump_to)
                 else:
                     moved = model.backtrack()
             else:
                 if grows:  # grow: a new variable at its first value
-                    domain = generate_variable(model, raw, task, ordering).domain
+                    domain = generate_variable(model, raw, task, ordering)
                     if enumerating:
                         # Announced in the order the search visits them.
                         lm.prefetch(

@@ -103,6 +103,29 @@ class TestBenchCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("option, field", [
+        (["--max-solutions", "0"], "max_solutions"),
+        (["--backtrack-to", "0"], "backtrack_to"),
+        (["--ordering", "bogus"], "ordering"),
+    ], ids=["max-solutions", "backtrack-to", "ordering"])
+    def test_bad_run_option_exits_1_before_the_backend_loads(
+        self, fixtures_dir, tmp_path, monkeypatch, capsys, option, field
+    ):
+        def refuse(spec):
+            raise AssertionError(f"loaded {spec}")
+
+        monkeypatch.setattr("gencp.harness.load_backend", refuse)
+        out_path = tmp_path / "report.csv"
+        # beam search alone reads none of the three, so only the check rejects them
+        code = main([
+            "bench", "--task", "demo-60", "--lm", f"table:{fixtures_dir / 'demo60.tbl'}",
+            "--k", "10", "--method", "bs-all", "--out", str(out_path),
+        ] + option)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and field in err
+        assert not out_path.exists()
+
 
 class TestOracleCommand:
     def test_lists_solutions(self, fixtures_dir, capsys):
@@ -142,6 +165,20 @@ class TestTrainNgramCommand:
             "--out", str(tmp_path / "m.json"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
+    def test_smoothing_must_be_finite_and_not_negative(self, tmp_path, capsys, smoothing):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat .", encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = main([
+            "train-ngram", "--corpus", str(corpus), "--order", "1",
+            "--smoothing", smoothing, "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "smoothing" in err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -245,3 +282,27 @@ def test_malformed_task_file_exits_1(payload, field, fixtures_dir, tmp_path, cap
     assert code == 1
     assert field in err
     assert "Traceback" not in err
+
+
+GOOD_NGRAM = {"format": "gencp-ngram", "order": 1, "smoothing": 1.0, "vocabulary": ["a", "b"],
+              "counts": [[0, [], [["a", 1], ["b", 1]]]]}
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"format": "gencp-ngram"}, "'order'"),
+        ({**GOOD_NGRAM, "smoothing": -1.0}, "smoothing"),
+        ({**GOOD_NGRAM, "counts": [[2, ["a", "b"], [["a", 1]]]]}, "'counts[0]'"),
+        ({**GOOD_NGRAM, "vocabulary": []}, "'vocabulary'"),
+        ([GOOD_NGRAM], "not a saved n-gram model"),
+    ],
+    ids=["format-only", "negative-smoothing", "length-over-order", "no-vocabulary", "not-an-object"],
+)
+def test_malformed_ngram_model_exits_1(payload, field, fixtures_dir, tmp_path, capsys):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", f"ngram:{model}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and field in err

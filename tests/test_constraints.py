@@ -92,14 +92,14 @@ class TestFilterDomain:
     def test_forbidden_chars(self):
         task = _task(ForbiddenChars("e"), require_period=False)
         domain = Domain(_cands(("man", -0.1), ("house", -0.2), ("boy", -0.3)))
-        out = filter_domain(["A"], domain, task.constraints, task)
+        out = filter_domain(["A"], domain, task)
         assert [c.text for c in out.values] == ["man", "boy"]
 
     def test_character_budget(self):
         task = _task(CharCountExact(60), require_period=False)
         partial = ["a" * 58]
         domain = Domain(_cands(("extraordinary", -0.1), ("x", -0.2)))
-        out = filter_domain(partial, domain, task.constraints, task)
+        out = filter_domain(partial, domain, task)
         assert [c.text for c in out.values] == ["x"]  # 58 + 1 + 1 = 60 fits
 
     def test_period_reservation(self):
@@ -107,41 +107,41 @@ class TestFilterDomain:
         partial = ["a" * 58]
         domain = Domain(_cands(("x", -0.2)))
         # 58 + 1 + 1 = 60 would leave no room for the final period
-        out = filter_domain(partial, domain, task.constraints, task)
+        out = filter_domain(partial, domain, task)
         assert out.values == []
 
     def test_positional_pin(self):
         task = _task(PositionLexical(3, "soft"), require_period=False)
         domain = Domain(_cands(("soft", -2.3), ("hard", -0.1)))
-        out = filter_domain(["the", "very"], domain, task.constraints, task)
+        out = filter_domain(["the", "very"], domain, task)
         assert [c.text for c in out.values] == ["soft"]
 
     def test_word_count_ceiling(self):
         task = _task(WordCountRange(1, 2), require_period=False)
         domain = Domain(_cands(("more", -0.1)))
-        out = filter_domain(["one", "two"], domain, task.constraints, task)
+        out = filter_domain(["one", "two"], domain, task)
         assert out.values == []
 
     def test_keyword_separation(self):
         task = _task(KeywordSeparation({"soft", "math"}, 3), require_period=False)
         domain = Domain(_cands(("math", -0.1), ("sand", -0.2)))
-        out = filter_domain(["soft", "and"], domain, task.constraints, task)
+        out = filter_domain(["soft", "and"], domain, task)
         assert [c.text for c in out.values] == ["sand"]
-        out2 = filter_domain(["soft", "a", "b", "c"], domain, task.constraints, task)
+        out2 = filter_domain(["soft", "a", "b", "c"], domain, task)
         assert [c.text for c in out2.values] == ["math", "sand"]
 
     def test_preserves_order_and_is_idempotent(self):
         task = _task(ForbiddenChars("q"), require_period=False)
         domain = Domain(_cands(("zed", -0.5), ("abc", -0.1), ("quk", -0.2)))
-        once = filter_domain(["go"], domain, task.constraints, task)
-        twice = filter_domain(["go"], once, task.constraints, task)
+        once = filter_domain(["go"], domain, task)
+        twice = filter_domain(["go"], once, task)
         assert [c.text for c in once.values] == ["zed", "abc"]
         assert [c.text for c in twice.values] == [c.text for c in once.values]
 
     def test_contracting(self):
         task = _task(MaxWordLen(4), require_period=False)
         domain = Domain(_cands(("abcde", -0.1), ("ab", -0.2)))
-        out = filter_domain([], domain, task.constraints, task)
+        out = filter_domain([], domain, task)
         assert set(c.text for c in out.values) <= set(c.text for c in domain.values)
 
 
@@ -384,7 +384,7 @@ class TestFilterSoundness:
             def check_node(words, depth):
                 raw = lm.predict(render_prefix(words), params, k=3)
                 domain = Domain([c for c in only_words(raw)])
-                kept = {c.text for c in filter_domain(words, domain, task.constraints, task).values}
+                kept = {c.text for c in filter_domain(words, domain, task).values}
                 for cand in domain.values:
                     if cand.text in kept:
                         continue

@@ -502,20 +502,20 @@ def test_model_summaries_match_the_specification(data, seed, moves):
 
     check()
     for move, i, width in moves:
-        if move == "push" and len(model.words) == len(model.variables):
+        if move == "push" and len(model.words) == len(model.domains):
             words = (target + list(VOCAB))[i:i + width]
             cands = Domain([WordCandidate(w, -1.0) for w in dict.fromkeys(words)])
-            domain = filter_domain(model.words, cands, constraints, tasks[1], model.summary)
+            domain = filter_domain(model.words, cands, tasks[1], model.summary)
             if not model.summary.failed:
                 assert [c.text for c in domain.values] == [
                     c.text for c in cands.values if _words_pass(model.words + [c.text], constraints, 1)]
             if domain.values:
-                model.add_variable().domain = domain
+                model.add_variable(domain)
                 model.assign(0)
         elif move == "next":
             model.backtrack()
-        elif move == "jump" and len(model.variables) > 1:
-            model.backtrack_to(1 + i % (len(model.variables) - 1))
+        elif move == "jump" and len(model.domains) > 1:
+            model.backtrack_to(1 + i % (len(model.domains) - 1))
         check()
 
 

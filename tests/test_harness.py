@@ -95,7 +95,7 @@ class TestRunBenchmark:
             lm_spec=f"table:{fixtures_dir / 'bs_miss.tbl'}",
             k_values=(2,),
             methods=("gencp", "bs-all"),
-            max_variables=6,
+            options=SolveOptions(max_variables=6),
         )
         defaults.update(kwargs)
         return RunConfig(**defaults)
@@ -128,7 +128,7 @@ class TestRunBenchmark:
         server = stub_server({"": [("My", 0.6), ("We", 0.4)], "My": [("cat", 0.5)],
                               "My cat": [(".", 1.0)]}, delay=0.05)
         config = self._config(fixtures_dir, methods=("oracle",), lm_spec=f"remote:{server.url}",
-                              time_budget=0.01)
+                              options=SolveOptions(max_variables=6, time_budget=0.01))
         row = run_benchmark(config)[0]
         assert (row.method, row.n_solutions, row.sat_pct) == ("oracle", 0, None)
 
@@ -151,8 +151,7 @@ class TestRunBenchmark:
             lm_spec=f"table:{fixtures_dir / 'demo60.tbl'}",
             k_values=(10,),
             methods=("gencp",),
-            max_solutions=4,
-            backtrack_to=2,
+            options=SolveOptions(max_solutions=4, backtrack_to=2),
         )
         rows = run_benchmark(config)
         assert rows[0].n_solutions == 4

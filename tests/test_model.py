@@ -104,20 +104,20 @@ class TestCurrentSentence:
 
 
 def _fresh_level(model, values):
-    """Append a variable with the given (text, logprob) values at its first value."""
+    """Append a domain of the given (text, logprob) values, assigned its first value."""
     model.add_variable(Domain(_cands(*values)))
     model.assign(0)
 
 
 class TestTrail:
-    """The stack of variables is the trail: each cursor marks the values tried."""
+    """The stack of domains is the trail: each cursor marks the values tried."""
 
     def test_failed_backtrack_leaves_no_variable(self):
         root = summarize((), ())
         model = SolverModel.from_seed(["A", "man"], root)
         _fresh_level(model, [("drinks", -0.7)])
         assert model.backtrack() is False  # no value is left untried
-        assert (model.variables, model.words, model.summaries) == ([], [], [root])
+        assert (model.domains, model.words, model.summaries) == ([], [], [root])
         assert model.stats.backtracks == 0
 
     def test_stack_discipline(self):
@@ -127,11 +127,9 @@ class TestTrail:
         _fresh_level(model, [("z", -0.3)])
         # first backtrack lands on v2's next value, second on v1's
         assert model.backtrack()
-        assert [v.index for v in model.variables] == [1, 2]
-        assert model.variables[1].domain.cursor == 1
+        assert [d.cursor for d in model.domains] == [0, 1]
         assert model.backtrack()
-        assert [v.index for v in model.variables] == [1]
-        assert model.variables[0].domain.cursor == 1
+        assert [d.cursor for d in model.domains] == [1]
         assert model.words == ["b"]
 
     def test_backtrack_empty_trail(self):
@@ -149,7 +147,7 @@ class TestTrail:
         while True:
             if not model.backtrack():
                 break
-            if len(model.variables) == 1:
+            if len(model.domains) == 1:
                 _fresh_level(model, level2)
             visits.append(tuple(model.words))
         assert visits == [
@@ -177,24 +175,23 @@ class TestTrail:
         model = SolverModel(summarize((), ()))
         visits = []
         while True:
-            while len(model.variables) < len(levels):
-                _fresh_level(model, levels[len(model.variables)])
+            while len(model.domains) < len(levels):
+                _fresh_level(model, levels[len(model.domains)])
             visits.append(tuple(model.words))
             if not model.backtrack():
                 break
         product = list(itertools.product(*([text for text, _ in level] for level in levels)))
         assert visits == product
         assert model.stats.backtracks == len(product) - 1
-        assert (model.variables, model.words, len(model.summaries)) == ([], [], 1)
+        assert (model.domains, model.words, len(model.summaries)) == ([], [], 1)
 
 
 class TestBacktrackTo:
     def _sentence_model(self, words, alternatives):
         model = SolverModel(summarize((), ()))
         for i, word in enumerate(words):
-            var = model.add_variable()
             cands = [(word, -0.1)] + alternatives.get(i + 1, [])
-            var.domain = Domain(_cands(*cands))
+            model.add_variable(Domain(_cands(*cands)))
             model.assign(0)
         return model
 
@@ -202,7 +199,7 @@ class TestBacktrackTo:
         words = ["I", "like", "to", "swim", "in", "the", "summer"]
         model = self._sentence_model(words, {2: [("want", -0.9)]})
         assert model.backtrack_to(2) is True
-        assert [v.assigned_word for v in model.variables] == ["I", "want"]
+        assert [d.current().text for d in model.domains] == ["I", "want"]
         assert model.words == ["I", "want"]
 
     def test_singleton_target_fails(self):
@@ -218,7 +215,7 @@ class TestBacktrackTo:
         model = self._sentence_model(["I", "like", "tea"], {1: [("We", -0.8)]})
         # x2 has no alternative, so the jump lands on x1 instead
         assert model.backtrack_to(2) is True
-        assert [v.assigned_word for v in model.variables] == ["We"]
+        assert [d.current().text for d in model.domains] == ["We"]
 
 
 class CopyingStack:
@@ -250,10 +247,10 @@ class CopyingStack:
 
 def _words_from_cursors(model):
     words = []
-    for var in model.variables:
-        if var.domain.cursor is None:
+    for domain in model.domains:
+        if domain.cursor is None:
             break
-        words.append(var.domain.values[var.domain.cursor].text)
+        words.append(domain.current().text)
     return words
 
 
@@ -283,65 +280,62 @@ class TestIncrementalState:
             assert [s.count for s in model.summaries] == list(range(len(model.words) + 1))
             assert model.summaries[0] is root
             assert [
-                (tuple(c.text for c in v.domain.values), v.domain.cursor) for v in model.variables
+                (tuple(c.text for c in d.values), d.cursor) for d in model.domains
             ] == ref.domains
 
         for step, arg in steps:
-            newest_assigned = not model.variables or model.variables[-1].domain.cursor is not None
+            newest_assigned = not model.domains or model.domains[-1].cursor is not None
             if step == "add" and newest_assigned:
-                texts = tuple(f"w{len(model.variables)}v{i}" for i in range(arg))
+                texts = tuple(f"w{len(model.domains)}v{i}" for i in range(arg))
                 model.add_variable(Domain(_cands(*((t, -1.0) for t in texts))))
                 ref.add(texts)
-            elif step == "assign" and model.variables and model.variables[-1].domain.values:
-                cursor = arg % len(model.variables[-1].domain)
+            elif step == "assign" and model.domains and model.domains[-1].values:
+                cursor = arg % len(model.domains[-1])
                 model.assign(cursor)
                 ref.assign(cursor)
             elif step == "backtrack":
                 assert model.backtrack() == ref.backtrack()
-            elif step == "backtrack_to" and len(model.variables) > 1:
-                n = 1 + arg % (len(model.variables) - 1)
+            elif step == "backtrack_to" and len(model.domains) > 1:
+                n = 1 + arg % (len(model.domains) - 1)
                 assert model.backtrack_to(n) == ref.backtrack_to(n)
             check()
-        # each landing moves a cursor forward, so this ends with no variable left
+        # each landing moves a cursor forward, so this ends with no domain left
         while model.backtrack():
             assert ref.backtrack()
             check()
         assert not ref.backtrack()
         check()
-        assert model.variables == []
+        assert model.domains == []
 
 
 class TestContainsEmptyVariable:
     def test_empty_generated_domain(self):
         model = _assigned_model(["A", "boy"])
-        model.add_variable()  # empty domain, as after a failed prediction
-        assert (model.variables[-1].domain.values, model.variables[-1].domain.cursor) == ([], None)
+        model.add_variable(Domain())  # as after a failed prediction
+        assert (model.domains[-1].values, model.domains[-1].cursor) == ([], None)
 
     def test_fresh_model_with_values(self):
         model = _assigned_model(["A"])
-        var = model.add_variable()
-        var.domain = Domain(_cands(("man", -0.5)))
-        assert model.variables[-1].domain.values
+        model.add_variable(Domain(_cands(("man", -0.5))))
+        assert model.domains[-1].values
 
     def test_fully_filtered_domain(self):
         from gencp import ForbiddenChars, TaskSpec, filter_domain
 
         task = TaskSpec(name="t", constraints=(ForbiddenChars("e"),), require_period=False)
         model = _assigned_model(["A"])
-        var = model.add_variable()
-        var.domain = Domain(_cands(("the", -0.3), ("he", -0.9)))
-        var.domain = filter_domain(["A"], var.domain, task.constraints, task)
-        assert (model.variables[-1].domain.values, model.variables[-1].domain.cursor) == ([], None)
+        domain = filter_domain(["A"], Domain(_cands(("the", -0.3), ("he", -0.9))), task)
+        assert model.add_variable(domain) is domain
+        assert (model.domains[-1].values, model.domains[-1].cursor) == ([], None)
 
 
 class TestLeftToRightInvariant:
     def test_assignment_prefix_is_contiguous(self):
         model = _assigned_model(["A", "man"])
-        var = model.add_variable()
-        var.domain = Domain(_cands(("drinks", -0.4)))
-        # last variable unassigned; all earlier ones assigned
+        model.add_variable(Domain(_cands(("drinks", -0.4))))
+        # last position unassigned; all earlier ones assigned
         assert model.words == ["A", "man"]
-        assert all(v.domain.cursor is not None for v in model.variables[:-1])
+        assert all(d.cursor is not None for d in model.domains[:-1])
 
 
 class TestSolutionRecord:

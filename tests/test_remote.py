@@ -37,7 +37,7 @@ from gencp import (
     solve_all,
 )
 from gencp.cli import main
-from gencp.lm import REMOTE_WORKERS, TIMEOUT_ENV_VAR, _parse_response_path
+from gencp.lm import REMOTE_WORKERS, TIMEOUT_ENV_VAR
 
 PARAMS = LMParams(k=2)
 
@@ -131,20 +131,6 @@ class FailingRemoteLM(RemoteLM):
             time.sleep(0.05)
             raise ConnectionResetError("connection reset")
         return super()._request(body)
-
-
-class TestResponsePath:
-    def test_default_path(self):
-        assert _parse_response_path("completion_probabilities[0].probs") == [
-            "completion_probabilities", 0, "probs",
-        ]
-
-    def test_plain_key(self):
-        assert _parse_response_path("probs") == ["probs"]
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            _parse_response_path("a..b")
 
 
 class TestRemotePredict:
@@ -370,6 +356,26 @@ class TestRemoteScoring:
         # ln(0.1) + ln(0.9) over two words; rescoring "fine" in the k=1
         # window charged it the 1e-10 floor, a ppl of about 105,409
         assert remote[0].ppl == table[0].ppl == pytest.approx(10 / 3)
+
+    # The seed word "e" ranks 5th at the root, past the 4 tokens a k=1
+    # request asks for, while the table holds it at 0.05.
+    SEED_TABLE = {
+        "": [("a", 0.3), ("b", 0.25), ("c", 0.2), ("d", 0.15), ("e", 0.05)],
+        "e": [(".", 0.5)],
+    }
+
+    def test_remote_scores_only_words_within_the_request_window(self, stub_server):
+        task = TaskSpec(name="seeded", constraints=(WordCountRange(1, 2),),
+                        lm_params=LMParams(k=1), require_period=True, seed=("e",))
+        server = stub_server(self.SEED_TABLE)
+        remote, table = RemoteLM(server.url), TableLM(self.SEED_TABLE)
+        for search in (solve_all, lambda t, lm: beam_search(t, lm)[0]):
+            [from_remote], [from_table] = search(task, remote), search(task, table)
+            assert from_remote.sentence == from_table.sentence == "e."
+            # sqrt(1 / (0.05 * 0.5)) from the table; "remote:" charges the
+            # seed the 1e-10 floor, sqrt(1 / (1e-10 * 0.5))
+            assert from_table.ppl == pytest.approx(6.32, abs=0.01)
+            assert from_remote.ppl == pytest.approx(141_421.36, abs=0.01)
 
 
 def period_tree(words, depth):

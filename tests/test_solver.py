@@ -61,15 +61,15 @@ def _simple_task(**kwargs):
 class TestGenerateVariable:
     def test_seeded_model_starts_with_singleton(self):
         model = SolverModel.from_seed(["The"], summarize((), ()))
-        assert len(model.variables) == 1
-        assert [c.text for c in model.variables[0].domain.values] == ["The"]
-        assert model.variables[0].domain.cursor == 0
+        assert len(model.domains) == 1
+        assert [c.text for c in model.domains[0].values] == ["The"]
+        assert model.domains[0].cursor == 0
 
     def test_appends_with_empty_domain(self):
         model = SolverModel.from_seed(["A", "man"], summarize((), ()))
-        var = generate_variable(model, [], _simple_task(), PROBABILITY)
-        assert var.index == 3
-        assert (var.domain.values, var.domain.cursor) == ([], None)
+        domain = generate_variable(model, [], _simple_task(), PROBABILITY)
+        assert len(model.domains) == 3 and model.domains[-1] is domain
+        assert (domain.values, domain.cursor) == ([], None)
 
     def test_cap_forces_backtrack_not_crash(self, fig_lm):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
@@ -81,7 +81,7 @@ class TestGenerateDomain:
     def test_raw_predictions_become_domain(self, fig_lm):
         model = SolverModel.from_seed(["A"], summarize((), ()))
         task = _simple_task(seed=("A",))
-        domain = generate_variable(model, fig_lm.predict("A", task.lm_params), task, PROBABILITY).domain
+        domain = generate_variable(model, fig_lm.predict("A", task.lm_params), task, PROBABILITY)
         assert [c.text for c in domain.values] == ["boy", "man", "house"]
         assert model.stats.lm_calls == 1
 
@@ -93,16 +93,16 @@ class TestGenerateDomain:
         task = _simple_task(lm_params=LMParams(k=5))
         model = SolverModel(summarize((), ()))
         domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
-                                   task, PROBABILITY).domain
+                                   task, PROBABILITY)
         assert [c.text for c in domain.values] == ["ok", "fine", "good", "nice", "warm"]
 
     def test_unknown_prefix_yields_empty_domain(self, fig_lm):
         model = SolverModel.from_seed(["A", "boy"], summarize((), ()))
         task = _simple_task()
         domain = generate_variable(model, fig_lm.predict("A boy", task.lm_params), task,
-                                   PROBABILITY).domain
+                                   PROBABILITY)
         assert domain.values == []
-        assert model.variables[-1].domain.cursor is None
+        assert model.domains[-1].cursor is None
 
     def test_keeps_at_most_k(self):
         words = ["apple", "berry", "cedar", "dates", "elder", "figs", "grape", "holly"]
@@ -110,7 +110,7 @@ class TestGenerateDomain:
         task = _simple_task(lm_params=LMParams(k=5))
         model = SolverModel(summarize((), ()))
         domain = generate_variable(model, TableLM(table).predict("", task.lm_params), task,
-                                   PROBABILITY).domain
+                                   PROBABILITY)
         assert [c.text for c in domain.values] == words[:5]
 
 
@@ -120,7 +120,7 @@ class TestGenerateConstraints:
         model = SolverModel.from_seed(["A"], summarize((), task.constraints))
         lm = TableLM({"A": [("man", 0.4), ("house", 0.3), ("boy", 0.2)]})
         domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
-                                   task, PROBABILITY).domain
+                                   task, PROBABILITY)
         assert [c.text for c in domain.values] == ["man", "boy"]
 
     def test_no_applicable_constraint_keeps_domain(self):
@@ -128,7 +128,7 @@ class TestGenerateConstraints:
         model = SolverModel.from_seed(["A"], summarize((), task.constraints))
         lm = TableLM({"A": [("man", 0.5), ("boy", 0.3)]})
         domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
-                                   task, PROBABILITY).domain
+                                   task, PROBABILITY)
         assert [c.text for c in domain.values] == ["man", "boy"]
 
 
@@ -293,7 +293,7 @@ class TestInputBounds:
                 brute_force_oracle(task, lm, depth_cap=2, time_budget=budget)
             with pytest.raises(ValueError, match="time budget"):
                 RunConfig(tasks=("demo-60",), lm_spec="table:x", k_values=(1,),
-                          methods=("gencp",), time_budget=budget)
+                          methods=("gencp",), options=SolveOptions(time_budget=budget))
         assert beam_search(task, lm, max_words=2) == ([], ["A"])
         assert brute_force_oracle(task, lm, depth_cap=2) == set()
 
