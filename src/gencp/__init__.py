@@ -46,7 +46,6 @@ from .lm import (
     LMParams,
     LanguageModel,
     NGramLM,
-    RemoteLM,
     TableLM,
     TransportError,
     load_backend,
@@ -80,3 +79,11 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """``RemoteLM``, from ``gencp.remote``, which loads HTTP, TLS and a thread pool on first use."""
+    if name != "RemoteLM":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .remote import RemoteLM
+    return RemoteLM

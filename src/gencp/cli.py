@@ -85,8 +85,8 @@ def _build_parser():
     return parser
 
 
-def _load_task(args):
-    task = cst.resolve_task(args.task, args.k)
+def _load_task(args, k=None):
+    task = cst.resolve_task(args.task, k)
     if args.seed_words is not None:
         seed = tuple(w for w in args.seed_words.split(",") if w)
         task = replace(task, seed=seed)
@@ -109,7 +109,7 @@ def _print_records(records):
 
 
 def _cmd_solve(args):
-    task = _load_task(args)
+    task = _load_task(args, args.k)
     opts = _solve_options(args)
     with closing(load_backend(args.lm)) as lm:
         outcome = run_search(task, lm, opts, exhaustive=args.all)
@@ -123,7 +123,7 @@ def _cmd_solve(args):
 
 
 def _cmd_beam(args):
-    task = _load_task(args)
+    task = _load_task(args, args.k)
     mode = HaltingMode.FIRST_SOLUTION if args.mode == "first" else HaltingMode.ALL_SOLUTIONS
     with closing(load_backend(args.lm)) as lm:
         records, bad = beam_search(
@@ -146,7 +146,7 @@ def _cmd_bench(args):
     except ValueError:
         raise UsageError(f"bad --k list {args.k!r}") from None
     config = RunConfig(
-        tasks=(args.task,),
+        tasks=(_load_task(args),),
         lm_spec=args.lm,
         k_values=k_values,
         methods=tuple(m for m in args.method.split(",") if m),
@@ -159,7 +159,7 @@ def _cmd_bench(args):
 
 
 def _cmd_oracle(args):
-    task = _load_task(args)
+    task = _load_task(args, args.k)
     with closing(load_backend(args.lm)) as lm:
         sentences = sorted(brute_force_oracle(
             task, lm, depth_cap=args.max_variables, time_budget=args.time_budget

@@ -222,6 +222,8 @@ class TaskSpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "seed", tuple(self.seed))
         for word in self.seed:
+            if any(ch.isspace() for ch in word):
+                raise ValueError(f"seed word {word!r} contains whitespace")
             if not word_valid(word, self.constraints):
                 raise ValueError(f"seed word {word!r} violates the constraints")
         if self.backtrack_to is not None and self.backtrack_to < 1:
@@ -591,9 +593,10 @@ def load_task_file(path):
     )
 
 
-def resolve_task(name, k=None):
-    """A builtin task by name, else a JSON task file; k replaced when given."""
-    task = builtin_task(name) if name in BUILTIN_TASK_NAMES else load_task_file(name)
+def resolve_task(task, k=None):
+    """``task`` when it is a TaskSpec, else a builtin task by name, else a JSON task file; k replaced when given."""
+    if not isinstance(task, TaskSpec):
+        task = builtin_task(task) if task in BUILTIN_TASK_NAMES else load_task_file(task)
     return task if k is None else with_k(task, k)
 
 

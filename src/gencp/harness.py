@@ -47,7 +47,10 @@ REPORT_FIELDS = tuple(f.name for f in fields(ReportRow))
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What to run: tasks x k values x methods against one backend, with one set of run options."""
+    """What to run: tasks x k values x methods against one backend, with one set of run options.
+
+    A task is a builtin task name, a JSON task file or a ``TaskSpec``.
+    """
 
     tasks: tuple
     lm_spec: str
@@ -171,9 +174,9 @@ def run_benchmark(config):
     ordered_methods = [m for m in METHODS if m in config.methods]
     rows = []
     with closing(load_backend(config.lm_spec)) as lm:
-        for task_name in config.tasks:
+        for spec in config.tasks:
             for k in config.k_values:
-                task = cst.resolve_task(task_name, k)
+                task = cst.resolve_task(spec, k)
                 bs_reference = None
                 for method in ordered_methods:
                     row = _run_method(method, task, lm, k, config, bs_reference)

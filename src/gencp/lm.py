@@ -4,35 +4,23 @@ Every backend answers a ranked candidate list for a sentence prefix and can
 score individual conditionals.  Rankings must be deterministic within a
 process run: searches that share a backend, and the rescoring of their
 solutions, rely on getting the same answer for the same prefix.  A search
-asks each prefix once; backtracking re-asks nothing.  ``RemoteLM`` memoizes
-its server's responses to guarantee this, and fetches the prompts a search
-announces while the search works.
+asks each prefix once; backtracking re-asks nothing.  This module holds the
+interface, the table and n-gram backends and ``load_backend``; the client of
+a completion server, ``RemoteLM``, is in ``gencp.remote``, which
+``load_backend`` imports on the first ``remote:`` spec.
 """
 
 from __future__ import annotations
 
-import heapq
-import http.client
 import json
 import math
-import os
 import re
-import socket
-import ssl
-import threading
-import urllib.parse
 from collections import defaultdict
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .model import WordCandidate, render_prefix
 
 PROB_FLOOR = 1e-10  # conditional probability charged for words a backend never offered
-DEFAULT_TIMEOUT_SECS = 120.0
-TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
-# Requests a RemoteLM keeps in flight, as many as the parallel slots of a
-# typical llama.cpp server (``--parallel 4``).
-REMOTE_WORKERS = 4
 
 
 class TransportError(RuntimeError):
@@ -360,334 +348,6 @@ def train_ngram(corpus, order, smoothing=1.0):
     return NGramLM(order, smoothing, counts, totals, vocabulary)
 
 
-def _memo_key(sentence, params):
-    """What a request sends besides its width: the prompt and the sampling fields."""
-    return sentence, params.temperature, params.top_k, params.top_p
-
-
-def _candidates(raw, n):
-    """The answer to a request for ``n`` tokens, from the first ``n`` of a raw token list.
-
-    ``raw`` holds the response's (whitespace-stripped token, probability)
-    pairs in the server's order.  Empty tokens, tokens with inner
-    whitespace and non-positive probabilities are dropped, and a word that
-    several tokens spell (" the" and "the") keeps its highest probability.
-    """
-    best = {}
-    for text, prob in raw[:n]:
-        if not text or prob <= 0.0 or any(ch.isspace() for ch in text):
-            continue
-        prob = min(prob, 1.0)
-        if text not in best or prob > best[text]:
-            best[text] = prob
-    return _rank(WordCandidate(text, math.log(prob)) for text, prob in best.items())
-
-
-def _extract(doc):
-    """The (stripped token, probability) pairs of a decoded llama.cpp ``/completion`` response.
-
-    They are listed at ``completion_probabilities[0].probs``.
-    """
-    node = doc
-    for key in ("completion_probabilities", 0, "probs"):
-        try:
-            node = node[key]
-        except (KeyError, IndexError, TypeError):
-            raise TransportError(f"response lacks {key!r}") from None
-    if not isinstance(node, list):
-        raise TransportError("response holds no list at completion_probabilities[0].probs")
-    raw = []
-    for item in node:
-        try:
-            raw.append((item["token"].strip(), float(item["prob"])))
-        except (KeyError, TypeError, ValueError, AttributeError):
-            raise TransportError("token entry missing 'token'/'prob'") from None
-    return tuple(raw)
-
-
-# Characters a URL may not carry into the request line: controls and spaces.
-_URL_UNSAFE_RE = re.compile(r"[\x00-\x20\x7f]")
-
-
-class RemoteLM(LanguageModel):
-    """Client for an HTTP completion server reporting per-token probabilities.
-
-    One POST per prompt: the memo maps each (sentence, temperature, top_k,
-    top_p) to the widest ``n_probs`` asked for it so far and the future of
-    the server's raw token list, for the lifetime of the instance.  A
-    request for n <= that width is answered from the first n raw tokens, as
-    the server answers a request for n unless tokens tie in probability at
-    the cut; a wider one POSTs once and replaces the entry.  An answer once
-    given for a width is given again for it, and a failed response is not
-    reused.  Announced prompts are POSTed while the search works, on a pool
-    of up to ``REMOTE_WORKERS`` threads started on demand.  Each free thread
-    starts the queued prompt first in the search's depth-first visit order
-    (see ``_queue``), and queues its expansion's hints before handing its
-    response out, so an exhaustive search's whole subtree is fetched ahead
-    of it.  ``predict`` waits on an announced prompt's future and POSTs any
-    other prompt on the caller's thread, never behind announced ones.
-    ``cancel_prefetch`` drops the prompts no thread has started and the
-    expansions of those in flight, also those of other searches sharing the
-    client, whose ``predict`` then POSTs itself.  ``close`` drops the queued
-    prompts, waits for the started ones (as the interpreter does at exit,
-    each for up to ``timeout`` seconds), stops the pool and closes every
-    connection.
-
-    Every thread that POSTs keeps one HTTP/1.1 keep-alive connection and
-    sends each request in one write.  A request whose reused idle
-    connection the server had closed (a reset, a broken pipe or a close
-    before any response) is sent once more on a new connection; anything
-    else that fails raises ``TransportError``.  ``https`` endpoints are
-    verified through the default SSL context; proxy environment variables
-    are not read.
-    """
-
-    def __init__(self, endpoint, timeout=None):
-        url = urllib.parse.urlsplit(endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname or _URL_UNSAFE_RE.search(endpoint):
-            raise ValueError(
-                f"bad endpoint {endpoint!r}; expected http://host[:port]/path or https://..."
-            )
-        tls = url.scheme == "https"
-        self.endpoint = endpoint
-        self._address = (url.hostname, url.port or (443 if tls else 80))
-        self._tls = ssl.create_default_context() if tls else None
-        target = url.path or "/"
-        if url.query:
-            target += "?" + url.query
-        self._head = (
-            f"POST {target} HTTP/1.1\r\nHost: {url.netloc.rpartition('@')[2]}\r\n"
-            "Content-Type: application/json\r\nContent-Length: "
-        ).encode("ascii")
-        where, value = "timeout", timeout
-        if timeout is None:
-            where, value = TIMEOUT_ENV_VAR, os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECS
-        try:
-            self.timeout = float(value)
-        except (TypeError, ValueError):
-            self.timeout = math.nan
-        if not 0.0 < self.timeout < math.inf:
-            raise ValueError(f"{where} must be a finite number of seconds > 0, got {value!r}")
-        self._local = threading.local()  # ``sock``: this thread's idle connection, if any
-        self._socks = set()  # every open connection, for ``close``
-        self._memo = {}  # memo key -> (widest n_probs asked, future of the raw token list)
-        self._answers = {}  # (memo key, n_probs) -> the candidates first answered
-        self._lock = threading.Lock()
-        self._pending = []  # heap of the queued prompts by visit order; see ``_queue``
-        self._batches = 0  # prefetch calls so far
-        self._epoch = 0  # cancel_prefetch calls so far
-        self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
-
-    def prefetch(self, hints, params, k=None):
-        n = (params.k if k is None else k) * params.oversample
-        hints = list(hints)  # a lazy generator runs outside the lock
-        with self._lock:
-            self._batches += 1
-            self._queue(hints, params, n, (-self._batches,), self._epoch)
-
-    def cancel_prefetch(self):
-        with self._lock:
-            self._epoch += 1
-            self._pending.clear()
-            for key, (_, fut) in list(self._memo.items()):
-                if fut.cancel():
-                    del self._memo[key]
-
-    def close(self):
-        self.cancel_prefetch()
-        self._pool.shutdown()
-        with self._lock:
-            socks, self._socks = self._socks, set()
-        for sock in socks:
-            sock.close()
-
-    def predict(self, sentence, params, k=None):
-        n = (params.k if k is None else k) * params.oversample
-        key = _memo_key(sentence, params)
-        answer = self._answers.get((key, n))
-        if answer is None:
-            answer = self._answer(key, n, self._raw(sentence, key, n, params))
-        return list(answer)
-
-    def _answer(self, key, n, raw):
-        """The candidates recorded for width ``n`` of ``key``, from ``raw`` when none are yet.
-
-        The first answer for a width stays, also after a wider response.
-        """
-        return self._answers.setdefault((key, n), tuple(_candidates(raw, n)))
-
-    def _raw(self, sentence, key, n, params):
-        """The raw tokens of a memoized response at least ``n`` wide, POSTing when there is none."""
-        while True:
-            with self._lock:
-                fut = self._covering(key, n)
-                if fut is None:
-                    own = Future()
-                    own.set_running_or_notify_cancel()
-                    self._store(key, n, own)
-                    break
-            try:
-                return fut.result()
-            except CancelledError:
-                continue  # a cancel_prefetch, or a wider request, dropped it
-        return self._fetch(own, sentence, n, params)
-
-    def _queue(self, hints, params, n, order, epoch):
-        """Queue each hinted prompt no memoized response covers, with a pool job that POSTs one.
-
-        Call with the lock held.  The i-th hint's visit-order key is
-        ``order + (i,)``, after the hints before it and their expansions', as
-        a depth-first walk visits them; a later ``prefetch`` call's keys come
-        first.  Nothing is queued once a ``cancel_prefetch`` ended ``epoch``.
-        """
-        if epoch != self._epoch:
-            return
-        for i, hint in enumerate(hints):
-            sentence, expand = (hint, None) if isinstance(hint, str) else hint
-            key = _memo_key(sentence, params)
-            if self._covering(key, n) is None:
-                self._pool.submit(self._post_earliest)  # raises after ``close``
-                fut = Future()
-                self._store(key, n, fut)
-                heapq.heappush(self._pending, (order + (i,), fut, sentence, params, n, expand, epoch))
-
-    def _post_earliest(self):
-        """Pool job: ``_fetch`` the queued prompt first in visit order."""
-        with self._lock:
-            while True:
-                if not self._pending:
-                    return  # a cancel, or another job, took the entry
-                order, fut, sentence, params, n, expand, epoch = heapq.heappop(self._pending)
-                if fut.set_running_or_notify_cancel():
-                    break
-        self._fetch(fut, sentence, n, params, expand, order, epoch)
-
-    def _fetch(self, fut, sentence, n, params, expand=None, order=None, epoch=None):
-        """POST for the running future ``fut``, rank the answer, queue its expansion, resolve ``fut``.
-
-        Queued first, the expansion's hints are found queued by a search
-        that announces them once it has the response.
-        """
-        try:
-            raw = self._post(sentence, n, params)
-        except BaseException as exc:
-            fut.set_exception(exc)
-            raise
-        try:
-            answer = self._answer(_memo_key(sentence, params), n, raw)
-            if expand is not None:
-                hints = list(expand(list(answer)))
-                with self._lock:
-                    self._queue(hints, params, n, order, epoch)
-        finally:
-            fut.set_result(raw)
-        return raw
-
-    def _covering(self, key, n):
-        """The memoized future for ``key`` that can answer ``n`` raw tokens, or None.
-
-        Call with the lock held.
-        """
-        entry = self._memo.get(key)
-        if entry is None or entry[0] < n or (entry[1].done() and entry[1].exception() is not None):
-            return None  # none, too narrow, or failed
-        return entry[1]
-
-    def _store(self, key, n, fut):
-        """Memoize ``fut`` as the response of width ``n`` for ``key``.
-
-        Call with the lock held.  The future it replaces is cancelled unless
-        a thread has started its POST; whoever waits on it asks again.
-        """
-        old = self._memo.get(key)
-        if old is not None:
-            old[1].cancel()
-        self._memo[key] = (n, fut)
-
-    def _post(self, sentence, n, params):
-        payload = {
-            "prompt": sentence,
-            "n_predict": 1,
-            "n_probs": n,
-            "temperature": params.temperature,
-            "top_k": params.top_k,
-            "top_p": params.top_p,
-        }
-        try:
-            status, data = self._request(json.dumps(payload).encode())
-        except (OSError, http.client.HTTPException) as exc:
-            raise TransportError(f"POST {self.endpoint} failed: {exc}") from exc
-        if not 200 <= status < 300:
-            raise TransportError(f"{self.endpoint} answered HTTP {status}")
-        try:
-            doc = json.loads(data)
-        except ValueError as exc:
-            raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
-        return _extract(doc)
-
-    def _request(self, body):
-        """POST ``body`` on this thread's connection; returns the status and the response body.
-
-        The connection is kept for the thread's next request unless the
-        server said it will close it.
-        """
-        request = self._head + b"%d\r\n\r\n" % len(body) + body
-        local = self._local
-        sock, local.sock = getattr(local, "sock", None), None
-        try:
-            try:
-                response = None if sock is None else self._exchange(sock, request)
-            except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected too
-                # The server closed the idle connection; it never read this request.
-                self._drop(sock)
-                response = None
-            if response is None:
-                sock = self._connect()
-                response = self._exchange(sock, request)
-            data = response.read()
-        except BaseException:
-            if sock is not None:
-                self._drop(sock)
-            raise
-        if response.will_close:
-            self._drop(sock)
-        else:
-            local.sock = sock
-        return response.status, data
-
-    def _connect(self):
-        sock = socket.create_connection(self._address, self.timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._tls is not None:
-                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
-        except BaseException:
-            sock.close()
-            raise
-        with self._lock:
-            self._socks.add(sock)
-        return sock
-
-    def _drop(self, sock):
-        with self._lock:
-            self._socks.discard(sock)
-        sock.close()
-
-    @staticmethod
-    def _exchange(sock, request):
-        """Send ``request`` in one write and read the response's status line and headers."""
-        sock.sendall(request)
-        response = http.client.HTTPResponse(sock, method="POST")
-        response.begin()
-        return response
-
-    def conditional_logprob(self, prefix_words, word, params):
-        for cand in self.predict(render_prefix(prefix_words), params):
-            if cand.text == word:
-                return cand.logprob
-        return None
-
-
 def load_backend(spec):
     """Build a backend from a spec string.
 
@@ -709,6 +369,8 @@ def load_backend(spec):
         with open(path, encoding="utf-8") as fh:
             return train_ngram(fh, int(order))
     if kind == "remote":
+        from .remote import RemoteLM
+
         try:
             return RemoteLM(rest)
         except ValueError as exc:

@@ -66,11 +66,11 @@ def parse_ordering(name):
         return Ordering("probability")
     if name == "char-target":
         return Ordering("char-target")
-    if name.startswith("char-target:"):
-        return Ordering("char-target", int(name.split(":", 1)[1]))
-    raise ValueError(
-        f"unknown ordering {name!r}; expected probability, ppl or char-target[:pivot]"
-    )
+    kind, _, pivot = name.partition(":")
+    if kind == "char-target" and pivot.isdecimal() and int(pivot) >= 1:
+        return Ordering("char-target", int(pivot))
+    raise ValueError(f"unknown ordering {name!r}; expected probability, ppl or char-target[:PIVOT]"
+                     " with PIVOT an integer >= 1")
 
 
 def order_candidates(candidates, ordering, var_index):

@@ -96,6 +96,16 @@ class TestBenchCommand:
         assert payload[0]["method"] == "oracle"
         assert payload[0]["n_solutions"] == 1
 
+    def test_seed_words_override(self, fixtures_dir, capsys):
+        code = main([
+            "bench", "--task", str(fixtures_dir / "two_words.json"),
+            "--lm", f"table:{fixtures_dir / 'bs_miss.tbl'}",
+            "--k", "2", "--method", "oracle", "--format", "json", "--seed-words", "We",
+        ])
+        assert code == 0
+        # "My cat." is the task's one solution; no sentence starting "We" ends.
+        assert json.loads(capsys.readouterr().out)[0]["n_solutions"] == 0
+
     def test_bad_k_list_is_usage_error(self, fixtures_dir, capsys):
         code = main([
             "bench", "--task", "demo-60", "--lm", "table:x",
@@ -259,8 +269,38 @@ class TestExitCodes:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ordering", ["char-target:x", "char-target:0"])
+    def test_bad_ordering_pivot_exits_1(self, fixtures_dir, capsys, ordering):
+        code = main(["solve", "--task", "demo-60", "--lm", f"table:{fixtures_dir / 'demo60.tbl'}",
+                     "--ordering", ordering])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown ordering {ordering!r}; expected probability, ppl or char-target[:PIVOT]"
+            " with PIVOT an integer >= 1\n"
+        )
+
 
 WORDS_2 = {"type": "word_count_range", "lo": 2, "hi": 2}
+
+
+@pytest.mark.parametrize("source", ["task-file", "seed-words"])
+@pytest.mark.parametrize("command", [
+    ["solve"], ["beam"], ["oracle"], ["bench", "--k", "2", "--method", "gencp,bs-all,oracle"],
+], ids=lambda c: c[0])
+def test_seed_word_with_whitespace_exits_1(fixtures_dir, tmp_path, capsys, command, source):
+    task = tmp_path / "task.json"
+    if source == "task-file":
+        task.write_text(json.dumps({"constraints": [WORDS_2], "seed": ["My dog"]}), encoding="utf-8")
+        extra = []
+    else:
+        task = fixtures_dir / "two_words.json"
+        extra = ["--seed-words", "My dog"]
+    code = main(command + ["--task", str(task), "--lm", f"table:{fixtures_dir / 'bs_miss.tbl'}"]
+                + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: seed word 'My dog' contains whitespace\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from gencp import (
     solve_all,
 )
 from gencp.cli import main
-from gencp.lm import REMOTE_WORKERS, TIMEOUT_ENV_VAR
+from gencp.remote import REMOTE_WORKERS, TIMEOUT_ENV_VAR
 
 PARAMS = LMParams(k=2)
 
@@ -271,6 +271,33 @@ class TestConnections:
             lm.predict("My", PARAMS)
         assert len(attempts) == 1
 
+    def test_new_connection_closed_before_any_response_is_not_resent(self, monkeypatch):
+        opened = _record_connections(monkeypatch)
+        stop = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.05)
+
+            def hang_up():  # read each request's first bytes, then close without a response
+                while not stop.is_set():
+                    try:
+                        conn, _ = listener.accept()
+                    except TimeoutError:
+                        continue
+                    with conn:
+                        conn.recv(65536)
+
+            thread = threading.Thread(target=hang_up)
+            thread.start()
+            try:
+                lm = RemoteLM(f"http://127.0.0.1:{listener.getsockname()[1]}/completion", timeout=5)
+                with pytest.raises(TransportError):
+                    lm.predict("x", PARAMS)
+            finally:
+                stop.set()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(opened) == 1
+
     def test_close_leaves_no_connection_open(self, stub_server, monkeypatch):
         opened = _record_connections(monkeypatch)
         server = stub_server(WIDE, delay=0.01)
@@ -286,6 +313,42 @@ class TestConnections:
         assert _unclosed(caught) == []
         started = set(threading.enumerate()) - running
         assert [t.name for t in started if t.name.startswith("gencp-remote")] == []
+
+    def test_close_is_final(self, stub_server, monkeypatch):
+        server = stub_server(TREE)
+        lm = RemoteLM(server.url)
+        lm.predict("", PARAMS)  # this thread now holds a keep-alive connection
+        lm.close()
+        opened = _record_connections(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(TransportError):
+                lm.predict("My", PARAMS)
+            gc.collect()
+        assert opened == []
+        assert _unclosed(caught) == []
+        assert server.counts == {"": 1}
+
+    def test_close_is_final_on_a_thread_that_never_posted(self, stub_server, monkeypatch):
+        server = stub_server(TREE)
+        lm = RemoteLM(server.url)
+        lm.close()
+        opened = _record_connections(monkeypatch)
+        errors = []
+
+        def ask():
+            try:
+                lm.predict("", PARAMS)
+            except TransportError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=ask)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        assert opened == []
+        assert server.counts == {}
 
     def test_cli_and_benchmark_close_the_backend_they_load(self, stub_server, monkeypatch, fixtures_dir):
         opened = _record_connections(monkeypatch)
@@ -318,6 +381,22 @@ class TestStandardLibraryOnly:
         run = subprocess.run([sys.executable, "-S", "-c", code],
                              capture_output=True, text=True, timeout=60, check=True)
         assert run.stdout.strip() == "[]"
+
+    def test_import_loads_no_transport_module(self):
+        src = Path(gencp.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import gencp\n"
+            "print(sorted({'http.client', 'ssl', 'socket', 'concurrent.futures', 'email'}\n"
+            "             & set(sys.modules)))\n"
+        )
+        run = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "[]"
+        assert gencp.RemoteLM is gencp.remote.RemoteLM
+        with pytest.raises(AttributeError, match="no attribute 'NoSuchBackend'"):
+            gencp.NoSuchBackend
 
     def test_project_declares_no_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
@@ -694,7 +773,7 @@ class TestSubtreePrefetch:
         assert set(server.counts.values()) == {1}
 
     def test_pool_starts_the_earliest_prompt_in_visit_order(self, stub_server, monkeypatch):
-        monkeypatch.setattr(gencp.lm, "REMOTE_WORKERS", 1)
+        monkeypatch.setattr(gencp.remote, "REMOTE_WORKERS", 1)
         order = ["hold", "c", "a", "a1", "a2", "a2x", "b"]
         server = stub_server({p: [("ok", 0.5)] for p in order})
         lm = RecordingRemoteLM(server.url, held={"hold"})
