@@ -14,6 +14,7 @@ from .constraints import (
     KeywordSeparation,
     MandatoryKeywords,
     MaxWordLen,
+    Ordering,
     PositionLexical,
     PrefixSummary,
     StartsWith,
@@ -25,6 +26,7 @@ from .constraints import (
     filter_domain,
     load_task_file,
     only_words,
+    parse_ordering,
     summarize,
     with_k,
     word_valid,
@@ -66,13 +68,11 @@ from .model import (
     variability,
 )
 from .solver import (
-    Ordering,
     SearchAborted,
     SearchOutcome,
     SolveOptions,
     generate_variable,
     order_candidates,
-    parse_ordering,
     run_search,
     solve,
     solve_all,

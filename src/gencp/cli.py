@@ -22,7 +22,7 @@ from .harness import (
     run_benchmark,
 )
 from .lm import TransportError, load_backend, train_ngram
-from .solver import SearchAborted, SolveOptions, parse_ordering, run_search
+from .solver import SearchAborted, SolveOptions, run_search
 
 
 class UsageError(Exception):
@@ -97,7 +97,7 @@ def _solve_options(args):
     return SolveOptions(
         max_solutions=args.max_solutions,
         time_budget=args.time_budget,
-        ordering=parse_ordering(args.ordering) if args.ordering else None,
+        ordering=cst.parse_ordering(args.ordering) if args.ordering else None,
         backtrack_to=args.backtrack_to,
         max_variables=args.max_variables,
     )

@@ -207,6 +207,43 @@ class StartsWith(Constraint):
 
 
 @dataclass(frozen=True)
+class Ordering:
+    """How a freshly created domain is ordered before values are tried.
+
+    ``probability`` keeps the backend ranking.  ``char-target`` tries longer
+    words first for variables before ``pivot`` and shorter words first from
+    the pivot on, which steers exact-character tasks toward their target
+    length.
+    """
+
+    kind: str
+    pivot: int = 10
+
+    def __post_init__(self):
+        if self.kind not in ("probability", "char-target"):
+            raise ValueError(f"unknown ordering {self.kind!r}")
+        if self.pivot < 1:
+            raise ValueError("pivot must be >= 1")
+
+
+def parse_ordering(name):
+    """Parse "probability", "ppl", "char-target" or "char-target:<pivot>".
+
+    "ppl" is an alias of "probability": every candidate extends the same
+    prefix, so ascending perplexity is the backend's own ranking.
+    """
+    if name in ("probability", "ppl"):
+        return Ordering("probability")
+    if name == "char-target":
+        return Ordering("char-target")
+    kind, _, pivot = name.partition(":")
+    if kind == "char-target" and pivot.isdecimal() and int(pivot) >= 1:
+        return Ordering("char-target", int(pivot))
+    raise ValueError(f"unknown ordering {name!r}; expected probability, ppl or char-target[:PIVOT]"
+                     " with PIVOT an integer >= 1")
+
+
+@dataclass(frozen=True)
 class TaskSpec:
     """One full problem instance: constraints, seed words, and LM settings."""
 
@@ -228,6 +265,7 @@ class TaskSpec:
                 raise ValueError(f"seed word {word!r} violates the constraints")
         if self.backtrack_to is not None and self.backtrack_to < 1:
             raise ValueError("backtrack_to must be >= 1")
+        parse_ordering(self.ordering)
 
 
 def word_valid(word, constraints):

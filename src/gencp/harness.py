@@ -132,12 +132,15 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
         if below is None:
             found.add(render_sentence(words + ["."] if task.require_period else words))
             return
-        lm.prefetch(hints(words, whole, raw), params)
         for child in below:
             walk(child)
 
+    seed = list(task.seed)
+    whole = finished(seed)
     try:
-        walk(list(task.seed))
+        if asks(seed, whole):  # its hint, expansions followed, names every prompt of the walk
+            lm.prefetch([(render_prefix(seed), functools.partial(hints, seed, whole))], params)
+        walk(seed)
     finally:
         lm.cancel_prefetch()
     return found

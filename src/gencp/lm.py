@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .model import WordCandidate, render_prefix
@@ -157,16 +157,17 @@ class TableLM(LanguageModel):
         self._lookup = {}
         for prefix, entries in table.items():
             ranked = _rank(_as_candidate(e) for e in entries)
-            texts = [c.text for c in ranked]
-            if len(set(texts)) != len(texts):
-                raise ValueError(f"duplicate word under prefix {prefix!r}")
+            lookup = {c.text: c.logprob for c in ranked}
+            if len(lookup) != len(ranked):
+                word = next(text for text, n in Counter(c.text for c in ranked).items() if n > 1)
+                raise ValueError(f"duplicate word {word!r} under prefix {prefix!r}")
             total = sum(math.exp(c.logprob) for c in ranked)
             if total > 1.0 + 1e-9:
                 raise ValueError(
                     f"probabilities under prefix {prefix!r} sum to {total:.6f} > 1"
                 )
             self._table[prefix] = ranked
-            self._lookup[prefix] = {c.text: c.logprob for c in ranked}
+            self._lookup[prefix] = lookup
 
     @classmethod
     def from_file(cls, path):
@@ -189,10 +190,11 @@ class TableLM(LanguageModel):
                     prob = float(prob_text)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
-                if any(existing == word for existing, _ in table[prefix]):
-                    raise ValueError(f"{path}:{lineno}: duplicate word {word!r} for prefix {prefix!r}")
                 table[prefix].append((word, prob))
-        return cls(table)
+        try:
+            return cls(table)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k
@@ -364,8 +366,9 @@ def load_backend(spec):
         if rest.endswith(".json"):
             return NGramLM.load(rest)
         path, sep, order = rest.rpartition(",")
-        if not sep:
-            raise ValueError("ngram spec needs ngram:<corpus>,<order> or ngram:<model.json>")
+        if not sep or not order.isdecimal():
+            raise ValueError(f"bad ngram spec {spec!r}; expected ngram:<corpus>,<order>"
+                             " with <order> an integer >= 1, or ngram:<model.json>")
         with open(path, encoding="utf-8") as fh:
             return train_ngram(fh, int(order))
     if kind == "remote":

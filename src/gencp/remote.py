@@ -90,8 +90,8 @@ class RemoteLM(LanguageModel):
     of up to ``REMOTE_WORKERS`` threads started on demand.  Each free thread
     starts the queued prompt first in the search's depth-first visit order
     (see ``_queue``), and queues its expansion's hints before handing its
-    response out, so an exhaustive search's whole subtree is fetched ahead
-    of it.  ``predict`` waits on an announced prompt's future and POSTs any
+    response out, so the root's hint alone fetches an exhaustive search's
+    tree.  ``predict`` waits on an announced prompt's future and POSTs any
     other prompt on the caller's thread, never behind announced ones.
     ``cancel_prefetch`` drops the prompts no thread has started and the
     expansions of those in flight, also those of other searches sharing the
@@ -230,8 +230,8 @@ class RemoteLM(LanguageModel):
     def _fetch(self, fut, sentence, n, params, expand=None, order=None, epoch=None):
         """POST for the running future ``fut``, rank the answer, queue its expansion, resolve ``fut``.
 
-        Queued first, the expansion's hints are found queued by a search
-        that announces them once it has the response.
+        Queued first: nothing else announces the expansion's prompts, so a
+        search that asks one once it has the response would POST it itself.
         """
         try:
             raw = self._post(sentence, n, params)

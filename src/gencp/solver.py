@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import constraints as cst
 from .lm import TransportError, ranked_period, sequence_logprob
-from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_sentence
+from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_prefix, render_sentence
 
 
 class SearchAborted(RuntimeError):
@@ -34,43 +34,6 @@ class SearchAborted(RuntimeError):
         super().__init__(message)
         self.solutions = list(solutions)
         self.stats = stats
-
-
-@dataclass(frozen=True)
-class Ordering:
-    """How a freshly created domain is ordered before values are tried.
-
-    ``probability`` keeps the backend ranking.  ``char-target`` tries longer
-    words first for variables before ``pivot`` and shorter words first from
-    the pivot on, which steers exact-character tasks toward their target
-    length.
-    """
-
-    kind: str
-    pivot: int = 10
-
-    def __post_init__(self):
-        if self.kind not in ("probability", "char-target"):
-            raise ValueError(f"unknown ordering {self.kind!r}")
-        if self.pivot < 1:
-            raise ValueError("pivot must be >= 1")
-
-
-def parse_ordering(name):
-    """Parse "probability", "ppl", "char-target" or "char-target:<pivot>".
-
-    "ppl" is an alias of "probability": every candidate extends the same
-    prefix, so ascending perplexity is the backend's own ranking.
-    """
-    if name in ("probability", "ppl"):
-        return Ordering("probability")
-    if name == "char-target":
-        return Ordering("char-target")
-    kind, _, pivot = name.partition(":")
-    if kind == "char-target" and pivot.isdecimal() and int(pivot) >= 1:
-        return Ordering("char-target", int(pivot))
-    raise ValueError(f"unknown ordering {name!r}; expected probability, ppl or char-target[:PIVOT]"
-                     " with PIVOT an integer >= 1")
 
 
 def order_candidates(candidates, ordering, var_index):
@@ -95,7 +58,7 @@ class SolveOptions:
 
     max_solutions: int | None = None
     time_budget: float | None = None
-    ordering: Ordering | None = None
+    ordering: cst.Ordering | None = None
     backtrack_to: int | None = None
     max_variables: int = 64
 
@@ -175,27 +138,26 @@ def _asks(summary, grows, task):
     return grows and not summary.complete(0)
 
 
-def _queried_children(words, summary, domain, task, ordering, max_variables):
-    """Prefetch hints for the children of ``words`` that the search will ask the backend about.
+def _hints(words, summary, task, ordering, max_variables):
+    """The prefetch hint of ``words``, whose summary is ``summary``, if the search asks about them.
 
-    Each hint carries the child's ``_expansion``.  Lazy, so that a backend
-    ignoring ``prefetch`` pays nothing for it.
+    Its expansion yields the hints of the children the search asks about, in
+    visit order, so the root's hint names every prompt of a run that visits
+    them all.  Lazy: a backend ignoring ``prefetch`` pays nothing for it.
     """
-    for cand in domain.values:
-        child = summary.push(cand.text, admitted=True)
-        grows = _grows(child, max_variables)
-        if _asks(child, grows, task):
-            child_words = words + [cand.text]
-            args = (child_words, child, grows, task, ordering, max_variables)
-            yield render_sentence(child_words), functools.partial(_expansion, *args)
+    grows = _grows(summary, max_variables)
+    if _asks(summary, grows, task):
+        args = (words, summary, grows, task, ordering, max_variables)
+        yield render_prefix(words), functools.partial(_expansion, *args)
 
 
 def _expansion(words, summary, grows, task, ordering, max_variables, raw):
-    """The hints the search announces at ``words`` given the answer ``raw``; none at a leaf."""
+    """The hints below ``words`` given the answer ``raw``; none at a leaf or a solution."""
     if not grows or completes(summary, raw, task) is not None:
-        return ()
-    domain = node_domain(words, summary, raw, task, ordering)
-    return _queried_children(words, summary, domain, task, ordering, max_variables)
+        return
+    for cand in node_domain(words, summary, raw, task, ordering).values:
+        child = summary.push(cand.text, admitted=True)
+        yield from _hints(words + [cand.text], child, task, ordering, max_variables)
 
 
 @dataclass
@@ -213,7 +175,7 @@ def run_search(task, lm, options=None, exhaustive=False):
     opts = options if options is not None else SolveOptions()
     if opts.max_variables < len(task.seed) + 1:
         raise ValueError("max_variables must exceed the seed length")
-    ordering = opts.ordering if opts.ordering is not None else parse_ordering(task.ordering)
+    ordering = opts.ordering if opts.ordering is not None else cst.parse_ordering(task.ordering)
     if exhaustive:
         max_solutions = None
         jump_to = None
@@ -231,6 +193,9 @@ def run_search(task, lm, options=None, exhaustive=False):
     started = time.perf_counter()
 
     try:
+        if enumerating:
+            hints = _hints(list(task.seed), model.summary, task, ordering, opts.max_variables)
+            lm.prefetch(hints, task.lm_params)
         while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
             # Every variable is assigned here.
             words, summary = model.words, model.summary
@@ -254,16 +219,7 @@ def run_search(task, lm, options=None, exhaustive=False):
                     moved = model.backtrack()
             else:
                 if grows:  # grow: a new variable at its first value
-                    domain = generate_variable(model, raw, task, ordering)
-                    if enumerating:
-                        # Announced in the order the search visits them.
-                        lm.prefetch(
-                            _queried_children(
-                                list(words), summary, domain, task, ordering, opts.max_variables
-                            ),
-                            task.lm_params,
-                        )
-                    if domain.values:
+                    if generate_variable(model, raw, task, ordering).values:
                         model.assign(0)
                         continue
                 moved = model.backtrack()  # backtrack out of a dead end

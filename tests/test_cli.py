@@ -269,6 +269,17 @@ class TestExitCodes:
         assert field in err
         assert "Traceback" not in err
 
+    def test_non_integer_ngram_order_exits_1(self, fixtures_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("My cat.\n", encoding="utf-8")
+        spec = f"ngram:{corpus},x"
+        code = main(["solve", "--task", str(fixtures_dir / "two_words.json"), "--lm", spec])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad ngram spec {spec!r}; expected ngram:<corpus>,<order>"
+            " with <order> an integer >= 1, or ngram:<model.json>\n"
+        )
+
     @pytest.mark.parametrize("ordering", ["char-target:x", "char-target:0"])
     def test_bad_ordering_pivot_exits_1(self, fixtures_dir, capsys, ordering):
         code = main(["solve", "--task", "demo-60", "--lm", f"table:{fixtures_dir / 'demo60.tbl'}",
@@ -322,6 +333,22 @@ def test_malformed_task_file_exits_1(payload, field, fixtures_dir, tmp_path, cap
     assert code == 1
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["beam"], ["oracle"], ["bench", "--k", "2", "--method", "bs-all,oracle"],
+], ids=lambda c: c[0])
+def test_unknown_ordering_in_a_task_file_exits_1(fixtures_dir, tmp_path, capsys, command):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"constraints": [WORDS_2], "ordering": "bogus"}), encoding="utf-8")
+    code = main(command + ["--task", str(task), "--lm", f"table:{fixtures_dir / 'bs_miss.tbl'}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: unknown ordering 'bogus'; expected probability, ppl or char-target[:PIVOT]"
+        " with PIVOT an integer >= 1\n"
+    )
+    assert captured.out == ""
 
 
 GOOD_NGRAM = {"format": "gencp-ngram", "order": 1, "smoothing": 1.0, "vocabulary": ["a", "b"],

@@ -295,6 +295,10 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match="seed word"):
             TaskSpec(name="bad", constraints=(ForbiddenChars("e"),), seed=("The",))
 
+    def test_ordering_must_be_known(self):
+        with pytest.raises(ValueError, match="unknown ordering 'bogus'; expected probability"):
+            TaskSpec(name="bad", constraints=(), ordering="bogus")
+
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             CharCountExact(0)

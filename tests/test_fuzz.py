@@ -317,15 +317,16 @@ class HintedTableLM(TableLM):
     Each hint's expansion is followed at once with the table's own answer,
     and its hints are recorded as one more batch, depth first, as a backend
     that fetched every announced prompt at once would see them.
-    ``disclosed`` collects the prompts of the first announcement and of
-    every batch its expansions disclose.
+    ``announcements`` counts the calls made by a search, not by an
+    expansion, and ``disclosed`` collects the prompts of the first one and
+    of every batch its expansions disclose.
     """
 
     def __init__(self, table):
         super().__init__(table)
         self.log = []
         self.disclosed = set()
-        self._announcements = 0
+        self.announcements = 0
         self._following = 0
 
     def prefetch(self, hints, params, k=None):
@@ -333,8 +334,8 @@ class HintedTableLM(TableLM):
         hints = [(h, None) if isinstance(h, str) else h for h in hints]
         batch = [(s, k) for s, _ in hints]
         self.log.append(("hint", batch))
-        self._announcements += not self._following
-        if self._announcements == 1:
+        self.announcements += not self._following
+        if self.announcements == 1:
             self.disclosed.update(batch)
         self._following += 1
         for sentence, expand in hints:
@@ -368,11 +369,12 @@ class HintedTableLM(TableLM):
 @settings(max_examples=400)
 @given(instances())
 def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
-    """The hints, expansions followed, are every prompt asked but the root, in visit order.
+    """The hints, expansions followed, are the prompts asked, in visit order.
 
-    The solver's and the oracle's first announcement alone discloses them
-    all, so a backend that follows expansions fetches the whole tree ahead
-    of the search.
+    The solver and the oracle announce once, the root's hint, and its
+    expansions disclose every prompt they ask, the root included, so a
+    backend that follows expansions fetches the whole tree ahead of the
+    search.  Beam search announces each level's prompts, all but the root's.
     """
     table, constraints, k, require_period, seed = instance
     task = TaskSpec(
@@ -396,11 +398,13 @@ def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
         lm = HintedTableLM(table)
         search(lm)
         hinted, asked = lm.prompts("hint"), lm.prompts("ask")
-        assert hinted <= asked  # nothing fetched that the search does not use
-        assert asked - hinted <= {root}  # only the root is asked unannounced
         assert lm.batches_follow_visit_order()
-        if search is not searches[0]:  # beam search's hints carry no expansion
-            assert lm.disclosed == asked - {root}
+        if search is searches[0]:  # beam search's hints carry no expansion
+            assert hinted <= asked  # nothing fetched that the search does not use
+            assert asked - hinted <= {root}  # only the root is asked unannounced
+        else:
+            assert lm.announcements == 1 or not asked
+            assert hinted == asked == lm.disclosed
 
 
 @settings(max_examples=400)

@@ -309,7 +309,7 @@ class TestConnections:
             lm.prefetch(["red", "big"], WIDE_TASK.lm_params, 9)  # queued or in flight at close
             lm.close()
             assert _open_sockets(opened) == []
-        assert len(opened) > 1  # the caller's connection and the pool's
+        assert len(opened) > 1  # one per pool thread that posted
         assert _unclosed(caught) == []
         started = set(threading.enumerate()) - running
         assert [t.name for t in started if t.name.startswith("gencp-remote")] == []
@@ -770,6 +770,16 @@ class TestSubtreePrefetch:
         # Only the expansion of "red" announces "red old" before the search
         # has "red"'s answer; each prompt still goes out once.
         assert seen == {"red": True}
+        assert set(server.counts.values()) == {1}
+
+    @pytest.mark.parametrize("search", ["solve_all", "oracle"])
+    def test_exhaustive_runs_post_every_prompt_from_the_pool(self, stub_server, search):
+        server = stub_server(WIDE, delay=0.01)
+        lm = RecordingRemoteLM(server.url)
+        assert SEARCHES[search](lm) == SEARCHES[search](TableLM(WIDE))
+        # The one announcement, the root's hint with its expansions, names
+        # every prompt, the root's included: the search's own thread POSTs none.
+        assert lm.posts == [(prompt, True) for prompt, _ in lm.posts]
         assert set(server.counts.values()) == {1}
 
     def test_pool_starts_the_earliest_prompt_in_visit_order(self, stub_server, monkeypatch):
