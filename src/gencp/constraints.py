@@ -9,8 +9,8 @@ Each constraint class carries its own pruning hooks: ``admits_word``,
 apply them.  They keep one ``PrefixSummary`` per prefix (word count,
 rendered length, where the keywords stand, whether a word failed its test),
 extended by one word at a time, and ``filter_domain``, ``can_extend`` and the
-solution predicate read it.  ``check_complete`` is the plain specification
-that this pruning is fuzz-tested against.
+solution predicate read it.  ``check_complete``, the plain specification the
+pruning is fuzz-tested against, tests counts and positions before it scans words.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .lm import LMParams
-from .model import Domain, render_sentence
+from .model import Domain, has_whitespace, render_sentence
 
 
 class Constraint:
@@ -259,7 +260,7 @@ class TaskSpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "seed", tuple(self.seed))
         for word in self.seed:
-            if any(ch.isspace() for ch in word):
+            if has_whitespace(word):
                 raise ValueError(f"seed word {word!r} contains whitespace")
             if not word_valid(word, self.constraints):
                 raise ValueError(f"seed word {word!r} violates the constraints")
@@ -296,12 +297,19 @@ def valid_words(candidates, constraints, k):
     return [c for c in only_words(candidates) if word_valid(c.text, constraints)][:k]
 
 
+# what _multi_folds finds under Unicode 14.0.0, listed to spare casefolding all 1.1M code points
+_MULTI_FOLDS_14 = frozenset((
+    "aʾ ff ffi ffl fi fl ẖ i̇ ǰ ss st ẗ ẘ ẙ ʼn άι ήι ᾶ ᾶι αι ῆ ῆι ηι ῒ ΐ ῗ ῖ "
+    "ῤ ῢ ΰ ῧ ὐ ὒ ὔ ὖ ῦ ῶ ῶι ωι ώι եւ մե մի մխ մն վն ἀι ἁι ἂι ἃι ἄι ἅι ἆι ἇι "
+    "ἠι ἡι ἢι ἣι ἤι ἥι ἦι ἧι ὠι ὡι ὢι ὣι ὤι ὥι ὦι ὧι ὰι ὴι ὼι").split())
+
+
 @functools.lru_cache(maxsize=None)
 def _multi_folds():
     """Strings of two or more characters that a single character casefolds to."""
-    return frozenset(
-        f for f in map(str.casefold, map(chr, range(sys.maxunicode + 1))) if len(f) > 1
-    )
+    if unicodedata.unidata_version == "14.0.0":
+        return _MULTI_FOLDS_14
+    return frozenset(f for f in map(str.casefold, map(chr, range(sys.maxunicode + 1))) if len(f) > 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -468,7 +476,9 @@ def can_extend(partial, constraints):
 def check_complete(words, task):
     """Whether a finished word sequence satisfies every constraint of the task.
 
-    ``words`` includes the trailing "." when the task requires one.
+    ``words`` includes the trailing "." when the task requires one.  Counts and
+    positions are tested before any word is scanned, so a sentence of the wrong
+    shape costs the same whatever order the task lists its constraints in.
     """
     words = list(words)
     if not words:
@@ -478,34 +488,34 @@ def check_complete(words, task):
     content = words[:-1] if words[-1] == "." else words
     if not content:
         return False
-    sentence = render_sentence(words)
-    for c in task.constraints:
+    for c in task.constraints:  # the shape tests
         if isinstance(c, CharCountExact):
-            if len(sentence) != c.n:
+            if len(render_sentence(words)) != c.n:
                 return False
         elif isinstance(c, WordCountRange):
             if len(content) < c.lo or (c.hi is not None and len(content) > c.hi):
                 return False
-        elif isinstance(c, MaxWordLen):
-            if any(len(w) > c.limit for w in content):
-                return False
         elif isinstance(c, PositionLexical):
             if c.position > len(content) or content[c.position - 1] != c.word:
                 return False
-        elif isinstance(c, MandatoryKeywords):
-            present = {w.casefold() for w in content}
-            if any(w.casefold() not in present for w in c.words):
-                return False
-        elif isinstance(c, KeywordSeparation):
-            lowered = {w.casefold() for w in c.words}
-            hits = [j for j, w in enumerate(content, start=1) if w.casefold() in lowered]
-            if any(b - a - 1 < c.min_gap for a, b in zip(hits, hits[1:])):
-                return False
-        elif isinstance(c, ForbiddenChars):
-            if any(ch in c.chars for w in content for ch in w):
-                return False
         elif isinstance(c, StartsWith):
             if tuple(content[: len(c.prefix)]) != c.prefix:
+                return False
+    folded = list(map(str.casefold, content))
+    for c in task.constraints:  # the scans of every word
+        if isinstance(c, MaxWordLen):
+            if max(map(len, content)) > c.limit:
+                return False
+        elif isinstance(c, ForbiddenChars):
+            if not c.chars.isdisjoint("".join(content)):
+                return False
+        elif isinstance(c, MandatoryKeywords):
+            if not set(map(str.casefold, c.words)).issubset(folded):
+                return False
+        elif isinstance(c, KeywordSeparation):
+            lowered = set(map(str.casefold, c.words))
+            hits = [j for j, w in enumerate(folded) if w in lowered]
+            if any(b - a - 1 < c.min_gap for a, b in zip(hits, hits[1:])):
                 return False
     return True
 

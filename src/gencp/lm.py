@@ -198,7 +198,7 @@ class TableLM(LanguageModel):
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k
-        return list(self._table.get(sentence, ()))[: k * params.oversample]
+        return self._table.get(sentence, [])[: k * params.oversample]
 
     def conditional_logprob(self, prefix_words, word, params):
         return self._lookup.get(render_prefix(prefix_words), {}).get(word)

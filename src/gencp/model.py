@@ -17,6 +17,11 @@ import itertools
 from dataclasses import dataclass
 
 
+def has_whitespace(text):
+    """``any(ch.isspace() for ch in text)``, at C speed."""
+    return bool(text) and text.split() != [text]
+
+
 @dataclass(frozen=True)
 class WordCandidate:
     """One predicted surface word with its natural-log probability."""
@@ -27,7 +32,7 @@ class WordCandidate:
     def __post_init__(self):
         if not self.text:
             raise ValueError("candidate text is empty")
-        if any(ch.isspace() for ch in self.text):
+        if has_whitespace(self.text):
             raise ValueError(f"candidate text contains whitespace: {self.text!r}")
         if self.logprob > 0.0:
             raise ValueError(f"logprob must be <= 0, got {self.logprob}")

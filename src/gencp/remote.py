@@ -18,7 +18,7 @@ import urllib.parse
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 from .lm import LanguageModel, TransportError, _rank
-from .model import WordCandidate, render_prefix
+from .model import WordCandidate, has_whitespace, render_prefix
 
 DEFAULT_TIMEOUT_SECS = 120.0
 TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
@@ -42,7 +42,7 @@ def _candidates(raw, n):
     """
     best = {}
     for text, prob in raw[:n]:
-        if not text or prob <= 0.0 or any(ch.isspace() for ch in text):
+        if not text or prob <= 0.0 or has_whitespace(text):
             continue
         prob = min(prob, 1.0)
         if text not in best or prob > best[text]:

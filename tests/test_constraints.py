@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -207,6 +209,12 @@ class TestCanExtend:
 
     def test_at_word_ceiling(self):
         assert can_extend(["a", "b"], (WordCountRange(1, 2),)) is False
+
+
+def test_listed_multi_folds_are_what_casefolding_every_code_point_finds():
+    assert unicodedata.unidata_version != "14.0.0" or cst._multi_folds() is cst._MULTI_FOLDS_14
+    scanned = {f for f in map(str.casefold, map(chr, range(sys.maxunicode + 1))) if len(f) > 1}
+    assert cst._multi_folds() == scanned
 
 
 DEMO_SENTENCE_1 = "The following is an article by the author of the above book."

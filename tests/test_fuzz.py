@@ -21,11 +21,14 @@ two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
 of exhaustive search.  Served through the stub server, the same tables give
 the same outputs from ``RemoteLM`` as from ``TableLM``, and the solver and
-the oracle ask the backend about each prompt once.
+the oracle ask the backend about each prompt once.  ``check_complete``
+itself equals its first, one-pass form, kept here as the reference, in every
+order of the constraints.
 """
 
 import random
 from contextlib import closing
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -309,6 +312,73 @@ def test_missing_keywords_are_counted_once(constraints):
     assert can_extend([], constraints)
     assert [s.sentence for s in solve_all(task, lm)] == ["beach."]
     assert brute_force_oracle(task, lm, depth_cap=2) == {"beach."}
+
+
+def _one_pass_check_complete(words, task):
+    """``check_complete`` as first written: one pass over the constraints in the task's order."""
+    words = list(words)
+    if not words:
+        return False
+    if task.require_period and words[-1] != ".":
+        return False
+    content = words[:-1] if words[-1] == "." else words
+    if not content:
+        return False
+    sentence = render_sentence(words)
+    for c in task.constraints:
+        if isinstance(c, CharCountExact):
+            if len(sentence) != c.n:
+                return False
+        elif isinstance(c, WordCountRange):
+            if len(content) < c.lo or (c.hi is not None and len(content) > c.hi):
+                return False
+        elif isinstance(c, MaxWordLen):
+            if any(len(w) > c.limit for w in content):
+                return False
+        elif isinstance(c, PositionLexical):
+            if c.position > len(content) or content[c.position - 1] != c.word:
+                return False
+        elif isinstance(c, MandatoryKeywords):
+            present = {w.casefold() for w in content}
+            if any(w.casefold() not in present for w in c.words):
+                return False
+        elif isinstance(c, KeywordSeparation):
+            lowered = {w.casefold() for w in c.words}
+            hits = [j for j, w in enumerate(content, start=1) if w.casefold() in lowered]
+            if any(b - a - 1 < c.min_gap for a, b in zip(hits, hits[1:])):
+                return False
+        elif isinstance(c, ForbiddenChars):
+            if any(ch in c.chars for w in content for ch in w):
+                return False
+        elif isinstance(c, StartsWith):
+            if tuple(content[: len(c.prefix)]) != c.prefix:
+                return False
+    return True
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_check_complete_equals_the_one_pass_reference_in_any_constraint_order(data):
+    """``check_complete`` against its one-pass form, over shuffled mixes of all 8 types.
+
+    The words are the target the constraints were drawn from, a case
+    respelling of it, or other words of VOCAB, with or without a final ".",
+    so every clause both passes and fails.  Permuting the constraints never
+    changes the answer.
+    """
+    target = data.draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=MAX_DEPTH))
+    require_period = data.draw(st.booleans())
+    constraints = [c for _ in range(2) for c in _constraints(data.draw, target, require_period)]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    rng.shuffle(constraints)
+    respelled = [rng.choice(SPELLINGS[w]) for w in target]
+    other = rng.choices(VOCAB, k=rng.randint(0, MAX_DEPTH))
+    words = rng.choice((target, respelled, other)) + rng.choice(([], ["."]))
+    task = TaskSpec(name="reference", constraints=constraints, require_period=require_period)
+    expected = _one_pass_check_complete(words, task)
+    assert check_complete(words, task) == expected
+    for order in (constraints[::-1], rng.sample(constraints, len(constraints))):
+        assert check_complete(words, replace(task, constraints=order)) == expected
 
 
 class HintedTableLM(TableLM):

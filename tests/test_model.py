@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from gencp import (
     summarize,
     variability,
 )
+from gencp.model import has_whitespace
 
 
 class TestRenderSentence:
@@ -53,6 +55,22 @@ class TestVariability:
     def test_length_mismatch_counts(self):
         assert variability(["a", "b", "c"], ["a"]) == 2
         assert variability(["a"], ["a", "b", "c"]) == 2
+
+
+# every whitespace character, and letters that casefold or combine unusually
+WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+TEXT = st.text(alphabet=st.sampled_from(WHITESPACE + ["a", "\u00df", "\u0307", "\u200b", "."]))
+
+
+class TestHasWhitespace:
+    def test_a_code_point_has_whitespace_exactly_when_it_is_space(self):
+        assert [ch for ch in map(chr, range(sys.maxunicode + 1))
+                if has_whitespace(ch) != ch.isspace()] == []
+
+    @settings(max_examples=300)
+    @given(TEXT)
+    def test_equals_the_per_character_scan(self, text):
+        assert has_whitespace(text) == any(ch.isspace() for ch in text)
 
 
 class TestWordCandidate:
