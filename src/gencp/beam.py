@@ -25,11 +25,16 @@ class HaltingMode(enum.Enum):
 
 @dataclass
 class Beam:
-    """A candidate word sequence, its cumulative log-probability and its ``PrefixSummary``."""
+    """A candidate word sequence, its cumulative log-probability and its ``PrefixSummary``.
+
+    ``answer`` is the backend's answer for the words once a period check
+    asked for it, else None; the beam's expansion reads it rather than ask again.
+    """
 
     words: tuple
     cum_logprob: float
     summary: cst.PrefixSummary = field(compare=False, repr=False)
+    answer: list = field(default=None, compare=False, repr=False)
 
 
 def expand_beams(beams, lm, task, k):
@@ -38,13 +43,21 @@ def expand_beams(beams, lm, task, k):
     Returns (survivors, dead): the k best feasible extensions, and the input
     beams that had no feasible extension at all.  An extension is feasible
     when it can still grow or already is a finished sentence structurally.
+    A beam's words come from the first ``k * oversample`` of its answer,
+    which is asked at ``max(k, params.k)`` when the beam holds none, so that
+    a search asks each prompt at one width.
     """
     params = task.lm_params
+    width = max(k, params.k)
     extensions = []
     dead = []
     reserve = 1 if task.require_period else 0
     for beam in beams:
-        raw = lm.predict(render_prefix(beam.words), params, k)
+        raw = beam.answer
+        if raw is None:
+            raw = lm.predict(render_prefix(beam.words), params, width)
+        if width > k:
+            raw = raw[: k * params.oversample]
         summary = beam.summary
         base = summary.length + 1 if summary.count else 0
         before = len(extensions)
@@ -82,6 +95,7 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
         raise ValueError("max_words must exceed the seed length")
     check_time_budget(time_budget)
     params = task.lm_params
+    width = max(k, params.k)  # the period check reads the first params.k, the expansion the first k
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
     beams = [Beam(seed, start_cum, cst.summarize(seed, task.constraints))]
     solutions = []
@@ -94,17 +108,15 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 bad_outputs.extend(render_prefix(b.words) for b in beams)
                 break
             if task.require_period:
-                # A beam's period check and its expansion ask the same prompt;
-                # announcing the wider of the two serves both with one POST.
                 lm.prefetch(
                     (render_sentence(b.words) for b in beams if b.summary.complete(1)),
-                    params, max(k, params.k),
+                    params, width,
                 )
             survivors = []
             for beam in beams:
-                checked = task.require_period and beam.summary.complete(1)
-                raw = lm.predict(render_sentence(beam.words), params) if checked else None
-                end = completes(beam.summary, raw, task)
+                if task.require_period and beam.summary.complete(1):
+                    beam.answer = lm.predict(render_sentence(beam.words), params, width)
+                end = completes(beam.summary, beam.answer, task)
                 if end is not None:
                     solutions.append(make_record(beam.words, beam.cum_logprob, end, task, started))
                 else:
@@ -114,7 +126,10 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 return solutions, bad_outputs
             bad_outputs.extend(render_prefix(b.words) for b in survivors if len(b.words) >= max_words)
             survivors = [b for b in survivors if len(b.words) < max_words]
-            lm.prefetch((render_prefix(b.words) for b in survivors), params, k)
+            # Announced after the checks: a beam that turns out a solution is never expanded.
+            lm.prefetch(
+                (render_prefix(b.words) for b in survivors if b.answer is None), params, width
+            )
             beams, dead = expand_beams(survivors, lm, task, k)
             bad_outputs.extend(render_prefix(b.words) for b in dead)
     finally:

@@ -53,8 +53,8 @@ class LMParams:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number > 0, got {self.temperature!r}")
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
         if self.k > self.top_k * self.oversample:
@@ -216,7 +216,8 @@ class NGramLM(LanguageModel):
     """Additively smoothed n-gram backend trained from plain text.
 
     ``order`` is the context length in words.  Counts are kept for every
-    context length from 0 up to ``order``; prediction uses the longest
+    context length from 0 up to ``order``, in tables only as deep as the
+    corpus reaches; a longer context is unseen.  Prediction uses the longest
     context, backing off to shorter ones only when smoothing is zero and the
     context was never observed.  ``predict`` and ``conditional_logprob``
     both condition on the tokens of the rendered prefix, so a word that is
@@ -234,10 +235,10 @@ class NGramLM(LanguageModel):
         context_words = list(context_words)
         for length in range(min(self.order, len(context_words)), -1, -1):
             ctx = tuple(context_words[len(context_words) - length:])
-            total = self._totals[length].get(ctx, 0)
+            total = self._totals[length].get(ctx, 0) if length < len(self._totals) else 0
             if total == 0 and self.smoothing == 0.0:
                 continue
-            seen = self._counts[length].get(ctx, {})
+            seen = self._counts[length].get(ctx, {}) if total else {}
             denom = total + self.smoothing * len(self.vocabulary)
             dist = {}
             for word in self.vocabulary:
@@ -286,14 +287,16 @@ class NGramLM(LanguageModel):
             raise ValueError("n-gram model field 'vocabulary' must be a non-empty list of words")
         if not isinstance(entries, list):
             raise ValueError("n-gram model field 'counts' must be a list")
-        counts = [{} for _ in range(order + 1)]
-        totals = [{} for _ in range(order + 1)]
+        counts, totals = [{}], [{}]
         for i, entry in enumerate(entries):
             try:
                 length, ctx, pairs = entry
                 ctx = tuple(ctx)
                 if type(length) is not int or not 0 <= length <= order or len(ctx) != length:
                     raise ValueError
+                while len(counts) <= length:  # no deeper than the longest context saved
+                    counts.append({})
+                    totals.append({})
                 bucket = counts[length].setdefault(ctx, {})
                 for word, count in pairs:
                     if not isinstance(word, str) or type(count) is not int or count < 1:
@@ -336,8 +339,9 @@ def train_ngram(corpus, order, smoothing=1.0):
     tokens = tokenize(text)
     if not tokens:
         raise ValueError("empty corpus")
-    counts = [{} for _ in range(order + 1)]
-    totals = [{} for _ in range(order + 1)]
+    depth = min(order, len(tokens))  # no context is longer than the corpus
+    counts = [{} for _ in range(depth + 1)]
+    totals = [{} for _ in range(depth + 1)]
     for i, token in enumerate(tokens):
         for length in range(0, order + 1):
             if i < length:

@@ -27,9 +27,9 @@ TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
 REMOTE_WORKERS = 4
 
 
-def _memo_key(sentence, params):
-    """What a request sends besides its width: the prompt and the sampling fields."""
-    return sentence, params.temperature, params.top_k, params.top_p
+def _memo_key(sentence, n, params):
+    """What a request sends: the prompt, its width ``n_probs`` and the sampling fields."""
+    return sentence, n, params.temperature, params.top_k, params.top_p
 
 
 def _candidates(raw, n):
@@ -79,20 +79,18 @@ _URL_UNSAFE_RE = re.compile(r"[\x00-\x20\x7f]")
 class RemoteLM(LanguageModel):
     """Client for an HTTP completion server reporting per-token probabilities.
 
-    One POST per prompt: the memo maps each (sentence, temperature, top_k,
-    top_p) to the widest ``n_probs`` asked for it so far and the future of
-    the server's raw token list, for the lifetime of the instance.  A
-    request for n <= that width is answered from the first n raw tokens, as
-    the server answers a request for n unless tokens tie in probability at
-    the cut; a wider one POSTs once and replaces the entry.  An answer once
-    given for a width is given again for it, and a failed response is not
-    reused.  Announced prompts are POSTed while the search works, on a pool
-    of up to ``REMOTE_WORKERS`` threads started on demand.  Each free thread
-    starts the queued prompt first in the search's depth-first visit order
-    (see ``_queue``), and queues its expansion's hints before handing its
-    response out, so the root's hint alone fetches an exhaustive search's
-    tree.  ``predict`` waits on an announced prompt's future and POSTs any
-    other prompt on the caller's thread, never behind announced ones.
+    One POST per request: the memo maps each (sentence, n_probs,
+    temperature, top_k, top_p) to the future of the ranked answer, for the
+    lifetime of the instance, so an answer once given is given again.  A
+    request at another width POSTs again; a search asks each prompt at one
+    width.  A failed response is not reused.  Announced prompts are POSTed
+    while the search works, on a pool of up to ``REMOTE_WORKERS`` threads
+    started on demand.  Each free thread starts the queued prompt first in
+    the search's depth-first visit order (see ``_queue``), and queues its
+    expansion's hints before it resolves the prompt's future, so the root's
+    hint alone fetches an exhaustive search's tree.  ``predict`` waits on an
+    announced prompt's future and POSTs any other prompt on the caller's
+    thread, never behind announced ones.
     ``cancel_prefetch`` drops the prompts no thread has started and the
     expansions of those in flight, also those of other searches sharing the
     client, whose ``predict`` then POSTs itself.  ``close`` drops the queued
@@ -134,8 +132,7 @@ class RemoteLM(LanguageModel):
             raise ValueError(f"{where} must be a finite number of seconds > 0, got {value!r}")
         self._local = threading.local()  # ``conn``: this thread's connection, if it made one
         self._conns = []  # every thread's connection, for ``close``; None once closed
-        self._memo = {}  # memo key -> (widest n_probs asked, future of the raw token list)
-        self._answers = {}  # (memo key, n_probs) -> the candidates first answered
+        self._memo = {}  # memo key -> future of the ranked answer, a tuple of candidates
         self._lock = threading.Lock()
         self._pending = []  # heap of the queued prompts by visit order; see ``_queue``
         self._batches = 0  # prefetch calls so far
@@ -153,7 +150,7 @@ class RemoteLM(LanguageModel):
         with self._lock:
             self._epoch += 1
             self._pending.clear()
-            for key, (_, fut) in list(self._memo.items()):
+            for key, fut in list(self._memo.items()):
                 if fut.cancel():
                     del self._memo[key]
 
@@ -168,37 +165,22 @@ class RemoteLM(LanguageModel):
 
     def predict(self, sentence, params, k=None):
         n = (params.k if k is None else k) * params.oversample
-        key = _memo_key(sentence, params)
-        answer = self._answers.get((key, n))
-        if answer is None:
-            answer = self._answer(key, n, self._raw(sentence, key, n, params))
-        return list(answer)
-
-    def _answer(self, key, n, raw):
-        """The candidates recorded for width ``n`` of ``key``, from ``raw`` when none are yet.
-
-        The first answer for a width stays, also after a wider response.
-        """
-        return self._answers.setdefault((key, n), tuple(_candidates(raw, n)))
-
-    def _raw(self, sentence, key, n, params):
-        """The raw tokens of a memoized response at least ``n`` wide, POSTing when there is none."""
+        key = _memo_key(sentence, n, params)
         while True:
             with self._lock:
-                fut = self._covering(key, n)
+                fut = self._live(key)
                 if fut is None:
-                    own = Future()
+                    own = self._memo[key] = Future()
                     own.set_running_or_notify_cancel()
-                    self._store(key, n, own)
                     break
             try:
-                return fut.result()
+                return list(fut.result())
             except CancelledError:
-                continue  # a cancel_prefetch, or a wider request, dropped it
-        return self._fetch(own, sentence, n, params)
+                continue  # a cancel_prefetch dropped it
+        return list(self._fetch(own, sentence, n, params))
 
     def _queue(self, hints, params, n, order, epoch):
-        """Queue each hinted prompt no memoized response covers, with a pool job that POSTs one.
+        """Queue each hinted prompt not live in the memo, with a pool job that POSTs one.
 
         Call with the lock held.  The i-th hint's visit-order key is
         ``order + (i,)``, after the hints before it and their expansions', as
@@ -209,11 +191,10 @@ class RemoteLM(LanguageModel):
             return
         for i, hint in enumerate(hints):
             sentence, expand = (hint, None) if isinstance(hint, str) else hint
-            key = _memo_key(sentence, params)
-            if self._covering(key, n) is None:
+            key = _memo_key(sentence, n, params)
+            if self._live(key) is None:
                 self._pool.submit(self._post_earliest)  # raises after ``close``
-                fut = Future()
-                self._store(key, n, fut)
+                fut = self._memo[key] = Future()
                 heapq.heappush(self._pending, (order + (i,), fut, sentence, params, n, expand, epoch))
 
     def _post_earliest(self):
@@ -230,44 +211,29 @@ class RemoteLM(LanguageModel):
     def _fetch(self, fut, sentence, n, params, expand=None, order=None, epoch=None):
         """POST for the running future ``fut``, rank the answer, queue its expansion, resolve ``fut``.
 
-        Queued first: nothing else announces the expansion's prompts, so a
-        search that asks one once it has the response would POST it itself.
+        Resolved last: nothing else announces the expansion's prompts, so a
+        search that had the answer before they were queued would POST them itself.
         """
         try:
-            raw = self._post(sentence, n, params)
+            answer = tuple(_candidates(self._post(sentence, n, params), n))
         except BaseException as exc:
             fut.set_exception(exc)
             raise
         try:
-            answer = self._answer(_memo_key(sentence, params), n, raw)
             if expand is not None:
                 hints = list(expand(list(answer)))
                 with self._lock:
                     self._queue(hints, params, n, order, epoch)
         finally:
-            fut.set_result(raw)
-        return raw
+            fut.set_result(answer)
+        return answer
 
-    def _covering(self, key, n):
-        """The memoized future for ``key`` that can answer ``n`` raw tokens, or None.
-
-        Call with the lock held.
-        """
-        entry = self._memo.get(key)
-        if entry is None or entry[0] < n or (entry[1].done() and entry[1].exception() is not None):
-            return None  # none, too narrow, or failed
-        return entry[1]
-
-    def _store(self, key, n, fut):
-        """Memoize ``fut`` as the response of width ``n`` for ``key``.
-
-        Call with the lock held.  The future it replaces is cancelled unless
-        a thread has started its POST; whoever waits on it asks again.
-        """
-        old = self._memo.get(key)
-        if old is not None:
-            old[1].cancel()
-        self._memo[key] = (n, fut)
+    def _live(self, key):
+        """The memoized future for ``key`` unless it failed, or None.  Call with the lock held."""
+        fut = self._memo.get(key)
+        if fut is None or (fut.done() and fut.exception() is not None):
+            return None
+        return fut
 
     def _post(self, sentence, n, params):
         payload = {

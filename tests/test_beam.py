@@ -5,6 +5,7 @@ import random
 from gencp import (
     Beam,
     CharCountExact,
+    ForbiddenChars,
     HaltingMode,
     LMParams,
     TableLM,
@@ -108,6 +109,17 @@ class TestBeamSearch:
         sols, bad = beam_search(task, lm, k=1)
         assert [s.sentence for s in sols] == ["We run."]
         assert bad == []
+
+    def test_beam_narrower_than_k_takes_words_from_its_own_window(self):
+        # The root is asked at the task's k=2, for 8 candidates; a width-1
+        # beam reads only the first 4, which hold no allowed word.
+        lm = TableLM({
+            "": [("qa", 0.2), ("qb", 0.2), ("qc", 0.2), ("qd", 0.2), ("fine", 0.1)],
+            "fine": [(".", 0.9)],
+        })
+        task = _task(ForbiddenChars("q"), WordCountRange(1, 3), k=2)
+        assert beam_search(task, lm, k=1) == ([], [""])
+        assert [s.sentence for s in beam_search(task, lm, k=2)[0]] == ["fine."]
 
     def test_rank_displacement_loses_solution(self, fixtures_dir):
         lm = TableLM.from_file(fixtures_dir / "bs_miss.tbl")

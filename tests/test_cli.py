@@ -335,6 +335,19 @@ def test_malformed_task_file_exits_1(payload, field, fixtures_dir, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e400", "NaN"])
+def test_non_finite_temperature_in_a_task_file_exits_1(value, fixtures_dir, tmp_path, capsys):
+    # Python's JSON reader takes 1e400 as inf and NaN as nan; neither may reach a backend.
+    task = tmp_path / "task.json"
+    task.write_text(f'{{"constraints": [{json.dumps(WORDS_2)}], "temperature": {value}}}',
+                    encoding="utf-8")
+    code = main(["solve", "--task", str(task), "--lm", f"table:{fixtures_dir / 'bs_miss.tbl'}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: temperature must be a finite number > 0, got {float(value)!r}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["solve"], ["beam"], ["oracle"], ["bench", "--k", "2", "--method", "bs-all,oracle"],
 ], ids=lambda c: c[0])

@@ -10,20 +10,19 @@ in case pairs ("strasse" and "Straße" fold alike but differ in length), so
 sets often overlap across constraints or differ only by case.  The same
 instances check that the prefetch hints of all three searches, with the
 hints their expansions disclose, name exactly the prompts they then ask
-for, in the order they ask for them, and that
-beam search at a width other than k first announces each prompt at the
-widest width it then asks for it.  Random push, backtrack and jump-back
-sequences on a ``SolverModel`` check its prefix summaries against
-``can_extend`` rebuilt by rescanning the prefix and against
-``check_complete``.  On the same instances, the perplexity the
+for, in the order they ask for them, and that beam search at any width
+announces and asks each prompt at the wider of its width and k.  Random
+push, backtrack and jump-back sequences on a ``SolverModel`` check its
+prefix summaries against ``can_extend`` rebuilt by rescanning the prefix
+and against ``check_complete``.  On the same instances, the perplexity the
 searches sum along their path equals the backend's rescoring exactly, and
 two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
 of exhaustive search.  Served through the stub server, the same tables give
-the same outputs from ``RemoteLM`` as from ``TableLM``, and the solver and
-the oracle ask the backend about each prompt once.  ``check_complete``
-itself equals its first, one-pass form, kept here as the reference, in every
-order of the constraints.
+the same outputs from ``RemoteLM`` as from ``TableLM``, and every search
+asks the backend about each prompt once.  ``check_complete`` itself equals
+its first, one-pass form, kept here as the reference, in every order of the
+constraints.
 """
 
 import random
@@ -480,11 +479,11 @@ def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
 @settings(max_examples=400)
 @given(instances())
 def test_beam_hints_cover_every_ask_of_a_prompt_at_other_widths(instance):
-    """A beam wider or narrower than k first announces each prompt at its widest ask.
+    """Beam search wider or narrower than k asks and announces every prompt at ``max(width, k)``.
 
-    The period check asks at the task's k and the expansion at the beam's
-    width; when the first announcement covers both, a memo of the widest
-    response POSTs each prompt once.
+    The period check reads the first k of that answer and the expansion the
+    first ``width``, so one answer per prompt serves both, and every prompt
+    but the root's is announced before it is asked.
     """
     table, constraints, k, require_period, seed = instance
     task = _fuzz_task(constraints, k, require_period, seed)
@@ -492,15 +491,14 @@ def test_beam_hints_cover_every_ask_of_a_prompt_at_other_widths(instance):
         lm = HintedTableLM(table)
         beam_search(task, lm, k=width, max_words=MAX_DEPTH)
         hinted, asked = lm.prompts("hint"), lm.prompts("ask")
-        assert {s for s, _ in hinted} <= {s for s, _ in asked}
-        first_hint = {}
+        assert {n for _, n in hinted | asked} <= {max(width, k)}
+        assert hinted <= asked
+        announced = set()
         for what, entry in lm.log:
             if what == "hint":
-                for sentence, n in entry:
-                    first_hint.setdefault(sentence, n)
+                announced.update(entry)
             elif entry[0] != render_prefix(seed):
-                sentence, n = entry
-                assert first_hint.get(sentence, 0) >= n, (width, sentence, n)
+                assert entry in announced, (width, entry)
 
 
 def _words_pass(words, constraints, reserve=0):
@@ -610,8 +608,8 @@ EQUIVALENT_SEARCHES = {
         max_variables=MAX_DEPTH, max_solutions=2, backtrack_to=1))),
     "oracle": lambda task, lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
     "beam": _beam_outputs,
-    # narrower and wider than k, so the width rule serves each period check
-    # and expansion from one response
+    # narrower and wider than k: each beam's period check and expansion read
+    # one answer, asked at the wider of the two widths
     "beam k-1": lambda task, lm: _beam_outputs(task, lm, max(1, task.lm_params.k - 1)),
     "beam k+1": lambda task, lm: _beam_outputs(task, lm, task.lm_params.k + 1),
 }
@@ -625,11 +623,12 @@ def test_remote_backend_over_the_stub_equals_the_table(module_stub, instance):
     The stub serves the instance's table, each prompt's tokens in the
     table's order, which is the order of falling probability, as a server
     ranks them.  The tables give the entries of a prefix distinct
-    probabilities (0.5 / 2**i), so no tokens tie at a width cut and the
-    width rule's documented exception cannot apply.  Each search runs on a
-    fresh client, so its prefetches, their expansions and the memo all take
-    part, and the stub must see each prompt the search asks exactly once,
-    and no other prompt but the seed's prefixes, which scoring the seed asks.
+    probabilities (0.5 / 2**i), so no tokens tie at a width cut: the window
+    a beam narrower than k reads from the wider answer is the answer at its
+    own width.  Each search runs on a fresh client, so its prefetches, their
+    expansions and the memo all take part, and the stub must see each prompt
+    the search asks exactly once, and no other prompt but the seed's
+    prefixes, which scoring the seed asks.
     """
     table, constraints, k, require_period, seed = instance
     task = _fuzz_task(constraints, k, require_period, seed)
@@ -648,17 +647,14 @@ def test_remote_backend_over_the_stub_equals_the_table(module_stub, instance):
 @settings(max_examples=400)
 @given(instances())
 def test_searches_ask_each_prompt_once(instance):
-    """The solver and the oracle send each (prompt, width) to ``predict`` once.
+    """Every search sends each (prompt, width) to ``predict`` once.
 
-    A node's period check and its children are read from one answer, so no
-    backend, memoizing or not, pays twice for a node.  Beam search asks a
-    beam's prompt for its period check and again for its expansion.
+    A node's period check and its children, or a beam's, are read from one
+    answer, so no backend, memoizing or not, pays twice for a node.
     """
     table, constraints, k, require_period, seed = instance
     task = _fuzz_task(constraints, k, require_period, seed)
     for name, search in EQUIVALENT_SEARCHES.items():
-        if name.startswith("beam"):
-            continue
         lm = HintedTableLM(table)
         search(task, lm)
         asked = [key for what, key in lm.log if what == "ask"]

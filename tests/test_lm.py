@@ -1,6 +1,7 @@
 import io
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,13 @@ class TestLMParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             LMParams(**kwargs)
+
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
+    def test_rejects_a_non_finite_temperature(self, temperature):
+        # NaN passes a plain "<= 0" test; a remote backend would then send it as bare NaN
+        message = f"^temperature must be a finite number > 0, got {temperature!r}$"
+        with pytest.raises(ValueError, match=message):
+            LMParams(temperature=temperature)
 
 
 class TestTableLM:
@@ -265,6 +273,25 @@ class TestTrainNGram:
         assert len(records) == 3
         for record in records:
             assert record.ppl == perplexity(lm, record.words, PARAMS)
+
+    def test_tables_are_bounded_by_the_corpus_not_the_order(self):
+        corpus = "the cat sat . the dog sat ."
+        contexts = ([], ["the"], ["the", "cat"], "the cat sat . the dog sat . the".split(),
+                    "a b c d e f g h i j".split())
+        for smoothing in (0.0, 1.0):
+            # 8 tokens, so no context is longer than 8 words and order 9 already holds them all
+            reference = train_ngram(corpus, order=9, smoothing=smoothing)
+            tracemalloc.start()
+            try:
+                trained = train_ngram(corpus, order=10**5, smoothing=smoothing)
+                loaded = NGramLM.from_dict({**reference.to_dict(), "order": 10**5})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000  # a table per context length up to the order would take ~13 MB
+            for lm in (trained, loaded):
+                for context in contexts:
+                    assert lm._distribution(context) == reference._distribution(context), context
 
     def test_save_load_roundtrip(self, tmp_path):
         lm = train_ngram("the cat sat on the mat .", order=2, smoothing=0.5)

@@ -148,6 +148,12 @@ class TestRemotePredict:
         # the stub adds llama-style leading spaces; text comes back bare
         assert server.requests[0]["prompt"] == "go"
 
+    def test_a_word_spelled_twice_keeps_its_highest_probability(self, stub_server):
+        # the stub sends " cat" and "  cat"; both strip to "cat"
+        server = stub_server({"x": [("cat", 0.5), ("dog", 0.3), (" cat", 0.1)]})
+        cands = RemoteLM(server.url).predict("x", PARAMS)
+        assert [(c.text, c.logprob) for c in cands] == [("cat", math.log(0.5)), ("dog", math.log(0.3))]
+
     def test_request_carries_sampling_fields(self, stub_server):
         server = stub_server({"x": [("ok", 0.5)]})
         lm = RemoteLM(server.url)
@@ -456,6 +462,19 @@ class TestRemoteScoring:
             assert from_table.ppl == pytest.approx(6.32, abs=0.01)
             assert from_remote.ppl == pytest.approx(141_421.36, abs=0.01)
 
+    def test_remote_scores_a_seed_word_inside_the_request_window_as_the_table_does(self, stub_server):
+        # With no oversampling a k=2 request asks for 2 tokens: "e", ranked
+        # second, is inside that window, though not inside a width-1 one.
+        table = {"": [("a", 0.5), ("e", 0.3)], "e": [(".", 0.5)]}
+        task = TaskSpec(name="seeded", constraints=(WordCountRange(1, 2),),
+                        lm_params=LMParams(k=2, oversample=1), require_period=True, seed=("e",))
+        server = stub_server(table)
+        remote, local = RemoteLM(server.url), TableLM(table)
+        for search in (solve_all, lambda t, lm: beam_search(t, lm)[0]):
+            [from_remote], [from_table] = search(task, remote), search(task, local)
+            assert from_remote.sentence == from_table.sentence == "e."
+            assert from_remote.ppl == from_table.ppl == pytest.approx(math.sqrt(1 / (0.3 * 0.5)))
+
 
 def period_tree(words, depth):
     """Every word under every prefix to ``depth``, in falling probability.
@@ -497,17 +516,20 @@ class TestOnePostPerPrompt:
         # each odd-length beam was both checked for a period and expanded
         assert set(server.counts.values()) == {1}
 
-    def test_narrower_request_is_served_from_a_wider_response(self, stub_server):
+    def test_each_new_width_posts_once(self, stub_server):
         server = stub_server(self.TABLE)
         lm = RemoteLM(server.url)
         params = self.TASK.lm_params
+        local = TableLM(self.TABLE)
         wide = lm.predict("red", params, 9)
         narrow = lm.predict("red", params)
         lm.prefetch(["red"], params, 2)
+        assert wide == local.predict("red", params, 9)
         assert [c.text for c in wide] == ["red", "big", "old", "new", "."]
-        assert narrow == RemoteLM(server.url).predict("red", params)
-        assert [r["n_probs"] for r in server.requests] == [36, 12]  # the second from a fresh client
-        assert server.counts == {"red": 2}
+        assert narrow == local.predict("red", params)
+        assert lm.predict("red", params, 2) == local.predict("red", params, 2)
+        # The announced width-2 request went out once, and the search's ask waited on it.
+        assert [r["n_probs"] for r in server.requests] == [36, 12, 8]
 
     def test_wider_request_posts_once_more(self, stub_server):
         server = stub_server(self.TABLE)
@@ -515,7 +537,7 @@ class TestOnePostPerPrompt:
         params = self.TASK.lm_params
         lm.predict("red", params)
         lm.prefetch(["red"], params, 9)
-        for k in (9, 3, 2, 9):
+        for k in (9, 3, 9):
             lm.predict("red", params, k)
         assert [r["n_probs"] for r in server.requests] == [12, 36]
 
@@ -531,19 +553,8 @@ class TestOnePostPerPrompt:
         ]}).encode())
         assert [c.text for c in lm.predict("red", params, 9)] == ["new", "red"]
         assert lm.predict("red", params) == narrow
-        assert [c.text for c in lm.predict("red", params, 2)] == ["new", "red"]
+        assert [c.text for c in lm.predict("red", params, 9)] == ["new", "red"]
         assert [r["n_probs"] for r in server.requests] == [12, 36]
-
-    def test_wider_announcement_drops_the_queued_narrower_one(self, stub_server):
-        words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl", "yak")
-        server = stub_server({w: [("ok", 0.5)] for w in words}, delay=0.05)
-        lm = RemoteLM(server.url)
-        lm.prefetch(words, PARAMS)
-        lm.prefetch(words, PARAMS, 9)
-        assert all([c.text for c in lm.predict(w, PARAMS)] == ["ok"] for w in words)
-        # Only the narrow requests a worker had started went out.
-        assert len([r for r in server.requests if r["n_probs"] == 8]) <= REMOTE_WORKERS
-        assert Counter(r["prompt"] for r in server.requests if r["n_probs"] == 36) == dict.fromkeys(words, 1)
 
     def test_failed_wide_response_is_not_reused_for_a_narrow_request(self, stub_server):
         server = stub_server(self.TABLE)
@@ -554,28 +565,28 @@ class TestOnePostPerPrompt:
             lm.predict("red", params, 9)
         server.respond_normally()
         assert lm.predict("red", params) == TableLM(self.TABLE).predict("red", params)
-        lm.predict("red", params, 2)
-        assert [r["n_probs"] for r in server.requests] == [36, 12]
+        assert lm.predict("red", params, 9) == TableLM(self.TABLE).predict("red", params, 9)
+        assert [r["n_probs"] for r in server.requests] == [36, 12, 36]
 
     def test_width_is_cut_before_duplicate_spellings_merge(self, stub_server):
         # Each word comes as several whitespace variants (" a", "  a", " a "),
-        # so the first 12 tokens spell two words and "." is the 13th.  Merging
-        # the 36 tokens first and cutting at 12 would put "." third, inside
-        # the period check's window of k=3.
+        # so the first 12 tokens spell two words and "." is the 13th.  The
+        # server answers all 14 tokens whatever it is asked; merging them
+        # first and cutting at 12 would put "." third, inside the period
+        # check's window of k=3.
         variants = ("a", " a", "a ", "b", " b", "b ") * 2
         entries = [(word, 0.07 - 0.001 * i) for i, word in enumerate(variants)]
         entries += [(".", 0.05), ("c", 0.04)]
-        server = stub_server({"p": entries})
+        server = stub_server({})
+        server.respond_raw(json.dumps({"completion_probabilities": [
+            {"probs": [{"token": " " + word, "prob": prob} for word, prob in entries]}
+        ]}).encode())
         params = self.TASK.lm_params
-        shared = RemoteLM(server.url)
-        shared.predict("p", params, 9)
-        narrow = shared.predict("p", params)
-        fresh = RemoteLM(server.url).predict("p", params)
-        assert [c.text for c in narrow] == [c.text for c in fresh] == ["a", "b"]
-        assert narrow == fresh
-        assert not predicts_period(shared, "p", params)
-        assert [c.text for c in shared.predict("p", params, 9)] == ["a", "b", ".", "c"]
-        assert server.counts == {"p": 2}
+        lm = RemoteLM(server.url)
+        assert [c.text for c in lm.predict("p", params)] == ["a", "b"]
+        assert not predicts_period(lm, "p", params)
+        assert [c.text for c in lm.predict("p", params, 9)] == ["a", "b", ".", "c"]
+        assert [r["n_probs"] for r in server.requests] == [12, 36]
 
 
 def _solve(lm):
@@ -771,6 +782,32 @@ class TestSubtreePrefetch:
         # has "red"'s answer; each prompt still goes out once.
         assert seen == {"red": True}
         assert set(server.counts.values()) == {1}
+
+    def test_an_answer_is_given_only_once_its_expansion_is_queued(self, stub_server):
+        server = stub_server({"a": [("a1", 0.5)], "a a1": [(".", 0.5)]})
+        lm = RecordingRemoteLM(server.url)
+        entered, release, done = threading.Event(), threading.Event(), threading.Event()
+
+        def expansion(answer):
+            entered.set()
+            assert release.wait(timeout=5)
+            return ["a a1"]
+
+        def search():
+            lm.predict("a", PARAMS)
+            lm.predict("a a1", PARAMS)
+            done.set()
+
+        lm.prefetch([("a", expansion)], PARAMS)
+        assert entered.wait(timeout=5)  # "a" is answered and its expansion runs
+        searcher = threading.Thread(target=search)
+        searcher.start()
+        # A search given "a"'s answer now would find "a a1" unannounced and POST it itself.
+        done.wait(timeout=0.5)
+        release.set()
+        searcher.join(timeout=5)
+        assert done.is_set()
+        assert lm.posts == [("a", True), ("a a1", True)]
 
     @pytest.mark.parametrize("search", ["solve_all", "oracle"])
     def test_exhaustive_runs_post_every_prompt_from_the_pool(self, stub_server, search):
