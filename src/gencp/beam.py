@@ -59,11 +59,10 @@ def expand_beams(beams, lm, task, k):
         if width > k:
             raw = raw[: k * params.oversample]
         summary = beam.summary
-        base = summary.length + 1 if summary.count else 0
         before = len(extensions)
-        for cand in cst.valid_words(raw, task.constraints, k):
+        for cand in cst.valid_words(raw, summary.rules.word_tests, k):
             # The period's character stays reserved, as ``filter_domain`` reserves it.
-            if not summary.admits(cand.text, base + len(cand.text), reserve, word_tested=True):
+            if not summary.admits(cand.text, reserve, word_tested=True):
                 continue
             child = summary.push(cand.text, admitted=True)
             if child.can_extend() or child.complete(reserve):

@@ -146,8 +146,7 @@ class MandatoryKeywords(Constraint):
     required_words = property(lambda self: self.keywords)
 
     def admits_end(self, prefix, reserve):
-        seen = prefix.seen
-        return all(w in seen for w in self.keywords)
+        return self.keywords <= prefix.seen.keys()
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,9 @@ class TaskSpec:
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "seed", tuple(self.seed))
+        for c in self.constraints:  # a hook takes part only when the type overrides it (see _Rules)
+            if getattr(c, "__dict__", {}).keys() & _HOOKS:
+                raise TypeError(f"{type(c).__name__} sets a hook on an instance; override it on the class")
         for word in self.seed:
             if has_whitespace(word):
                 raise ValueError(f"seed word {word!r} contains whitespace")
@@ -280,8 +282,8 @@ def word_valid(word, constraints):
 
 
 def _looks_like_word(text):
-    pieces = text.replace("'", "-").split("-")
-    return all(piece and piece.isalpha() for piece in pieces)
+    return text.isalpha() or all(
+        piece and piece.isalpha() for piece in text.replace("'", "-").split("-"))
 
 
 def only_words(candidates):
@@ -292,9 +294,11 @@ def only_words(candidates):
 def valid_words(candidates, constraints, k):
     """The first k candidates that are words passing ``word_valid``, in rank order.
 
-    The window from which the solver and beam search take a node's words.
+    The window from which the solver and beam search take a node's words, in
+    one pass over the answer.  They pass only ``rules.word_tests``, the
+    constraints whose type overrides ``admits_word``.
     """
-    return [c for c in only_words(candidates) if word_valid(c.text, constraints)][:k]
+    return [c for c in candidates if _looks_like_word(c.text) and word_valid(c.text, constraints)][:k]
 
 
 # what _multi_folds finds under Unicode 14.0.0, listed to spare casefolding all 1.1M code points
@@ -327,6 +331,9 @@ def fold_length(key):
     return best[-1]
 
 
+_HOOKS = ("admits_word", "admits_next", "admits_end")
+
+
 class _Rules:
     """A constraint tuple sorted by the hooks each type overrides, plus the lookahead caps."""
 
@@ -335,9 +342,7 @@ class _Rules:
             base = getattr(Constraint, hook)
             return tuple(c for c in constraints if getattr(type(c), hook) is not base)
 
-        self.word_tests = overriding("admits_word")
-        self.next_tests = overriding("admits_next")
-        self.end_tests = overriding("admits_end")
+        self.word_tests, self.next_tests, self.end_tests = map(overriding, _HOOKS)
         self.keywords = frozenset(w for c in constraints for w in c.keywords)
         self.required = frozenset(w for c in constraints for w in c.required_words)
         self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
@@ -374,7 +379,7 @@ class PrefixSummary:
         rules = self.rules
         count = self.count
         length = self.length + len(word) + 1 if count else len(word)
-        failed = self.failed or not (admitted or self.admits(word, length, 0))
+        failed = self.failed or not (admitted or self.admits(word, 0))
         seen = self.seen
         if rules.keywords:
             key = word.casefold()
@@ -382,12 +387,13 @@ class PrefixSummary:
                 seen = {**seen, key: count + 1}
         return PrefixSummary(rules, count + 1, length, failed, seen)
 
-    def admits(self, word, length, reserve, word_tested=False):
-        """Whether ``word``, making the prefix ``length`` characters long, may come next.
+    def admits(self, word, reserve, word_tested=False):
+        """Whether ``word`` may come next; ``reserve`` as in ``Constraint.admits_next``.
 
         ``word_tested`` skips the ``admits_word`` tests, which ``word_valid``
         already passed.
         """
+        length = self.length + len(word) + 1 if self.count else len(word)
         if not word_tested:
             for c in self.rules.word_tests:
                 if not c.admits_word(word):
@@ -459,9 +465,7 @@ def filter_domain(partial, domain, task, summary=None, word_tested=False):
     if summary is None:
         summary = summarize(partial, task.constraints)
     reserve = 1 if task.require_period else 0
-    base = summary.length + 1 if summary.count else 0
-    return Domain([cand for cand in domain.values
-                   if summary.admits(cand.text, base + len(cand.text), reserve, word_tested)])
+    return Domain([cand for cand in domain.values if summary.admits(cand.text, reserve, word_tested)])
 
 
 def can_extend(partial, constraints):

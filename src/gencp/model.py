@@ -202,7 +202,6 @@ def render_sentence(words):
 
 def render_prefix(words):
     """Like render_sentence, but the empty prefix renders as ""."""
-    words = list(words)
     return render_sentence(words) if words else ""
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import http.client
 import json
+import logging
 import math
 import os
 import re
@@ -25,6 +26,7 @@ TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
 # Requests a RemoteLM keeps in flight, as many as the parallel slots of a
 # typical llama.cpp server (``--parallel 4``).
 REMOTE_WORKERS = 4
+log = logging.getLogger(__name__)
 
 
 def _memo_key(sentence, n, params):
@@ -198,7 +200,7 @@ class RemoteLM(LanguageModel):
                 heapq.heappush(self._pending, (order + (i,), fut, sentence, params, n, expand, epoch))
 
     def _post_earliest(self):
-        """Pool job: ``_fetch`` the queued prompt first in visit order."""
+        """Pool job: ``_fetch`` the queued prompt first in visit order; log an error no future carries."""
         with self._lock:
             while True:
                 if not self._pending:
@@ -206,7 +208,11 @@ class RemoteLM(LanguageModel):
                 order, fut, sentence, params, n, expand, epoch = heapq.heappop(self._pending)
                 if fut.set_running_or_notify_cancel():
                     break
-        self._fetch(fut, sentence, n, params, expand, order, epoch)
+        try:
+            self._fetch(fut, sentence, n, params, expand, order, epoch)
+        except Exception as exc:  # nothing reads the job's own future
+            if not (fut.done() and fut.exception() is exc):  # a failed POST reaches callers through fut
+                log.error("prefetch of prompt %r failed", sentence, exc_info=exc)
 
     def _fetch(self, fut, sentence, n, params, expand=None, order=None, epoch=None):
         """POST for the running future ``fut``, rank the answer, queue its expansion, resolve ``fut``.

@@ -78,9 +78,10 @@ def node_domain(words, summary, raw, task, ordering):
     The node's one candidate pipeline: the first k word-valid predictions,
     ordered, then filtered against the constraints and the prefix.
     Filtering keeps order, and ordering sorts on a total key, so the two
-    steps commute.
+    steps commute.  The window runs only the word tests of the types that
+    override ``admits_word``, and the filter does not run them again.
     """
-    window = cst.valid_words(raw, task.constraints, task.lm_params.k)
+    window = cst.valid_words(raw, summary.rules.word_tests, task.lm_params.k)
     ordered = Domain(order_candidates(window, ordering, len(words) + 1))
     return cst.filter_domain(words, ordered, task, summary, word_tested=True)
 

@@ -158,26 +158,48 @@ class _CountingWordTest(Constraint):
         return True
 
 
+class _NoWordTest(Constraint):
+    """A type that overrides ``admits_next`` but not ``admits_word``."""
+
+    def admits_next(self, prefix, word, length, reserve):
+        return True
+
+
 @pytest.mark.parametrize("search", ["solve_all", "beam_search"])
 def test_searches_run_the_word_tests_once_per_candidate(search, monkeypatch):
-    """``word_valid`` tests each candidate; the prefix filtering does not test it again."""
+    """``word_valid`` tests each candidate; the prefix filtering does not test it again.
+
+    Only the types that override ``admits_word`` are asked: the inherited
+    ``Constraint.admits_word`` notes every word it is asked about.
+    """
     counting = _CountingWordTest()
-    task = TaskSpec(name="t", constraints=(counting, WordCountRange(1, 4)),
+    task = TaskSpec(name="t", constraints=(counting, _NoWordTest(), WordCountRange(1, 4)),
                     lm_params=LMParams(k=2), require_period=True)
     lm = random_table(random.Random(5), depth=5)
-    validated = Counter()
+    validated, inherited = Counter(), []
 
     def word_valid_counted(word, constraints):
         validated[word] += 1
         return word_valid(word, constraints)
 
     monkeypatch.setattr(cst, "word_valid", word_valid_counted)
+    monkeypatch.setattr(Constraint, "admits_word", lambda self, word: inherited.append(word) or True)
     if search == "solve_all":
         assert solve_all(task, lm, SolveOptions(max_variables=5))
     else:
         assert beam_search(task, lm, k=2)[0]
     assert sum(validated.values()) > 0
     assert counting.calls == validated
+    assert inherited == []
+
+
+def test_a_task_rejects_a_hook_set_on_an_instance():
+    """The searches ask a hook only when the type overrides it, so a task takes no other."""
+    hooked = _NoWordTest()
+    object.__setattr__(hooked, "admits_word", lambda word: False)
+    with pytest.raises(TypeError, match="_NoWordTest sets a hook on an instance"):
+        TaskSpec(name="t", constraints=(WordCountRange(1, 4), hooked))
+    assert TaskSpec(name="t", constraints=(_NoWordTest(),)).constraints
 
 
 class TestCanExtend:

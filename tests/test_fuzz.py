@@ -22,7 +22,9 @@ of exhaustive search.  Served through the stub server, the same tables give
 the same outputs from ``RemoteLM`` as from ``TableLM``, and every search
 asks the backend about each prompt once.  ``check_complete`` itself equals
 its first, one-pass form, kept here as the reference, in every order of the
-constraints.
+constraints, and the candidate window of ``node_domain`` and
+``expand_beams`` equals the pipeline first written, kept here likewise, on
+ranked answers that mix words with fragments, numerals and punctuation.
 """
 
 import random
@@ -33,7 +35,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gencp.constraints as cst
 from gencp import (
+    Beam,
     CharCountExact,
     Domain,
     ForbiddenChars,
@@ -54,7 +58,9 @@ from gencp import (
     brute_force_oracle,
     can_extend,
     check_complete,
+    expand_beams,
     filter_domain,
+    order_candidates,
     parse_ordering,
     perplexity,
     render_prefix,
@@ -64,7 +70,8 @@ from gencp import (
     summarize,
     word_valid,
 )
-from gencp.constraints import fold_length
+from gencp.constraints import Constraint, fold_length
+from gencp.solver import node_domain
 
 MAX_DEPTH = 6
 MAX_FANOUT = 4
@@ -659,3 +666,104 @@ def test_searches_ask_each_prompt_once(instance):
         search(task, lm)
         asked = [key for what, key in lm.log if what == "ask"]
         assert len(asked) == len(set(asked)), name
+
+
+def _old_looks_like_word(text):
+    """``_looks_like_word`` as it was before its ``isalpha`` fast path."""
+    pieces = text.replace("'", "-").split("-")
+    return all(piece and piece.isalpha() for piece in pieces)
+
+
+def _reference_window(raw, constraints, k):
+    """The window as first written: ``only_words``, ``word_valid`` over all constraints, then ``[:k]``."""
+    words = [cand for cand in raw if _old_looks_like_word(cand.text)]
+    return [c for c in words if word_valid(c.text, constraints)][:k]
+
+
+def _reference_node_domain(words, summary, raw, task, ordering):
+    """``node_domain`` as first written: the window, ordered, then filtered."""
+    window = _reference_window(raw, task.constraints, task.lm_params.k)
+    ordered = Domain(order_candidates(window, ordering, len(words) + 1))
+    return filter_domain(words, ordered, task, summary)
+
+
+def _reference_extensions(beam, task, k):
+    """The (words, cum_logprob) of a beam's extensions, from its answer, as ``expand_beams`` made them."""
+    params = task.lm_params
+    raw = beam.answer[: k * params.oversample] if max(k, params.k) > k else beam.answer
+    summary = beam.summary
+    reserve = 1 if task.require_period else 0
+    found = []
+    for cand in _reference_window(raw, task.constraints, k):
+        if not summary.admits(cand.text, reserve):
+            continue
+        child = summary.push(cand.text, admitted=True)
+        if child.can_extend() or child.complete(reserve):
+            found.append((beam.words + (cand.text,), beam.cum_logprob + cand.logprob))
+    return found
+
+
+class _LengthResidue(Constraint):
+    """A test-only word test of its own type: no word whose length is ``r`` modulo ``m``."""
+
+    def __init__(self, m, r):
+        self.m, self.r = m, r
+
+    def admits_word(self, word):
+        return len(word) % self.m != self.r
+
+
+# plain words, and texts that only some of the window's tests reject
+WINDOW_TEXTS = ("cat", "Sun", "beach", "a", "of", "sky", "soft", "glass", "Straße", "re-do",
+                "don't", "'s", "-", "3rd", "U.S.", ".", "кот", "λόγος", "猫", "x-", "rock'n'roll",
+                "e-mail", "--", "7", "the", "To", "mathematics")
+
+
+@st.composite
+def windows(draw):
+    """A prefix, a ranked answer longer than ``k * oversample``, and a task of any constraint types."""
+    k = draw(st.integers(1, 4))
+    oversample = draw(st.integers(1, 3))
+    texts = draw(st.lists(st.sampled_from(WINDOW_TEXTS), unique=True,
+                          min_size=k * oversample + 1, max_size=len(WINDOW_TEXTS)))
+    raw = [WordCandidate(t, -0.25 * (i + 1)) for i, t in enumerate(texts)]
+    prefix = draw(st.lists(st.sampled_from(WINDOW_TEXTS[:10]), max_size=3))
+    require_period = draw(st.booleans())
+    target = prefix + draw(st.lists(st.sampled_from(texts), min_size=1, max_size=3))
+    constraints = _constraints(draw, target, require_period)
+    constraints += [_LengthResidue(m, draw(st.integers(0, m - 1)))
+                    for m in draw(st.lists(st.integers(2, 4), max_size=2))]
+    params = LMParams(k=k, top_k=k * oversample, oversample=oversample)
+    task = TaskSpec(name="window", constraints=draw(st.permutations(constraints)),
+                    lm_params=params, require_period=require_period)
+    ordering = draw(st.sampled_from(
+        (parse_ordering("probability"), parse_ordering("char-target"), parse_ordering("char-target:2"))))
+    return prefix, raw, task, ordering
+
+
+@settings(max_examples=300)
+@given(windows())
+def test_window_equals_the_reference_pipeline(window):
+    """``node_domain`` and ``expand_beams`` take the same candidates as the pipeline first written.
+
+    That pipeline tested every candidate against every constraint, with
+    ``_looks_like_word`` in its first form, and kept the first k.  Today's
+    runs only the word tests of the types that override ``admits_word``.
+    """
+    prefix, raw, task, ordering = window
+    summary = summarize(prefix, task.constraints)
+    got = node_domain(prefix, summary, raw, task, ordering)
+    want = _reference_node_domain(prefix, summary, raw, task, ordering)
+    assert (got.values, got.cursor) == (want.values, want.cursor)
+    k = task.lm_params.k
+    for width in {max(1, k - 1), k, k + 1}:
+        beam = Beam(tuple(prefix), -1.0, summary, answer=raw)
+        expected = sorted(_reference_extensions(beam, task, width), key=lambda e: (-e[1], e[0]))
+        survivors, dead = expand_beams([beam], None, task, width)
+        assert [(b.words, b.cum_logprob) for b in survivors] == expected[:width]
+        assert dead == ([] if expected else [beam])
+
+
+@given(st.text(alphabet=st.sampled_from("ab'-3 \t\nßкλ猫.")))
+def test_looks_like_word_equals_its_first_form(text):
+    assert cst._looks_like_word(text) == _old_looks_like_word(text)

@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import math
 import random
 import socket
@@ -847,6 +848,33 @@ class TestSubtreePrefetch:
         # "a1" was never queued, so the caller POSTed it.
         assert lm.posts == [("a", True), ("a1", False)]
         assert server.counts == {"a": 1, "a1": 1}
+
+    def test_an_expansion_that_raises_is_logged_once_with_its_prompt(self, stub_server, caplog):
+        server = stub_server({"a": [("a1", 0.5)]})
+        lm = RemoteLM(server.url)
+
+        def expansion(answer):
+            raise RuntimeError("expansion broke")
+
+        with caplog.at_level(logging.ERROR, logger="gencp.remote"):
+            lm.prefetch([("a", expansion)], PARAMS)
+            assert [c.text for c in lm.predict("a", PARAMS)] == ["a1"]
+            lm.close()  # waits for the pool job, which logs after the answer is given
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "'a'" in errors[0].getMessage()
+        assert errors[0].exc_info[0] is RuntimeError
+
+    def test_a_failed_prefetched_post_is_raised_not_logged(self, stub_server, caplog):
+        server = stub_server({"a": [("a1", 0.5)]})
+        server.fail_with(500)
+        lm = RemoteLM(server.url)
+        with caplog.at_level(logging.ERROR, logger="gencp.remote"):
+            lm.prefetch([("a", _fixed("a1"))], PARAMS)
+            with pytest.raises(TransportError, match="HTTP 500"):
+                lm.predict("a", PARAMS)
+            lm.close()
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_concurrent_searches_share_one_post_per_prompt(self, stub_server):
         # Each search's return cancels the others' queued prompts and drops
