@@ -116,12 +116,17 @@ def perplexity(lm, words, params):
     return math.exp(-sequence_logprob(lm, words, params) / len(words))
 
 
-def ranked_period(raw, k):
-    """ln P("." | prefix) when "." is among the first ``k`` of the ranked answer ``raw``, else None."""
-    for cand in raw[:k]:
-        if cand.text == ".":
+def ranked_logprob(ranked, word):
+    """ln P(word | prefix) from the candidates ``ranked`` for the prefix, or None when none is ``word``."""
+    for cand in ranked:
+        if cand.text == word:
             return cand.logprob
     return None
+
+
+def ranked_period(raw, k):
+    """ln P("." | prefix) when "." is among the first ``k`` of the ranked answer ``raw``, else None."""
+    return ranked_logprob(raw[:k], ".")
 
 
 def predicts_period(lm, sentence, params):
@@ -149,16 +154,15 @@ class TableLM(LanguageModel):
 
     The root prefix is the empty string.  Entries may be WordCandidate objects
     or (word, probability) pairs.  Unknown prefixes predict nothing, which
-    kills the corresponding search branch.
+    kills the corresponding search branch.  Each entry is held once, in its
+    prefix's ranked list, which ``conditional_logprob`` scans in full, past ``predict``'s window.
     """
 
     def __init__(self, table):
         self._table = {}
-        self._lookup = {}
         for prefix, entries in table.items():
             ranked = _rank(_as_candidate(e) for e in entries)
-            lookup = {c.text: c.logprob for c in ranked}
-            if len(lookup) != len(ranked):
+            if len({c.text for c in ranked}) != len(ranked):
                 word = next(text for text, n in Counter(c.text for c in ranked).items() if n > 1)
                 raise ValueError(f"duplicate word {word!r} under prefix {prefix!r}")
             total = sum(math.exp(c.logprob) for c in ranked)
@@ -167,7 +171,6 @@ class TableLM(LanguageModel):
                     f"probabilities under prefix {prefix!r} sum to {total:.6f} > 1"
                 )
             self._table[prefix] = ranked
-            self._lookup[prefix] = lookup
 
     @classmethod
     def from_file(cls, path):
@@ -201,7 +204,7 @@ class TableLM(LanguageModel):
         return self._table.get(sentence, [])[: k * params.oversample]
 
     def conditional_logprob(self, prefix_words, word, params):
-        return self._lookup.get(render_prefix(prefix_words), {}).get(word)
+        return ranked_logprob(self._table.get(render_prefix(prefix_words), ()), word)
 
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:['\-][^\W\d_]+)*|\.")

@@ -22,9 +22,9 @@ def has_whitespace(text):
     return bool(text) and text.split() != [text]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordCandidate:
-    """One predicted surface word with its natural-log probability."""
+    """One predicted surface word with its natural-log probability; slotted, so it has no ``__dict__``."""
 
     text: str
     logprob: float

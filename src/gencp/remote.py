@@ -18,7 +18,7 @@ import threading
 import urllib.parse
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
-from .lm import LanguageModel, TransportError, _rank
+from .lm import LanguageModel, TransportError, _rank, ranked_logprob
 from .model import WordCandidate, has_whitespace, render_prefix
 
 DEFAULT_TIMEOUT_SECS = 120.0
@@ -291,7 +291,4 @@ class RemoteLM(LanguageModel):
             raise
 
     def conditional_logprob(self, prefix_words, word, params):
-        for cand in self.predict(render_prefix(prefix_words), params):
-            if cand.text == word:
-                return cand.logprob
-        return None
+        return ranked_logprob(self.predict(render_prefix(prefix_words), params), word)

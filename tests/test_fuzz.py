@@ -19,7 +19,8 @@ searches sum along their path equals the backend's rescoring exactly, and
 two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
 of exhaustive search.  Served through the stub server, the same tables give
-the same outputs from ``RemoteLM`` as from ``TableLM``, and every search
+the same outputs from ``RemoteLM`` as from ``TableLM``, also where
+fragments put a word at the last rank a request asks for, and every search
 asks the backend about each prompt once.  ``check_complete`` itself equals
 its first, one-pass form, kept here as the reference, in every order of the
 constraints, and the candidate window of ``node_domain`` and
@@ -622,8 +623,44 @@ EQUIVALENT_SEARCHES = {
 }
 
 
+# sub-word tokens, which the window drops and no search expands; 15 of them put
+# a table's only word at rank 16, the last a request at k = 4 asks for
+FRAGMENTS = ("'s", "3rd", "-", "U.S.", "'re", "2nd", "'ll", "1st", "e.g.", "--", "4th", "'d",
+             "i.e.", "5th", "6th")
+
+
+def _fragmented(drawn):
+    """The instance with fragments ranked ahead of a word under about half its prefixes.
+
+    Under such a prefix, enough fragments go right before its min(k, words)-th
+    word that this word ranks k x oversample, the last token a request at the
+    task's k asks for, so a client that drops that token loses a child the
+    table offers.  The seed's prefixes keep their answers, and the seed ends
+    before a word ranked past that last token, so ``remote:`` scores each
+    seed word as the table does.  The entries get 0.5 / 2**i again, in their
+    new order.
+    """
+    (table, constraints, k, require_period, seed), choice = drawn
+    rng = random.Random(choice)
+    last = k * LMParams().oversample
+    for i, word in enumerate(seed):
+        if [w for w, _ in table[render_prefix(seed[:i])]].index(word) >= last:
+            seed = seed[:i]
+            break
+    scoring = {render_prefix(seed[:i]) for i in range(len(seed))}
+    mapped = {}
+    for prefix, entries in table.items():
+        words = [w for w, _ in entries]
+        content = [i for i, w in enumerate(words) if w != "."]
+        if content and prefix not in scoring and rng.random() < 0.5:
+            at = content[min(k, len(content)) - 1]
+            words[at:at] = FRAGMENTS[: last - 1 - at]
+        mapped[prefix] = [(w, 0.5 / 2**i) for i, w in enumerate(words)]
+    return mapped, constraints, k, require_period, seed
+
+
 @settings(max_examples=200)
-@given(instances())
+@given(st.tuples(instances(), st.integers(0, 2**32 - 1)).map(_fragmented))
 def test_remote_backend_over_the_stub_equals_the_table(module_stub, instance):
     """``remote:`` over the stub server finds what ``TableLM`` finds, with one POST per prompt.
 
@@ -632,10 +669,12 @@ def test_remote_backend_over_the_stub_equals_the_table(module_stub, instance):
     ranks them.  The tables give the entries of a prefix distinct
     probabilities (0.5 / 2**i), so no tokens tie at a width cut: the window
     a beam narrower than k reads from the wider answer is the answer at its
-    own width.  Each search runs on a fresh client, so its prefetches, their
-    expansions and the memo all take part, and the stub must see each prompt
-    the search asks exactly once, and no other prompt but the seed's
-    prefixes, which scoring the seed asks.
+    own width.  Fragments ranked ahead of some prefixes' words put a word at
+    the last rank a request asks for (``_fragmented``).  Each search runs on
+    a fresh client, so its prefetches, their expansions and the memo all
+    take part, and the stub must see each prompt the search asks exactly
+    once, and no other prompt but the seed's prefixes, which scoring the
+    seed asks.
     """
     table, constraints, k, require_period, seed = instance
     task = _fuzz_task(constraints, k, require_period, seed)

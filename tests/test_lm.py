@@ -4,6 +4,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gencp import (
     LMParams,
@@ -15,14 +17,18 @@ from gencp import (
     WordCountRange,
     perplexity,
     predicts_period,
+    render_prefix,
     sequence_logprob,
     solve_all,
     tokenize,
     train_ngram,
 )
-from gencp.lm import PROB_FLOOR
+from gencp.lm import PROB_FLOOR, _as_candidate, _rank
 
 PARAMS = LMParams(k=3)
+
+SCORING_PARAMS = LMParams(k=2, oversample=2)
+SCORING_VOCAB = ("a", "an", "the", "cat", "Cat", "sat", "on", "mat", "U.S.", "'s", "3rd", "-")
 
 FIG4_TABLE = {
     "": [("A", 1.0)],
@@ -128,6 +134,36 @@ class TestTableLM:
     def test_determinism(self):
         lm = TableLM(FIG4_TABLE)
         assert lm.predict("A", PARAMS) == lm.predict("A", PARAMS)
+
+    @given(st.data())
+    def test_scores_every_word_as_the_lookup_dict_did(self, data):
+        """``conditional_logprob`` equals the ``{word: logprob}`` dict TableLM once kept per prefix.
+
+        Some prefixes offer more words than a ``predict`` window holds
+        (k x oversample = 4 here), and every word is scored, also one ranked
+        past the window.
+        """
+        window = SCORING_PARAMS.k * SCORING_PARAMS.oversample
+        paths = data.draw(st.lists(st.lists(st.sampled_from(SCORING_VOCAB), max_size=3),
+                                   min_size=1, max_size=6, unique_by=render_prefix))
+        table = {}
+        for i, words in enumerate(paths):
+            offered = data.draw(st.lists(st.sampled_from(SCORING_VOCAB + (".",)), unique=True,
+                                         min_size=window + 1 if i == 0 else 1, max_size=window + 5))
+            weights = data.draw(st.lists(st.integers(1, 4), min_size=len(offered),
+                                         max_size=len(offered)))
+            table[render_prefix(words)] = [
+                (word, 0.99 * w / sum(weights)) for word, w in zip(offered, weights)]
+        lm = TableLM(table)
+        for words in paths:
+            ranked = _rank(_as_candidate(e) for e in table[render_prefix(words)])
+            lookup = {c.text: c.logprob for c in ranked}  # the reference
+            for word in lookup:
+                assert lm.conditional_logprob(words, word, SCORING_PARAMS) == lookup[word]
+            for word in set(SCORING_VOCAB) - lookup.keys():
+                assert lm.conditional_logprob(words, word, SCORING_PARAMS) is None
+        unknown = [w for w in SCORING_VOCAB if w not in table]
+        assert all(lm.conditional_logprob([w], "a", SCORING_PARAMS) is None for w in unknown)
 
 
 def _unreadable_hint():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import sys
 
 import pytest
@@ -85,6 +88,21 @@ class TestWordCandidate:
     def test_rejects_positive_logprob(self):
         with pytest.raises(ValueError):
             WordCandidate("ok", 0.5)
+
+    def test_holds_no_instance_dict(self):
+        assert not hasattr(WordCandidate("ok", -1.0), "__dict__")
+
+    def test_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            WordCandidate("ok", -1.0).text = "no"
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_equal_the_original(self, clone):
+        cand = WordCandidate("ok", -1.5)
+        twin = clone(cand)
+        assert twin == cand and hash(twin) == hash(cand)
+        assert repr(twin) == "WordCandidate(text='ok', logprob=-1.5)"
 
 
 class TestDomain:
