@@ -21,7 +21,6 @@ from .constraints import (
     TaskSpec,
     WordCountRange,
     builtin_task,
-    can_extend,
     check_complete,
     filter_domain,
     load_task_file,

@@ -51,7 +51,6 @@ def expand_beams(beams, lm, task, k):
     width = max(k, params.k)
     extensions = []
     dead = []
-    reserve = 1 if task.require_period else 0
     for beam in beams:
         raw = beam.answer
         if raw is None:
@@ -61,11 +60,11 @@ def expand_beams(beams, lm, task, k):
         summary = beam.summary
         before = len(extensions)
         for cand in cst.valid_words(raw, summary.rules.word_tests, k):
-            # The period's character stays reserved, as ``filter_domain`` reserves it.
-            if not summary.admits(cand.text, reserve, word_tested=True):
+            # Room stays for a required period, as ``filter_domain`` keeps it.
+            if not summary.admits(cand.text, word_tested=True):
                 continue
             child = summary.push(cand.text, admitted=True)
-            if child.can_extend() or child.complete(reserve):
+            if child.can_extend() or child.complete():
                 extensions.append(
                     Beam(beam.words + (cand.text,), beam.cum_logprob + cand.logprob, child)
                 )
@@ -96,7 +95,7 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     params = task.lm_params
     width = max(k, params.k)  # the period check reads the first params.k, the expansion the first k
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
-    beams = [Beam(seed, start_cum, cst.summarize(seed, task.constraints))]
+    beams = [Beam(seed, start_cum, cst.summarize(seed, task))]
     solutions = []
     bad_outputs = []
     started = time.perf_counter()
@@ -108,12 +107,12 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 break
             if task.require_period:
                 lm.prefetch(
-                    (render_sentence(b.words) for b in beams if b.summary.complete(1)),
+                    (render_sentence(b.words) for b in beams if b.summary.complete()),
                     params, width,
                 )
             survivors = []
             for beam in beams:
-                if task.require_period and beam.summary.complete(1):
+                if task.require_period and beam.summary.complete():
                     beam.answer = lm.predict(render_sentence(beam.words), params, width)
                 end = completes(beam.summary, beam.answer, task)
                 if end is not None:

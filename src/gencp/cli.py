@@ -124,10 +124,9 @@ def _cmd_solve(args):
 
 def _cmd_beam(args):
     task = _load_task(args, args.k)
-    mode = HaltingMode.FIRST_SOLUTION if args.mode == "first" else HaltingMode.ALL_SOLUTIONS
     with closing(load_backend(args.lm)) as lm:
         records, bad = beam_search(
-            task, lm, k=args.k, mode=mode, time_budget=args.time_budget,
+            task, lm, k=args.k, mode=HaltingMode(args.mode), time_budget=args.time_budget,
             max_words=args.max_variables,
         )
     _print_records(records)

@@ -8,7 +8,8 @@ Each constraint class carries its own pruning hooks: ``admits_word``,
 ``admits_next`` and ``admits_end``.  The searches do not rescan a prefix to
 apply them.  They keep one ``PrefixSummary`` per prefix (word count,
 rendered length, where the keywords stand, whether a word failed its test),
-extended by one word at a time, and ``filter_domain``, ``can_extend`` and the
+built by ``summarize`` for one task, whose period reserve it holds, and
+extended by one word at a time; ``filter_domain``, ``can_extend`` and the
 solution predicate read it.  ``check_complete``, the plain specification the
 pruning is fuzz-tested against, tests counts and positions before it scans words.
 """
@@ -31,8 +32,9 @@ class Constraint:
 
     ``prefix`` is the ``PrefixSummary`` of the words before ``word`` in
     ``admits_next`` and of the whole sentence in ``admits_end``; ``length``
-    is the rendered length with ``word``; ``reserve`` is 1 when a final
-    period is required, and a word admitted with it is admitted without.
+    is the rendered length with ``word``; ``reserve``, which the summary
+    takes from its task, is 1 when a final period is required, and a word
+    admitted with it is admitted without.
     ``keywords`` are the casefolded words whose last positions the summary
     records, and the caps and ``required_words`` feed ``can_extend``'s
     lookahead.
@@ -335,9 +337,9 @@ _HOOKS = ("admits_word", "admits_next", "admits_end")
 
 
 class _Rules:
-    """A constraint tuple sorted by the hooks each type overrides, plus the lookahead caps."""
+    """The constraints sorted by the hooks each type overrides, the lookahead caps and the period reserve."""
 
-    def __init__(self, constraints):
+    def __init__(self, constraints, reserve):
         def overriding(hook):
             base = getattr(Constraint, hook)
             return tuple(c for c in constraints if getattr(type(c), hook) is not base)
@@ -347,14 +349,15 @@ class _Rules:
         self.required = frozenset(w for c in constraints for w in c.required_words)
         self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
         self.char_cap = min((c.char_cap for c in constraints if c.char_cap is not None), default=None)
+        self.reserve = reserve
 
 
 class PrefixSummary:
     """What the pruning needs to know about a prefix of content words.
 
     ``count`` words render to ``length`` characters; ``failed`` says that
-    some word failed ``admits_word`` or ``admits_next`` (with no period
-    reserve) where it stands, which no later word can mend; ``seen`` maps
+    some word failed ``admits_word`` or ``admits_next``, with the task's
+    period reserve, where it stands, which no later word can mend; ``seen`` maps
     each tracked keyword (casefolded) to the last position that holds it.
     ``push`` gives the summary one word longer in O(#constraints +
     #keywords), so a search keeps one summary per prefix instead of
@@ -379,7 +382,7 @@ class PrefixSummary:
         rules = self.rules
         count = self.count
         length = self.length + len(word) + 1 if count else len(word)
-        failed = self.failed or not (admitted or self.admits(word, 0))
+        failed = self.failed or not (admitted or self.admits(word))
         seen = self.seen
         if rules.keywords:
             key = word.casefold()
@@ -387,19 +390,20 @@ class PrefixSummary:
                 seen = {**seen, key: count + 1}
         return PrefixSummary(rules, count + 1, length, failed, seen)
 
-    def admits(self, word, reserve, word_tested=False):
-        """Whether ``word`` may come next; ``reserve`` as in ``Constraint.admits_next``.
+    def admits(self, word, word_tested=False):
+        """Whether ``word`` may come next, with room kept for a period the summary's task requires.
 
         ``word_tested`` skips the ``admits_word`` tests, which ``word_valid``
         already passed.
         """
+        rules = self.rules
         length = self.length + len(word) + 1 if self.count else len(word)
         if not word_tested:
-            for c in self.rules.word_tests:
+            for c in rules.word_tests:
                 if not c.admits_word(word):
                     return False
-        for c in self.rules.next_tests:
-            if not c.admits_next(self, word, length, reserve):
+        for c in rules.next_tests:
+            if not c.admits_next(self, word, length, rules.reserve):
                 return False
         return True
 
@@ -433,48 +437,34 @@ class PrefixSummary:
                 return False
         return True
 
-    def complete(self, reserve):
-        """Whether the words, with a final period when ``reserve`` is 1, pass ``check_complete``."""
+    def complete(self):
+        """Whether the words, with the final period when the task requires one, pass ``check_complete``."""
         if self.failed or not self.count:
             return False
         for c in self.rules.end_tests:
-            if not c.admits_end(self, reserve):
+            if not c.admits_end(self, self.rules.reserve):
                 return False
         return True
 
 
-def summarize(words, constraints):
-    """The ``PrefixSummary`` of content ``words`` under the constraints, built word by word."""
-    summary = PrefixSummary(_Rules(constraints), 0, 0, False, {})
+def summarize(words, task):
+    """The ``PrefixSummary`` of content ``words`` under the task (its constraints and period), built word by word."""
+    summary = PrefixSummary(_Rules(task.constraints, 1 if task.require_period else 0), 0, 0, False, {})
     for word in words:
         summary = summary.push(word)
     return summary
 
 
-def filter_domain(partial, domain, task, summary=None, word_tested=False):
-    """Drop candidates that cannot sit at position len(partial)+1.
+def filter_domain(summary, domain, word_tested=False):
+    """Drop the candidates that cannot follow the prefix that ``summary`` describes.
 
     A survivor is valid on its own (``word_valid``) and admitted at the next
-    position by every constraint; one character stays reserved for the final
-    period when the task requires one.  Survivor order is preserved, and the
-    returned domain is unassigned.  ``summary``, the ``PrefixSummary`` of
-    ``partial`` when the caller keeps one, saves rebuilding it.
-    ``word_tested`` says every candidate already passed ``word_valid``, so
-    only the tests against the prefix run.
+    position by every constraint, one character kept for the final period
+    when the summary's task requires one.  Survivor order is preserved, and
+    the returned domain is unassigned.  ``word_tested`` says every candidate
+    already passed ``word_valid``, so only the tests against the prefix run.
     """
-    if summary is None:
-        summary = summarize(partial, task.constraints)
-    reserve = 1 if task.require_period else 0
-    return Domain([cand for cand in domain.values if summary.admits(cand.text, reserve, word_tested)])
-
-
-def can_extend(partial, constraints):
-    """Whether some completion of the partial sentence could still satisfy everything.
-
-    See ``PrefixSummary.can_extend``, which the searches call on the
-    summaries they keep.
-    """
-    return summarize(partial, constraints).can_extend()
+    return Domain([cand for cand in domain.values if summary.admits(cand.text, word_tested)])
 
 
 def check_complete(words, task):

@@ -204,10 +204,9 @@ def _run_method(method, task, lm, k, config, bs_reference):
             ppls = [r.ppl for r in outcome.solutions]
             extra.update(sat_pct=100.0 if ppls else None, n_backtracks=outcome.stats.backtracks)
         elif method in ("bs-first", "bs-all"):
-            mode = HaltingMode.FIRST_SOLUTION if method == "bs-first" else HaltingMode.ALL_SOLUTIONS
             records, bad = beam_search(
-                task, lm, k=k, mode=mode, time_budget=opts.time_budget,
-                max_words=opts.max_variables,
+                task, lm, k=k, mode=HaltingMode(method.removeprefix("bs-")),
+                time_budget=opts.time_budget, max_words=opts.max_variables,
             )
             seconds = time.perf_counter() - started
             word_lists = [r.words for r in records]

@@ -72,8 +72,8 @@ class SolveOptions:
         check_time_budget(self.time_budget)
 
 
-def node_domain(words, summary, raw, task, ordering):
-    """The domain after ``words``, whose summary is ``summary``, from the backend's answer ``raw``.
+def node_domain(summary, raw, task, ordering):
+    """The domain after the words that ``summary`` describes, from the backend's answer ``raw``.
 
     The node's one candidate pipeline: the first k word-valid predictions,
     ordered, then filtered against the constraints and the prefix.
@@ -82,14 +82,14 @@ def node_domain(words, summary, raw, task, ordering):
     override ``admits_word``, and the filter does not run them again.
     """
     window = cst.valid_words(raw, summary.rules.word_tests, task.lm_params.k)
-    ordered = Domain(order_candidates(window, ordering, len(words) + 1))
-    return cst.filter_domain(words, ordered, task, summary, word_tested=True)
+    ordered = Domain(order_candidates(window, ordering, summary.count + 1))
+    return cst.filter_domain(summary, ordered, word_tested=True)
 
 
 def generate_variable(model, raw, task, ordering):
     """Append and return the next sentence position's domain: the ``node_domain`` of the answer ``raw``."""
     model.stats.lm_calls += 1
-    return model.add_variable(node_domain(model.words, model.summary, raw, task, ordering))
+    return model.add_variable(node_domain(model.summary, raw, task, ordering))
 
 
 def completes(summary, raw, task):
@@ -102,11 +102,9 @@ def completes(summary, raw, task):
     answer, or 0.0 when no period is required, and None when the words are
     not a solution.
     """
-    if not task.require_period:
-        return 0.0 if summary.complete(0) else None
-    if raw is None or not summary.complete(1):
+    if (task.require_period and raw is None) or not summary.complete():
         return None
-    return ranked_period(raw, task.lm_params.k)
+    return ranked_period(raw, task.lm_params.k) if task.require_period else 0.0
 
 
 def make_record(words, logprob, end, task, started):
@@ -135,8 +133,8 @@ def _grows(summary, max_variables):
 def _asks(summary, grows, task):
     """Whether the search asks about a prefix: for its period check, or for the children it ``grows``."""
     if task.require_period:
-        return grows or summary.complete(1)
-    return grows and not summary.complete(0)
+        return grows or summary.complete()
+    return grows and not summary.complete()
 
 
 def _hints(words, summary, task, ordering, max_variables):
@@ -156,7 +154,7 @@ def _expansion(words, summary, grows, task, ordering, max_variables, raw):
     """The hints below ``words`` given the answer ``raw``; none at a leaf or a solution."""
     if not grows or completes(summary, raw, task) is not None:
         return
-    for cand in node_domain(words, summary, raw, task, ordering).values:
+    for cand in node_domain(summary, raw, task, ordering).values:
         child = summary.push(cand.text, admitted=True)
         yield from _hints(words + [cand.text], child, task, ordering, max_variables)
 
@@ -188,7 +186,7 @@ def run_search(task, lm, options=None, exhaustive=False):
     # siblings, so only a search that visits them all announces them.
     enumerating = max_solutions is None and jump_to is None
 
-    model = SolverModel.from_seed(task.seed, cst.summarize((), task.constraints))
+    model = SolverModel.from_seed(task.seed, cst.summarize((), task))
     seed_logprob = None  # the seed's score, asked of the backend at the first solution
     solutions = []
     started = time.perf_counter()

@@ -41,8 +41,8 @@ class TestExpandBeams:
         lm = TableLM(self.TABLE)
         task = _task(WordCountRange(1, 4))
         beams = [
-            Beam(("up",), math.log(0.5), summarize(("up",), task.constraints)),
-            Beam(("down",), math.log(0.5), summarize(("down",), task.constraints)),
+            Beam(("up",), math.log(0.5), summarize(("up",), task)),
+            Beam(("down",), math.log(0.5), summarize(("down",), task)),
         ]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert dead == []
@@ -52,7 +52,7 @@ class TestExpandBeams:
     def test_beam_without_extensions_dies(self):
         lm = TableLM(self.TABLE)
         task = _task(WordCountRange(1, 4))
-        beams = [Beam(("sideways",), math.log(0.5), summarize(("sideways",), task.constraints))]
+        beams = [Beam(("sideways",), math.log(0.5), summarize(("sideways",), task))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert kept == []
         assert [b.words for b in dead] == [("sideways",)]
@@ -62,7 +62,7 @@ class TestExpandBeams:
         # one survives even though it would lose the pooled ranking
         lm = TableLM({"ab": [("elephants", 0.9), ("cd", 0.1)]})
         task = _task(CharCountExact(6), WordCountRange(1, 3))
-        beams = [Beam(("ab",), math.log(1.0), summarize(("ab",), task.constraints))]
+        beams = [Beam(("ab",), math.log(1.0), summarize(("ab",), task))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
         assert dead == []
@@ -70,7 +70,7 @@ class TestExpandBeams:
     def test_complete_extensions_survive_at_word_ceiling(self):
         lm = TableLM({"ab": [("cd", 0.9)]})
         task = _task(WordCountRange(2, 2))
-        beams = [Beam(("ab",), 0.0, summarize(("ab",), task.constraints))]
+        beams = [Beam(("ab",), 0.0, summarize(("ab",), task))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
 
@@ -93,7 +93,7 @@ class TestExpandBeams:
     def test_tie_break_on_rendered_text(self):
         lm = TableLM({"go": [("beta", 0.5), ("alfa", 0.5)]})
         task = _task(WordCountRange(1, 3))
-        beams = [Beam(("go",), 0.0, summarize(("go",), task.constraints))]
+        beams = [Beam(("go",), 0.0, summarize(("go",), task))]
         kept, _ = expand_beams(beams, lm, task, k=1)
         assert [b.words for b in kept] == [("go", "alfa")]
 
@@ -180,9 +180,9 @@ class TestBeamSearch:
         rng = random.Random(11)
         lm = random_table(rng, depth=5, branching=4, period_prob=0.4)
         task = _task(WordCountRange(1, 4), k=3)
-        beams = [Beam((), 0.0, summarize((), task.constraints))]
+        beams = [Beam((), 0.0, summarize((), task))]
         for _ in range(4):
-            survivors = [b for b in beams if not b.summary.complete(1)]
+            survivors = [b for b in beams if not b.summary.complete()]
             beams, _dead = expand_beams(survivors, lm, task, k=3)
             assert len(beams) <= 3
             if not beams:
@@ -193,7 +193,7 @@ class TestBeamSearch:
         lm = random_table(rng, depth=4, branching=3, period_prob=0.3)
         task = _task(WordCountRange(1, 3), k=3)
         params = task.lm_params
-        beams = [Beam((), 0.0, summarize((), task.constraints))]
+        beams = [Beam((), 0.0, summarize((), task))]
         for _ in range(3):
             beams, _dead = expand_beams(beams, lm, task, k=3)
             for beam in beams:

@@ -22,7 +22,6 @@ from gencp import (
     WordCandidate,
     WordCountRange,
     builtin_task,
-    can_extend,
     check_complete,
     filter_domain,
     load_task_file,
@@ -31,6 +30,7 @@ from gencp import (
     beam_search,
     render_prefix,
     solve_all,
+    summarize,
     word_valid,
 )
 from gencp.constraints import Constraint
@@ -94,14 +94,14 @@ class TestFilterDomain:
     def test_forbidden_chars(self):
         task = _task(ForbiddenChars("e"), require_period=False)
         domain = Domain(_cands(("man", -0.1), ("house", -0.2), ("boy", -0.3)))
-        out = filter_domain(["A"], domain, task)
+        out = filter_domain(summarize(["A"], task), domain)
         assert [c.text for c in out.values] == ["man", "boy"]
 
     def test_character_budget(self):
         task = _task(CharCountExact(60), require_period=False)
         partial = ["a" * 58]
         domain = Domain(_cands(("extraordinary", -0.1), ("x", -0.2)))
-        out = filter_domain(partial, domain, task)
+        out = filter_domain(summarize(partial, task), domain)
         assert [c.text for c in out.values] == ["x"]  # 58 + 1 + 1 = 60 fits
 
     def test_period_reservation(self):
@@ -109,41 +109,42 @@ class TestFilterDomain:
         partial = ["a" * 58]
         domain = Domain(_cands(("x", -0.2)))
         # 58 + 1 + 1 = 60 would leave no room for the final period
-        out = filter_domain(partial, domain, task)
+        out = filter_domain(summarize(partial, task), domain)
         assert out.values == []
 
     def test_positional_pin(self):
         task = _task(PositionLexical(3, "soft"), require_period=False)
         domain = Domain(_cands(("soft", -2.3), ("hard", -0.1)))
-        out = filter_domain(["the", "very"], domain, task)
+        out = filter_domain(summarize(["the", "very"], task), domain)
         assert [c.text for c in out.values] == ["soft"]
 
     def test_word_count_ceiling(self):
         task = _task(WordCountRange(1, 2), require_period=False)
         domain = Domain(_cands(("more", -0.1)))
-        out = filter_domain(["one", "two"], domain, task)
+        out = filter_domain(summarize(["one", "two"], task), domain)
         assert out.values == []
 
     def test_keyword_separation(self):
         task = _task(KeywordSeparation({"soft", "math"}, 3), require_period=False)
         domain = Domain(_cands(("math", -0.1), ("sand", -0.2)))
-        out = filter_domain(["soft", "and"], domain, task)
+        out = filter_domain(summarize(["soft", "and"], task), domain)
         assert [c.text for c in out.values] == ["sand"]
-        out2 = filter_domain(["soft", "a", "b", "c"], domain, task)
+        out2 = filter_domain(summarize(["soft", "a", "b", "c"], task), domain)
         assert [c.text for c in out2.values] == ["math", "sand"]
 
     def test_preserves_order_and_is_idempotent(self):
         task = _task(ForbiddenChars("q"), require_period=False)
         domain = Domain(_cands(("zed", -0.5), ("abc", -0.1), ("quk", -0.2)))
-        once = filter_domain(["go"], domain, task)
-        twice = filter_domain(["go"], once, task)
+        summary = summarize(["go"], task)
+        once = filter_domain(summary, domain)
+        twice = filter_domain(summary, once)
         assert [c.text for c in once.values] == ["zed", "abc"]
         assert [c.text for c in twice.values] == [c.text for c in once.values]
 
     def test_contracting(self):
         task = _task(MaxWordLen(4), require_period=False)
         domain = Domain(_cands(("abcde", -0.1), ("ab", -0.2)))
-        out = filter_domain([], domain, task)
+        out = filter_domain(summarize([], task), domain)
         assert set(c.text for c in out.values) <= set(c.text for c in domain.values)
 
 
@@ -200,6 +201,11 @@ def test_a_task_rejects_a_hook_set_on_an_instance():
     with pytest.raises(TypeError, match="_NoWordTest sets a hook on an instance"):
         TaskSpec(name="t", constraints=(WordCountRange(1, 4), hooked))
     assert TaskSpec(name="t", constraints=(_NoWordTest(),)).constraints
+
+
+def can_extend(words, constraints):
+    """``PrefixSummary.can_extend`` of the words under the constraints, no period required."""
+    return summarize(words, _task(*constraints, require_period=False)).can_extend()
 
 
 class TestCanExtend:
@@ -418,7 +424,7 @@ class TestFilterSoundness:
             def check_node(words, depth):
                 raw = lm.predict(render_prefix(words), params, k=3)
                 domain = Domain([c for c in only_words(raw)])
-                kept = {c.text for c in filter_domain(words, domain, task).values}
+                kept = {c.text for c in filter_domain(summarize(words, task), domain).values}
                 for cand in domain.values:
                     if cand.text in kept:
                         continue
@@ -440,4 +446,4 @@ class TestFilterSoundness:
         content = words[:-1]
         assert check_complete(words, task)
         for i in range(len(content)):
-            assert can_extend(content[:i], task.constraints)
+            assert summarize(content[:i], task).can_extend()

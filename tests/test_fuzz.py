@@ -12,9 +12,10 @@ instances check that the prefetch hints of all three searches, with the
 hints their expansions disclose, name exactly the prompts they then ask
 for, in the order they ask for them, and that beam search at any width
 announces and asks each prompt at the wider of its width and k.  Random
-push, backtrack and jump-back sequences on a ``SolverModel`` check its
-prefix summaries against ``can_extend`` rebuilt by rescanning the prefix
-and against ``check_complete``.  On the same instances, the perplexity the
+push, backtrack and jump-back sequences on a ``SolverModel``, under a task
+that requires a period and one that does not, check its prefix summaries
+against ``can_extend`` rebuilt by rescanning the prefix and against
+``check_complete``.  On the same instances, the perplexity the
 searches sum along their path equals the backend's rescoring exactly, and
 two metamorphic relations hold: a solution at k, or a proper prefix of it,
 is a solution at k + 1, and beam search at the task's width finds a subset
@@ -57,7 +58,6 @@ from gencp import (
     WordCountRange,
     beam_search,
     brute_force_oracle,
-    can_extend,
     check_complete,
     expand_beams,
     filter_domain,
@@ -205,7 +205,7 @@ def test_exhaustive_search_equals_oracle(instance):
     for sentence in oracle:
         words = _content_words(sentence, require_period)
         for i in range(len(words)):
-            assert can_extend(words[:i], task.constraints), (sentence, words[:i])
+            assert summarize(words[:i], task).can_extend(), (sentence, words[:i])
 
 
 def _fuzz_task(constraints, k, require_period, seed):
@@ -270,7 +270,7 @@ def test_keyword_is_charged_its_shortest_folding_spelling():
     assert "\ufb06raße".casefold() == "strasse"  # the ligature "\ufb06" folds to "st"
     assert fold_length("strasse") == 5
     assert fold_length("beach") == 5
-    assert can_extend(["a"], constraints)
+    assert summarize(["a"], task).can_extend()
     assert brute_force_oracle(task, lm, depth_cap=2) == {"a Straße"}
     assert [s.sentence for s in solve_all(task, lm)] == ["a Straße"]
 
@@ -316,7 +316,7 @@ def test_keywords_fit_an_exact_count_in_any_case_spelling(words, data):
 def test_missing_keywords_are_counted_once(constraints):
     task = TaskSpec(name="beach", constraints=constraints, lm_params=LMParams(k=1))
     lm = TableLM(BEACH)
-    assert can_extend([], constraints)
+    assert summarize([], task).can_extend()
     assert [s.sentence for s in solve_all(task, lm)] == ["beach."]
     assert brute_force_oracle(task, lm, depth_cap=2) == {"beach."}
 
@@ -509,7 +509,7 @@ def test_beam_hints_cover_every_ask_of_a_prompt_at_other_widths(instance):
                 assert entry in announced, (width, entry)
 
 
-def _words_pass(words, constraints, reserve=0):
+def _words_pass(words, constraints, reserve):
     """Whether every word passes its own tests where it stands, by rescanning the prefix."""
     n, length = len(words), len(render_prefix(words))
     for c in constraints:
@@ -533,9 +533,9 @@ def _words_pass(words, constraints, reserve=0):
     return True
 
 
-def _rescanned_can_extend(words, constraints):
-    """``can_extend`` written as rescans of the whole prefix, with no summary."""
-    if not _words_pass(words, constraints):
+def _rescanned_can_extend(words, constraints, reserve):
+    """``can_extend`` written as rescans of the whole prefix, with no summary; ``reserve`` is the task's."""
+    if not _words_pass(words, constraints, reserve):
         return False
     n, length = len(words), len(render_prefix(words))
     missing = {k.casefold() for c in constraints if isinstance(c, MandatoryKeywords)
@@ -560,43 +560,55 @@ _moves = st.lists(
 )
 
 
+def _check_summary(model, task):
+    """The model's summary against one rebuilt from scratch, the rescans and ``check_complete``."""
+    words, summary = model.words, model.summary
+    reserve = 1 if task.require_period else 0
+    scratch = summarize(words, task)
+    assert (summary.count, summary.length, summary.failed, summary.seen) == (
+        scratch.count, scratch.length, scratch.failed, scratch.seen)
+    assert summary.can_extend() == _rescanned_can_extend(words, task.constraints, reserve)
+    assert summary.complete() == check_complete(words + ["."] * reserve, task)
+
+
+@st.composite
+def _summary_cases(draw):
+    """A target, constraints drawn from it, a seed of 0-2 words and a list of moves."""
+    target = draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=MAX_DEPTH))
+    constraints = _constraints(draw, target, True)
+    return target, constraints, draw(st.lists(st.sampled_from(VOCAB), max_size=2)), draw(_moves)
+
+
 @settings(max_examples=400)
-@given(st.data(), st.lists(st.sampled_from(VOCAB), max_size=2), _moves)
-def test_model_summaries_match_the_specification(data, seed, moves):
-    target = data.draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=MAX_DEPTH))
-    constraints = _constraints(data.draw, target, True)
-    tasks = {reserve: TaskSpec(name="summary", constraints=constraints, require_period=bool(reserve))
-             for reserve in (0, 1)}
-    # seed words are never filtered, so they may break any constraint
-    model = SolverModel.from_seed(seed, summarize((), constraints))
-
-    def check():
-        words, summary = model.words, model.summary
-        scratch = summarize(words, constraints)
-        assert (summary.count, summary.length, summary.failed, summary.seen) == (
-            scratch.count, scratch.length, scratch.failed, scratch.seen)
-        assert summary.can_extend() == _rescanned_can_extend(words, constraints) == can_extend(
-            words, constraints)
-        for reserve, task in tasks.items():
-            assert summary.complete(reserve) == check_complete(words + ["."] * reserve, task)
-
-    check()
-    for move, i, width in moves:
-        if move == "push" and len(model.words) == len(model.domains):
-            words = (target + list(VOCAB))[i:i + width]
-            cands = Domain([WordCandidate(w, -1.0) for w in dict.fromkeys(words)])
-            domain = filter_domain(model.words, cands, tasks[1], model.summary)
-            if not model.summary.failed:
-                assert [c.text for c in domain.values] == [
-                    c.text for c in cands.values if _words_pass(model.words + [c.text], constraints, 1)]
-            if domain.values:
-                model.add_variable(domain)
-                model.assign(0)
-        elif move == "next":
-            model.backtrack()
-        elif move == "jump" and len(model.domains) > 1:
-            model.backtrack_to(1 + i % (len(model.domains) - 1))
-        check()
+@given(_summary_cases())
+# a keyword exactly min_gap words after the last one
+@example((["sun", "a", "sun"], [KeywordSeparation({"sun"}, 1)], [], [("push", i, 1) for i in range(3)]))
+def test_model_summaries_match_the_specification(case):
+    """The same moves, once under a task that requires a period and once under one that does not."""
+    target, constraints, seed, moves = case
+    for require_period in (True, False):
+        task = TaskSpec(name="summary", constraints=constraints, require_period=require_period)
+        reserve = 1 if require_period else 0
+        # seed words are never filtered, so they may break any constraint
+        model = SolverModel.from_seed(seed, summarize((), task))
+        _check_summary(model, task)
+        for move, i, width in moves:
+            if move == "push" and len(model.words) == len(model.domains):
+                words = (target + list(VOCAB))[i:i + width]
+                cands = Domain([WordCandidate(w, -1.0) for w in dict.fromkeys(words)])
+                domain = filter_domain(model.summary, cands)
+                if not model.summary.failed:
+                    kept = [c.text for c in cands.values
+                            if _words_pass(model.words + [c.text], constraints, reserve)]
+                    assert [c.text for c in domain.values] == kept
+                if domain.values:
+                    model.add_variable(domain)
+                    model.assign(0)
+            elif move == "next":
+                model.backtrack()
+            elif move == "jump" and len(model.domains) > 1:
+                model.backtrack_to(1 + i % (len(model.domains) - 1))
+            _check_summary(model, task)
 
 
 def _records(records):
@@ -723,7 +735,7 @@ def _reference_node_domain(words, summary, raw, task, ordering):
     """``node_domain`` as first written: the window, ordered, then filtered."""
     window = _reference_window(raw, task.constraints, task.lm_params.k)
     ordered = Domain(order_candidates(window, ordering, len(words) + 1))
-    return filter_domain(words, ordered, task, summary)
+    return filter_domain(summary, ordered)
 
 
 def _reference_extensions(beam, task, k):
@@ -731,13 +743,12 @@ def _reference_extensions(beam, task, k):
     params = task.lm_params
     raw = beam.answer[: k * params.oversample] if max(k, params.k) > k else beam.answer
     summary = beam.summary
-    reserve = 1 if task.require_period else 0
     found = []
     for cand in _reference_window(raw, task.constraints, k):
-        if not summary.admits(cand.text, reserve):
+        if not summary.admits(cand.text):
             continue
         child = summary.push(cand.text, admitted=True)
-        if child.can_extend() or child.complete(reserve):
+        if child.can_extend() or child.complete():
             found.append((beam.words + (cand.text,), beam.cum_logprob + cand.logprob))
     return found
 
@@ -790,8 +801,8 @@ def test_window_equals_the_reference_pipeline(window):
     runs only the word tests of the types that override ``admits_word``.
     """
     prefix, raw, task, ordering = window
-    summary = summarize(prefix, task.constraints)
-    got = node_domain(prefix, summary, raw, task, ordering)
+    summary = summarize(prefix, task)
+    got = node_domain(summary, raw, task, ordering)
     want = _reference_node_domain(prefix, summary, raw, task, ordering)
     assert (got.values, got.cursor) == (want.values, want.cursor)
     k = task.lm_params.k

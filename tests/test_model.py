@@ -14,6 +14,7 @@ from gencp import (
     SolverModel,
     WordCandidate,
     render_prefix,
+    TaskSpec,
     render_sentence,
     summarize,
     variability,
@@ -119,12 +120,15 @@ class TestDomain:
         assert Domain([WordCandidate("a", -1.0)]).values
 
 
+EMPTY_TASK = TaskSpec(name="empty", constraints=())
+
+
 def _cands(*pairs):
     return [WordCandidate(text, lp) for text, lp in pairs]
 
 
 def _assigned_model(words):
-    model = SolverModel.from_seed(words, summarize((), ()))
+    model = SolverModel.from_seed(words, summarize((), EMPTY_TASK))
     return model
 
 
@@ -133,7 +137,7 @@ class TestCurrentSentence:
         assert _assigned_model(["A", "man"]).current_sentence() == "A man"
 
     def test_empty_model(self):
-        assert SolverModel(summarize((), ())).current_sentence() == ""
+        assert SolverModel(summarize((), EMPTY_TASK)).current_sentence() == ""
 
     def test_single_seed(self):
         assert _assigned_model(["The"]).current_sentence() == "The"
@@ -149,7 +153,7 @@ class TestTrail:
     """The stack of domains is the trail: each cursor marks the values tried."""
 
     def test_failed_backtrack_leaves_no_variable(self):
-        root = summarize((), ())
+        root = summarize((), EMPTY_TASK)
         model = SolverModel.from_seed(["A", "man"], root)
         _fresh_level(model, [("drinks", -0.7)])
         assert model.backtrack() is False  # no value is left untried
@@ -157,7 +161,7 @@ class TestTrail:
         assert model.stats.backtracks == 0
 
     def test_stack_discipline(self):
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), EMPTY_TASK))
         _fresh_level(model, [("a", -0.1), ("b", -0.5)])
         _fresh_level(model, [("x", -0.2), ("y", -0.9)])
         _fresh_level(model, [("z", -0.3)])
@@ -169,13 +173,13 @@ class TestTrail:
         assert model.words == ["b"]
 
     def test_backtrack_empty_trail(self):
-        assert SolverModel(summarize((), ())).backtrack() is False
+        assert SolverModel(summarize((), EMPTY_TASK)).backtrack() is False
 
     def test_exhausted_level_pops_further(self):
         # hand enumeration: x1 in {a, b}, x2 in {x, y, z}; repeated backtracking
         # must visit (a,x) (a,y) (a,z) (b,x) (b,y) (b,z) and then fail
         visits = []
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), EMPTY_TASK))
         _fresh_level(model, [("a", -0.1), ("b", -0.7)])
         level2 = [("x", -0.2), ("y", -0.4), ("z", -0.8)]
         _fresh_level(model, level2)
@@ -193,7 +197,7 @@ class TestTrail:
 
     def test_no_assignment_revisited(self):
         # corollary of the visit-order check above, kept separate for clarity
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), EMPTY_TASK))
         _fresh_level(model, [("a", -0.1), ("b", -0.7), ("c", -1.1)])
         seen = {tuple(model.words)}
         while model.backtrack():
@@ -208,7 +212,7 @@ class TestTrail:
         # Regrowing the same levels after every backtrack enumerates them as
         # itertools.product does, each landing counted once.
         levels = [[(f"w{i}v{j}", -1.0) for j in range(width)] for i, width in enumerate(widths)]
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), EMPTY_TASK))
         visits = []
         while True:
             while len(model.domains) < len(levels):
@@ -224,7 +228,7 @@ class TestTrail:
 
 class TestBacktrackTo:
     def _sentence_model(self, words, alternatives):
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), EMPTY_TASK))
         for i, word in enumerate(words):
             cands = [(word, -0.1)] + alternatives.get(i + 1, [])
             model.add_variable(Domain(_cands(*cands)))
@@ -305,7 +309,7 @@ class TestIncrementalState:
     @given(st.integers(0, 3), _steps)
     def test_matches_copying_trail(self, seed_len, steps):
         seed = [f"s{i}" for i in range(seed_len)]
-        root = summarize((), ())
+        root = summarize((), EMPTY_TASK)
         model, ref = SolverModel.from_seed(seed, root), CopyingStack()
         for word in seed:
             ref.add((word,))
@@ -356,11 +360,11 @@ class TestContainsEmptyVariable:
         assert model.domains[-1].values
 
     def test_fully_filtered_domain(self):
-        from gencp import ForbiddenChars, TaskSpec, filter_domain
+        from gencp import ForbiddenChars, filter_domain
 
         task = TaskSpec(name="t", constraints=(ForbiddenChars("e"),), require_period=False)
         model = _assigned_model(["A"])
-        domain = filter_domain(["A"], Domain(_cands(("the", -0.3), ("he", -0.9))), task)
+        domain = filter_domain(summarize(["A"], task), Domain(_cands(("the", -0.3), ("he", -0.9))))
         assert model.add_variable(domain) is domain
         assert (model.domains[-1].values, model.domains[-1].cursor) == ([], None)
 

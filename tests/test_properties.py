@@ -14,6 +14,7 @@ from gencp import (
     filter_domain,
     perplexity,
     sequence_logprob,
+    summarize,
     train_ngram,
     variability,
 )
@@ -51,8 +52,9 @@ def test_filter_domain_contracts_and_is_idempotent(pairs, banned, limit):
         require_period=False,
     )
     domain = Domain([WordCandidate(t, lp) for t, lp in pairs])
-    once = filter_domain(["go"], domain, task)
-    twice = filter_domain(["go"], once, task)
+    summary = summarize(["go"], task)
+    once = filter_domain(summary, domain)
+    twice = filter_domain(summary, once)
     texts = [c.text for c in domain.values]
     once_texts = [c.text for c in once.values]
     assert [t for t in texts if t in set(once_texts)] == once_texts  # order preserved

@@ -60,13 +60,13 @@ def _simple_task(**kwargs):
 
 class TestGenerateVariable:
     def test_seeded_model_starts_with_singleton(self):
-        model = SolverModel.from_seed(["The"], summarize((), ()))
+        model = SolverModel.from_seed(["The"], summarize((), _simple_task()))
         assert len(model.domains) == 1
         assert [c.text for c in model.domains[0].values] == ["The"]
         assert model.domains[0].cursor == 0
 
     def test_appends_with_empty_domain(self):
-        model = SolverModel.from_seed(["A", "man"], summarize((), ()))
+        model = SolverModel.from_seed(["A", "man"], summarize((), _simple_task()))
         domain = generate_variable(model, [], _simple_task(), PROBABILITY)
         assert len(model.domains) == 3 and model.domains[-1] is domain
         assert (domain.values, domain.cursor) == ([], None)
@@ -79,7 +79,7 @@ class TestGenerateVariable:
 
 class TestGenerateDomain:
     def test_raw_predictions_become_domain(self, fig_lm):
-        model = SolverModel.from_seed(["A"], summarize((), ()))
+        model = SolverModel.from_seed(["A"], summarize((), _simple_task()))
         task = _simple_task(seed=("A",))
         domain = generate_variable(model, fig_lm.predict("A", task.lm_params), task, PROBABILITY)
         assert [c.text for c in domain.values] == ["boy", "man", "house"]
@@ -91,13 +91,13 @@ class TestGenerateDomain:
                       ("good", 0.05), ("-x", 0.04), ("nice", 0.02), ("warm", 0.01)]}
         lm = TableLM(table)
         task = _simple_task(lm_params=LMParams(k=5))
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), _simple_task()))
         domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
                                    task, PROBABILITY)
         assert [c.text for c in domain.values] == ["ok", "fine", "good", "nice", "warm"]
 
     def test_unknown_prefix_yields_empty_domain(self, fig_lm):
-        model = SolverModel.from_seed(["A", "boy"], summarize((), ()))
+        model = SolverModel.from_seed(["A", "boy"], summarize((), _simple_task()))
         task = _simple_task()
         domain = generate_variable(model, fig_lm.predict("A boy", task.lm_params), task,
                                    PROBABILITY)
@@ -108,7 +108,7 @@ class TestGenerateDomain:
         words = ["apple", "berry", "cedar", "dates", "elder", "figs", "grape", "holly"]
         table = {"": [(w, 0.5 / 2**i) for i, w in enumerate(words)]}
         task = _simple_task(lm_params=LMParams(k=5))
-        model = SolverModel(summarize((), ()))
+        model = SolverModel(summarize((), _simple_task()))
         domain = generate_variable(model, TableLM(table).predict("", task.lm_params), task,
                                    PROBABILITY)
         assert [c.text for c in domain.values] == words[:5]
@@ -117,7 +117,7 @@ class TestGenerateDomain:
 class TestGenerateConstraints:
     def test_filters_new_domain(self):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
-        model = SolverModel.from_seed(["A"], summarize((), task.constraints))
+        model = SolverModel.from_seed(["A"], summarize((), task))
         lm = TableLM({"A": [("man", 0.4), ("house", 0.3), ("boy", 0.2)]})
         domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
                                    task, PROBABILITY)
@@ -125,7 +125,7 @@ class TestGenerateConstraints:
 
     def test_no_applicable_constraint_keeps_domain(self):
         task = _simple_task()
-        model = SolverModel.from_seed(["A"], summarize((), task.constraints))
+        model = SolverModel.from_seed(["A"], summarize((), task))
         lm = TableLM({"A": [("man", 0.5), ("boy", 0.3)]})
         domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
                                    task, PROBABILITY)
@@ -192,19 +192,19 @@ class TestBooleanPredicate:
     def test_all_conjuncts_hold(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [(".", 1.0)]})
-        model = self._model_with(["up", "down"], summarize((), task.constraints))
+        model = self._model_with(["up", "down"], summarize((), task))
         assert self._completes(model, lm, task) is not None
 
     def test_word_window_not_reached(self):
         task = _simple_task(constraints=(WordCountRange(3, 4),))
         lm = TableLM({"up down": [(".", 1.0)]})
-        model = self._model_with(["up", "down"], summarize((), task.constraints))
+        model = self._model_with(["up", "down"], summarize((), task))
         assert self._completes(model, lm, task) is None
 
     def test_period_not_predicted(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [("more", 1.0)]})
-        model = self._model_with(["up", "down"], summarize((), task.constraints))
+        model = self._model_with(["up", "down"], summarize((), task))
         assert self._completes(model, lm, task) is None
 
     def test_exact_char_count_with_reserved_period(self):
@@ -213,9 +213,9 @@ class TestBooleanPredicate:
         # "ab cd" is 5 chars; with the period that is 6
         task = _simple_task(constraints=(WordCountRange(1, 4), CharCountExact(6)))
         lm = TableLM({"ab cd": [(".", 1.0)], "ab": [("cd", 1.0)]})
-        model = self._model_with(["ab", "cd"], summarize((), task.constraints))
+        model = self._model_with(["ab", "cd"], summarize((), task))
         assert self._completes(model, lm, task) is not None
-        model_short = self._model_with(["ab"], summarize((), task.constraints))
+        model_short = self._model_with(["ab"], summarize((), task))
         assert self._completes(model_short, lm, task) is None
 
 
@@ -485,6 +485,22 @@ class TestVisitOrder:
         assert lm.prompts == expected
         assert outcome.stats.backtracks == 4
 
+    def test_a_seed_leaving_no_room_for_the_period_is_never_asked_about(self):
+        """Every completion ends in ".", so a seed after which it no longer fits fails its summary.
+
+        Without a period the same seed is itself the solution, found with no ask either.
+        """
+        table = TableLM({"ab": [("c", 0.5), (".", 0.4)]})
+        task = _simple_task(constraints=(CharCountExact(2),), seed=("ab",), require_period=True)
+        assert summarize(task.seed, task).can_extend() is False
+        lm = _PromptLog(table)
+        assert solve_all(task, lm) == []
+        assert lm.prompts == []
+        unended = _simple_task(constraints=(CharCountExact(2),), seed=("ab",), require_period=False)
+        lm = _PromptLog(table)
+        assert [s.sentence for s in solve_all(unended, lm)] == ["ab"]
+        assert lm.prompts == []
+
 
 def _deep_chains(depth=40):
     """Four chains of ``depth`` words under all 8 constraint types, each a solution.
@@ -521,9 +537,9 @@ def test_searches_never_rescan_the_prefix(monkeypatch):
     def refuse(words, task):
         raise AssertionError("check_complete rescans the whole prefix")
 
-    def seed_only(words, constraints):
+    def seed_only(words, summarized):
         assert len(words) <= len(task.seed), "a summary was rebuilt from the whole prefix"
-        return rebuild(words, constraints)
+        return rebuild(words, summarized)
 
     with monkeypatch.context() as patched:
         patched.setattr(gencp.constraints, "check_complete", refuse)

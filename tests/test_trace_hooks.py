@@ -24,8 +24,11 @@ def test_only_the_moved_scoring_hooks_are_unresolved():
     # the oracle reads its period check from the answer it asks for its
     # children.  The model keeps no trail and the search calls none of the
     # other four, so they are gone; their metrics read -1 until the tracer
-    # drops them.
+    # drops them.  The searches ask ``PrefixSummary.can_extend`` of the
+    # summaries they keep, so the module-level ``can_extend`` went too; its
+    # metric already read 0 calls.
     assert unresolved == {
+        "gencp.constraints.can_extend",
         "gencp.solver.predicts_period", "gencp.solver.perplexity",
         "gencp.beam.predicts_period", "gencp.beam.perplexity", "gencp.harness.predicts_period",
         "gencp.model.SolverModel.save_state", "gencp.model.SolverModel.assigned_words",
