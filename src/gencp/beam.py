@@ -94,8 +94,11 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     check_time_budget(time_budget)
     params = task.lm_params
     width = max(k, params.k)  # the period check reads the first params.k, the expansion the first k
+    summary = cst.summarize(seed, task)
+    if not (summary.can_extend() or summary.complete()):  # the test expand_beams applies to later beams
+        return [], [render_prefix(seed)]
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
-    beams = [Beam(seed, start_cum, cst.summarize(seed, task))]
+    beams = [Beam(seed, start_cum, summary)]
     solutions = []
     bad_outputs = []
     started = time.perf_counter()

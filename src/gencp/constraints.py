@@ -11,7 +11,7 @@ rendered length, where the keywords stand, whether a word failed its test),
 built by ``summarize`` for one task, whose period reserve it holds, and
 extended by one word at a time; ``filter_domain``, ``can_extend`` and the
 solution predicate read it.  ``check_complete``, the plain specification the
-pruning is fuzz-tested against, tests counts and positions before it scans words.
+pruning is fuzz-tested against, asks each type's ``holds``, shapes before scans.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ class Constraint:
     admitted with it is admitted without.
     ``keywords`` are the casefolded words whose last positions the summary
     records, and the caps and ``required_words`` feed ``can_extend``'s
-    lookahead.
+    lookahead.  ``holds``, the type's clause of ``check_complete``, reads
+    none of these; ``scans`` marks a clause that reads every word, casefolded
+    in ``folded``, and ``schema`` is the task-file type and its field kinds.
     """
 
+    scans = False
     word_cap = None
     char_cap = None
     keywords = ()
@@ -63,6 +66,7 @@ class CharCountExact(Constraint):
     """Rendered sentence must have exactly n characters."""
 
     n: int
+    schema = ("char_count_exact", {"n": "int"})
 
     def __post_init__(self):
         if self.n <= 0:
@@ -76,6 +80,9 @@ class CharCountExact(Constraint):
     def admits_end(self, prefix, reserve):
         return prefix.length + reserve == self.n
 
+    def holds(self, words, content):
+        return len(render_sentence(words)) == self.n
+
 
 @dataclass(frozen=True)
 class WordCountRange(Constraint):
@@ -83,6 +90,7 @@ class WordCountRange(Constraint):
 
     lo: int
     hi: int | None = None
+    schema = ("word_count_range", {"lo": "int", "hi": "int?"})
 
     def __post_init__(self):
         if self.lo < 1:
@@ -98,12 +106,17 @@ class WordCountRange(Constraint):
     def admits_end(self, prefix, reserve):
         return prefix.count >= self.lo
 
+    def holds(self, words, content):
+        return self.lo <= len(content) and (self.hi is None or len(content) <= self.hi)
+
 
 @dataclass(frozen=True)
 class MaxWordLen(Constraint):
     """Every content word is at most ``limit`` characters long."""
 
     limit: int
+    schema = ("max_word_len", {"limit": "int"})
+    scans = True
 
     def __post_init__(self):
         if self.limit < 1:
@@ -112,6 +125,9 @@ class MaxWordLen(Constraint):
     def admits_word(self, word):
         return len(word) <= self.limit
 
+    def holds(self, words, content, folded):
+        return max(map(len, content)) <= self.limit
+
 
 @dataclass(frozen=True)
 class PositionLexical(Constraint):
@@ -119,6 +135,7 @@ class PositionLexical(Constraint):
 
     position: int
     word: str
+    schema = ("position_lexical", {"position": "int", "word": "str"})
 
     def __post_init__(self):
         if self.position < 1:
@@ -132,12 +149,17 @@ class PositionLexical(Constraint):
     def admits_end(self, prefix, reserve):
         return prefix.count >= self.position
 
+    def holds(self, words, content):
+        return self.position <= len(content) and content[self.position - 1] == self.word
+
 
 @dataclass(frozen=True)
 class MandatoryKeywords(Constraint):
     """Each keyword must appear as a whole word (case-insensitive)."""
 
     words: frozenset
+    schema = ("mandatory_keywords", {"words": "words"})
+    scans = True
 
     def __init__(self, words):
         object.__setattr__(self, "words", frozenset(words))
@@ -150,6 +172,9 @@ class MandatoryKeywords(Constraint):
     def admits_end(self, prefix, reserve):
         return self.keywords <= prefix.seen.keys()
 
+    def holds(self, words, content, folded):
+        return set(map(str.casefold, self.words)).issubset(folded)
+
 
 @dataclass(frozen=True)
 class KeywordSeparation(Constraint):
@@ -157,6 +182,8 @@ class KeywordSeparation(Constraint):
 
     words: frozenset
     min_gap: int
+    schema = ("keyword_separation", {"words": "words", "min_gap": "int"})
+    scans = True
 
     def __init__(self, words, min_gap):
         object.__setattr__(self, "words", frozenset(words))
@@ -174,12 +201,19 @@ class KeywordSeparation(Constraint):
         last = max(seen.get(w, 0) for w in self.keywords)
         return not last or prefix.count - last >= self.min_gap
 
+    def holds(self, words, content, folded):
+        lowered = set(map(str.casefold, self.words))
+        hits = [j for j, w in enumerate(folded) if w in lowered]
+        return all(b - a - 1 >= self.min_gap for a, b in zip(hits, hits[1:]))
+
 
 @dataclass(frozen=True)
 class ForbiddenChars(Constraint):
     """No content word may contain any of these characters."""
 
     chars: frozenset
+    schema = ("forbidden_chars", {"chars": "str"})
+    scans = True
 
     def __init__(self, chars):
         object.__setattr__(self, "chars", frozenset(chars))
@@ -189,12 +223,16 @@ class ForbiddenChars(Constraint):
     def admits_word(self, word):
         return self.chars.isdisjoint(word)
 
+    def holds(self, words, content, folded):
+        return self.chars.isdisjoint("".join(content))
+
 
 @dataclass(frozen=True)
 class StartsWith(Constraint):
     """The sentence must begin with these exact words."""
 
     prefix: tuple
+    schema = ("starts_with", {"prefix": "words"})
 
     def __init__(self, prefix):
         object.__setattr__(self, "prefix", tuple(prefix))
@@ -206,6 +244,9 @@ class StartsWith(Constraint):
 
     def admits_end(self, prefix, reserve):
         return prefix.count >= len(self.prefix)
+
+    def holds(self, words, content):
+        return tuple(content[: len(self.prefix)]) == self.prefix
 
 
 @dataclass(frozen=True)
@@ -470,9 +511,9 @@ def filter_domain(summary, domain, word_tested=False):
 def check_complete(words, task):
     """Whether a finished word sequence satisfies every constraint of the task.
 
-    ``words`` includes the trailing "." when the task requires one.  Counts and
-    positions are tested before any word is scanned, so a sentence of the wrong
-    shape costs the same whatever order the task lists its constraints in.
+    ``words`` includes the trailing "." when the task requires one.  Each
+    constraint's ``holds`` decides its clause, the counts and positions before
+    the scans of every word, so a wrong shape costs the same in any order.
     """
     words = list(words)
     if not words:
@@ -483,34 +524,12 @@ def check_complete(words, task):
     if not content:
         return False
     for c in task.constraints:  # the shape tests
-        if isinstance(c, CharCountExact):
-            if len(render_sentence(words)) != c.n:
-                return False
-        elif isinstance(c, WordCountRange):
-            if len(content) < c.lo or (c.hi is not None and len(content) > c.hi):
-                return False
-        elif isinstance(c, PositionLexical):
-            if c.position > len(content) or content[c.position - 1] != c.word:
-                return False
-        elif isinstance(c, StartsWith):
-            if tuple(content[: len(c.prefix)]) != c.prefix:
-                return False
+        if not c.scans and not c.holds(words, content):
+            return False
     folded = list(map(str.casefold, content))
     for c in task.constraints:  # the scans of every word
-        if isinstance(c, MaxWordLen):
-            if max(map(len, content)) > c.limit:
-                return False
-        elif isinstance(c, ForbiddenChars):
-            if not c.chars.isdisjoint("".join(content)):
-                return False
-        elif isinstance(c, MandatoryKeywords):
-            if not set(map(str.casefold, c.words)).issubset(folded):
-                return False
-        elif isinstance(c, KeywordSeparation):
-            lowered = set(map(str.casefold, c.words))
-            hits = [j for j, w in enumerate(folded) if w in lowered]
-            if any(b - a - 1 < c.min_gap for a, b in zip(hits, hits[1:])):
-                return False
+        if c.scans and not c.holds(words, content, folded):
+            return False
     return True
 
 
@@ -546,17 +565,7 @@ def builtin_task(name, lm_params=None):
     )
 
 
-# JSON field name -> value kind; a trailing "?" makes the field optional
-_CONSTRAINT_SCHEMAS = {
-    "char_count_exact": (CharCountExact, {"n": "int"}),
-    "word_count_range": (WordCountRange, {"lo": "int", "hi": "int?"}),
-    "max_word_len": (MaxWordLen, {"limit": "int"}),
-    "position_lexical": (PositionLexical, {"position": "int", "word": "str"}),
-    "mandatory_keywords": (MandatoryKeywords, {"words": "words"}),
-    "keyword_separation": (KeywordSeparation, {"words": "words", "min_gap": "int"}),
-    "forbidden_chars": (ForbiddenChars, {"chars": "str"}),
-    "starts_with": (StartsWith, {"prefix": "words"}),
-}
+_CONSTRAINT_TYPES = {cls.schema[0]: cls for cls in Constraint.__subclasses__()}  # by task-file type
 
 _TASK_FILE_FIELDS = {
     "constraints": "list", "seed": "words", "k": "int", "top_k": "int", "top_p": "number",
@@ -564,7 +573,7 @@ _TASK_FILE_FIELDS = {
     "ordering": "str", "backtrack_to": "int?",
 }
 
-_KINDS = {  # kind -> (accepted JSON types, description)
+_KINDS = {  # kind -> (accepted JSON types, description); a trailing "?" makes a field optional
     "int": (int, "an integer"), "number": ((int, float), "a number"), "str": (str, "a string"),
     "bool": (bool, "true or false"), "list": (list, "a list"),
     "words": (list, "a list of non-empty strings"),
@@ -590,11 +599,12 @@ def _parse_constraint(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ValueError(f"constraint entry must be an object with a string 'type': {obj!r}")
     kind = obj["type"]
-    if kind not in _CONSTRAINT_SCHEMAS:
+    if kind not in _CONSTRAINT_TYPES:
         raise ValueError(
-            f"unknown constraint type {kind!r}; expected one of {', '.join(sorted(_CONSTRAINT_SCHEMAS))}"
+            f"unknown constraint type {kind!r}; expected one of {', '.join(sorted(_CONSTRAINT_TYPES))}"
         )
-    cls, fields = _CONSTRAINT_SCHEMAS[kind]
+    cls = _CONSTRAINT_TYPES[kind]
+    fields = cls.schema[1]
     extra = set(obj) - {"type"} - set(fields)
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in {kind!r} constraint")

@@ -9,12 +9,27 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gencp import LMParams, TableLM, TaskSpec, WordCountRange, render_prefix
+from gencp import LanguageModel, LMParams, TableLM, TaskSpec, WordCountRange, render_prefix
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
 
 FIXTURES_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+class PromptLog(LanguageModel):
+    """A backend that logs every prompt ``predict`` is asked, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def predict(self, sentence, params, k=None):
+        self.prompts.append(sentence)
+        return self.inner.predict(sentence, params, k)
+
+    def conditional_logprob(self, prefix_words, word, params):
+        return self.inner.conditional_logprob(prefix_words, word, params)
 
 
 @pytest.fixture

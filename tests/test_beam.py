@@ -21,7 +21,7 @@ from gencp import (
     with_k,
 )
 
-from conftest import random_table
+from conftest import PromptLog, random_table
 
 
 def _task(*constraints, k=2, require_period=True):
@@ -99,6 +99,14 @@ class TestExpandBeams:
 
 
 class TestBeamSearch:
+    def test_a_dead_seed_beam_is_never_asked_about(self):
+        """A seed after which the required period no longer fits ends the search before any ask."""
+        lm = PromptLog(TableLM({"ab": [("c", 0.5), (".", 0.4)]}))
+        task = TaskSpec(name="t", constraints=(CharCountExact(2),), seed=("ab",),
+                        lm_params=LMParams(k=2), require_period=True)
+        assert beam_search(task, lm) == ([], ["ab"])
+        assert lm.prompts == []
+
     def test_greedy_path_found_at_k1(self):
         lm = TableLM({
             "": [("We", 1.0)],

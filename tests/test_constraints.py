@@ -1,6 +1,9 @@
+import ast
+import inspect
 import json
 import random
 import sys
+import textwrap
 import unicodedata
 from collections import Counter
 
@@ -287,6 +290,45 @@ class TestCheckComplete:
         task = _task(KeywordSeparation({"soft", "math"}, 3), require_period=False)
         assert check_complete(["soft", "x", "math"], task) is False
         assert check_complete(["soft", "x", "y", "z", "math"], task) is True
+        assert check_complete(["Soft", "x", "MATH"], task) is False
+
+    def test_word_length_is_checked_on_every_word(self):
+        task = _task(MaxWordLen(3), require_period=False)
+        assert check_complete(["ab", "abcd"], task) is False
+        assert check_complete(["abc", "ab"], task) is True
+
+    def test_forbidden_chars_are_checked_on_every_word(self):
+        task = _task(ForbiddenChars("z"), require_period=False)
+        assert check_complete(["ab", "az"], task) is False
+        assert check_complete(["ab", "ba"], task) is True
+
+
+_TYPES = (CharCountExact, WordCountRange, MaxWordLen, PositionLexical, MandatoryKeywords,
+          KeywordSeparation, ForbiddenChars, StartsWith)
+_PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen", "keywords", "required_words", "word_cap", "char_cap"}
+
+
+@pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
+def test_each_type_carries_its_clause_and_schema(cls):
+    assert {"holds", "schema"} <= vars(cls).keys()
+    assert cls.scans == (cls in (MaxWordLen, ForbiddenChars, MandatoryKeywords, KeywordSeparation))
+
+
+def test_the_task_file_types_are_the_classes_schemas():
+    assert cst._CONSTRAINT_TYPES == {cls.schema[0]: cls for cls in _TYPES}
+    assert sorted(cst._CONSTRAINT_TYPES) == [
+        "char_count_exact", "forbidden_chars", "keyword_separation", "mandatory_keywords",
+        "max_word_len", "position_lexical", "starts_with", "word_count_range",
+    ]
+
+
+@pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
+def test_no_clause_reads_the_pruning(cls):
+    """``check_complete`` is the specification the pruning is tested against, so it reads none of it."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.holds)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {n for n in names if n in _PRUNING_NAMES or n.startswith("admits_")} == set()
 
 
 class TestBuiltinTask:
@@ -390,6 +432,36 @@ class TestTaskFile:
         path = self._write(tmp_path, {"constraints": [{"type": "max_word_len"}]})
         with pytest.raises(ValueError, match="missing"):
             load_task_file(path)
+
+    def test_every_type_loads_as_built_and_rejects_a_wrong_field_type(self, tmp_path):
+        payload = {"constraints": [
+            {"type": "char_count_exact", "n": 60},
+            {"type": "word_count_range", "lo": 2, "hi": 9},
+            {"type": "max_word_len", "limit": 7},
+            {"type": "position_lexical", "position": 3, "word": "soft"},
+            {"type": "mandatory_keywords", "words": ["soft", "Math"]},
+            {"type": "keyword_separation", "words": ["soft", "Math"], "min_gap": 2},
+            {"type": "forbidden_chars", "chars": "qxz"},
+            {"type": "starts_with", "prefix": ["The", "soft"]},
+        ]}
+        assert load_task_file(self._write(tmp_path, payload)).constraints == (
+            CharCountExact(60), WordCountRange(2, 9), MaxWordLen(7), PositionLexical(3, "soft"),
+            MandatoryKeywords({"soft", "Math"}), KeywordSeparation({"soft", "Math"}, 2),
+            ForbiddenChars("qxz"), StartsWith(("The", "soft")),
+        )
+        wrong = [
+            ({"type": "position_lexical", "position": "3", "word": "soft"},
+             "'position_lexical' constraint: 'position' must be an integer, got '3'"),
+            ({"type": "keyword_separation", "words": ["soft", ""], "min_gap": 2},
+             "'keyword_separation' constraint: 'words' must be a list of non-empty strings,"
+             " got ['soft', '']"),
+            ({"type": "forbidden_chars", "chars": ["q"]},
+             "'forbidden_chars' constraint: 'chars' must be a string, got ['q']"),
+        ]
+        for entry, message in wrong:
+            with pytest.raises(ValueError) as err:
+                load_task_file(self._write(tmp_path, {"constraints": [entry]}))
+            assert str(err.value) == message
 
     def test_unbounded_word_count(self, tmp_path):
         path = self._write(tmp_path, {"constraints": [{"type": "word_count_range", "lo": 20}]})

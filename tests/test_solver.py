@@ -7,7 +7,6 @@ from gencp import (
     CharCountExact,
     ForbiddenChars,
     KeywordSeparation,
-    LanguageModel,
     LMParams,
     MandatoryKeywords,
     MaxWordLen,
@@ -40,7 +39,7 @@ from gencp.solver import (
     order_candidates,
 )
 
-from conftest import random_table
+from conftest import PromptLog, random_table
 
 
 def _cands(*pairs):
@@ -439,26 +438,11 @@ class TestStatsAccounting:
         assert outcome.stats.lm_calls == 4
 
 
-class _PromptLog(LanguageModel):
-    """A backend that logs every prompt ``predict`` is asked, in order."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.prompts = []
-
-    def predict(self, sentence, params, k=None):
-        self.prompts.append(sentence)
-        return self.inner.predict(sentence, params, k)
-
-    def conditional_logprob(self, prefix_words, word, params):
-        return self.inner.conditional_logprob(prefix_words, word, params)
-
-
 class TestVisitOrder:
     """The order in which the search asks the backend and backtracks."""
 
     def test_exhaustive_walkthrough(self, fig_lm, fig_task):
-        lm = _PromptLog(fig_lm)
+        lm = PromptLog(fig_lm)
         outcome = run_search(fig_task, lm, SolveOptions(max_variables=8), exhaustive=True)
         # A prefix is asked once, for its period check and its next words;
         # a finished sentence grows no further.
@@ -466,7 +450,7 @@ class TestVisitOrder:
         assert outcome.stats.backtracks == 2
 
     def test_capped_jump_back_demo(self, fixtures_dir):
-        lm = _PromptLog(TableLM.from_file(fixtures_dir / "demo60.tbl"))
+        lm = PromptLog(TableLM.from_file(fixtures_dir / "demo60.tbl"))
         task = with_k(builtin_task("demo-60"), 10)
         outcome = run_search(task, lm, SolveOptions(max_solutions=4, backtrack_to=2))
         sentences = [
@@ -493,11 +477,11 @@ class TestVisitOrder:
         table = TableLM({"ab": [("c", 0.5), (".", 0.4)]})
         task = _simple_task(constraints=(CharCountExact(2),), seed=("ab",), require_period=True)
         assert summarize(task.seed, task).can_extend() is False
-        lm = _PromptLog(table)
+        lm = PromptLog(table)
         assert solve_all(task, lm) == []
         assert lm.prompts == []
         unended = _simple_task(constraints=(CharCountExact(2),), seed=("ab",), require_period=False)
-        lm = _PromptLog(table)
+        lm = PromptLog(table)
         assert [s.sentence for s in solve_all(unended, lm)] == ["ab"]
         assert lm.prompts == []
 
