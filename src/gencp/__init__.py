@@ -22,7 +22,6 @@ from .constraints import (
     WordCountRange,
     builtin_task,
     check_complete,
-    filter_domain,
     load_task_file,
     only_words,
     parse_ordering,

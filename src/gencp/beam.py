@@ -59,10 +59,8 @@ def expand_beams(beams, lm, task, k):
             raw = raw[: k * params.oversample]
         summary = beam.summary
         before = len(extensions)
-        for cand in cst.valid_words(raw, summary.rules.word_tests, k):
-            # Room stays for a required period, as ``filter_domain`` keeps it.
-            if not summary.admits(cand.text, word_tested=True):
-                continue
+        # the solver's node step, unordered: the pool below is ranked by probability
+        for cand in summary.window(raw, k):
             child = summary.push(cand.text, admitted=True)
             if child.can_extend() or child.complete():
                 extensions.append(

@@ -1,4 +1,4 @@
-"""Declarative sentence constraints, word validity, and domain filtering.
+"""Declarative sentence constraints, word validity, and the node step.
 
 Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
@@ -9,9 +9,10 @@ Each constraint class carries its own pruning hooks: ``admits_word``,
 apply them.  They keep one ``PrefixSummary`` per prefix (word count,
 rendered length, where the keywords stand, whether a word failed its test),
 built by ``summarize`` for one task, whose period reserve it holds, and
-extended by one word at a time; ``filter_domain``, ``can_extend`` and the
-solution predicate read it.  ``check_complete``, the plain specification the
-pruning is fuzz-tested against, asks each type's ``holds``, shapes before scans.
+extended by one word at a time; ``window``, the node step the solver and
+beam search share, ``can_extend`` and the solution predicate read it.
+``check_complete``, the plain specification the pruning is fuzz-tested
+against, asks each type's ``holds``, shapes before scans.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .lm import LMParams
-from .model import Domain, has_whitespace, render_sentence
+from .model import has_whitespace, render_sentence
 
 
 class Constraint:
@@ -334,16 +335,6 @@ def only_words(candidates):
     return [cand for cand in candidates if _looks_like_word(cand.text)]
 
 
-def valid_words(candidates, constraints, k):
-    """The first k candidates that are words passing ``word_valid``, in rank order.
-
-    The window from which the solver and beam search take a node's words, in
-    one pass over the answer.  They pass only ``rules.word_tests``, the
-    constraints whose type overrides ``admits_word``.
-    """
-    return [c for c in candidates if _looks_like_word(c.text) and word_valid(c.text, constraints)][:k]
-
-
 # what _multi_folds finds under Unicode 14.0.0, listed to spare casefolding all 1.1M code points
 _MULTI_FOLDS_14 = frozenset((
     "aʾ ff ffi ffl fi fl ẖ i̇ ǰ ss st ẗ ẘ ẙ ʼn άι ήι ᾶ ᾶι αι ῆ ῆι ηι ῒ ΐ ῗ ῖ "
@@ -417,8 +408,8 @@ class PrefixSummary:
     def push(self, word, admitted=False):
         """Summary of the prefix followed by ``word``.
 
-        ``admitted`` skips every test for a word that ``filter_domain`` or
-        beam search already admitted after this prefix.
+        ``admitted`` skips every test for a word that ``window`` already
+        admitted after this prefix.
         """
         rules = self.rules
         count = self.count
@@ -431,22 +422,44 @@ class PrefixSummary:
                 seen = {**seen, key: count + 1}
         return PrefixSummary(rules, count + 1, length, failed, seen)
 
-    def admits(self, word, word_tested=False):
-        """Whether ``word`` may come next, with room kept for a period the summary's task requires.
+    def admits(self, word):
+        """Whether ``word`` may come next, with room kept for a period the summary's task requires."""
+        for c in self.rules.word_tests:
+            if not c.admits_word(word):
+                return False
+        return self._follows(word)
 
-        ``word_tested`` skips the ``admits_word`` tests, which ``word_valid``
-        already passed.
-        """
+    def _follows(self, word):
+        """Whether the ``admits_next`` tests admit ``word`` after the prefix, with the period reserve."""
         rules = self.rules
         length = self.length + len(word) + 1 if self.count else len(word)
-        if not word_tested:
-            for c in rules.word_tests:
-                if not c.admits_word(word):
-                    return False
         for c in rules.next_tests:
             if not c.admits_next(self, word, length, rules.reserve):
                 return False
         return True
+
+    def window(self, raw, k):
+        """The node step: the candidates of the ranked answer ``raw`` that may come next, in rank order.
+
+        One pass over the first k candidates that look like words (see
+        ``only_words``) and pass ``word_valid``, which asks only the types
+        that override ``admits_word``; it stops at the k-th.  Of those it
+        keeps the ones the ``admits_next`` tests admit after the prefix,
+        room kept for a period the summary's task requires.  The solver
+        orders what it keeps into a node's domain, and beam search extends
+        a beam by it.
+        """
+        tests = self.rules.word_tests
+        kept = []
+        for cand in raw:
+            if not k:
+                break
+            word = cand.text
+            if _looks_like_word(word) and word_valid(word, tests):
+                k -= 1
+                if self._follows(word):
+                    kept.append(cand)
+        return kept
 
     def can_extend(self):
         """Whether some completion with one more word could still satisfy everything.
@@ -494,18 +507,6 @@ def summarize(words, task):
     for word in words:
         summary = summary.push(word)
     return summary
-
-
-def filter_domain(summary, domain, word_tested=False):
-    """Drop the candidates that cannot follow the prefix that ``summary`` describes.
-
-    A survivor is valid on its own (``word_valid``) and admitted at the next
-    position by every constraint, one character kept for the final period
-    when the summary's task requires one.  Survivor order is preserved, and
-    the returned domain is unassigned.  ``word_tested`` says every candidate
-    already passed ``word_valid``, so only the tests against the prefix run.
-    """
-    return Domain([cand for cand in domain.values if summary.admits(cand.text, word_tested)])
 
 
 def check_complete(words, task):

@@ -144,8 +144,8 @@ class SolverModel:
         """Assign the newest position its value at ``cursor``; update ``words`` and ``summaries``.
 
         Every earlier position must be assigned.  ``admitted`` says that
-        ``filter_domain`` admitted the domain's values after the words
-        before it (see ``PrefixSummary.push``).
+        ``PrefixSummary.window`` admitted the domain's values after the
+        words before it (see ``PrefixSummary.push``).
         """
         domain = self.domains[-1]
         domain.cursor = cursor

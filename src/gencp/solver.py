@@ -8,9 +8,9 @@ backend answer per node, with every variable assigned between steps:
   backtrack, or jump back to an optional target so that later solutions
   diverge early;
 - grow: otherwise, when the prefix can still lead to a solution below the
-  variable cap, create the next variable through ``generate_variable`` (the
-  backend's first k valid words, ordered, then filtered against the
-  constraints and the prefix) and assign its first value;
+  variable cap, create the next variable through ``generate_variable`` (of
+  the backend's first k valid words, the ones the constraints admit after
+  the prefix, ordered) and assign its first value;
 - backtrack: otherwise, move to the next untried value of the deepest
   variable that has one; stop when none is left.
 """
@@ -75,15 +75,13 @@ class SolveOptions:
 def node_domain(summary, raw, task, ordering):
     """The domain after the words that ``summary`` describes, from the backend's answer ``raw``.
 
-    The node's one candidate pipeline: the first k word-valid predictions,
-    ordered, then filtered against the constraints and the prefix.
-    Filtering keeps order, and ordering sorts on a total key, so the two
-    steps commute.  The window runs only the word tests of the types that
-    override ``admits_word``, and the filter does not run them again.
+    The node step that beam search shares, ``summary.window``: of the first
+    k word-valid predictions, the ones the constraints admit after the
+    prefix; then ordered.  The window keeps rank order, and ordering sorts
+    on a total key, so ordering before or after the prefix tests gives the
+    same domain.
     """
-    window = cst.valid_words(raw, summary.rules.word_tests, task.lm_params.k)
-    ordered = Domain(order_candidates(window, ordering, summary.count + 1))
-    return cst.filter_domain(summary, ordered, word_tested=True)
+    return Domain(order_candidates(summary.window(raw, task.lm_params.k), ordering, summary.count + 1))
 
 
 def generate_variable(model, raw, task, ordering):

@@ -129,6 +129,31 @@ class TestBeamSearch:
         assert beam_search(task, lm, k=1) == ([], [""])
         assert [s.sentence for s in beam_search(task, lm, k=2)[0]] == ["fine."]
 
+    def test_a_narrow_beam_asks_at_the_task_k(self):
+        widths = []
+
+        class WidthLog(TableLM):
+            def predict(self, sentence, params, k=None):
+                widths.append((sentence, k))
+                return super().predict(sentence, params, k)
+
+        lm = WidthLog({"": [("fine", 0.5)], "fine": [(".", 0.9)]})
+        task = _task(WordCountRange(1, 3), k=2)
+        assert [s.sentence for s in beam_search(task, lm, k=1)[0]] == ["fine."]
+        assert widths == [("", 2), ("fine", 2)]  # the expansion, then the period check
+
+    def test_a_beam_that_is_not_a_solution_is_expanded_from_its_period_check_answer(self):
+        # "fine" ends a sentence but "." ranks below k = 1; its children come
+        # from the answer its period check asked for
+        lm = PromptLog(TableLM({
+            "": [("fine", 0.5)],
+            "fine": [("more", 0.6), (".", 0.3)],
+            "fine more": [(".", 0.9)],
+        }))
+        task = _task(WordCountRange(1, 2), k=1)
+        assert [s.sentence for s in beam_search(task, lm, k=1)[0]] == ["fine more."]
+        assert lm.prompts == ["", "fine", "fine more"]
+
     def test_rank_displacement_loses_solution(self, fixtures_dir):
         lm = TableLM.from_file(fixtures_dir / "bs_miss.tbl")
         task = _task(WordCountRange(2, 2), k=2)

@@ -26,7 +26,6 @@ from gencp import (
     WordCountRange,
     builtin_task,
     check_complete,
-    filter_domain,
     load_task_file,
     only_words,
     SolveOptions,
@@ -74,7 +73,8 @@ class TestWordValid:
 
 class TestOnlyWords:
     def test_drops_fragments_and_symbols(self):
-        cands = _cands(("man", -0.1), ("##ing", -0.2), ("$", -0.3), ("boy", -0.4))
+        cands = _cands(("man", -0.1), ("##ing", -0.2), ("$", -0.3), ("a1", -0.3), ("42", -0.3),
+                       ("boy", -0.4))
         assert [c.text for c in only_words(cands)] == ["man", "boy"]
 
     def test_empty_input(self):
@@ -94,61 +94,71 @@ class TestOnlyWords:
 
 
 class TestFilterDomain:
+    """``PrefixSummary.window`` over a whole answer, k its length: the prefix tests alone."""
+
     def test_forbidden_chars(self):
         task = _task(ForbiddenChars("e"), require_period=False)
-        domain = Domain(_cands(("man", -0.1), ("house", -0.2), ("boy", -0.3)))
-        out = filter_domain(summarize(["A"], task), domain)
-        assert [c.text for c in out.values] == ["man", "boy"]
+        cands = _cands(("man", -0.1), ("house", -0.2), ("boy", -0.3))
+        out = summarize(["A"], task).window(cands, len(cands))
+        assert [c.text for c in out] == ["man", "boy"]
 
     def test_character_budget(self):
         task = _task(CharCountExact(60), require_period=False)
         partial = ["a" * 58]
-        domain = Domain(_cands(("extraordinary", -0.1), ("x", -0.2)))
-        out = filter_domain(summarize(partial, task), domain)
-        assert [c.text for c in out.values] == ["x"]  # 58 + 1 + 1 = 60 fits
+        cands = _cands(("extraordinary", -0.1), ("x", -0.2))
+        out = summarize(partial, task).window(cands, len(cands))
+        assert [c.text for c in out] == ["x"]  # 58 + 1 + 1 = 60 fits
 
     def test_period_reservation(self):
         task = _task(CharCountExact(60), require_period=True)
         partial = ["a" * 58]
-        domain = Domain(_cands(("x", -0.2)))
+        cands = _cands(("x", -0.2))
         # 58 + 1 + 1 = 60 would leave no room for the final period
-        out = filter_domain(summarize(partial, task), domain)
-        assert out.values == []
+        out = summarize(partial, task).window(cands, len(cands))
+        assert out == []
 
     def test_positional_pin(self):
         task = _task(PositionLexical(3, "soft"), require_period=False)
-        domain = Domain(_cands(("soft", -2.3), ("hard", -0.1)))
-        out = filter_domain(summarize(["the", "very"], task), domain)
-        assert [c.text for c in out.values] == ["soft"]
+        cands = _cands(("soft", -2.3), ("hard", -0.1))
+        out = summarize(["the", "very"], task).window(cands, len(cands))
+        assert [c.text for c in out] == ["soft"]
 
     def test_word_count_ceiling(self):
         task = _task(WordCountRange(1, 2), require_period=False)
-        domain = Domain(_cands(("more", -0.1)))
-        out = filter_domain(summarize(["one", "two"], task), domain)
-        assert out.values == []
+        cands = _cands(("more", -0.1))
+        out = summarize(["one", "two"], task).window(cands, len(cands))
+        assert out == []
 
     def test_keyword_separation(self):
         task = _task(KeywordSeparation({"soft", "math"}, 3), require_period=False)
-        domain = Domain(_cands(("math", -0.1), ("sand", -0.2)))
-        out = filter_domain(summarize(["soft", "and"], task), domain)
-        assert [c.text for c in out.values] == ["sand"]
-        out2 = filter_domain(summarize(["soft", "a", "b", "c"], task), domain)
-        assert [c.text for c in out2.values] == ["math", "sand"]
+        cands = _cands(("math", -0.1), ("sand", -0.2))
+        out = summarize(["soft", "and"], task).window(cands, len(cands))
+        assert [c.text for c in out] == ["sand"]
+        out2 = summarize(["soft", "a", "b", "c"], task).window(cands, len(cands))
+        assert [c.text for c in out2] == ["math", "sand"]
 
     def test_preserves_order_and_is_idempotent(self):
         task = _task(ForbiddenChars("q"), require_period=False)
-        domain = Domain(_cands(("zed", -0.5), ("abc", -0.1), ("quk", -0.2)))
+        cands = _cands(("zed", -0.5), ("abc", -0.1), ("quk", -0.2))
         summary = summarize(["go"], task)
-        once = filter_domain(summary, domain)
-        twice = filter_domain(summary, once)
-        assert [c.text for c in once.values] == ["zed", "abc"]
-        assert [c.text for c in twice.values] == [c.text for c in once.values]
+        once = summary.window(cands, len(cands))
+        twice = summary.window(once, len(once))
+        assert [c.text for c in once] == ["zed", "abc"]
+        assert [c.text for c in twice] == [c.text for c in once]
 
     def test_contracting(self):
         task = _task(MaxWordLen(4), require_period=False)
-        domain = Domain(_cands(("abcde", -0.1), ("ab", -0.2)))
-        out = filter_domain(summarize([], task), domain)
-        assert set(c.text for c in out.values) <= set(c.text for c in domain.values)
+        cands = _cands(("abcde", -0.1), ("ab", -0.2))
+        out = summarize([], task).window(cands, len(cands))
+        assert set(c.text for c in out) <= set(c.text for c in cands)
+
+    def test_every_word_valid_candidate_counts_toward_k(self):
+        # "cat" is the first word-valid candidate and the pin rejects it, so
+        # at k = 1 the window ends there, before "soft"
+        task = _task(PositionLexical(1, "soft"), require_period=False)
+        cands = _cands(("cat", -0.1), ("soft", -0.2))
+        assert summarize([], task).window(cands, 1) == []
+        assert [c.text for c in summarize([], task).window(cands, 2)] == ["soft"]
 
 
 class _CountingWordTest(Constraint):
@@ -171,21 +181,29 @@ class _NoWordTest(Constraint):
 
 @pytest.mark.parametrize("search", ["solve_all", "beam_search"])
 def test_searches_run_the_word_tests_once_per_candidate(search, monkeypatch):
-    """``word_valid`` tests each candidate; the prefix filtering does not test it again.
+    """``word_valid`` tests each candidate; the prefix tests do not test it again.
 
     Only the types that override ``admits_word`` are asked: the inherited
-    ``Constraint.admits_word`` notes every word it is asked about.
+    ``Constraint.admits_word`` notes every word it is asked about.  The window
+    stops at the k-th word-valid candidate, so "tail", ranked after every
+    answer's words, is never tested.
     """
     counting = _CountingWordTest()
     task = TaskSpec(name="t", constraints=(counting, _NoWordTest(), WordCountRange(1, 4)),
                     lm_params=LMParams(k=2), require_period=True)
-    lm = random_table(random.Random(5), depth=5)
+    lm = random_table(random.Random(5), depth=5)  # three words in every answer that has any
+    answer = lm.predict
     validated, inherited = Counter(), []
+
+    def predict_with_tail(sentence, params, k=None):
+        raw = answer(sentence, params, k)
+        return raw + [WordCandidate("tail", -9.0)] if raw else raw
 
     def word_valid_counted(word, constraints):
         validated[word] += 1
         return word_valid(word, constraints)
 
+    monkeypatch.setattr(lm, "predict", predict_with_tail)
     monkeypatch.setattr(cst, "word_valid", word_valid_counted)
     monkeypatch.setattr(Constraint, "admits_word", lambda self, word: inherited.append(word) or True)
     if search == "solve_all":
@@ -193,6 +211,7 @@ def test_searches_run_the_word_tests_once_per_candidate(search, monkeypatch):
     else:
         assert beam_search(task, lm, k=2)[0]
     assert sum(validated.values()) > 0
+    assert "tail" not in validated
     assert counting.calls == validated
     assert inherited == []
 
@@ -496,7 +515,7 @@ class TestFilterSoundness:
             def check_node(words, depth):
                 raw = lm.predict(render_prefix(words), params, k=3)
                 domain = Domain([c for c in only_words(raw)])
-                kept = {c.text for c in filter_domain(summarize(words, task), domain).values}
+                kept = {c.text for c in summarize(words, task).window(domain.values, len(domain))}
                 for cand in domain.values:
                     if cand.text in kept:
                         continue

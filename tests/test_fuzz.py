@@ -60,7 +60,6 @@ from gencp import (
     brute_force_oracle,
     check_complete,
     expand_beams,
-    filter_domain,
     order_candidates,
     parse_ordering,
     perplexity,
@@ -596,7 +595,7 @@ def test_model_summaries_match_the_specification(case):
             if move == "push" and len(model.words) == len(model.domains):
                 words = (target + list(VOCAB))[i:i + width]
                 cands = Domain([WordCandidate(w, -1.0) for w in dict.fromkeys(words)])
-                domain = filter_domain(model.summary, cands)
+                domain = Domain(model.summary.window(cands.values, len(cands)))
                 if not model.summary.failed:
                     kept = [c.text for c in cands.values
                             if _words_pass(model.words + [c.text], constraints, reserve)]
@@ -731,11 +730,22 @@ def _reference_window(raw, constraints, k):
     return [c for c in words if word_valid(c.text, constraints)][:k]
 
 
+def _reference_filter_domain(summary, domain):
+    """Drop the candidates that cannot follow the prefix that ``summary`` describes.
+
+    A survivor is valid on its own (``word_valid``) and admitted at the next
+    position by every constraint, one character kept for the final period
+    when the summary's task requires one.  Survivor order is preserved, and
+    the returned domain is unassigned.
+    """
+    return Domain([cand for cand in domain.values if summary.admits(cand.text)])
+
+
 def _reference_node_domain(words, summary, raw, task, ordering):
     """``node_domain`` as first written: the window, ordered, then filtered."""
     window = _reference_window(raw, task.constraints, task.lm_params.k)
     ordered = Domain(order_candidates(window, ordering, len(words) + 1))
-    return filter_domain(summary, ordered)
+    return _reference_filter_domain(summary, ordered)
 
 
 def _reference_extensions(beam, task, k):

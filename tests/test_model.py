@@ -360,11 +360,12 @@ class TestContainsEmptyVariable:
         assert model.domains[-1].values
 
     def test_fully_filtered_domain(self):
-        from gencp import ForbiddenChars, filter_domain
+        from gencp import ForbiddenChars
 
         task = TaskSpec(name="t", constraints=(ForbiddenChars("e"),), require_period=False)
         model = _assigned_model(["A"])
-        domain = filter_domain(summarize(["A"], task), Domain(_cands(("the", -0.3), ("he", -0.9))))
+        cands = _cands(("the", -0.3), ("he", -0.9))
+        domain = Domain(summarize(["A"], task).window(cands, len(cands)))
         assert model.add_variable(domain) is domain
         assert (model.domains[-1].values, model.domains[-1].cursor) == ([], None)
 

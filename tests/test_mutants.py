@@ -6,6 +6,7 @@ suite checks only, and statically, that each entry still applies.
 """
 
 import ast
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -24,23 +25,48 @@ def test_original_line_occurs_exactly_once(entry):
     assert mutate.occurrences(entry) == 1
 
 
-def _defines(test_id):
-    """Whether the file of a pytest node id defines its class and function, any ``[param]`` stripped."""
+@functools.lru_cache(maxsize=None)
+def _module(path):
+    return ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+
+
+def _function(test_id):
+    """The ``ast.FunctionDef`` of a pytest node id, any ``[param]`` stripped; None when its file lacks it."""
     path, *names = test_id.split("::")
     names[-1] = names[-1].split("[")[0]
-    file = ROOT / path
-    if not file.is_file():
-        return False
-    scope = ast.parse(file.read_text(encoding="utf-8")).body
+    if not (ROOT / path).is_file():
+        return None
+    node, scope = None, _module(path)
     for name in names:
-        found = [node.body for node in scope
+        found = [node for node in scope
                  if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name]
         if not found:
-            return False
-        scope = found[0]
-    return True
+            return None
+        node = found[0]
+        scope = node.body
+    return node
+
+
+def _draws(test_id):
+    """Whether the test takes its inputs from hypothesis's ``@given``; False when it does not exist."""
+    function = _function(test_id)
+    for decorator in function.decorator_list if function is not None else ():
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "given":
+            return True
+    return False
 
 
 def test_every_named_test_exists():
     named = sorted({test for entry in ENTRIES for test in entry["tests"]})
-    assert [test for test in named if not _defines(test)] == []
+    assert [test for test in named if _function(test) is None] == []
+
+
+def test_every_mutant_is_killed_without_draws():
+    """Each entry names a test that is not ``@given``.
+
+    A ``@given`` test's draws change with its body (the suite derandomizes
+    them from it), so a kill that rests on ``@given`` tests alone can be lost
+    to an edit of one; a plain test keeps the kill.
+    """
+    assert [entry["what"] for entry in ENTRIES if all(map(_draws, entry["tests"]))] == []

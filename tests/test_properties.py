@@ -4,14 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gencp import (
-    Domain,
     ForbiddenChars,
     LMParams,
     MaxWordLen,
     TableLM,
     TaskSpec,
     WordCandidate,
-    filter_domain,
     perplexity,
     sequence_logprob,
     summarize,
@@ -51,15 +49,15 @@ def test_filter_domain_contracts_and_is_idempotent(pairs, banned, limit):
         constraints=(ForbiddenChars(banned), MaxWordLen(limit)),
         require_period=False,
     )
-    domain = Domain([WordCandidate(t, lp) for t, lp in pairs])
+    cands = [WordCandidate(t, lp) for t, lp in pairs]
     summary = summarize(["go"], task)
-    once = filter_domain(summary, domain)
-    twice = filter_domain(summary, once)
-    texts = [c.text for c in domain.values]
-    once_texts = [c.text for c in once.values]
+    once = summary.window(cands, len(cands))
+    twice = summary.window(once, len(once))
+    texts = [c.text for c in cands]
+    once_texts = [c.text for c in once]
     assert [t for t in texts if t in set(once_texts)] == once_texts  # order preserved
     assert set(once_texts) <= set(texts)
-    assert [c.text for c in twice.values] == once_texts
+    assert [c.text for c in twice] == once_texts
 
 
 @given(

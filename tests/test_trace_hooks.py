@@ -26,9 +26,12 @@ def test_only_the_moved_scoring_hooks_are_unresolved():
     # other four, so they are gone; their metrics read -1 until the tracer
     # drops them.  The searches ask ``PrefixSummary.can_extend`` of the
     # summaries they keep, so the module-level ``can_extend`` went too; its
-    # metric already read 0 calls.
+    # metric already read 0 calls.  The solver and beam search take a node's
+    # words from ``PrefixSummary.window``, which tests each candidate against
+    # the prefix as it walks the answer, so ``filter_domain`` is gone and its
+    # metrics read -1.
     assert unresolved == {
-        "gencp.constraints.can_extend",
+        "gencp.constraints.can_extend", "gencp.constraints.filter_domain",
         "gencp.solver.predicts_period", "gencp.solver.perplexity",
         "gencp.beam.predicts_period", "gencp.beam.perplexity", "gencp.harness.predicts_period",
         "gencp.model.SolverModel.save_state", "gencp.model.SolverModel.assigned_words",
