@@ -12,7 +12,7 @@ built by ``summarize`` for one task, whose period reserve it holds, and
 extended by one word at a time; ``window``, the node step the solver and
 beam search share, ``can_extend`` and the solution predicate read it.
 ``check_complete``, the plain specification the pruning is fuzz-tested
-against, asks each type's ``holds``, shapes before scans.
+against, asks each type's ``holds``, the O(1) clauses before the scans.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .lm import LMParams
@@ -39,8 +39,8 @@ class Constraint:
     ``keywords`` are the casefolded words whose last positions the summary
     records, and the caps and ``required_words`` feed ``can_extend``'s
     lookahead.  ``holds``, the type's clause of ``check_complete``, reads
-    none of these; ``scans`` marks a clause that reads every word, casefolded
-    in ``folded``, and ``schema`` is the task-file type and its field kinds.
+    none of these; ``scans`` marks a clause that reads every word, and
+    ``schema`` is the task-file type and its field kinds.
     """
 
     scans = False
@@ -68,6 +68,7 @@ class CharCountExact(Constraint):
 
     n: int
     schema = ("char_count_exact", {"n": "int"})
+    scans = True  # the rendered length reads every word
 
     def __post_init__(self):
         if self.n <= 0:
@@ -126,7 +127,7 @@ class MaxWordLen(Constraint):
     def admits_word(self, word):
         return len(word) <= self.limit
 
-    def holds(self, words, content, folded):
+    def holds(self, words, content):
         return max(map(len, content)) <= self.limit
 
 
@@ -173,8 +174,8 @@ class MandatoryKeywords(Constraint):
     def admits_end(self, prefix, reserve):
         return self.keywords <= prefix.seen.keys()
 
-    def holds(self, words, content, folded):
-        return set(map(str.casefold, self.words)).issubset(folded)
+    def holds(self, words, content):
+        return set(map(str.casefold, self.words)).issubset(map(str.casefold, content))
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,9 @@ class KeywordSeparation(Constraint):
         last = max(seen.get(w, 0) for w in self.keywords)
         return not last or prefix.count - last >= self.min_gap
 
-    def holds(self, words, content, folded):
+    def holds(self, words, content):
         lowered = set(map(str.casefold, self.words))
-        hits = [j for j, w in enumerate(folded) if w in lowered]
+        hits = [j for j, w in enumerate(map(str.casefold, content)) if w in lowered]
         return all(b - a - 1 >= self.min_gap for a, b in zip(hits, hits[1:]))
 
 
@@ -224,7 +225,7 @@ class ForbiddenChars(Constraint):
     def admits_word(self, word):
         return self.chars.isdisjoint(word)
 
-    def holds(self, words, content, folded):
+    def holds(self, words, content):
         return self.chars.isdisjoint("".join(content))
 
 
@@ -289,7 +290,10 @@ def parse_ordering(name):
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One full problem instance: constraints, seed words, and LM settings."""
+    """One full problem instance: constraints, seed words, and LM settings.
+
+    ``clauses`` are the constraints in the order ``check_complete`` asks them, the scans last.
+    """
 
     name: str
     constraints: tuple
@@ -298,14 +302,18 @@ class TaskSpec:
     require_period: bool = True
     ordering: str = "probability"
     backtrack_to: int | None = None
+    clauses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "clauses", tuple(sorted(self.constraints, key=lambda c: c.scans)))
         object.__setattr__(self, "seed", tuple(self.seed))
         for c in self.constraints:  # a hook takes part only when the type overrides it (see _Rules)
             if getattr(c, "__dict__", {}).keys() & _HOOKS:
                 raise TypeError(f"{type(c).__name__} sets a hook on an instance; override it on the class")
         for word in self.seed:
+            if word == ".":  # the period ends a sentence; "a." and "U.S." are words
+                raise ValueError("seed word '.' is the final period, not a word")
             if has_whitespace(word):
                 raise ValueError(f"seed word {word!r} contains whitespace")
             if not word_valid(word, self.constraints):
@@ -513,8 +521,9 @@ def check_complete(words, task):
     """Whether a finished word sequence satisfies every constraint of the task.
 
     ``words`` includes the trailing "." when the task requires one.  Each
-    constraint's ``holds`` decides its clause, the counts and positions before
-    the scans of every word, so a wrong shape costs the same in any order.
+    constraint's ``holds`` decides its clause, the O(1) ones (counts,
+    positions) before those that read every word (the rendered length among
+    them), so a wrong shape costs the same in any order of the constraints.
     """
     words = list(words)
     if not words:
@@ -524,12 +533,8 @@ def check_complete(words, task):
     content = words[:-1] if words[-1] == "." else words
     if not content:
         return False
-    for c in task.constraints:  # the shape tests
-        if not c.scans and not c.holds(words, content):
-            return False
-    folded = list(map(str.casefold, content))
-    for c in task.constraints:  # the scans of every word
-        if c.scans and not c.holds(words, content, folded):
+    for c in task.clauses:
+        if not c.holds(words, content):
             return False
     return True
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import constraints as cst
 from .beam import HaltingMode, beam_search, satisfaction_rate
 from .lm import TransportError, load_backend, perplexity, ranked_period
-from .model import render_prefix, render_sentence, variability
+from .model import render_prefix, variability
 from .solver import SearchAborted, SolveOptions, check_time_budget, run_search
 
 log = logging.getLogger(__name__)
@@ -78,24 +78,27 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     """Every reachable solution sentence, by direct enumeration.
 
     Depth-first walk over the top-k valid words per prefix, deliberately
-    sharing no machinery with the solver: plain recursion, no SolverModel, no
-    domain filtering.  A branch stops at the first prefix that satisfies the
-    solution predicate, since nothing past a finished sentence is reachable
-    by a search that backtracks on success.  One backend answer per prefix
-    serves its period check and its children.  Raises OracleLimitError past
-    ``node_limit`` visited prefixes or ``time_budget`` seconds.
+    sharing no machinery with the solver: an explicit stack, no SolverModel,
+    no domain filtering.  A child's rendering is its parent's plus one word,
+    so a node costs the same at any depth.  A branch stops at the first
+    prefix that satisfies the solution predicate, since nothing past a
+    finished sentence is reachable by a search that backtracks on success.
+    One backend answer per prefix serves its period check and its children.
+    Raises OracleLimitError past ``node_limit`` visited prefixes or
+    ``time_budget`` seconds.
     """
     if depth_cap < len(task.seed) + 1:
         raise ValueError("depth_cap must exceed the seed length")
     check_time_budget(time_budget)
     params = task.lm_params
     constraints = task.constraints
-    visited = 0
+    period = ["."] if task.require_period else []
     found = set()
     started = time.perf_counter()
 
-    def finished(words):  # the words finish a sentence, the period check aside
-        return bool(words) and cst.check_complete(words + ["."] if task.require_period else words, task)
+    def entry(words, prompt):
+        """A stack entry: ``words``, rendered as ``prompt``, and whether they finish a sentence."""
+        return words, prompt, bool(words) and cst.check_complete(words + period, task)
 
     def asks(words, whole):
         """Whether the walk asks about ``words``, which ``whole`` says finish a sentence."""
@@ -103,44 +106,40 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
             return whole or len(words) < depth_cap
         return not whole and len(words) < depth_cap
 
-    def children(words, whole, raw):
-        """The prefixes the walk visits below ``words``, from its answer ``raw``; None at a solution."""
+    def children(words, prompt, whole, raw):
+        """The entries the walk visits below ``words``, from its answer ``raw``; None at a solution."""
         if whole and (not task.require_period or ranked_period(raw, params.k) is not None):
             return None
         if len(words) >= depth_cap:
             return []
-        valid = [c for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
-        return [words + [c.text] for c in valid[: params.k]]
+        valid = [c.text for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
+        return [entry(words + [word], f"{prompt} {word}" if words else word) for word in valid[: params.k]]
 
-    def hints(words, whole, raw):
+    def hints(words, prompt, whole, raw):
         """Hints for the children of ``words`` that the walk asks about, each expanding likewise."""
-        for child in children(words, whole, raw) or ():
-            known = finished(child)
-            if asks(child, known):
-                yield render_sentence(child), functools.partial(hints, child, known)
+        for child in children(words, prompt, whole, raw) or ():
+            if asks(child[0], child[2]):
+                yield child[1], functools.partial(hints, *child)
 
-    def walk(words):
-        nonlocal visited
-        visited += 1
-        if visited > node_limit:
-            raise OracleLimitError(f"enumeration exceeded {node_limit} nodes")
-        if time_budget is not None and time.perf_counter() - started > time_budget:
-            raise OracleLimitError(f"enumeration exceeded its {time_budget} s time budget")
-        whole = finished(words)
-        raw = lm.predict(render_prefix(words), params) if asks(words, whole) else None
-        below = children(words, whole, raw)
-        if below is None:
-            found.add(render_sentence(words + ["."] if task.require_period else words))
-            return
-        for child in below:
-            walk(child)
-
-    seed = list(task.seed)
-    whole = finished(seed)
+    seed = entry(list(task.seed), render_prefix(task.seed))
+    stack = [seed]
+    visited = 0
     try:
-        if asks(seed, whole):  # its hint, expansions followed, names every prompt of the walk
-            lm.prefetch([(render_prefix(seed), functools.partial(hints, seed, whole))], params)
-        walk(seed)
+        if asks(seed[0], seed[2]):  # its hint, expansions followed, names every prompt of the walk
+            lm.prefetch([(seed[1], functools.partial(hints, *seed))], params)
+        while stack:
+            words, prompt, whole = stack.pop()
+            visited += 1
+            if visited > node_limit:
+                raise OracleLimitError(f"enumeration exceeded {node_limit} nodes")
+            if time_budget is not None and time.perf_counter() - started > time_budget:
+                raise OracleLimitError(f"enumeration exceeded its {time_budget} s time budget")
+            raw = lm.predict(prompt, params) if asks(words, whole) else None
+            below = children(words, prompt, whole, raw)
+            if below is None:
+                found.add(prompt + "." if task.require_period else prompt)
+            else:
+                stack.extend(reversed(below))  # popped in rank order, as a recursion visits them
     finally:
         lm.cancel_prefetch()
     return found

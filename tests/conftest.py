@@ -85,6 +85,16 @@ VOCAB = [
 ]
 
 
+def long_chain(n):
+    """``n`` distinct words and a prefix table that offers only them, in order, then ".".
+
+    The words spell their index in letters ("wa", "wb", ..., "wba"), so
+    they pass ``only_words``.
+    """
+    words = ["w" + "".join("abcdefghij"[int(d)] for d in str(i)) for i in range(n)]
+    return words, {" ".join(words[:p]): [(word, 0.5)] for p, word in enumerate(words + ["."])}
+
+
 def random_table(rng, seed_words=(), depth=6, branching=3, period_prob=0.5,
                  chain_after=None, vocab=VOCAB):
     """Random prefix-tree backend grown from a seed prefix.

@@ -5,6 +5,8 @@ import pytest
 from gencp import NGramLM, parse_report
 from gencp.cli import main
 
+from conftest import long_chain
+
 
 class TestSolveCommand:
     def test_demo_run_prints_sentences(self, fixtures_dir, capsys):
@@ -145,6 +147,20 @@ class TestOracleCommand:
         ])
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["My cat."]
+
+    def test_sentence_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        words, table = long_chain(1200)
+        tbl = tmp_path / "chain.tbl"
+        tbl.write_text("".join(f"{prefix}\t{word}\t{p}\n" for prefix, entries in table.items()
+                               for word, p in entries), encoding="utf-8")
+        task = tmp_path / "chain.json"
+        task.write_text(json.dumps({"constraints": [{"type": "word_count_range", "lo": 1200, "hi": 1200}],
+                                    "k": 1}), encoding="utf-8")
+        code = main(["oracle", "--task", str(task), "--lm", f"table:{tbl}", "--max-variables", "1300"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.splitlines() == [" ".join(words) + "."]
+        assert "Traceback" not in captured.err
 
     def test_time_budget_is_backend_failure(self, fixtures_dir, stub_server, capsys):
         server = stub_server({"": [("My", 0.6), ("We", 0.4)], "My": [("cat", 0.5)],
@@ -311,6 +327,21 @@ def test_seed_word_with_whitespace_exits_1(fixtures_dir, tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: seed word 'My dog' contains whitespace\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["solve", "--all"], ["beam"], ["oracle"]], ids=lambda c: c[0])
+def test_the_period_as_seed_word_exits_1(tmp_path, capsys, command):
+    """A seed "." would count as a word and finish the sentence: solve printed ".", oracle ". x"."""
+    table = tmp_path / "dot.tbl"
+    table.write_text(".\tx\t0.5\n. x\t.\t0.5\n", encoding="utf-8")
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"constraints": [{"type": "word_count_range", "lo": 1, "hi": 4}],
+                                "require_period": False, "k": 2}), encoding="utf-8")
+    code = main(command + ["--task", str(task), "--lm", f"table:{table}", "--seed-words", "."])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: seed word '.' is the final period, not a word\n"
     assert captured.out == ""
 
 

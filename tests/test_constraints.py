@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import random
 import sys
@@ -311,6 +312,19 @@ class TestCheckComplete:
         assert check_complete(["soft", "x", "y", "z", "math"], task) is True
         assert check_complete(["Soft", "x", "MATH"], task) is False
 
+    def test_a_wrong_word_count_renders_nothing_in_any_order(self, monkeypatch):
+        """The O(1) clauses run first: a sentence of the wrong word count is never rendered."""
+        rendered = []
+        monkeypatch.setattr(cst, "render_sentence", lambda words: rendered.append(words) or "")
+        constraints = (CharCountExact(20), WordCountRange(5, 5), MandatoryKeywords({"soft"}),
+                       PositionLexical(1, "The"))
+        for order in itertools.permutations(constraints):
+            task = _task(*order)
+            assert check_complete(["The", "soft", "cat", "."], task) is False
+        assert rendered == []
+        assert check_complete(["The", "soft", "cat", "sat", "down", "."], _task(*constraints)) is False
+        assert len(rendered) == 1
+
     def test_word_length_is_checked_on_every_word(self):
         task = _task(MaxWordLen(3), require_period=False)
         assert check_complete(["ab", "abcd"], task) is False
@@ -330,7 +344,8 @@ _PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen", "keywords", "required_words
 @pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
 def test_each_type_carries_its_clause_and_schema(cls):
     assert {"holds", "schema"} <= vars(cls).keys()
-    assert cls.scans == (cls in (MaxWordLen, ForbiddenChars, MandatoryKeywords, KeywordSeparation))
+    assert cls.scans == (cls in (CharCountExact, MaxWordLen, ForbiddenChars, MandatoryKeywords,
+                                 KeywordSeparation))
 
 
 def test_the_task_file_types_are_the_classes_schemas():
@@ -391,6 +406,13 @@ class TestTaskSpec:
     def test_seed_must_be_valid(self):
         with pytest.raises(ValueError, match="seed word"):
             TaskSpec(name="bad", constraints=(ForbiddenChars("e"),), seed=("The",))
+
+    def test_the_period_is_no_seed_word(self):
+        """A seed "." would make the period a content word; words with a dot in them stay valid."""
+        with pytest.raises(ValueError, match="seed word '.' is the final period"):
+            TaskSpec(name="bad", constraints=(WordCountRange(1, 4),), seed=(".",), require_period=False)
+        for seed in (("a.",), ("U.S.", "go"), ("a", "b.")):
+            assert TaskSpec(name="ok", constraints=(WordCountRange(1, 4),), seed=seed).seed == seed
 
     def test_ordering_must_be_known(self):
         with pytest.raises(ValueError, match="unknown ordering 'bogus'; expected probability"):

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+import textwrap
 import time
 
 import pytest
@@ -23,7 +26,7 @@ from gencp import (
 )
 from gencp.harness import REPORT_FIELDS, _sentence_words
 
-from conftest import FIG_TABLE, random_table
+from conftest import FIG_TABLE, long_chain, random_table
 
 
 def _task(*constraints, k=3):
@@ -68,6 +71,20 @@ class TestBruteForceOracle:
 
         with pytest.raises(OracleLimitError, match="time budget"):
             brute_force_oracle(fig_task, SlowTableLM(FIG_TABLE), depth_cap=8, time_budget=0.01)
+
+    def test_walks_a_sentence_longer_than_the_recursion_limit(self):
+        words, table = long_chain(1200)
+        task = TaskSpec(name="chain", constraints=(WordCountRange(1200, 1200),), lm_params=LMParams(k=1))
+        assert brute_force_oracle(task, TableLM(table), depth_cap=1300) == {" ".join(words) + "."}
+
+    def test_shares_no_machinery_with_the_searches(self):
+        """The oracle is the independent check: it reads no summary, window or solver state."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(brute_force_oracle)))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert names & {"SolverModel", "PrefixSummary", "summarize", "_Rules", "window", "node_domain",
+                        "run_search", "completes", "can_extend", "admits"} == set()
+        assert {"only_words", "word_valid", "check_complete"} <= names
 
     def test_respects_seed(self):
         lm = TableLM({

@@ -3,6 +3,8 @@ import random
 import pytest
 
 import gencp.constraints
+import gencp.harness
+import gencp.model
 from gencp import (
     CharCountExact,
     ForbiddenChars,
@@ -551,3 +553,29 @@ def test_searches_score_solutions_without_the_backend(monkeypatch):
     assert len(solved) == 4 and len(jumped) == 2 and 1 <= len(beamed) <= 3
     for record in solved + jumped + beamed:
         assert record.ppl == perplexity(lm, list(record.words), task.lm_params)
+
+
+def test_the_oracle_asks_the_solvers_prompts_in_the_same_order():
+    """The oracle's explicit stack visits children in rank order, as the solver tries them."""
+    lm, task = _deep_chains()
+    solver, oracle = PromptLog(lm), PromptLog(lm)
+    solved = solve_all(task, solver, SolveOptions(max_variables=48))
+    found = brute_force_oracle(task, oracle, depth_cap=48)
+    assert {s.sentence for s in solved} == found and len(found) == 4
+    assert oracle.prompts == solver.prompts
+    assert len(set(oracle.prompts)) == len(oracle.prompts) > 4 * 37
+
+
+def test_the_oracle_renders_only_the_seed(monkeypatch):
+    """Per-node work stays flat in the depth: each prompt is its parent's plus one word."""
+    lm, task = _deep_chains()
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+
+    counted(gencp.harness, "render_prefix")
+    counted(gencp.model, "render_sentence")  # what render_prefix renders with
+    assert len(brute_force_oracle(task, lm, depth_cap=48)) == 4
+    assert sorted(calls) == ["render_prefix", "render_sentence"]
