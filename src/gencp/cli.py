@@ -201,8 +201,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SearchAborted as exc:
-        for rec in exc.solutions:
-            print(f"{rec.sentence}\tppl={rec.ppl:.4f}")
+        _print_records(exc.solutions)
         print(f"backend failure: {exc} (partial results above)", file=sys.stderr)
         return 2
     except (TransportError, OracleLimitError) as exc:

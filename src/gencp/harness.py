@@ -75,7 +75,12 @@ class OracleLimitError(RuntimeError):
 
 
 def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
-    """Every reachable solution sentence, by direct enumeration.
+    """Every reachable solution, by direct enumeration: a dict from each sentence to its words.
+
+    The words are the tuple the walk assigned, the final "." included when
+    the task requires one; nothing parses them back out of a sentence.
+    Iterating, sorting, counting or testing ``in`` on the dict reads the
+    sentences.
 
     Depth-first walk over the top-k valid words per prefix, deliberately
     sharing no machinery with the solver: an explicit stack, no SolverModel,
@@ -93,7 +98,7 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     params = task.lm_params
     constraints = task.constraints
     period = ["."] if task.require_period else []
-    found = set()
+    found = {}
     started = time.perf_counter()
 
     def entry(words, prompt):
@@ -137,26 +142,12 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
             raw = lm.predict(prompt, params) if asks(words, whole) else None
             below = children(words, prompt, whole, raw)
             if below is None:
-                found.add(prompt + "." if task.require_period else prompt)
+                found[prompt + "." if task.require_period else prompt] = tuple(words + period)
             else:
                 stack.extend(reversed(below))  # popped in rank order, as a recursion visits them
     finally:
         lm.cancel_prefetch()
     return found
-
-
-def _sentence_words(sentence):
-    parts = sentence.split(" ")
-    if parts and parts[-1].endswith(".") and parts[-1] != ".":
-        parts = parts[:-1] + [parts[-1][:-1], "."]
-    return parts
-
-
-def _content_words(words):
-    words = list(words)
-    if words and words[-1] == ".":
-        return words[:-1]
-    return words
 
 
 def _max_variability(word_lists):
@@ -212,13 +203,11 @@ def _run_method(method, task, lm, k, config, bs_reference):
             ppls = [r.ppl for r in records]
             extra.update(sat_pct=satisfaction_rate(records, bad), n_bad_outputs=len(bad))
         elif method == "oracle":
-            sentences = sorted(brute_force_oracle(
-                task, lm, depth_cap=opts.max_variables, time_budget=opts.time_budget
-            ))
+            found = brute_force_oracle(task, lm, depth_cap=opts.max_variables, time_budget=opts.time_budget)
             seconds = time.perf_counter() - started
-            word_lists = [_sentence_words(s) for s in sentences]
+            word_lists = [found[sentence] for sentence in sorted(found)]
             ppls = [perplexity(lm, words, task.lm_params) for words in word_lists]
-            extra.update(sat_pct=100.0 if sentences else None)
+            extra.update(sat_pct=100.0 if found else None)
         else:
             raise ValueError(f"unknown method {method!r}")
         return ReportRow(
@@ -228,7 +217,7 @@ def _run_method(method, task, lm, k, config, bs_reference):
             seconds=seconds,
             n_solutions=len(word_lists),
             mean_ppl=statistics.fmean(ppls) if ppls else None,
-            max_variability=_max_variability([_content_words(w) for w in word_lists]),
+            max_variability=_max_variability([w[:-1] if task.require_period else w for w in word_lists]),
             **extra,
         )
     except (TransportError, SearchAborted, OracleLimitError) as exc:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .model import WordCandidate, render_prefix
 
 PROB_FLOOR = 1e-10  # conditional probability charged for words a backend never offered
+MAX_NGRAM_ORDER = 10  # training counts each context length up to the order at every token
 
 
 class TransportError(RuntimeError):
@@ -333,10 +334,10 @@ def train_ngram(corpus, order, smoothing=1.0):
     """Count-based training over whitespace/punctuation tokenized text.
 
     ``corpus`` is a string or a readable text stream.  Deterministic given
-    identical input.
+    identical input.  ``order`` is at most ``MAX_NGRAM_ORDER``.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= MAX_NGRAM_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_NGRAM_ORDER}, got {order}")
     smoothing = _smoothing(smoothing)
     text = corpus.read() if hasattr(corpus, "read") else corpus
     tokens = tokenize(text)

@@ -81,22 +81,24 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """A finished sentence: its words, rendering, perplexity, and discovery time.
+    """A finished sentence: its words, perplexity, and discovery time.
 
-    ``ppl`` is ``exp(-logprob / len(words))``, with the final "." among the
-    words.  The solver and beam search sum ``logprob`` from the candidates
-    they chose (see ``gencp.solver.make_record``), so it needs no call to
-    the backend beyond scoring the seed.
+    The words are the solution, the final "." among them when the task
+    requires one; ``sentence`` only renders them.  ``ppl`` is
+    ``exp(-logprob / len(words))``.  The solver and beam search sum
+    ``logprob`` from the candidates they chose (see
+    ``gencp.solver.make_record``), so it needs no call to the backend beyond
+    scoring the seed.
     """
 
     words: tuple
-    sentence: str
     ppl: float
     discovered_at: float
 
-    def __post_init__(self):
-        if self.sentence != render_sentence(self.words):
-            raise ValueError("sentence does not match the rendering of words")
+    @property
+    def sentence(self):
+        """The words rendered by ``render_sentence``."""
+        return render_sentence(self.words)
 
 
 class SolverModel:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import constraints as cst
 from .lm import TransportError, ranked_period, sequence_logprob
-from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_prefix, render_sentence
+from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_prefix
 
 
 class SearchAborted(RuntimeError):
@@ -114,10 +114,9 @@ def make_record(words, logprob, end, task, started):
     equals the backend's rescoring whenever the backend scores each word
     as its ranking did.
     """
-    final = list(words) + ["."] if task.require_period else list(words)
+    final = tuple(words) + (".",) if task.require_period else tuple(words)
     return SolutionRecord(
-        words=tuple(final),
-        sentence=render_sentence(final),
+        words=final,
         ppl=math.exp(-(logprob + end) / len(final)),
         discovered_at=time.perf_counter() - started,
     )

@@ -88,7 +88,7 @@ class TestExpandBeams:
         sols, bad = beam_search(task, lm)
         assert [s.sentence for s in sols] == ["a xy."]
         assert bad == ["b"]
-        assert brute_force_oracle(task, lm, depth_cap=3) == {"a xy."}
+        assert brute_force_oracle(task, lm, depth_cap=3).keys() == {"a xy."}
 
     def test_tie_break_on_rendered_text(self):
         lm = TableLM({"go": [("beta", 0.5), ("alfa", 0.5)]})
@@ -158,7 +158,7 @@ class TestBeamSearch:
         lm = TableLM.from_file(fixtures_dir / "bs_miss.tbl")
         task = _task(WordCountRange(2, 2), k=2)
         oracle = brute_force_oracle(task, lm, depth_cap=4)
-        assert oracle == {"My cat."}
+        assert oracle.keys() == {"My cat."}
         sols, bad = beam_search(task, lm, k=2)
         assert sols == []
         assert len(bad) >= 1
@@ -166,7 +166,7 @@ class TestBeamSearch:
     def test_larger_k_can_find_fewer(self, fixtures_dir):
         lm = TableLM.from_file(fixtures_dir / "bs_k_shift.tbl")
         base = _task(WordCountRange(2, 2), k=5)
-        assert brute_force_oracle(base, lm, depth_cap=4) == {"it was."}
+        assert brute_force_oracle(base, lm, depth_cap=4).keys() == {"it was."}
         sols5, _ = beam_search(base, lm, k=5)
         sols6, _ = beam_search(with_k(base, 6), lm, k=6)
         assert [s.sentence for s in sols5] == ["it was."]

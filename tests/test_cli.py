@@ -4,6 +4,7 @@ import pytest
 
 from gencp import NGramLM, parse_report
 from gencp.cli import main
+from gencp.lm import MAX_NGRAM_ORDER
 
 from conftest import long_chain
 
@@ -206,6 +207,19 @@ class TestTrainNgramCommand:
         assert len(err.splitlines()) == 1 and "smoothing" in err
         assert not out.exists()
 
+    def test_order_above_the_cap_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat .", encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = main([
+            "train-ngram", "--corpus", str(corpus), "--order", "1000000000", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: order must be between 1 and {MAX_NGRAM_ORDER}, got 1000000000\n"
+        )
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -284,6 +298,16 @@ class TestExitCodes:
         assert code == 1
         assert field in err
         assert "Traceback" not in err
+
+    def test_ngram_order_above_the_cap_exits_1(self, fixtures_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("My cat.\n", encoding="utf-8")
+        code = main(["solve", "--task", str(fixtures_dir / "two_words.json"),
+                     "--lm", f"ngram:{corpus},1000000000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: order must be between 1 and {MAX_NGRAM_ORDER}, got 1000000000\n"
+        )
 
     def test_non_integer_ngram_order_exits_1(self, fixtures_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"

@@ -183,10 +183,6 @@ BEACH = {"": [("beach", 0.5)], "beach": [(".", 0.5)]}
 STRASSE = {"": [("a", 0.5)], "a": [("Straße", 0.5)]}
 
 
-def _content_words(sentence, require_period):
-    return (sentence[:-1] if require_period else sentence).split(" ")
-
-
 @settings(max_examples=400)
 @given(instances())
 @example((BEACH, [MandatoryKeywords({"beach", "Beach"}), CharCountExact(6)], 1, True, ()))
@@ -199,12 +195,13 @@ def test_exhaustive_search_equals_oracle(instance):
         require_period=require_period,
     )
     oracle = brute_force_oracle(task, lm, depth_cap=MAX_DEPTH)
-    searched = [s.sentence for s in solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))]
-    assert sorted(searched) == sorted(oracle)
-    for sentence in oracle:
-        words = _content_words(sentence, require_period)
-        for i in range(len(words)):
-            assert summarize(words[:i], task).can_extend(), (sentence, words[:i])
+    searched = solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))
+    assert sorted(s.sentence for s in searched) == sorted(oracle)
+    assert {s.sentence: s.words for s in searched} == oracle
+    for sentence, words in oracle.items():
+        content = words[:-1] if require_period else words
+        for i in range(len(content)):
+            assert summarize(content[:i], task).can_extend(), (sentence, content[:i])
 
 
 def _fuzz_task(constraints, k, require_period, seed):
@@ -270,7 +267,7 @@ def test_keyword_is_charged_its_shortest_folding_spelling():
     assert fold_length("strasse") == 5
     assert fold_length("beach") == 5
     assert summarize(["a"], task).can_extend()
-    assert brute_force_oracle(task, lm, depth_cap=2) == {"a Straße"}
+    assert brute_force_oracle(task, lm, depth_cap=2) == {"a Straße": ("a", "Straße")}
     assert [s.sentence for s in solve_all(task, lm)] == ["a Straße"]
 
 
@@ -299,7 +296,7 @@ def test_keywords_fit_an_exact_count_in_any_case_spelling(words, data):
         lm_params=LMParams(k=1), require_period=bool(end),
     )
     lm = TableLM({render_prefix(spelled[:i]): [(w, 0.5)] for i, w in enumerate(spelled + end)})
-    assert brute_force_oracle(task, lm, depth_cap=len(words)) == {sentence}
+    assert brute_force_oracle(task, lm, depth_cap=len(words)) == {sentence: (*spelled, *end)}
     assert [s.sentence for s in solve_all(task, lm)] == [sentence]
 
 
@@ -317,7 +314,7 @@ def test_missing_keywords_are_counted_once(constraints):
     lm = TableLM(BEACH)
     assert summarize([], task).can_extend()
     assert [s.sentence for s in solve_all(task, lm)] == ["beach."]
-    assert brute_force_oracle(task, lm, depth_cap=2) == {"beach."}
+    assert brute_force_oracle(task, lm, depth_cap=2) == {"beach.": ("beach", ".")}
 
 
 def _one_pass_check_complete(words, task):

@@ -24,7 +24,7 @@ from gencp import (
     run_benchmark,
     solve_all,
 )
-from gencp.harness import REPORT_FIELDS, _sentence_words
+from gencp.harness import REPORT_FIELDS
 
 from conftest import FIG_TABLE, long_chain, random_table
 
@@ -40,12 +40,12 @@ class TestBruteForceOracle:
     def test_walkthrough_table(self, fig_task):
         lm = TableLM(FIG_TABLE)
         got = brute_force_oracle(fig_task, lm, depth_cap=8)
-        assert got == {"A man drinks milk."}
+        assert got == {"A man drinks milk.": ("A", "man", "drinks", "milk", ".")}
 
     def test_unsatisfiable_is_empty(self):
         lm = TableLM({"": [("see", 1.0)]})
         task = _task(ForbiddenChars("e"))
-        assert brute_force_oracle(task, lm, depth_cap=4) == set()
+        assert brute_force_oracle(task, lm, depth_cap=4).keys() == set()
 
     def test_matches_exhaustive_search_on_random_tables(self):
         rng = random.Random(20240902)
@@ -53,7 +53,7 @@ class TestBruteForceOracle:
         for _ in range(5):
             lm = random_table(rng, depth=5, branching=4, period_prob=0.5)
             oracle = brute_force_oracle(task, lm, depth_cap=5)
-            searched = {s.sentence for s in solve_all(task, lm, SolveOptions(max_variables=5))}
+            searched = {s.sentence: s.words for s in solve_all(task, lm, SolveOptions(max_variables=5))}
             assert oracle == searched
 
     def test_refuses_past_node_limit(self):
@@ -75,7 +75,8 @@ class TestBruteForceOracle:
     def test_walks_a_sentence_longer_than_the_recursion_limit(self):
         words, table = long_chain(1200)
         task = TaskSpec(name="chain", constraints=(WordCountRange(1200, 1200),), lm_params=LMParams(k=1))
-        assert brute_force_oracle(task, TableLM(table), depth_cap=1300) == {" ".join(words) + "."}
+        found = brute_force_oracle(task, TableLM(table), depth_cap=1300)
+        assert found == {" ".join(words) + ".": (*words, ".")}
 
     def test_shares_no_machinery_with_the_searches(self):
         """The oracle is the independent check: it reads no summary, window or solver state."""
@@ -94,15 +95,7 @@ class TestBruteForceOracle:
         })
         task = TaskSpec(name="seeded", constraints=(WordCountRange(2, 2),),
                         seed=("The",), lm_params=LMParams(k=2))
-        assert brute_force_oracle(task, lm, depth_cap=3) == {"The end."}
-
-
-class TestSentenceWords:
-    def test_detaches_trailing_period(self):
-        assert _sentence_words("A man drinks milk.") == ["A", "man", "drinks", "milk", "."]
-
-    def test_plain_sentence(self):
-        assert _sentence_words("A man") == ["A", "man"]
+        assert brute_force_oracle(task, lm, depth_cap=3).keys() == {"The end."}
 
 
 class TestRunBenchmark:
@@ -136,10 +129,25 @@ class TestRunBenchmark:
         assert by_method["gencp"].n_solutions == 1
 
     def test_oracle_method_row(self, fixtures_dir):
-        rows = run_benchmark(self._config(fixtures_dir, methods=("oracle",)))
-        assert rows[0].method == "oracle"
-        assert rows[0].n_solutions == 1
-        assert rows[0].sat_pct == 100.0
+        rows = run_benchmark(self._config(fixtures_dir, methods=("oracle", "gencp")))
+        by_method = {r.method: r for r in rows}
+        assert by_method["oracle"].n_solutions == 1
+        assert by_method["oracle"].sat_pct == 100.0
+        # the oracle's rescoring of its words, the final "." among them, equals the search's score
+        assert by_method["oracle"].mean_ppl == by_method["gencp"].mean_ppl
+
+    def test_oracle_row_scores_the_words_the_oracle_found(self, tmp_path):
+        # Without a final period "U.S." ends the sentence; splitting the
+        # rendering would score "a U.S ." instead, at perplexity 16 ** (1 / 3).
+        table = tmp_path / "us.tbl"
+        table.write_text("\ta\t0.5\na\tU.S.\t0.5\na\tU.S\t0.25\na U.S\t.\t0.5\n", encoding="utf-8")
+        task = TaskSpec("np", (WordCountRange(2, 2),), seed=("a", "U.S."), require_period=False)
+        config = RunConfig(tasks=(task,), lm_spec=f"table:{table}", k_values=(1,),
+                           methods=("gencp", "oracle"), options=SolveOptions(max_variables=4))
+        by_method = {r.method: r for r in run_benchmark(config)}
+        assert by_method["gencp"].mean_ppl == 2.0
+        assert by_method["oracle"].mean_ppl == by_method["gencp"].mean_ppl
+        assert by_method["oracle"].n_solutions == 1
 
     def test_oracle_method_honours_time_budget(self, fixtures_dir, stub_server):
         server = stub_server({"": [("My", 0.6), ("We", 0.4)], "My": [("cat", 0.5)],

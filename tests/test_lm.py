@@ -23,7 +23,7 @@ from gencp import (
     tokenize,
     train_ngram,
 )
-from gencp.lm import PROB_FLOOR, _as_candidate, _rank
+from gencp.lm import MAX_NGRAM_ORDER, PROB_FLOOR, _as_candidate, _rank
 
 PARAMS = LMParams(k=3)
 
@@ -319,7 +319,7 @@ class TestTrainNGram:
             reference = train_ngram(corpus, order=9, smoothing=smoothing)
             tracemalloc.start()
             try:
-                trained = train_ngram(corpus, order=10**5, smoothing=smoothing)
+                trained = train_ngram(corpus, order=MAX_NGRAM_ORDER, smoothing=smoothing)
                 loaded = NGramLM.from_dict({**reference.to_dict(), "order": 10**5})
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -328,6 +328,16 @@ class TestTrainNGram:
             for lm in (trained, loaded):
                 for context in contexts:
                     assert lm._distribution(context) == reference._distribution(context), context
+
+    @pytest.mark.parametrize("order", [0, MAX_NGRAM_ORDER + 1, 10**9])
+    def test_order_outside_the_cap_is_rejected(self, order):
+        # a few tokens, so that training at a huge order is quick where the cap is missing
+        message = f"^order must be between 1 and {MAX_NGRAM_ORDER}, got {order}$"
+        with pytest.raises(ValueError, match=message):
+            train_ngram("the cat sat .", order=order)
+
+    def test_order_at_the_cap_trains(self):
+        assert train_ngram("the cat sat .", order=MAX_NGRAM_ORDER).order == MAX_NGRAM_ORDER
 
     def test_save_load_roundtrip(self, tmp_path):
         lm = train_ngram("the cat sat on the mat .", order=2, smoothing=0.5)

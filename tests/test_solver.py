@@ -296,7 +296,7 @@ class TestInputBounds:
                 RunConfig(tasks=("demo-60",), lm_spec="table:x", k_values=(1,),
                           methods=("gencp",), options=SolveOptions(time_budget=budget))
         assert beam_search(task, lm, max_words=2) == ([], ["A"])
-        assert brute_force_oracle(task, lm, depth_cap=2) == set()
+        assert brute_force_oracle(task, lm, depth_cap=2).keys() == set()
 
 
 class TestBacktrackToVariability:
@@ -561,7 +561,7 @@ def test_the_oracle_asks_the_solvers_prompts_in_the_same_order():
     solver, oracle = PromptLog(lm), PromptLog(lm)
     solved = solve_all(task, solver, SolveOptions(max_variables=48))
     found = brute_force_oracle(task, oracle, depth_cap=48)
-    assert {s.sentence for s in solved} == found and len(found) == 4
+    assert {s.sentence: s.words for s in solved} == found and len(found) == 4
     assert oracle.prompts == solver.prompts
     assert len(set(oracle.prompts)) == len(oracle.prompts) > 4 * 37
 
