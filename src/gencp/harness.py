@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import itertools
 import json
-import logging
 import statistics
 import sys
 import time
@@ -20,8 +18,6 @@ from .beam import HaltingMode, beam_search, satisfaction_rate
 from .lm import TransportError, load_backend, perplexity, ranked_period
 from .model import render_prefix, variability
 from .solver import SearchAborted, SolveOptions, check_time_budget, run_search
-
-log = logging.getLogger(__name__)
 
 METHODS = ("bs-first", "bs-all", "oracle", "gencp")
 
@@ -223,7 +219,10 @@ def _run_method(method, task, lm, k, config, bs_reference):
     except (TransportError, SearchAborted, OracleLimitError) as exc:
         seconds = time.perf_counter() - started
         partial = getattr(exc, "solutions", [])
-        log.warning("%s on %s (k=%d) failed after %.2fs: %s", method, task.name, k, seconds, exc)
+        import logging  # here, not at module level: ``import gencp`` loads no logging
+
+        logging.getLogger(__name__).warning("%s on %s (k=%d) failed after %.2fs: %s",
+                                            method, task.name, k, seconds, exc)
         return ReportRow(method=method, task=task.name, k=k, seconds=seconds,
                          n_solutions=len(partial), **dict.fromkeys(_OPTIONAL_FIELDS))
 
@@ -241,6 +240,8 @@ def dumps_report(rows, fmt="csv"):
     if not rows:
         raise ValueError("no rows to emit")
     if fmt == "csv":
+        import csv  # here and in loads_report only: ``import gencp`` loads no csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_FIELDS)
@@ -282,6 +283,8 @@ def loads_report(text, fmt="csv"):
     """Parse report text back into ReportRow objects."""
     rows = []
     if fmt == "csv":
+        import csv
+
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header != list(REPORT_FIELDS):

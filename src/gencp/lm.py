@@ -141,13 +141,27 @@ def _rank(candidates):
     return sorted(candidates, key=lambda c: (-c.logprob, c.text))
 
 
-def _as_candidate(entry):
-    if isinstance(entry, WordCandidate):
-        return entry
-    word, prob = entry
+def _candidate(word, prob):
+    """The candidate for ``word`` at probability ``prob``, which must lie in (0, 1]."""
     if not 0.0 < prob <= 1.0:
         raise ValueError(f"probability for {word!r} must be in (0, 1], got {prob}")
     return WordCandidate(word, math.log(prob))
+
+
+def _as_candidate(entry):
+    return entry if isinstance(entry, WordCandidate) else _candidate(*entry)
+
+
+def _checked(prefix, candidates):
+    """The ``candidates`` offered after ``prefix`` in rank order, once no word repeats and they sum to at most 1."""
+    ranked = _rank(candidates)
+    if len({c.text for c in ranked}) != len(ranked):
+        word = next(text for text, n in Counter(c.text for c in ranked).items() if n > 1)
+        raise ValueError(f"duplicate word {word!r} under prefix {prefix!r}")
+    total = sum(math.exp(c.logprob) for c in ranked)
+    if total > 1.0 + 1e-9:
+        raise ValueError(f"probabilities under prefix {prefix!r} sum to {total:.6f} > 1")
+    return ranked
 
 
 class TableLM(LanguageModel):
@@ -160,25 +174,18 @@ class TableLM(LanguageModel):
     """
 
     def __init__(self, table):
-        self._table = {}
-        for prefix, entries in table.items():
-            ranked = _rank(_as_candidate(e) for e in entries)
-            if len({c.text for c in ranked}) != len(ranked):
-                word = next(text for text, n in Counter(c.text for c in ranked).items() if n > 1)
-                raise ValueError(f"duplicate word {word!r} under prefix {prefix!r}")
-            total = sum(math.exp(c.logprob) for c in ranked)
-            if total > 1.0 + 1e-9:
-                raise ValueError(
-                    f"probabilities under prefix {prefix!r} sum to {total:.6f} > 1"
-                )
-            self._table[prefix] = ranked
+        self._table = {prefix: _checked(prefix, map(_as_candidate, entries))
+                       for prefix, entries in table.items()}
 
     @classmethod
     def from_file(cls, path):
         """Load the tab-separated table format: ``prefix<TAB>word<TAB>prob``.
 
         The root prefix is written as an empty first field; blank lines are
-        ignored.
+        ignored.  One pass builds each line's candidate; the first bad line
+        raises, naming its number.  After the last line, only the prefixes
+        with several entries are ranked and checked for a repeated word and
+        a sum above 1, as a lone entry is ranked, unique and at most 1.
         """
         table = defaultdict(list)
         with open(path, encoding="utf-8") as fh:
@@ -194,11 +201,19 @@ class TableLM(LanguageModel):
                     prob = float(prob_text)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
-                table[prefix].append((word, prob))
-        try:
-            return cls(table)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+                try:
+                    table[prefix].append(_candidate(word, prob))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for prefix, candidates in table.items():
+            if len(candidates) > 1:
+                try:
+                    table[prefix] = _checked(prefix, candidates)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+        lm = cls.__new__(cls)  # every list is ranked and checked: __init__ would redo it
+        lm._table = dict(table)
+        return lm
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k

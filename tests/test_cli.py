@@ -35,6 +35,15 @@ class TestSolveCommand:
         # too, so "47 LM calls" undercounted the backend's work.
         assert capsys.readouterr().err == "4 solution(s), 4 backtracks, 47 domain fetches\n"
 
+    def test_a_bad_table_line_exits_1_naming_its_line(self, tmp_path, capsys):
+        table = tmp_path / "bad.tbl"
+        table.write_text("\ta\t1.5\njust one field\n", encoding="utf-8")
+        code = main(["solve", "--task", "demo-60", "--lm", f"table:{table}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {table}:1: probability for 'a' must be in (0, 1], got 1.5\n"
+        assert captured.out == ""
+
     def test_task_file(self, fixtures_dir, capsys):
         code = main([
             "solve", "--task", str(fixtures_dir / "two_words.json"),

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import logging
 import random
 import textwrap
 import time
@@ -156,6 +157,16 @@ class TestRunBenchmark:
                               options=SolveOptions(max_variables=6, time_budget=0.01))
         row = run_benchmark(config)[0]
         assert (row.method, row.n_solutions, row.sat_pct) == ("oracle", 0, None)
+
+    def test_a_failed_cell_is_logged_by_gencp_harness(self, fixtures_dir, stub_server, caplog):
+        server = stub_server({"": [("My", 0.6)], "My": [("cat", 0.5)]}, delay=0.05)
+        config = self._config(fixtures_dir, methods=("oracle",), lm_spec=f"remote:{server.url}",
+                              options=SolveOptions(max_variables=6, time_budget=0.01))
+        with caplog.at_level(logging.WARNING, logger="gencp.harness"):
+            run_benchmark(config)
+        [record] = [r for r in caplog.records if r.name == "gencp.harness"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage().startswith("oracle on two_words (k=2) failed after ")
 
     def test_rows_are_sorted_and_deterministic(self, fixtures_dir):
         config = self._config(fixtures_dir, k_values=(2, 3), methods=("bs-all", "gencp"))

@@ -1,10 +1,12 @@
 import io
 import math
+import random
+import re
 import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencp import (
@@ -29,6 +31,9 @@ PARAMS = LMParams(k=3)
 
 SCORING_PARAMS = LMParams(k=2, oversample=2)
 SCORING_VOCAB = ("a", "an", "the", "cat", "Cat", "sat", "on", "mat", "U.S.", "'s", "3rd", "-")
+
+TABLE_PREFIXES = ("", "a", "a cat", "the U.S.", "Cat 's")
+TABLE_VOCAB = ("a", "b", "cat", "Cat", "the", "U.S.", "'s", ".")
 
 FIG4_TABLE = {
     "": [("A", 1.0)],
@@ -120,6 +125,82 @@ class TestTableLM:
             TableLM.from_file(path)
         assert str(err.value) == f"{path}: duplicate word 'a' under prefix ''"
 
+    @pytest.mark.parametrize("text, message", [
+        # line 1 is read before line 2 is; the whole file was once parsed first
+        ("\ta\t1.5\njust one field\n", "1: probability for 'a' must be in (0, 1], got 1.5"),
+        ("\ta\t0.5\n\n\t\t0.2\n", "3: candidate text is empty"),
+        ("\ta b\t0.2\n\ta\t0.0\n", "1: candidate text contains whitespace: 'a b'"),
+    ], ids=["first-bad-line", "empty", "whitespace"])
+    def test_file_names_the_first_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.tbl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
+            TableLM.from_file(path)
+
+    @pytest.mark.parametrize("entries, message", [
+        ([("a", 0.7), ("b", 0.6)], "probabilities under prefix 'x y' sum to 1.300000 > 1"),
+        ([("a", 0.3), ("b", 0.1), ("a", 0.2)], "duplicate word 'a' under prefix 'x y'"),
+    ], ids=["sum", "duplicate"])
+    def test_file_and_dict_reject_a_prefix_alike(self, tmp_path, entries, message):
+        path = tmp_path / "bad.tbl"
+        path.write_text("\tx\t1.0\n" + "".join(f"x y\t{w}\t{p}\n" for w, p in entries),
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as from_dict:
+            TableLM({"": [("x", 1.0)], "x y": entries})
+        with pytest.raises(ValueError) as from_file:
+            TableLM.from_file(path)
+        assert str(from_dict.value) == message
+        assert str(from_file.value) == f"{path}: {message}"
+
+    def test_file_loads_as_the_dict_constructor_on_random_tables(self, tmp_path):
+        rng = random.Random(25)
+        path = tmp_path / "t.tbl"
+        for _ in range(200):
+            table = {}
+            for prefix in rng.sample(TABLE_PREFIXES, rng.randint(1, len(TABLE_PREFIXES))):
+                words = rng.sample(TABLE_VOCAB, rng.choice((1, 1, 2, 3, len(TABLE_VOCAB))))
+                weights = [rng.randint(1, 2) for _ in words]  # equal weights tie
+                table[prefix] = list(zip(words, weights))
+            entries = _probabilities(table)
+            lines = [f"{prefix}\t{word}\t{prob!r}" for prefix in entries for word, prob in entries[prefix]]
+            rng.shuffle(lines)
+            lines[rng.randrange(len(lines)):0] = [""] * rng.randint(0, 2)
+            assert _loads_alike(path, lines, entries)
+
+    @settings(derandomize=True)
+    @given(st.data())
+    def test_file_loads_as_the_dict_constructor(self, tmp_path_factory, data):
+        prefixes = data.draw(st.lists(st.sampled_from(TABLE_PREFIXES), min_size=1, unique=True))
+        table = {}
+        for prefix in prefixes:
+            words = data.draw(st.lists(st.sampled_from(TABLE_VOCAB), min_size=1, unique=True))
+            weights = data.draw(st.lists(st.integers(1, 3), min_size=len(words), max_size=len(words)))
+            table[prefix] = list(zip(words, weights))
+        entries = _probabilities(table)
+        lines = data.draw(st.permutations(
+            [f"{prefix}\t{word}\t{prob!r}" for prefix in entries for word, prob in entries[prefix]]
+            + [""] * data.draw(st.integers(0, 2))))
+        assert _loads_alike(tmp_path_factory.mktemp("tables") / "t.tbl", lines, entries)
+
+    def test_file_ranks_only_the_prefixes_with_several_entries(self, tmp_path, monkeypatch):
+        ranked = []
+
+        def counting(candidates):
+            candidates = list(candidates)
+            ranked.append(sorted(c.text for c in candidates))
+            return _rank(candidates)
+
+        monkeypatch.setattr("gencp.lm._rank", counting)
+        path = tmp_path / "t.tbl"
+        path.write_text("\ta\t1.0\na\tb\t0.5\na b\t.\t0.25\n", encoding="utf-8")
+        TableLM.from_file(path)
+        assert ranked == []
+        path.write_text("\ta\t0.5\n\tb\t0.5\na\tc\t1.0\nb\tc\t0.2\nb\td\t0.3\nb\te\t0.1\n",
+                        encoding="utf-8")
+        lm = TableLM.from_file(path)
+        assert sorted(ranked) == [["a", "b"], ["c", "d", "e"]]
+        assert [c.text for c in lm.predict("b", PARAMS)] == ["d", "c", "e"]
+
     def test_file_loads_in_linear_time(self, tmp_path):
         n = 20_000
         path = tmp_path / "wide.tbl"
@@ -164,6 +245,18 @@ class TestTableLM:
                 assert lm.conditional_logprob(words, word, SCORING_PARAMS) is None
         unknown = [w for w in SCORING_VOCAB if w not in table]
         assert all(lm.conditional_logprob([w], "a", SCORING_PARAMS) is None for w in unknown)
+
+
+def _probabilities(weighted):
+    """``weighted``'s entries, each weight turned into its share of 0.99 under its prefix."""
+    return {prefix: [(word, 0.99 * w / sum(w for _, w in entries)) for word, w in entries]
+            for prefix, entries in weighted.items()}
+
+
+def _loads_alike(path, lines, table):
+    """Whether ``lines``, written to ``path``, load to the lists ``TableLM(table)`` holds."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return TableLM.from_file(path)._table == TableLM(table)._table
 
 
 def _unreadable_hint():

@@ -405,6 +405,20 @@ class TestStandardLibraryOnly:
         with pytest.raises(AttributeError, match="no attribute 'NoSuchBackend'"):
             gencp.NoSuchBackend
 
+    def test_import_and_table_load_import_no_logging_or_csv(self, fixtures_dir):
+        # the harness imports them only to warn of a failed cell and to write or read a report
+        src = Path(gencp.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import gencp\n"
+            f"gencp.load_backend({'table:' + str(fixtures_dir / 'demo60.tbl')!r})\n"
+            "print(sorted({'logging', 'csv'} & set(sys.modules)))\n"
+        )
+        run = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_project_declares_no_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
