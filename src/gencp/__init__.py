@@ -56,10 +56,8 @@ from .lm import (
     train_ngram,
 )
 from .model import (
-    Domain,
     SearchStats,
     SolutionRecord,
-    SolverModel,
     WordCandidate,
     render_prefix,
     render_sentence,

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 import unicodedata
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from .lm import LMParams
 from .model import has_whitespace, render_sentence
@@ -622,8 +622,12 @@ def _parse_constraint(obj):
 
 
 def load_task_file(path):
-    """Parse a JSON task file into a TaskSpec; unknown keys and wrong types are rejected."""
-    path = Path(path)
+    """Parse a JSON task file into a TaskSpec; unknown keys and wrong types are rejected.
+
+    The task is named after the file, its last suffix dropped, exactly as
+    ``pathlib.PurePath.stem`` names it: "x." keeps its dot, and "..json" is
+    named ".".
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -640,8 +644,10 @@ def load_task_file(path):
         temperature=data.get("temperature", LMParams.temperature),
         oversample=data.get("oversample", LMParams.oversample),
     )
+    name = os.path.basename(path)
+    dot = name.rfind(".")
     return TaskSpec(
-        name=path.stem,
+        name=name[:dot] if 0 < dot < len(name) - 1 else name,
         constraints=constraints,
         seed=tuple(data.get("seed", ())),
         lm_params=params,

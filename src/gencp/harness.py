@@ -6,12 +6,11 @@ import functools
 import io
 import itertools
 import json
-import statistics
+import math
 import sys
 import time
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from . import constraints as cst
 from .beam import HaltingMode, beam_search, satisfaction_rate
@@ -79,8 +78,8 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     sentences.
 
     Depth-first walk over the top-k valid words per prefix, deliberately
-    sharing no machinery with the solver: an explicit stack, no SolverModel,
-    no domain filtering.  A child's rendering is its parent's plus one word,
+    sharing no machinery with the solver: its own explicit stack of
+    prefixes, no domains, no prefix summaries.  A child's rendering is its parent's plus one word,
     so a node costs the same at any depth.  A branch stops at the first
     prefix that satisfies the solution predicate, since nothing past a
     finished sentence is reachable by a search that backtracks on success.
@@ -212,7 +211,7 @@ def _run_method(method, task, lm, k, config, bs_reference):
             k=k,
             seconds=seconds,
             n_solutions=len(word_lists),
-            mean_ppl=statistics.fmean(ppls) if ppls else None,
+            mean_ppl=math.fsum(ppls) / len(ppls) if ppls else None,  # as statistics.fmean computes it
             max_variability=_max_variability([w[:-1] if task.require_period else w for w in word_lists]),
             **extra,
         )
@@ -303,4 +302,5 @@ def loads_report(text, fmt="csv"):
 
 def parse_report(path, fmt="csv"):
     """Read a report file written by emit_report."""
-    return loads_report(Path(path).read_text(encoding="utf-8"), fmt)
+    with open(path, encoding="utf-8") as fh:
+        return loads_report(fh.read(), fmt)

@@ -69,8 +69,10 @@ class LanguageModel:
         """Ranked next-word candidates for ``sentence`` (a rendered prefix).
 
         At most ``k * params.oversample`` candidates, sorted by descending
-        log-probability with lexicographic tie-break on text.  ``k`` defaults
-        to ``params.k``.  An unknown prefix yields an empty list.
+        log-probability with lexicographic tie-break on text; no word appears
+        twice in an answer, so the search takes a node's domain from it
+        unchecked.  ``k`` defaults to ``params.k``.  An unknown prefix yields
+        an empty list.
         """
         raise NotImplementedError
 

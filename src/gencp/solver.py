@@ -8,11 +8,19 @@ backend answer per node, with every variable assigned between steps:
   backtrack, or jump back to an optional target so that later solutions
   diverge early;
 - grow: otherwise, when the prefix can still lead to a solution below the
-  variable cap, create the next variable through ``generate_variable`` (of
-  the backend's first k valid words, the ones the constraints admit after
-  the prefix, ordered) and assign its first value;
+  variable cap, create the next variable, whose domain ``generate_variable``
+  makes (of the backend's first k valid words, the ones the constraints
+  admit after the prefix, ordered), and assign its first value;
 - backtrack: otherwise, move to the next untried value of the deepest
   variable that has one; stop when none is left.
+
+The loop walks one explicit stack, as the oracle does.  A frame holds the
+domain of one position after the seed and the cursor of its assigned value;
+the values before the cursor have been tried, and nothing narrows a domain
+once it is made, so the frames are the whole backtracking state.  Beside
+them the loop keeps the assigned words, the ``PrefixSummary`` of each
+prefix of them and the prompt that renders each prefix, a child's prompt
+being its parent's plus one word, so a node costs the same at any depth.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 from . import constraints as cst
 from .lm import TransportError, ranked_period, sequence_logprob
-from .model import Domain, SearchStats, SolutionRecord, SolverModel, render_prefix
+from .model import SearchStats, SolutionRecord
 
 
 class SearchAborted(RuntimeError):
@@ -72,22 +80,19 @@ class SolveOptions:
         check_time_budget(self.time_budget)
 
 
-def node_domain(summary, raw, task, ordering):
-    """The domain after the words that ``summary`` describes, from the backend's answer ``raw``.
+def generate_variable(summary, raw, task, ordering):
+    """The domain of the variable after the words that ``summary`` describes, from the backend's answer ``raw``.
 
     The node step that beam search shares, ``summary.window``: of the first
     k word-valid predictions, the ones the constraints admit after the
     prefix; then ordered.  The window keeps rank order, and ordering sorts
     on a total key, so ordering before or after the prefix tests gives the
-    same domain.
+    same domain.  No value repeats, as no backend answers a word twice (see
+    ``LanguageModel.predict``): ``TableLM`` checks each prefix's entries
+    (``_checked``), ``RemoteLM``'s ``_candidates`` keys its answer by word
+    and ``NGramLM`` ranks a dict over its vocabulary.
     """
-    return Domain(order_candidates(summary.window(raw, task.lm_params.k), ordering, summary.count + 1))
-
-
-def generate_variable(model, raw, task, ordering):
-    """Append and return the next sentence position's domain: the ``node_domain`` of the answer ``raw``."""
-    model.stats.lm_calls += 1
-    return model.add_variable(node_domain(model.summary, raw, task, ordering))
+    return order_candidates(summary.window(raw, task.lm_params.k), ordering, summary.count + 1)
 
 
 def completes(summary, raw, task):
@@ -134,8 +139,8 @@ def _asks(summary, grows, task):
     return grows and not summary.complete()
 
 
-def _hints(words, summary, task, ordering, max_variables):
-    """The prefetch hint of ``words``, whose summary is ``summary``, if the search asks about them.
+def _hints(prompt, summary, task, ordering, max_variables):
+    """The prefetch hint of ``prompt``, whose words' summary is ``summary``, if the search asks about it.
 
     Its expansion yields the hints of the children the search asks about, in
     visit order, so the root's hint names every prompt of a run that visits
@@ -143,17 +148,18 @@ def _hints(words, summary, task, ordering, max_variables):
     """
     grows = _grows(summary, max_variables)
     if _asks(summary, grows, task):
-        args = (words, summary, grows, task, ordering, max_variables)
-        yield render_prefix(words), functools.partial(_expansion, *args)
+        args = (prompt, summary, grows, task, ordering, max_variables)
+        yield prompt, functools.partial(_expansion, *args)
 
 
-def _expansion(words, summary, grows, task, ordering, max_variables, raw):
-    """The hints below ``words`` given the answer ``raw``; none at a leaf or a solution."""
+def _expansion(prompt, summary, grows, task, ordering, max_variables, raw):
+    """The hints below ``prompt``, given its answer ``raw``; none at a leaf or a solution."""
     if not grows or completes(summary, raw, task) is not None:
         return
-    for cand in node_domain(summary, raw, task, ordering).values:
-        child = summary.push(cand.text, admitted=True)
-        yield from _hints(words + [cand.text], child, task, ordering, max_variables)
+    for cand in generate_variable(summary, raw, task, ordering):
+        word = cand.text
+        child = prompt + " " + word if prompt else word  # as the search renders it
+        yield from _hints(child, summary.push(word, admitted=True), task, ordering, max_variables)
 
 
 @dataclass
@@ -183,49 +189,71 @@ def run_search(task, lm, options=None, exhaustive=False):
     # siblings, so only a search that visits them all announces them.
     enumerating = max_solutions is None and jump_to is None
 
-    model = SolverModel.from_seed(task.seed, cst.summarize((), task))
+    # Seed positions hold no frame: each has its one word, which no window
+    # admitted, so a seed word may break a constraint.
+    words, summaries, prompts = [], [cst.summarize((), task)], [""]
+    for word in task.seed:
+        summaries.append(summaries[-1].push(word, admitted=False))
+        prompts.append(prompts[-1] + " " + word if words else word)
+        words.append(word)
+    base = len(words)
+    frames = []  # [domain, cursor] of each position after the seed
+    stats = SearchStats()
     seed_logprob = None  # the seed's score, asked of the backend at the first solution
     solutions = []
     started = time.perf_counter()
 
     try:
         if enumerating:
-            hints = _hints(list(task.seed), model.summary, task, ordering, opts.max_variables)
+            hints = _hints(prompts[-1], summaries[-1], task, ordering, opts.max_variables)
             lm.prefetch(hints, task.lm_params)
         while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
             # Every variable is assigned here.
-            words, summary = model.words, model.summary
+            summary = summaries[-1]
             grows = _grows(summary, opts.max_variables)
             asked = _asks(summary, grows, task)
-            raw = lm.predict(model.current_sentence(), task.lm_params) if asked else None
+            raw = lm.predict(prompts[-1], task.lm_params) if asked else None
             end = completes(summary, raw, task)
+            domain = None
             if end is not None:  # check: the words finish a sentence
                 if seed_logprob is None:
                     seed_logprob = sequence_logprob(lm, task.seed, task.lm_params) if task.seed else 0.0
-                # Seed domains hold placeholder scores: add the later candidates' to the seed's.
+                # The frames hold the values after the seed: add their scores to the seed's.
                 logprob = seed_logprob
-                for domain in model.domains[len(task.seed):]:
-                    logprob += domain.current().logprob
+                for values, cursor in frames:
+                    logprob += values[cursor].logprob
                 solutions.append(make_record(words, logprob, end, task, started))
                 if max_solutions is not None and len(solutions) >= max_solutions:
                     break
-                if jump_to is not None and 1 <= jump_to < len(model.domains):
-                    moved = model.backtrack_to(jump_to)
-                else:
-                    moved = model.backtrack()
-            else:
-                if grows:  # grow: a new variable at its first value
-                    if generate_variable(model, raw, task, ordering).values:
-                        model.assign(0)
-                        continue
-                moved = model.backtrack()  # backtrack out of a dead end
-            if not moved:
-                break
+                if jump_to is not None and 1 <= jump_to < len(words):
+                    # keep positions 1..jump_to; the backtrack below cuts the words to match
+                    del frames[max(jump_to - base, 0):]
+            elif grows:  # grow: a new variable at its first value
+                stats.lm_calls += 1
+                domain = generate_variable(summary, raw, task, ordering)
+            if domain:
+                frames.append([domain, 0])
+            else:  # backtrack: the next untried value of the deepest variable that has one
+                while frames and frames[-1][1] + 1 == len(frames[-1][0]):
+                    frames.pop()
+                if not frames:
+                    break
+                frames[-1][1] += 1
+                stats.backtracks += 1
+                n = base + len(frames) - 1  # the words before that variable
+                del words[n:]
+                del summaries[n + 1:]
+                del prompts[n + 1:]
+            values, cursor = frames[-1]
+            word = values[cursor].text
+            prompts.append(prompts[-1] + " " + word if words else word)
+            words.append(word)
+            summaries.append(summaries[-1].push(word, admitted=True))
     except TransportError as exc:
-        raise SearchAborted(str(exc), solutions, model.stats) from exc
+        raise SearchAborted(str(exc), solutions, stats) from exc
     finally:
         lm.cancel_prefetch()
-    return SearchOutcome(solutions=solutions, stats=model.stats)
+    return SearchOutcome(solutions=solutions, stats=stats)
 
 
 def solve(task, lm, options=None):

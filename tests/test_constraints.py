@@ -7,6 +7,7 @@ import sys
 import textwrap
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,6 @@ import gencp.constraints as cst
 from gencp import (
     BUILTIN_TASK_NAMES,
     CharCountExact,
-    Domain,
     ForbiddenChars,
     KeywordSeparation,
     LMParams,
@@ -62,6 +62,15 @@ class TestWordValid:
     def test_word_length(self):
         assert word_valid("version", (MaxWordLen(6),)) is False
         assert word_valid("short", (MaxWordLen(6),)) is True
+
+    def test_word_length_at_the_limit(self):
+        assert MaxWordLen(6).admits_word("planet") is True
+        assert MaxWordLen(6).admits_word("planets") is False
+
+    def test_forbidden_char_at_either_end(self):
+        assert ForbiddenChars("e").admits_word("egg") is False
+        assert ForbiddenChars("e").admits_word("she") is False
+        assert ForbiddenChars("e").admits_word("tram") is True
 
     def test_position_independent(self):
         constraints = (PositionLexical(3, "soft"), WordCountRange(2, 5))
@@ -454,6 +463,14 @@ class TestTaskFile:
         assert task.backtrack_to == 2
         assert CharCountExact(60) in task.constraints
 
+    def test_name_is_the_path_stem(self, tmp_path):
+        # the stem drops the last suffix only when a dot stands inside the name
+        for filename, name in [("task.json", "task"), ("a.b.json", "a.b"), ("x.", "x."), ("..json", "."),
+                               (".json", ".json"), ("plain", "plain")]:
+            path = tmp_path / filename
+            path.write_text("{}", encoding="utf-8")
+            assert load_task_file(str(path)).name == name == Path(path).stem
+
     def test_unknown_top_level_key(self, tmp_path):
         path = self._write(tmp_path, {"constraints": [], "surprise": 1})
         with pytest.raises(ValueError, match="unknown keys"):
@@ -536,9 +553,9 @@ class TestFilterSoundness:
 
             def check_node(words, depth):
                 raw = lm.predict(render_prefix(words), params, k=3)
-                domain = Domain([c for c in only_words(raw)])
-                kept = {c.text for c in summarize(words, task).window(domain.values, len(domain))}
-                for cand in domain.values:
+                cands = only_words(raw)
+                kept = {c.text for c in summarize(words, task).window(cands, len(cands))}
+                for cand in cands:
                     if cand.text in kept:
                         continue
                     for completion in completions(words + [cand.text], 5 - len(words) - 1):
@@ -548,7 +565,7 @@ class TestFilterSoundness:
                         )
                 if depth == 0:
                     return
-                for cand in domain.values:
+                for cand in cands:
                     check_node(words + [cand.text], depth - 1)
 
             check_node([], 3)

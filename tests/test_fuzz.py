@@ -11,20 +11,20 @@ sets often overlap across constraints or differ only by case.  The same
 instances check that the prefetch hints of all three searches, with the
 hints their expansions disclose, name exactly the prompts they then ask
 for, in the order they ask for them, and that beam search at any width
-announces and asks each prompt at the wider of its width and k.  Random
-push, backtrack and jump-back sequences on a ``SolverModel``, under a task
-that requires a period and one that does not, check its prefix summaries
-against ``can_extend`` rebuilt by rescanning the prefix and against
-``check_complete``.  On the same instances, the perplexity the
-searches sum along their path equals the backend's rescoring exactly, and
-two metamorphic relations hold: a solution at k, or a proper prefix of it,
-is a solution at k + 1, and beam search at the task's width finds a subset
-of exhaustive search.  Served through the stub server, the same tables give
+announces and asks each prompt at the wider of its width and k.  At every
+node of exhaustive, capped and jump-back searches below seeds that may
+break a constraint, under a task that requires a period and one that does
+not, the prefix summary the search reads is checked against ``can_extend``
+rebuilt by rescanning the prefix and against ``check_complete``.  On the
+same instances, the perplexity the searches sum along their path equals
+the backend's rescoring exactly, and two metamorphic relations hold: a
+solution at k, or a proper prefix of it, is a solution at k + 1, and beam
+search at the task's width finds a subset of exhaustive search.  Served through the stub server, the same tables give
 the same outputs from ``RemoteLM`` as from ``TableLM``, also where
 fragments put a word at the last rank a request asks for, and every search
 asks the backend about each prompt once.  ``check_complete`` itself equals
 its first, one-pass form, kept here as the reference, in every order of the
-constraints, and the candidate window of ``node_domain`` and
+constraints, and the candidate window of ``generate_variable`` and
 ``expand_beams`` equals the pipeline first written, kept here likewise, on
 ranked answers that mix words with fragments, numerals and punctuation.
 """
@@ -38,10 +38,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gencp.constraints as cst
+import gencp.solver
 from gencp import (
     Beam,
     CharCountExact,
-    Domain,
     ForbiddenChars,
     KeywordSeparation,
     LMParams,
@@ -50,7 +50,6 @@ from gencp import (
     PositionLexical,
     RemoteLM,
     SolveOptions,
-    SolverModel,
     StartsWith,
     TableLM,
     TaskSpec,
@@ -65,13 +64,16 @@ from gencp import (
     perplexity,
     render_prefix,
     render_sentence,
+    run_search,
     solve,
     solve_all,
     summarize,
     word_valid,
 )
 from gencp.constraints import Constraint, fold_length
-from gencp.solver import node_domain
+from gencp.solver import generate_variable
+
+from conftest import PromptLog
 
 MAX_DEPTH = 6
 MAX_FANOUT = 4
@@ -80,8 +82,8 @@ VOCAB = ("cat", "Cat", "sun", "Sun", "beach", "Beach", "a", "of", "sky", "run", 
          "strasse", "Straße")
 
 
-def _table(rng):
-    """A prefix table of depth <= 6 and fan-out <= 4, with "." at random nodes."""
+def _table(rng, root=()):
+    """A prefix table of depth <= 6 and fan-out <= 4 below ``root``, with "." at random nodes."""
     table = {}
     budget = MAX_NODES
 
@@ -99,7 +101,7 @@ def _table(rng):
         for word in children:
             grow(words + [word])
 
-    grow([])
+    grow(list(root))
     return table
 
 
@@ -546,65 +548,87 @@ def _rescanned_can_extend(words, constraints, reserve):
     return True
 
 
-# ("push", i, width): a variable whose domain is width words from position i of
-# the target followed by VOCAB, filtered and assigned as the solver does;
-# ("next", ...): backtrack; ("jump", i, ...): backtrack_to
-_moves = st.lists(
-    st.tuples(st.sampled_from(["push", "push", "next", "jump"]),
-              st.integers(0, len(VOCAB) - 1), st.integers(1, 3)),
-    max_size=12,
-)
-
-
-def _check_summary(model, task):
-    """The model's summary against one rebuilt from scratch, the rescans and ``check_complete``."""
-    words, summary = model.words, model.summary
+def _check_summary(words, summary, task):
+    """A node's summary against one rebuilt from scratch, the rescans and ``check_complete``."""
     reserve = 1 if task.require_period else 0
     scratch = summarize(words, task)
     assert (summary.count, summary.length, summary.failed, summary.seen) == (
         scratch.count, scratch.length, scratch.failed, scratch.seen)
     assert summary.can_extend() == _rescanned_can_extend(words, task.constraints, reserve)
     assert summary.complete() == check_complete(words + ["."] * reserve, task)
+    if not summary.failed:
+        kept = summary.window([WordCandidate(w, -1.0) for w in VOCAB], len(VOCAB))
+        assert [c.text for c in kept] == [
+            w for w in VOCAB if _words_pass(words + [w], task.constraints, reserve)]
+
+
+def _nodes(task, table, opts, exhaustive):
+    """The (words, summary) of every node of a ``run_search`` run, in visit order.
+
+    ``_grows`` runs once per node, first thing, on the summary the search
+    reads there.  Every node is made to ask the backend, which moves the
+    search nowhere else (a node it would not ask neither grows nor finishes
+    a sentence either way), so each node's prompt names its words.
+    """
+    summaries = []
+    grows = gencp.solver._grows
+    lm = PromptLog(TableLM(table))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gencp.solver, "_grows",
+                        lambda summary, cap: summaries.append(summary) or grows(summary, cap))
+        patched.setattr(gencp.solver, "_asks", lambda summary, grows, task: True)
+        run_search(task, lm, opts, exhaustive)
+    assert len(lm.prompts) == len(summaries)
+    return [(prompt.split(" ") if prompt else [], summary)
+            for prompt, summary in zip(lm.prompts, summaries)]
 
 
 @st.composite
 def _summary_cases(draw):
-    """A target, constraints drawn from it, a seed of 0-2 words and a list of moves."""
+    """A table below a seed of 0-2 words that offers a target's words, constraints drawn from the target, a jump target.
+
+    The seed is drawn apart from the constraints, so it may break
+    StartsWith, PositionLexical, a separation or a length cap; a seed word
+    that ``TaskSpec`` refuses is dropped.  The target's path after the seed
+    is grafted onto the table, "." after it, so the search often meets the
+    constraints' bounds.
+    """
     target = draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=MAX_DEPTH))
     constraints = _constraints(draw, target, True)
-    return target, constraints, draw(st.lists(st.sampled_from(VOCAB), max_size=2)), draw(_moves)
+    seed = [w for w in draw(st.lists(st.sampled_from(VOCAB), max_size=2)) if word_valid(w, constraints)]
+    table = _table(random.Random(draw(st.integers(0, 2**32 - 1))), seed)
+    path = list(seed)
+    for word in target + ["."]:
+        entries = table.setdefault(render_prefix(path), [])
+        if all(w != word for w, _ in entries):
+            entries.insert(draw(st.integers(0, len(entries))), (word, 0.0))
+        path.append(word)
+    table = {prefix: [(w, 0.5 / 2**i) for i, (w, _) in enumerate(entries)]
+             for prefix, entries in table.items()}
+    return table, constraints, tuple(seed), draw(st.integers(1, 3))
 
 
-@settings(max_examples=400)
-@given(_summary_cases())
 # a keyword exactly min_gap words after the last one
-@example((["sun", "a", "sun"], [KeywordSeparation({"sun"}, 1)], [], [("push", i, 1) for i in range(3)]))
+SUN_A_SUN = {"": [("sun", 0.5)], "sun": [("a", 0.5)], "sun a": [("sun", 0.5)], "sun a sun": [(".", 0.5)]}
+
+
+@settings(max_examples=300)
+@given(_summary_cases())
+@example((SUN_A_SUN, [KeywordSeparation({"sun"}, 1)], (), 1))
 def test_model_summaries_match_the_specification(case):
-    """The same moves, once under a task that requires a period and once under one that does not."""
-    target, constraints, seed, moves = case
+    """Every node's summary, in exhaustive, capped and jump-back runs, with and without a required period."""
+    table, constraints, seed, jump_to = case
+    runs = ((SolveOptions(max_variables=MAX_DEPTH + 2), True),
+            (SolveOptions(max_solutions=2, max_variables=MAX_DEPTH + 2), False),
+            (SolveOptions(max_solutions=3, backtrack_to=jump_to, max_variables=MAX_DEPTH + 2), False))
     for require_period in (True, False):
-        task = TaskSpec(name="summary", constraints=constraints, require_period=require_period)
-        reserve = 1 if require_period else 0
-        # seed words are never filtered, so they may break any constraint
-        model = SolverModel.from_seed(seed, summarize((), task))
-        _check_summary(model, task)
-        for move, i, width in moves:
-            if move == "push" and len(model.words) == len(model.domains):
-                words = (target + list(VOCAB))[i:i + width]
-                cands = Domain([WordCandidate(w, -1.0) for w in dict.fromkeys(words)])
-                domain = Domain(model.summary.window(cands.values, len(cands)))
-                if not model.summary.failed:
-                    kept = [c.text for c in cands.values
-                            if _words_pass(model.words + [c.text], constraints, reserve)]
-                    assert [c.text for c in domain.values] == kept
-                if domain.values:
-                    model.add_variable(domain)
-                    model.assign(0)
-            elif move == "next":
-                model.backtrack()
-            elif move == "jump" and len(model.domains) > 1:
-                model.backtrack_to(1 + i % (len(model.domains) - 1))
-            _check_summary(model, task)
+        task = TaskSpec(name="summary", constraints=constraints, seed=seed,
+                        lm_params=LMParams(k=MAX_FANOUT), require_period=require_period)
+        for opts, exhaustive in runs:
+            nodes = _nodes(task, table, opts, exhaustive)
+            assert nodes[0][0] == list(seed)
+            for words, summary in nodes:
+                _check_summary(words, summary, task)
 
 
 def _records(records):
@@ -732,16 +756,15 @@ def _reference_filter_domain(summary, domain):
 
     A survivor is valid on its own (``word_valid``) and admitted at the next
     position by every constraint, one character kept for the final period
-    when the summary's task requires one.  Survivor order is preserved, and
-    the returned domain is unassigned.
+    when the summary's task requires one.  Survivor order is preserved.
     """
-    return Domain([cand for cand in domain.values if summary.admits(cand.text)])
+    return [cand for cand in domain if summary.admits(cand.text)]
 
 
 def _reference_node_domain(words, summary, raw, task, ordering):
-    """``node_domain`` as first written: the window, ordered, then filtered."""
+    """``generate_variable`` as first written: the window, ordered, then filtered."""
     window = _reference_window(raw, task.constraints, task.lm_params.k)
-    ordered = Domain(order_candidates(window, ordering, len(words) + 1))
+    ordered = order_candidates(window, ordering, len(words) + 1)
     return _reference_filter_domain(summary, ordered)
 
 
@@ -801,7 +824,7 @@ def windows(draw):
 @settings(max_examples=300)
 @given(windows())
 def test_window_equals_the_reference_pipeline(window):
-    """``node_domain`` and ``expand_beams`` take the same candidates as the pipeline first written.
+    """``generate_variable`` and ``expand_beams`` take the same candidates as the pipeline first written.
 
     That pipeline tested every candidate against every constraint, with
     ``_looks_like_word`` in its first form, and kept the first k.  Today's
@@ -809,9 +832,8 @@ def test_window_equals_the_reference_pipeline(window):
     """
     prefix, raw, task, ordering = window
     summary = summarize(prefix, task)
-    got = node_domain(summary, raw, task, ordering)
-    want = _reference_node_domain(prefix, summary, raw, task, ordering)
-    assert (got.values, got.cursor) == (want.values, want.cursor)
+    got = generate_variable(summary, raw, task, ordering)
+    assert got == _reference_node_domain(prefix, summary, raw, task, ordering)
     k = task.lm_params.k
     for width in {max(1, k - 1), k, k + 1}:
         beam = Beam(tuple(prefix), -1.0, summary, answer=raw)

@@ -84,8 +84,8 @@ class TestBruteForceOracle:
         tree = ast.parse(textwrap.dedent(inspect.getsource(brute_force_oracle)))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert names & {"SolverModel", "PrefixSummary", "summarize", "_Rules", "window", "node_domain",
-                        "run_search", "completes", "can_extend", "admits"} == set()
+        assert names & {"PrefixSummary", "summarize", "_Rules", "window", "generate_variable",
+                        "order_candidates", "run_search", "completes", "can_extend", "admits"} == set()
         assert {"only_words", "word_valid", "check_complete"} <= names
 
     def test_respects_seed(self):

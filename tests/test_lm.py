@@ -494,3 +494,25 @@ class TestLoadBackend:
 
         with pytest.raises(ValueError, match=f"'remote:{endpoint}'"):
             load_backend(f"remote:{endpoint}")
+
+
+def test_no_backend_answers_a_word_twice(tmp_path):
+    """No answer repeats a word (``LanguageModel.predict``), so no domain the search makes of one does."""
+    from gencp.remote import _candidates, _extract
+
+    table = {"": [("the", 0.3), ("cat", 0.2), ("The", 0.1)], "the": [("cat", 0.5), (".", 0.4)]}
+    path = tmp_path / "words.tbl"
+    path.write_text("".join(f"{prefix}\t{word}\t{prob}\n" for prefix, entries in table.items()
+                            for word, prob in entries), encoding="utf-8")
+    ngram = train_ngram("the cat sat . the cat ran . a cat sat .", order=2)
+    answers = [lm.predict(prompt, PARAMS) for lm in (TableLM(table), TableLM.from_file(path))
+               for prompt in table]
+    answers += [ngram.predict(prompt, PARAMS) for prompt in ("", "the", "the cat")]
+    # " the" and "the" are two tokens of the server that spell one word
+    probs = [{"token": " the", "prob": 0.3}, {"token": "the", "prob": 0.2},
+             {"token": " cat", "prob": 0.1}, {"token": "cat", "prob": 0.05}]
+    remote = _candidates(_extract({"completion_probabilities": [{"probs": probs}]}), 4)
+    assert [c.text for c in remote] == ["the", "cat"]
+    for answer in answers + [remote]:
+        words = [c.text for c in answer]
+        assert words and len(words) == len(set(words))

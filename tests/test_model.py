@@ -2,24 +2,39 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gencp.solver
 from gencp import (
-    Domain,
+    ForbiddenChars,
+    LMParams,
+    Ordering,
     SolutionRecord,
-    SolverModel,
-    WordCandidate,
-    render_prefix,
+    SolveOptions,
+    TableLM,
     TaskSpec,
+    WordCandidate,
+    WordCountRange,
+    check_complete,
+    parse_ordering,
+    render_prefix,
     render_sentence,
+    run_search,
+    solve,
+    solve_all,
     summarize,
     variability,
 )
+from gencp.lm import ranked_period
 from gencp.model import has_whitespace
+from gencp.solver import generate_variable
+
+from conftest import PromptLog, random_table
 
 
 class TestRenderSentence:
@@ -106,277 +121,235 @@ class TestWordCandidate:
         assert repr(twin) == "WordCandidate(text='ok', logprob=-1.5)"
 
 
-class TestDomain:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Domain([WordCandidate("a", -1.0), WordCandidate("a", -2.0)])
-
-    def test_cursor_bounds(self):
-        with pytest.raises(ValueError):
-            Domain([WordCandidate("a", -1.0)], cursor=1)
-
-    def test_emptiness(self):
-        assert (Domain().values, Domain().cursor) == ([], None)
-        assert Domain([WordCandidate("a", -1.0)]).values
-
-
 EMPTY_TASK = TaskSpec(name="empty", constraints=())
+PROBABILITY = Ordering("probability")
 
 
 def _cands(*pairs):
     return [WordCandidate(text, lp) for text, lp in pairs]
 
 
-def _assigned_model(words):
-    model = SolverModel.from_seed(words, summarize((), EMPTY_TASK))
-    return model
+def _task(*constraints, seed=(), k=3):
+    return TaskSpec(name="t", constraints=constraints, seed=seed, lm_params=LMParams(k=k))
+
+
+def _levels(levels):
+    """A table whose prefixes of i words offer level i's words in order, and "." after the last level."""
+    table = {}
+    for depth, level in enumerate(levels + [["."]]):
+        for prefix in itertools.product(*levels[:depth]):
+            table[render_prefix(prefix)] = [(word, 0.5 / 2**i) for i, word in enumerate(level)]
+    return TableLM(table)
+
+
+def _sentences(records):
+    return [r.sentence for r in records]
+
+
+class TestDomain:
+    """A domain is the list ``generate_variable`` makes of a node's answer."""
+
+    def test_rejects_duplicates(self):
+        # no answer repeats a word (``test_lm.py::test_no_backend_answers_a_word_twice``),
+        # so neither does a domain drawn from it
+        with pytest.raises(ValueError, match="duplicate"):
+            TableLM({"": [("a", 0.5), ("a", 0.2)]})
+
+    def test_emptiness(self, fig_lm, fig_task):
+        """An empty domain ("A boy" has no answer) counts as made and is a dead end: one backtrack lands on "man"."""
+        lm = PromptLog(fig_lm)
+        outcome = run_search(fig_task, lm, SolveOptions(max_solutions=1))
+        assert lm.prompts[:3] == ["A", "A boy", "A man"]
+        assert (outcome.stats.lm_calls, outcome.stats.backtracks) == (4, 1)
 
 
 class TestCurrentSentence:
+    """The search asks about the seed's rendering first, as its root prompt."""
+
+    def _first_prompt(self, seed):
+        lm = PromptLog(TableLM({}))
+        run_search(_task(seed=seed), lm)
+        return lm.prompts
+
     def test_two_words(self):
-        assert _assigned_model(["A", "man"]).current_sentence() == "A man"
+        assert self._first_prompt(("A", "man")) == ["A man"]
 
     def test_empty_model(self):
-        assert SolverModel(summarize((), EMPTY_TASK)).current_sentence() == ""
+        assert self._first_prompt(()) == [""]
 
     def test_single_seed(self):
-        assert _assigned_model(["The"]).current_sentence() == "The"
-
-
-def _fresh_level(model, values):
-    """Append a domain of the given (text, logprob) values, assigned its first value."""
-    model.add_variable(Domain(_cands(*values)))
-    model.assign(0)
+        assert self._first_prompt(("The",)) == ["The"]
 
 
 class TestTrail:
-    """The stack of domains is the trail: each cursor marks the values tried."""
+    """The frames are the trail: each cursor marks the values its variable has tried."""
 
     def test_failed_backtrack_leaves_no_variable(self):
-        root = summarize((), EMPTY_TASK)
-        model = SolverModel.from_seed(["A", "man"], root)
-        _fresh_level(model, [("drinks", -0.7)])
-        assert model.backtrack() is False  # no value is left untried
-        assert (model.domains, model.words, model.summaries) == ([], [], [root])
-        assert model.stats.backtracks == 0
+        lm = PromptLog(TableLM({"A man": [("drinks", 0.5)]}))
+        outcome = run_search(_task(seed=("A", "man")), lm)
+        # "drinks" leads nowhere and no value is left untried: the search ends
+        assert (outcome.solutions, lm.prompts) == ([], ["A man", "A man drinks"])
+        assert (outcome.stats.backtracks, outcome.stats.lm_calls) == (0, 2)
 
     def test_stack_discipline(self):
-        model = SolverModel(summarize((), EMPTY_TASK))
-        _fresh_level(model, [("a", -0.1), ("b", -0.5)])
-        _fresh_level(model, [("x", -0.2), ("y", -0.9)])
-        _fresh_level(model, [("z", -0.3)])
-        # first backtrack lands on v2's next value, second on v1's
-        assert model.backtrack()
-        assert [d.cursor for d in model.domains] == [0, 1]
-        assert model.backtrack()
-        assert [d.cursor for d in model.domains] == [1]
-        assert model.words == ["b"]
+        lm = PromptLog(TableLM({"": [("a", 0.5), ("b", 0.2)], "a": [("x", 0.5), ("y", 0.2)],
+                                "a x": [("z", 0.5)]}))
+        outcome = run_search(_task(), lm)
+        # the first backtrack lands on x2's next value, the second on x1's
+        assert lm.prompts == ["", "a", "a x", "a x z", "a y", "b"]
+        assert outcome.stats.backtracks == 2
 
     def test_backtrack_empty_trail(self):
-        assert SolverModel(summarize((), EMPTY_TASK)).backtrack() is False
+        lm = PromptLog(TableLM({}))
+        outcome = run_search(_task(), lm)
+        assert (outcome.solutions, lm.prompts, outcome.stats.backtracks) == ([], [""], 0)
 
     def test_exhausted_level_pops_further(self):
-        # hand enumeration: x1 in {a, b}, x2 in {x, y, z}; repeated backtracking
-        # must visit (a,x) (a,y) (a,z) (b,x) (b,y) (b,z) and then fail
-        visits = []
-        model = SolverModel(summarize((), EMPTY_TASK))
-        _fresh_level(model, [("a", -0.1), ("b", -0.7)])
-        level2 = [("x", -0.2), ("y", -0.4), ("z", -0.8)]
-        _fresh_level(model, level2)
-        visits.append(tuple(model.words))
-        while True:
-            if not model.backtrack():
-                break
-            if len(model.domains) == 1:
-                _fresh_level(model, level2)
-            visits.append(tuple(model.words))
-        assert visits == [
-            ("a", "x"), ("a", "y"), ("a", "z"),
-            ("b", "x"), ("b", "y"), ("b", "z"),
-        ]
+        # x1 in {a, b}, x2 in {x, y, z}: the solutions come in the order
+        # (a,x) (a,y) (a,z) (b,x) (b,y) (b,z), each reached with its own word count
+        lm = _levels([["a", "b"], ["x", "y", "z"]])
+        outcome = run_search(_task(WordCountRange(2, 2)), lm, exhaustive=True)
+        assert _sentences(outcome.solutions) == ["a x.", "a y.", "a z.", "b x.", "b y.", "b z."]
+        assert outcome.stats.backtracks == 5
 
     def test_no_assignment_revisited(self):
-        # corollary of the visit-order check above, kept separate for clarity
-        model = SolverModel(summarize((), EMPTY_TASK))
-        _fresh_level(model, [("a", -0.1), ("b", -0.7), ("c", -1.1)])
-        seen = {tuple(model.words)}
-        while model.backtrack():
-            assignment = tuple(model.words)
-            assert assignment not in seen
-            seen.add(assignment)
-        assert seen == {("a",), ("b",), ("c",)}
+        lm = PromptLog(_levels([["a", "b", "c"]]))
+        assert _sentences(solve_all(_task(), lm)) == ["a.", "b.", "c."]
+        assert lm.prompts == ["", "a", "b", "c"]
 
     @settings(max_examples=100)
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     def test_backtracking_visits_the_product_order(self, widths):
-        # Regrowing the same levels after every backtrack enumerates them as
-        # itertools.product does, each landing counted once.
-        levels = [[(f"w{i}v{j}", -1.0) for j in range(width)] for i, width in enumerate(widths)]
-        model = SolverModel(summarize((), EMPTY_TASK))
-        visits = []
-        while True:
-            while len(model.domains) < len(levels):
-                _fresh_level(model, levels[len(model.domains)])
-            visits.append(tuple(model.words))
-            if not model.backtrack():
-                break
-        product = list(itertools.product(*([text for text, _ in level] for level in levels)))
-        assert visits == product
-        assert model.stats.backtracks == len(product) - 1
-        assert (model.domains, model.words, len(model.summaries)) == ([], [], 1)
+        # Every variable offers the same values below each prefix, so the
+        # search lands on them as itertools.product enumerates them.
+        levels = [["abcd"[i] * (j + 1) for j in range(width)] for i, width in enumerate(widths)]
+        outcome = run_search(_task(k=3), _levels(levels), exhaustive=True)
+        product = list(itertools.product(*levels))
+        assert [r.words[:-1] for r in outcome.solutions] == product
+        assert outcome.stats.backtracks == len(product) - 1
 
 
 class TestBacktrackTo:
-    def _sentence_model(self, words, alternatives):
-        model = SolverModel(summarize((), EMPTY_TASK))
-        for i, word in enumerate(words):
-            cands = [(word, -0.1)] + alternatives.get(i + 1, [])
-            model.add_variable(Domain(_cands(*cands)))
-            model.assign(0)
-        return model
-
     def test_deletes_tail_and_changes_target(self):
         words = ["I", "like", "to", "swim", "in", "the", "summer"]
-        model = self._sentence_model(words, {2: [("want", -0.9)]})
-        assert model.backtrack_to(2) is True
-        assert [d.current().text for d in model.domains] == ["I", "want"]
-        assert model.words == ["I", "want"]
+        table = {render_prefix(words[:n]): [(words[n], 0.5)] for n in range(len(words))}
+        table.update({render_prefix(words): [(".", 1.0)], "I": [("like", 0.5), ("want", 0.3)],
+                      "I want": [("tea", 0.5)], "I want tea": [(".", 1.0)]})
+        lm = PromptLog(TableLM(table))
+        outcome = run_search(_task(), lm, SolveOptions(backtrack_to=2))
+        assert _sentences(outcome.solutions) == ["I like to swim in the summer.", "I want tea."]
+        assert lm.prompts[len(words) + 1:] == ["I want", "I want tea"]
+        assert outcome.stats.backtracks == 1
 
     def test_singleton_target_fails(self):
-        model = self._sentence_model(["The", "cat"], {})
-        assert model.backtrack_to(1) is False
+        # x1 has no value left, so jumping to it ends the search before "The dog."
+        lm = _levels([["The"], ["cat", "dog"]])
+        assert _sentences(solve(_task(), lm, SolveOptions(backtrack_to=1))) == ["The cat."]
 
     def test_nothing_to_delete(self):
-        model = self._sentence_model(["The", "cat"], {})
-        with pytest.raises(ValueError, match="nothing to delete"):
-            model.backtrack_to(2)
+        # a target at the solution's last position backtracks chronologically
+        lm = _levels([["The"], ["cat", "dog"]])
+        assert _sentences(solve(_task(), lm, SolveOptions(backtrack_to=2))) == ["The cat.", "The dog."]
 
     def test_falls_through_when_target_exhausted(self):
-        model = self._sentence_model(["I", "like", "tea"], {1: [("We", -0.8)]})
+        lm = TableLM({"": [("I", 0.5), ("We", 0.3)], "I": [("like", 0.5)], "I like": [("tea", 0.5)],
+                      "I like tea": [(".", 1.0)], "We": [("go", 0.5)], "We go": [(".", 1.0)]})
         # x2 has no alternative, so the jump lands on x1 instead
-        assert model.backtrack_to(2) is True
-        assert [d.current().text for d in model.domains] == ["We"]
+        assert _sentences(solve(_task(), lm, SolveOptions(backtrack_to=2))) == ["I like tea.", "We go."]
+
+    def test_a_target_inside_the_seed_ends_the_search(self):
+        lm = _levels([["A"], ["man"], ["drinks", "eats"], ["milk", "tea"]])
+        task = _task(seed=("A", "man"))
+        assert len(solve_all(task, lm)) == 4
+        assert _sentences(solve(task, lm, SolveOptions(backtrack_to=1))) == ["A man drinks milk."]
 
 
-class CopyingStack:
-    """Reference model: every move builds a new list of (values, cursor) pairs."""
+def _copying_search(task, lm, opts):
+    """The search loop on copied state: (solution words, prompts asked, backtracks).
 
-    def __init__(self):
-        self.domains = []
-
-    def add(self, texts):
-        self.domains = self.domains + [(texts, None)]
-
-    def assign(self, cursor):
-        self.domains = self.domains[:-1] + [(self.domains[-1][0], cursor)]
-
-    def backtrack(self):
-        for depth in range(len(self.domains), 0, -1):
-            texts, cursor = self.domains[depth - 1]
-            nxt = 0 if cursor is None else cursor + 1
-            if nxt < len(texts):
-                self.domains = self.domains[:depth - 1] + [(texts, nxt)]
-                return True
-        self.domains = []
-        return False
-
-    def backtrack_to(self, n):
-        self.domains = self.domains[:n]
-        return self.backtrack()
-
-
-def _words_from_cursors(model):
-    words = []
-    for domain in model.domains:
-        if domain.cursor is None:
+    Every move builds a new tuple of (values, cursor) frames, and each node's
+    words, summary and prompt are made from scratch, so nothing carries over
+    from one node to the next.
+    """
+    ordering = parse_ordering(task.ordering)
+    period = ["."] if task.require_period else []
+    seed = tuple(task.seed)
+    frames, found, asked, backtracks = (), [], [], 0
+    while True:
+        words = seed + tuple(values[cursor].text for values, cursor in frames)
+        summary = summarize(words, task)
+        grows = len(words) < opts.max_variables and summary.can_extend()
+        whole = check_complete(list(words) + period, task)
+        raw = None
+        if (grows or whole) if task.require_period else (grows and not whole):
+            asked.append(render_prefix(words))
+            raw = lm.predict(render_prefix(words), task.lm_params)
+        if whole and (not task.require_period or ranked_period(raw, task.lm_params.k) is not None):
+            found.append(words + tuple(period))
+            if len(found) == opts.max_solutions:
+                break
+            if opts.backtrack_to is not None and opts.backtrack_to < len(words):
+                frames = frames[:max(opts.backtrack_to - len(seed), 0)]
+        elif grows:
+            values = generate_variable(summary, raw, task, ordering)
+            if values:
+                frames = frames + ((values, 0),)
+                continue
+        while frames and frames[-1][1] + 1 == len(frames[-1][0]):
+            frames = frames[:-1]
+        if not frames:
             break
-        words.append(domain.current().text)
-    return words
-
-
-# (operation, argument) pairs; "add" and "assign" are drawn twice as often
-_steps = st.lists(
-    st.tuples(
-        st.sampled_from(["add", "add", "assign", "assign", "backtrack", "backtrack_to"]),
-        st.integers(0, 3),
-    ),
-    max_size=30,
-)
+        frames = frames[:-1] + ((frames[-1][0], frames[-1][1] + 1),)
+        backtracks += 1
+    return found, asked, backtracks
 
 
 class TestIncrementalState:
-    @settings(max_examples=300)
-    @given(st.integers(0, 3), _steps)
-    def test_matches_copying_trail(self, seed_len, steps):
-        seed = [f"s{i}" for i in range(seed_len)]
-        root = summarize((), EMPTY_TASK)
-        model, ref = SolverModel.from_seed(seed, root), CopyingStack()
-        for word in seed:
-            ref.add((word,))
-            ref.assign(0)
-
-        def check():
-            assert model.words == _words_from_cursors(model)
-            assert [s.count for s in model.summaries] == list(range(len(model.words) + 1))
-            assert model.summaries[0] is root
-            assert [
-                (tuple(c.text for c in d.values), d.cursor) for d in model.domains
-            ] == ref.domains
-
-        for step, arg in steps:
-            newest_assigned = not model.domains or model.domains[-1].cursor is not None
-            if step == "add" and newest_assigned:
-                texts = tuple(f"w{len(model.domains)}v{i}" for i in range(arg))
-                model.add_variable(Domain(_cands(*((t, -1.0) for t in texts))))
-                ref.add(texts)
-            elif step == "assign" and model.domains and model.domains[-1].values:
-                cursor = arg % len(model.domains[-1])
-                model.assign(cursor)
-                ref.assign(cursor)
-            elif step == "backtrack":
-                assert model.backtrack() == ref.backtrack()
-            elif step == "backtrack_to" and len(model.domains) > 1:
-                n = 1 + arg % (len(model.domains) - 1)
-                assert model.backtrack_to(n) == ref.backtrack_to(n)
-            check()
-        # each landing moves a cursor forward, so this ends with no domain left
-        while model.backtrack():
-            assert ref.backtrack()
-            check()
-        assert not ref.backtrack()
-        check()
-        assert model.domains == []
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.sampled_from([None, 1, 2, 3]),
+           st.sampled_from([None, 1, 3]), st.booleans())
+    # a jump target inside a two-word seed, below two variables
+    @example(draw=1, seed_len=2, jump_to=1, cap=None, require_period=True)
+    def test_matches_copying_trail(self, draw, seed_len, jump_to, cap, require_period):
+        rng = random.Random(draw)
+        seed = tuple(rng.sample(["at", "in", "up"], seed_len))
+        lm = random_table(rng, seed_words=seed, depth=4, branching=3, period_prob=0.6)
+        task = TaskSpec(name="t", constraints=(WordCountRange(2, 4), ForbiddenChars("o")), seed=seed,
+                        lm_params=LMParams(k=2), require_period=require_period)
+        opts = SolveOptions(max_solutions=cap, backtrack_to=jump_to, max_variables=6)
+        log = PromptLog(lm)
+        outcome = run_search(task, log, opts)
+        found, asked, backtracks = _copying_search(task, lm, opts)
+        assert [r.words for r in outcome.solutions] == found
+        assert (log.prompts, outcome.stats.backtracks) == (asked, backtracks)
 
 
 class TestContainsEmptyVariable:
     def test_empty_generated_domain(self):
-        model = _assigned_model(["A", "boy"])
-        model.add_variable(Domain())  # as after a failed prediction
-        assert (model.domains[-1].values, model.domains[-1].cursor) == ([], None)
+        # as after a failed prediction
+        assert generate_variable(summarize(["A", "boy"], EMPTY_TASK), [], EMPTY_TASK, PROBABILITY) == []
 
     def test_fresh_model_with_values(self):
-        model = _assigned_model(["A"])
-        model.add_variable(Domain(_cands(("man", -0.5))))
-        assert model.domains[-1].values
+        raw = _cands(("man", -0.5))
+        assert generate_variable(summarize(["A"], EMPTY_TASK), raw, EMPTY_TASK, PROBABILITY) == raw
 
     def test_fully_filtered_domain(self):
-        from gencp import ForbiddenChars
-
         task = TaskSpec(name="t", constraints=(ForbiddenChars("e"),), require_period=False)
-        model = _assigned_model(["A"])
-        cands = _cands(("the", -0.3), ("he", -0.9))
-        domain = Domain(summarize(["A"], task).window(cands, len(cands)))
-        assert model.add_variable(domain) is domain
-        assert (model.domains[-1].values, model.domains[-1].cursor) == ([], None)
+        raw = _cands(("the", -0.3), ("he", -0.9))
+        assert generate_variable(summarize(["A"], task), raw, task, PROBABILITY) == []
 
 
 class TestLeftToRightInvariant:
-    def test_assignment_prefix_is_contiguous(self):
-        model = _assigned_model(["A", "man"])
-        model.add_variable(Domain(_cands(("drinks", -0.4))))
-        # last position unassigned; all earlier ones assigned
-        assert model.words == ["A", "man"]
-        assert all(d.cursor is not None for d in model.domains[:-1])
+    def test_assignment_prefix_is_contiguous(self, monkeypatch, fig_lm, fig_task):
+        """Each node's prompt renders exactly the words its summary counts, the seed's first."""
+        counts = []
+        grows = gencp.solver._grows
+        monkeypatch.setattr(gencp.solver, "_grows",
+                            lambda summary, cap: counts.append(summary.count) or grows(summary, cap))
+        lm = PromptLog(fig_lm)
+        run_search(fig_task, lm, SolveOptions(max_variables=8), exhaustive=True)
+        assert [len(prompt.split(" ")) for prompt in lm.prompts] == counts == [1, 2, 2, 3, 4, 3]
+        assert all(prompt.startswith("A") for prompt in lm.prompts)
 
 
 class TestSolutionRecord:

@@ -405,6 +405,20 @@ class TestStandardLibraryOnly:
         with pytest.raises(AttributeError, match="no attribute 'NoSuchBackend'"):
             gencp.NoSuchBackend
 
+    def test_import_loads_no_statistics_or_pathlib(self):
+        # the mean perplexity is a sum over a count, and task files and reports open by
+        # name, so nothing loads pathlib or the urllib.parse it imports
+        src = Path(gencp.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import gencp\n"
+            "print(sorted({'statistics', 'pathlib', 'urllib'} & set(sys.modules)))\n"
+        )
+        run = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_import_and_table_load_import_no_logging_or_csv(self, fixtures_dir):
         # the harness imports them only to warn of a failed cell and to write or read a report
         src = Path(gencp.__file__).resolve().parents[1]

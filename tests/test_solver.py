@@ -5,6 +5,7 @@ import pytest
 import gencp.constraints
 import gencp.harness
 import gencp.model
+import gencp.solver
 from gencp import (
     CharCountExact,
     ForbiddenChars,
@@ -15,7 +16,6 @@ from gencp import (
     Ordering,
     PositionLexical,
     SolveOptions,
-    SolverModel,
     StartsWith,
     TableLM,
     RunConfig,
@@ -28,6 +28,7 @@ from gencp import (
     check_complete,
     parse_ordering,
     perplexity,
+    render_prefix,
     run_search,
     solve,
     solve_all,
@@ -61,16 +62,16 @@ def _simple_task(**kwargs):
 
 class TestGenerateVariable:
     def test_seeded_model_starts_with_singleton(self):
-        model = SolverModel.from_seed(["The"], summarize((), _simple_task()))
-        assert len(model.domains) == 1
-        assert [c.text for c in model.domains[0].values] == ["The"]
-        assert model.domains[0].cursor == 0
+        """The seed's one word holds its position: the search asks about it first and every solution starts with it."""
+        lm = PromptLog(TableLM({"The": [("end", 0.5), ("cat", 0.3)], "The end": [(".", 1.0)],
+                                "The cat": [(".", 1.0)]}))
+        sols = solve_all(_simple_task(seed=("The",)), lm)
+        assert [s.sentence for s in sols] == ["The end.", "The cat."]
+        assert lm.prompts == ["The", "The end", "The cat"]
 
     def test_appends_with_empty_domain(self):
-        model = SolverModel.from_seed(["A", "man"], summarize((), _simple_task()))
-        domain = generate_variable(model, [], _simple_task(), PROBABILITY)
-        assert len(model.domains) == 3 and model.domains[-1] is domain
-        assert (domain.values, domain.cursor) == ([], None)
+        task = _simple_task()
+        assert generate_variable(summarize(["A", "man"], task), [], task, PROBABILITY) == []
 
     def test_cap_forces_backtrack_not_crash(self, fig_lm):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
@@ -78,59 +79,45 @@ class TestGenerateVariable:
         assert sols == []  # nothing completes within three words
 
 
+def _domain(words, raw, task):
+    """The texts of the domain ``generate_variable`` makes after ``words`` from the answer ``raw``."""
+    return [c.text for c in generate_variable(summarize(words, task), raw, task, PROBABILITY)]
+
+
 class TestGenerateDomain:
     def test_raw_predictions_become_domain(self, fig_lm):
-        model = SolverModel.from_seed(["A"], summarize((), _simple_task()))
         task = _simple_task(seed=("A",))
-        domain = generate_variable(model, fig_lm.predict("A", task.lm_params), task, PROBABILITY)
-        assert [c.text for c in domain.values] == ["boy", "man", "house"]
-        assert model.stats.lm_calls == 1
+        assert _domain(["A"], fig_lm.predict("A", task.lm_params), task) == ["boy", "man", "house"]
 
     def test_invalid_words_do_not_consume_slots(self):
         # 8 raw candidates, 5 valid, k=5: all five valid words are kept
         table = {"": [("ok", 0.3), ("##a", 0.2), ("$", 0.15), ("fine", 0.1),
                       ("good", 0.05), ("-x", 0.04), ("nice", 0.02), ("warm", 0.01)]}
-        lm = TableLM(table)
         task = _simple_task(lm_params=LMParams(k=5))
-        model = SolverModel(summarize((), _simple_task()))
-        domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
-                                   task, PROBABILITY)
-        assert [c.text for c in domain.values] == ["ok", "fine", "good", "nice", "warm"]
+        raw = TableLM(table).predict("", task.lm_params)
+        assert _domain([], raw, task) == ["ok", "fine", "good", "nice", "warm"]
 
     def test_unknown_prefix_yields_empty_domain(self, fig_lm):
-        model = SolverModel.from_seed(["A", "boy"], summarize((), _simple_task()))
         task = _simple_task()
-        domain = generate_variable(model, fig_lm.predict("A boy", task.lm_params), task,
-                                   PROBABILITY)
-        assert domain.values == []
-        assert model.domains[-1].cursor is None
+        assert _domain(["A", "boy"], fig_lm.predict("A boy", task.lm_params), task) == []
 
     def test_keeps_at_most_k(self):
         words = ["apple", "berry", "cedar", "dates", "elder", "figs", "grape", "holly"]
         table = {"": [(w, 0.5 / 2**i) for i, w in enumerate(words)]}
         task = _simple_task(lm_params=LMParams(k=5))
-        model = SolverModel(summarize((), _simple_task()))
-        domain = generate_variable(model, TableLM(table).predict("", task.lm_params), task,
-                                   PROBABILITY)
-        assert [c.text for c in domain.values] == words[:5]
+        assert _domain([], TableLM(table).predict("", task.lm_params), task) == words[:5]
 
 
 class TestGenerateConstraints:
     def test_filters_new_domain(self):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
-        model = SolverModel.from_seed(["A"], summarize((), task))
         lm = TableLM({"A": [("man", 0.4), ("house", 0.3), ("boy", 0.2)]})
-        domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
-                                   task, PROBABILITY)
-        assert [c.text for c in domain.values] == ["man", "boy"]
+        assert _domain(["A"], lm.predict("A", task.lm_params), task) == ["man", "boy"]
 
     def test_no_applicable_constraint_keeps_domain(self):
         task = _simple_task()
-        model = SolverModel.from_seed(["A"], summarize((), task))
         lm = TableLM({"A": [("man", 0.5), ("boy", 0.3)]})
-        domain = generate_variable(model, lm.predict(model.current_sentence(), task.lm_params),
-                                   task, PROBABILITY)
-        assert [c.text for c in domain.values] == ["man", "boy"]
+        assert _domain(["A"], lm.predict("A", task.lm_params), task) == ["man", "boy"]
 
 
 class TestOrdering:
@@ -183,30 +170,24 @@ class TestOrdering:
 
 
 class TestBooleanPredicate:
-    def _model_with(self, words, root):
-        return SolverModel.from_seed(words, root)
-
-    def _completes(self, model, lm, task):
-        """``completes`` on the backend's answer for the model's words."""
-        return completes(model.summary, lm.predict(model.current_sentence(), task.lm_params), task)
+    def _completes(self, words, lm, task):
+        """``completes`` on the backend's answer for ``words``."""
+        return completes(summarize(words, task), lm.predict(render_prefix(words), task.lm_params), task)
 
     def test_all_conjuncts_hold(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [(".", 1.0)]})
-        model = self._model_with(["up", "down"], summarize((), task))
-        assert self._completes(model, lm, task) is not None
+        assert self._completes(["up", "down"], lm, task) is not None
 
     def test_word_window_not_reached(self):
         task = _simple_task(constraints=(WordCountRange(3, 4),))
         lm = TableLM({"up down": [(".", 1.0)]})
-        model = self._model_with(["up", "down"], summarize((), task))
-        assert self._completes(model, lm, task) is None
+        assert self._completes(["up", "down"], lm, task) is None
 
     def test_period_not_predicted(self):
         task = _simple_task(constraints=(WordCountRange(2, 3),))
         lm = TableLM({"up down": [("more", 1.0)]})
-        model = self._model_with(["up", "down"], summarize((), task))
-        assert self._completes(model, lm, task) is None
+        assert self._completes(["up", "down"], lm, task) is None
 
     def test_exact_char_count_with_reserved_period(self):
         from gencp import CharCountExact
@@ -214,10 +195,8 @@ class TestBooleanPredicate:
         # "ab cd" is 5 chars; with the period that is 6
         task = _simple_task(constraints=(WordCountRange(1, 4), CharCountExact(6)))
         lm = TableLM({"ab cd": [(".", 1.0)], "ab": [("cd", 1.0)]})
-        model = self._model_with(["ab", "cd"], summarize((), task))
-        assert self._completes(model, lm, task) is not None
-        model_short = self._model_with(["ab"], summarize((), task))
-        assert self._completes(model_short, lm, task) is None
+        assert self._completes(["ab", "cd"], lm, task) is not None
+        assert self._completes(["ab"], lm, task) is None
 
 
 class TestSolve:
@@ -420,19 +399,27 @@ class TestSolveAll:
 
 class TestStatsAccounting:
     def test_backtracks_count_successful_calls(self, fig_lm, fig_task, monkeypatch):
-        true_returns = 0
-        original = SolverModel.backtrack
+        """Each node past the root is a new variable's first value or a backtrack's landing."""
+        nodes, first_values = 0, 0
+        grows, generate = gencp.solver._grows, gencp.solver.generate_variable
 
-        def counting(self):
-            nonlocal true_returns
-            result = original(self)
-            if result:
-                true_returns += 1
-            return result
+        def counting_grows(summary, cap):
+            nonlocal nodes
+            nodes += 1
+            return grows(summary, cap)
 
-        monkeypatch.setattr(SolverModel, "backtrack", counting)
-        outcome = run_search(fig_task, fig_lm, SolveOptions(max_variables=8))
-        assert outcome.stats.backtracks == true_returns
+        def counting_generate(*args):
+            nonlocal first_values
+            domain = generate(*args)
+            first_values += bool(domain)
+            return domain
+
+        monkeypatch.setattr(gencp.solver, "_grows", counting_grows)
+        monkeypatch.setattr(gencp.solver, "generate_variable", counting_generate)
+        for options in (SolveOptions(max_variables=8), SolveOptions(backtrack_to=2)):
+            nodes, first_values = 0, 0
+            outcome = run_search(fig_task, fig_lm, options, exhaustive=options.backtrack_to is None)
+            assert outcome.stats.backtracks == nodes - 1 - first_values > 0
 
     def test_lm_calls_count_domain_generations(self, fig_lm, fig_task):
         outcome = run_search(fig_task, fig_lm, SolveOptions(max_solutions=1, max_variables=8))
