@@ -15,6 +15,7 @@ from gencp import (
     brute_force_oracle,
     check_complete,
     expand_beams,
+    render_prefix,
     satisfaction_rate,
     sequence_logprob,
     summarize,
@@ -41,8 +42,8 @@ class TestExpandBeams:
         lm = TableLM(self.TABLE)
         task = _task(WordCountRange(1, 4))
         beams = [
-            Beam(("up",), math.log(0.5), summarize(("up",), task)),
-            Beam(("down",), math.log(0.5), summarize(("down",), task)),
+            Beam(("up",), math.log(0.5), summarize(("up",), task), "up"),
+            Beam(("down",), math.log(0.5), summarize(("down",), task), "down"),
         ]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert dead == []
@@ -52,7 +53,7 @@ class TestExpandBeams:
     def test_beam_without_extensions_dies(self):
         lm = TableLM(self.TABLE)
         task = _task(WordCountRange(1, 4))
-        beams = [Beam(("sideways",), math.log(0.5), summarize(("sideways",), task))]
+        beams = [Beam(("sideways",), math.log(0.5), summarize(("sideways",), task), "sideways")]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert kept == []
         assert [b.words for b in dead] == [("sideways",)]
@@ -62,7 +63,7 @@ class TestExpandBeams:
         # one survives even though it would lose the pooled ranking
         lm = TableLM({"ab": [("elephants", 0.9), ("cd", 0.1)]})
         task = _task(CharCountExact(6), WordCountRange(1, 3))
-        beams = [Beam(("ab",), math.log(1.0), summarize(("ab",), task))]
+        beams = [Beam(("ab",), math.log(1.0), summarize(("ab",), task), "ab")]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
         assert dead == []
@@ -70,7 +71,7 @@ class TestExpandBeams:
     def test_complete_extensions_survive_at_word_ceiling(self):
         lm = TableLM({"ab": [("cd", 0.9)]})
         task = _task(WordCountRange(2, 2))
-        beams = [Beam(("ab",), 0.0, summarize(("ab",), task))]
+        beams = [Beam(("ab",), 0.0, summarize(("ab",), task), "ab")]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
 
@@ -93,9 +94,32 @@ class TestExpandBeams:
     def test_tie_break_on_rendered_text(self):
         lm = TableLM({"go": [("beta", 0.5), ("alfa", 0.5)]})
         task = _task(WordCountRange(1, 3))
-        beams = [Beam(("go",), 0.0, summarize(("go",), task))]
+        beams = [Beam(("go",), 0.0, summarize(("go",), task), "go")]
         kept, _ = expand_beams(beams, lm, task, k=1)
         assert [b.words for b in kept] == [("go", "alfa")]
+
+    def test_tie_across_beams_breaks_on_rendered_text(self):
+        # equal scores from two beams: the pool's order, not the beams', decides
+        lm = TableLM({"up": [("on", 0.5)], "at": [("on", 0.5)]})
+        task = _task(WordCountRange(1, 3))
+        beams = [Beam((w,), 0.0, summarize((w,), task), w) for w in ("up", "at")]
+        kept, _ = expand_beams(beams, lm, task, k=1)
+        assert [b.words for b in kept] == [("at", "on")]
+
+    def test_each_beam_carries_its_rendered_prompt(self):
+        """A child's prompt is its parent's plus one word, with no space before a first word."""
+        rng = random.Random(5)
+        for seed in ((), ("so", "we")):
+            lm = random_table(rng, seed_words=seed, depth=len(seed) + 4, branching=4, period_prob=0.3)
+            for k in (1, 2, 3):
+                task = TaskSpec(name="t", constraints=(WordCountRange(1, 8),), seed=seed,
+                                lm_params=LMParams(k=2), require_period=True)
+                beams = [Beam(seed, 0.0, summarize(seed, task), render_prefix(seed))]
+                for _ in range(4):
+                    beams, dead = expand_beams(beams, lm, task, k)
+                    assert beams, (seed, k)
+                    for beam in beams + dead:
+                        assert beam.prompt == render_prefix(beam.words)
 
 
 class TestBeamSearch:
@@ -213,7 +237,7 @@ class TestBeamSearch:
         rng = random.Random(11)
         lm = random_table(rng, depth=5, branching=4, period_prob=0.4)
         task = _task(WordCountRange(1, 4), k=3)
-        beams = [Beam((), 0.0, summarize((), task))]
+        beams = [Beam((), 0.0, summarize((), task), "")]
         for _ in range(4):
             survivors = [b for b in beams if not b.summary.complete()]
             beams, _dead = expand_beams(survivors, lm, task, k=3)
@@ -226,7 +250,7 @@ class TestBeamSearch:
         lm = random_table(rng, depth=4, branching=3, period_prob=0.3)
         task = _task(WordCountRange(1, 3), k=3)
         params = task.lm_params
-        beams = [Beam((), 0.0, summarize((), task))]
+        beams = [Beam((), 0.0, summarize((), task), "")]
         for _ in range(3):
             beams, _dead = expand_beams(beams, lm, task, k=3)
             for beam in beams:
@@ -260,6 +284,40 @@ class TestBeamSearch:
         sols, bad = beam_search(task, lm, k=1, max_words=1)
         assert sols == []
         assert bad == ["go"]
+
+    def test_bad_outputs_render_their_own_beams(self):
+        """Each of the four kinds of bad output is its beam's words, rendered as the backend is asked."""
+        table = {
+            "": [("We", 1.0)],
+            "We": [("all", 1.0)],
+            "We all": [("run", 0.6), ("eat", 0.4)],
+            "We all run": [(".", 1.0)],
+            "We all eat": [("pie", 1.0)],
+        }
+        # a dead beam: "We all eat" has no word the task still admits
+        lm = PromptLog(TableLM(table))
+        task = _task(WordCountRange(3, 3), k=2)
+        sols, bad = beam_search(task, lm, k=2)
+        assert [s.sentence for s in sols] == ["We all run."]
+        assert bad == ["We all eat"]
+        assert lm.prompts == ["", "We", "We all", "We all run", "We all eat"]
+        # the max_words cut: a beam of max_words words is not expanded
+        lm = PromptLog(TableLM(table))
+        sols, bad = beam_search(_task(WordCountRange(4, 4), k=1), lm, k=1, max_words=2)
+        assert (sols, bad) == ([], ["We all"])
+        assert lm.prompts == ["", "We"]
+        # the leftovers at a first-solution halt, below a seed of two words
+        lm = PromptLog(TableLM(table))
+        task = TaskSpec(name="t", constraints=(WordCountRange(3, 4),), seed=("We", "all"),
+                        lm_params=LMParams(k=2), require_period=True)
+        sols, bad = beam_search(task, lm, k=2, mode=HaltingMode.FIRST_SOLUTION)
+        assert [s.sentence for s in sols] == ["We all run."]
+        assert bad == ["We all eat"]
+        assert lm.prompts == ["We all", "We all run", "We all eat"]
+        # the beams alive when the budget runs out
+        lm = PromptLog(TableLM(table))
+        assert beam_search(task, lm, k=2, time_budget=0.0) == ([], ["We all"])
+        assert lm.prompts == []
 
     def test_budget_expiry_flags_leftovers(self):
         lm = TableLM({

@@ -769,7 +769,7 @@ def _reference_node_domain(words, summary, raw, task, ordering):
 
 
 def _reference_extensions(beam, task, k):
-    """The (words, cum_logprob) of a beam's extensions, from its answer, as ``expand_beams`` made them."""
+    """The (words, cum_logprob, prompt) of a beam's extensions, from its answer, as ``expand_beams`` made them."""
     params = task.lm_params
     raw = beam.answer[: k * params.oversample] if max(k, params.k) > k else beam.answer
     summary = beam.summary
@@ -779,7 +779,8 @@ def _reference_extensions(beam, task, k):
             continue
         child = summary.push(cand.text, admitted=True)
         if child.can_extend() or child.complete():
-            found.append((beam.words + (cand.text,), beam.cum_logprob + cand.logprob))
+            words = beam.words + (cand.text,)
+            found.append((words, beam.cum_logprob + cand.logprob, render_prefix(words)))
     return found
 
 
@@ -836,10 +837,10 @@ def test_window_equals_the_reference_pipeline(window):
     assert got == _reference_node_domain(prefix, summary, raw, task, ordering)
     k = task.lm_params.k
     for width in {max(1, k - 1), k, k + 1}:
-        beam = Beam(tuple(prefix), -1.0, summary, answer=raw)
+        beam = Beam(tuple(prefix), -1.0, summary, render_prefix(prefix), answer=raw)
         expected = sorted(_reference_extensions(beam, task, width), key=lambda e: (-e[1], e[0]))
         survivors, dead = expand_beams([beam], None, task, width)
-        assert [(b.words, b.cum_logprob) for b in survivors] == expected[:width]
+        assert [(b.words, b.cum_logprob, b.prompt) for b in survivors] == expected[:width]
         assert dead == ([] if expected else [beam])
 
 
