@@ -4,8 +4,9 @@ Each step fetches up to k valid words per beam, pools the k*k extensions,
 drops the ones that can no longer lead anywhere, and keeps the k highest by
 cumulative log-probability.  A needed word ranked below the cut is gone for
 good, which is exactly the failure mode the backtracking search avoids.
-A beam carries its prompt, so a child's is its parent's plus one word, as
-in the solver and the oracle: a step costs the same at any depth.
+A beam's ``PrefixSummary`` carries its prompt, so a child's is its
+parent's plus one word, as in the solver and the oracle: a step costs the
+same at any depth.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 
 from . import constraints as cst
 from .lm import sequence_logprob
-from .model import render_prefix
 from .solver import check_time_budget, completes, make_record
 
 
@@ -27,9 +27,9 @@ class HaltingMode(enum.Enum):
 
 @dataclass(slots=True)
 class Beam:
-    """A candidate word sequence, its cumulative log-probability, its ``PrefixSummary`` and its prompt.
+    """A candidate word sequence, its cumulative log-probability and its ``PrefixSummary``.
 
-    ``prompt`` is ``render_prefix(words)``, the text the backend is asked
+    ``summary.prompt`` renders the words, the text the backend is asked
     about.  ``answer`` is the backend's answer for it once a period check
     asked for it, else None; the beam's expansion reads it rather than ask again.
     """
@@ -37,7 +37,6 @@ class Beam:
     words: tuple
     cum_logprob: float
     summary: cst.PrefixSummary = field(compare=False, repr=False)
-    prompt: str = field(compare=False)
     answer: list = field(default=None, compare=False, repr=False)
 
 
@@ -58,23 +57,22 @@ def expand_beams(beams, lm, task, k):
     for beam in beams:
         raw = beam.answer
         if raw is None:
-            raw = lm.predict(beam.prompt, params, width)
+            raw = lm.predict(beam.summary.prompt, params, width)
         if width > k:
             raw = raw[: k * params.oversample]
         words, cum, summary = beam.words, beam.cum_logprob, beam.summary
-        lead = beam.prompt + " " if beam.prompt else ""  # a child's prompt is its parent's plus one word
         before = len(extensions)
         # the solver's node step, unordered: the pool below is ranked by probability
         for cand in summary.window(raw, k):
             child = summary.push(cand.text, admitted=True)
             if child.can_extend() or child.complete():
-                extensions.append(Beam(words + (cand.text,), cum + cand.logprob, child, lead + cand.text))
+                extensions.append(Beam(words + (cand.text,), cum + cand.logprob, child))
         if len(extensions) == before:
             dead.append(beam)
     # The extensions of one step are equally long and share the seed, and
     # the words after it hold only letters, "'" and "-", all above the space
     # that joins them, so comparing the prompts orders ties as the word tuples.
-    extensions.sort(key=lambda b: (-b.cum_logprob, b.prompt))
+    extensions.sort(key=lambda b: (-b.cum_logprob, b.summary.prompt))
     return extensions[:k], dead
 
 
@@ -96,11 +94,10 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     params = task.lm_params
     width = max(k, params.k)  # the period check reads the first params.k, the expansion the first k
     summary = cst.summarize(seed, task)
-    prompt = render_prefix(seed)
     if not (summary.can_extend() or summary.complete()):  # the test expand_beams applies to later beams
-        return [], [prompt]
+        return [], [summary.prompt]
     start_cum = sequence_logprob(lm, list(seed), params) if seed else 0.0
-    beams = [Beam(seed, start_cum, summary, prompt)]
+    beams = [Beam(seed, start_cum, summary)]
     solutions = []
     bad_outputs = []
     started = time.perf_counter()
@@ -108,13 +105,13 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
     try:
         while beams:
             if time_budget is not None and time.perf_counter() - started > time_budget:
-                bad_outputs.extend(b.prompt for b in beams)
+                bad_outputs.extend(b.summary.prompt for b in beams)
                 break
             if task.require_period:  # the period check asks about each beam that ends a sentence
                 whole = [b for b in beams if b.summary.complete()]
-                lm.prefetch((b.prompt for b in whole), params, width)
+                lm.prefetch((b.summary.prompt for b in whole), params, width)
                 for beam in whole:
-                    beam.answer = lm.predict(beam.prompt, params, width)
+                    beam.answer = lm.predict(beam.summary.prompt, params, width)
             survivors = []
             for beam in beams:
                 end = completes(beam.summary, beam.answer, task)
@@ -123,14 +120,14 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 else:
                     survivors.append(beam)
             if len(survivors) < len(beams) and mode is HaltingMode.FIRST_SOLUTION:
-                bad_outputs.extend(b.prompt for b in survivors)
+                bad_outputs.extend(b.summary.prompt for b in survivors)
                 return solutions, bad_outputs
-            bad_outputs.extend(b.prompt for b in survivors if b.summary.count >= max_words)
+            bad_outputs.extend(b.summary.prompt for b in survivors if b.summary.count >= max_words)
             survivors = [b for b in survivors if b.summary.count < max_words]
             # Announced after the checks: a beam that turns out a solution is never expanded.
-            lm.prefetch((b.prompt for b in survivors if b.answer is None), params, width)
+            lm.prefetch((b.summary.prompt for b in survivors if b.answer is None), params, width)
             beams, dead = expand_beams(survivors, lm, task, k)
-            bad_outputs.extend(b.prompt for b in dead)
+            bad_outputs.extend(b.summary.prompt for b in dead)
     finally:
         lm.cancel_prefetch()
     return solutions, bad_outputs

@@ -7,10 +7,10 @@ apply to content words only; the trailing period is not a word.
 Each constraint class carries its own pruning hooks: ``admits_word``,
 ``admits_next`` and ``admits_end``.  The searches do not rescan a prefix to
 apply them.  They keep one ``PrefixSummary`` per prefix (word count,
-rendered length, where the keywords stand, whether a word failed its test),
-built by ``summarize`` for one task, whose period reserve it holds, and
-extended by one word at a time; ``window``, the node step the solver and
-beam search share, ``can_extend`` and the solution predicate read it.
+prompt, where the keywords stand, whether a word failed its test), built by
+``summarize`` for one task, whose period reserve it holds, and extended by
+one word at a time; ``window``, the node step the solver and beam search
+share, ``can_extend``, the solution predicate and the backend's asks read it.
 ``check_complete``, the plain specification the pruning is fuzz-tested
 against, asks each type's ``holds``, the O(1) clauses before the scans.
 """
@@ -80,7 +80,7 @@ class CharCountExact(Constraint):
         return length + reserve <= self.n
 
     def admits_end(self, prefix, reserve):
-        return prefix.length + reserve == self.n
+        return len(prefix.prompt) + reserve == self.n
 
     def holds(self, words, content):
         return len(render_sentence(words)) == self.n
@@ -395,21 +395,23 @@ class _Rules:
 class PrefixSummary:
     """What the pruning needs to know about a prefix of content words.
 
-    ``count`` words render to ``length`` characters; ``failed`` says that
+    ``count`` words render to ``prompt``, the text a search asks the backend
+    about, a child's being its parent's plus one word; ``failed`` says that
     some word failed ``admits_word`` or ``admits_next``, with the task's
     period reserve, where it stands, which no later word can mend; ``seen`` maps
     each tracked keyword (casefolded) to the last position that holds it.
-    ``push`` gives the summary one word longer in O(#constraints +
-    #keywords), so a search keeps one summary per prefix instead of
-    rescanning it.  Summaries are never changed once made and may be shared.
+    ``push`` gives the summary one word longer, testing the word in
+    O(#constraints + #keywords) and copying the prompt once, so a search
+    keeps one summary per prefix instead of rescanning or rendering it.
+    Summaries are never changed once made and may be shared.
     """
 
-    __slots__ = ("rules", "count", "length", "failed", "seen")
+    __slots__ = ("rules", "count", "prompt", "failed", "seen")
 
-    def __init__(self, rules, count, length, failed, seen):
+    def __init__(self, rules, count, prompt, failed, seen):
         self.rules = rules
         self.count = count
-        self.length = length
+        self.prompt = prompt
         self.failed = failed
         self.seen = seen
 
@@ -421,14 +423,14 @@ class PrefixSummary:
         """
         rules = self.rules
         count = self.count
-        length = self.length + len(word) + 1 if count else len(word)
+        prompt = self.prompt + " " + word if count else word
         failed = self.failed or not (admitted or self.admits(word))
         seen = self.seen
         if rules.keywords:
             key = word.casefold()
             if key in rules.keywords:
                 seen = {**seen, key: count + 1}
-        return PrefixSummary(rules, count + 1, length, failed, seen)
+        return PrefixSummary(rules, count + 1, prompt, failed, seen)
 
     def admits(self, word):
         """Whether ``word`` may come next, with room kept for a period the summary's task requires."""
@@ -440,7 +442,7 @@ class PrefixSummary:
     def _follows(self, word):
         """Whether the ``admits_next`` tests admit ``word`` after the prefix, with the period reserve."""
         rules = self.rules
-        length = self.length + len(word) + 1 if self.count else len(word)
+        length = len(self.prompt) + len(word) + 1 if self.count else len(word)  # the child's, unbuilt
         for c in rules.next_tests:
             if not c.admits_next(self, word, length, rules.reserve):
                 return False
@@ -495,7 +497,7 @@ class PrefixSummary:
             return False
         if rules.char_cap is not None:
             needed = sum(fold_length(w) + 1 for w in missing) - (0 if count else 1)
-            if self.length + needed > rules.char_cap:
+            if len(self.prompt) + needed > rules.char_cap:
                 return False
         return True
 
@@ -511,7 +513,7 @@ class PrefixSummary:
 
 def summarize(words, task):
     """The ``PrefixSummary`` of content ``words`` under the task (its constraints and period), built word by word."""
-    summary = PrefixSummary(_Rules(task.constraints, 1 if task.require_period else 0), 0, 0, False, {})
+    summary = PrefixSummary(_Rules(task.constraints, 1 if task.require_period else 0), 0, "", False, {})
     for word in words:
         summary = summary.push(word)
     return summary

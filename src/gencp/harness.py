@@ -38,6 +38,8 @@ class ReportRow:
 
 
 REPORT_FIELDS = tuple(f.name for f in fields(ReportRow))
+_KINDS = {f.name: f.type for f in fields(ReportRow)}  # "int", "float | None", ...: strings, as annotations are here
+_OPTIONAL_FIELDS = tuple(name for name, kind in _KINDS.items() if kind.endswith(" | None"))
 
 
 @dataclass(frozen=True)
@@ -263,19 +265,15 @@ def emit_report(rows, fmt="csv", path=None):
             fh.write(text)
 
 
-_INT_FIELDS = {"k", "n_solutions", "n_bad_outputs", "n_backtracks", "max_variability"}
-_FLOAT_FIELDS = {"seconds", "sat_pct", "mean_ppl"}
-_OPTIONAL_FIELDS = {"sat_pct", "n_bad_outputs", "n_backtracks", "mean_ppl", "max_variability"}
-
-
 def _coerce(field, value):
-    if field in _OPTIONAL_FIELDS and (value is None or value == ""):
-        return None
-    if field in _INT_FIELDS:
-        return int(value)
-    if field in _FLOAT_FIELDS:
-        return float(value)
-    return value
+    """The report cell ``value`` as the type ``ReportRow`` annotates ``field`` with; None for an empty optional cell."""
+    kind = _KINDS[field]
+    if kind.endswith(" | None"):
+        if value is None or value == "":
+            return None
+        kind = kind.removesuffix(" | None")
+    parse = {"int": int, "float": float}.get(kind)
+    return value if parse is None else parse(value)
 
 
 def loads_report(text, fmt="csv"):

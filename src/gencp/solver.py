@@ -18,9 +18,9 @@ The loop walks one explicit stack, as the oracle does.  A frame holds the
 domain of one position after the seed and the cursor of its assigned value;
 the values before the cursor have been tried, and nothing narrows a domain
 once it is made, so the frames are the whole backtracking state.  Beside
-them the loop keeps the assigned words, the ``PrefixSummary`` of each
-prefix of them and the prompt that renders each prefix, a child's prompt
-being its parent's plus one word, so a node costs the same at any depth.
+them the loop keeps the ``PrefixSummary`` of each prefix, which carries the
+prompt that renders it, a child's being its parent's plus one word, so a
+node costs the same at any depth.  A solution's words are read off the frames.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def _asks(summary, grows, task):
     return grows and not summary.complete()
 
 
-def _hints(prompt, summary, task, ordering, max_variables):
-    """The prefetch hint of ``prompt``, whose words' summary is ``summary``, if the search asks about it.
+def _hints(summary, task, ordering, max_variables):
+    """The prefetch hint of the prefix that ``summary`` describes, if the search asks about it.
 
     Its expansion yields the hints of the children the search asks about, in
     visit order, so the root's hint names every prompt of a run that visits
@@ -148,18 +148,16 @@ def _hints(prompt, summary, task, ordering, max_variables):
     """
     grows = _grows(summary, max_variables)
     if _asks(summary, grows, task):
-        args = (prompt, summary, grows, task, ordering, max_variables)
-        yield prompt, functools.partial(_expansion, *args)
+        args = (summary, grows, task, ordering, max_variables)
+        yield summary.prompt, functools.partial(_expansion, *args)
 
 
-def _expansion(prompt, summary, grows, task, ordering, max_variables, raw):
-    """The hints below ``prompt``, given its answer ``raw``; none at a leaf or a solution."""
+def _expansion(summary, grows, task, ordering, max_variables, raw):
+    """The hints below the prefix that ``summary`` describes, given its answer ``raw``; none at a leaf or a solution."""
     if not grows or completes(summary, raw, task) is not None:
         return
     for cand in generate_variable(summary, raw, task, ordering):
-        word = cand.text
-        child = prompt + " " + word if prompt else word  # as the search renders it
-        yield from _hints(child, summary.push(word, admitted=True), task, ordering, max_variables)
+        yield from _hints(summary.push(cand.text, admitted=True), task, ordering, max_variables)
 
 
 @dataclass
@@ -191,12 +189,8 @@ def run_search(task, lm, options=None, exhaustive=False):
 
     # Seed positions hold no frame: each has its one word, which no window
     # admitted, so a seed word may break a constraint.
-    words, summaries, prompts = [], [cst.summarize((), task)], [""]
-    for word in task.seed:
-        summaries.append(summaries[-1].push(word, admitted=False))
-        prompts.append(prompts[-1] + " " + word if words else word)
-        words.append(word)
-    base = len(words)
+    summaries = [cst.summarize(task.seed, task)]  # [i]: of the seed and the values of the first i frames
+    base = len(task.seed)
     frames = []  # [domain, cursor] of each position after the seed
     stats = SearchStats()
     seed_logprob = None  # the seed's score, asked of the backend at the first solution
@@ -205,28 +199,29 @@ def run_search(task, lm, options=None, exhaustive=False):
 
     try:
         if enumerating:
-            hints = _hints(prompts[-1], summaries[-1], task, ordering, opts.max_variables)
+            hints = _hints(summaries[-1], task, ordering, opts.max_variables)
             lm.prefetch(hints, task.lm_params)
         while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
             # Every variable is assigned here.
             summary = summaries[-1]
             grows = _grows(summary, opts.max_variables)
             asked = _asks(summary, grows, task)
-            raw = lm.predict(prompts[-1], task.lm_params) if asked else None
+            raw = lm.predict(summary.prompt, task.lm_params) if asked else None
             end = completes(summary, raw, task)
             domain = None
             if end is not None:  # check: the words finish a sentence
                 if seed_logprob is None:
                     seed_logprob = sequence_logprob(lm, task.seed, task.lm_params) if task.seed else 0.0
-                # The frames hold the values after the seed: add their scores to the seed's.
-                logprob = seed_logprob
+                # The frames hold the values after the seed: add their words and scores to the seed's.
+                logprob, words = seed_logprob, list(task.seed)
                 for values, cursor in frames:
                     logprob += values[cursor].logprob
+                    words.append(values[cursor].text)
                 solutions.append(make_record(words, logprob, end, task, started))
                 if max_solutions is not None and len(solutions) >= max_solutions:
                     break
-                if jump_to is not None and 1 <= jump_to < len(words):
-                    # keep positions 1..jump_to; the backtrack below cuts the words to match
+                if jump_to is not None and 1 <= jump_to < summary.count:
+                    # keep positions 1..jump_to; the backtrack below cuts the summaries to match
                     del frames[max(jump_to - base, 0):]
             elif grows:  # grow: a new variable at its first value
                 stats.lm_calls += 1
@@ -240,15 +235,9 @@ def run_search(task, lm, options=None, exhaustive=False):
                     break
                 frames[-1][1] += 1
                 stats.backtracks += 1
-                n = base + len(frames) - 1  # the words before that variable
-                del words[n:]
-                del summaries[n + 1:]
-                del prompts[n + 1:]
+                del summaries[len(frames):]  # keep those of the prefixes before that variable
             values, cursor = frames[-1]
-            word = values[cursor].text
-            prompts.append(prompts[-1] + " " + word if words else word)
-            words.append(word)
-            summaries.append(summaries[-1].push(word, admitted=True))
+            summaries.append(summaries[-1].push(values[cursor].text, admitted=True))
     except TransportError as exc:
         raise SearchAborted(str(exc), solutions, stats) from exc
     finally:

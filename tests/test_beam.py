@@ -42,8 +42,8 @@ class TestExpandBeams:
         lm = TableLM(self.TABLE)
         task = _task(WordCountRange(1, 4))
         beams = [
-            Beam(("up",), math.log(0.5), summarize(("up",), task), "up"),
-            Beam(("down",), math.log(0.5), summarize(("down",), task), "down"),
+            Beam(("up",), math.log(0.5), summarize(("up",), task)),
+            Beam(("down",), math.log(0.5), summarize(("down",), task)),
         ]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert dead == []
@@ -53,7 +53,7 @@ class TestExpandBeams:
     def test_beam_without_extensions_dies(self):
         lm = TableLM(self.TABLE)
         task = _task(WordCountRange(1, 4))
-        beams = [Beam(("sideways",), math.log(0.5), summarize(("sideways",), task), "sideways")]
+        beams = [Beam(("sideways",), math.log(0.5), summarize(("sideways",), task))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert kept == []
         assert [b.words for b in dead] == [("sideways",)]
@@ -63,7 +63,7 @@ class TestExpandBeams:
         # one survives even though it would lose the pooled ranking
         lm = TableLM({"ab": [("elephants", 0.9), ("cd", 0.1)]})
         task = _task(CharCountExact(6), WordCountRange(1, 3))
-        beams = [Beam(("ab",), math.log(1.0), summarize(("ab",), task), "ab")]
+        beams = [Beam(("ab",), math.log(1.0), summarize(("ab",), task))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
         assert dead == []
@@ -71,7 +71,7 @@ class TestExpandBeams:
     def test_complete_extensions_survive_at_word_ceiling(self):
         lm = TableLM({"ab": [("cd", 0.9)]})
         task = _task(WordCountRange(2, 2))
-        beams = [Beam(("ab",), 0.0, summarize(("ab",), task), "ab")]
+        beams = [Beam(("ab",), 0.0, summarize(("ab",), task))]
         kept, dead = expand_beams(beams, lm, task, k=2)
         assert [b.words for b in kept] == [("ab", "cd")]
 
@@ -94,7 +94,7 @@ class TestExpandBeams:
     def test_tie_break_on_rendered_text(self):
         lm = TableLM({"go": [("beta", 0.5), ("alfa", 0.5)]})
         task = _task(WordCountRange(1, 3))
-        beams = [Beam(("go",), 0.0, summarize(("go",), task), "go")]
+        beams = [Beam(("go",), 0.0, summarize(("go",), task))]
         kept, _ = expand_beams(beams, lm, task, k=1)
         assert [b.words for b in kept] == [("go", "alfa")]
 
@@ -102,7 +102,7 @@ class TestExpandBeams:
         # equal scores from two beams: the pool's order, not the beams', decides
         lm = TableLM({"up": [("on", 0.5)], "at": [("on", 0.5)]})
         task = _task(WordCountRange(1, 3))
-        beams = [Beam((w,), 0.0, summarize((w,), task), w) for w in ("up", "at")]
+        beams = [Beam((w,), 0.0, summarize((w,), task)) for w in ("up", "at")]
         kept, _ = expand_beams(beams, lm, task, k=1)
         assert [b.words for b in kept] == [("at", "on")]
 
@@ -114,12 +114,12 @@ class TestExpandBeams:
             for k in (1, 2, 3):
                 task = TaskSpec(name="t", constraints=(WordCountRange(1, 8),), seed=seed,
                                 lm_params=LMParams(k=2), require_period=True)
-                beams = [Beam(seed, 0.0, summarize(seed, task), render_prefix(seed))]
+                beams = [Beam(seed, 0.0, summarize(seed, task))]
                 for _ in range(4):
                     beams, dead = expand_beams(beams, lm, task, k)
                     assert beams, (seed, k)
                     for beam in beams + dead:
-                        assert beam.prompt == render_prefix(beam.words)
+                        assert beam.summary.prompt == render_prefix(beam.words)
 
 
 class TestBeamSearch:
@@ -237,7 +237,7 @@ class TestBeamSearch:
         rng = random.Random(11)
         lm = random_table(rng, depth=5, branching=4, period_prob=0.4)
         task = _task(WordCountRange(1, 4), k=3)
-        beams = [Beam((), 0.0, summarize((), task), "")]
+        beams = [Beam((), 0.0, summarize((), task))]
         for _ in range(4):
             survivors = [b for b in beams if not b.summary.complete()]
             beams, _dead = expand_beams(survivors, lm, task, k=3)
@@ -250,7 +250,7 @@ class TestBeamSearch:
         lm = random_table(rng, depth=4, branching=3, period_prob=0.3)
         task = _task(WordCountRange(1, 3), k=3)
         params = task.lm_params
-        beams = [Beam((), 0.0, summarize((), task), "")]
+        beams = [Beam((), 0.0, summarize((), task))]
         for _ in range(3):
             beams, _dead = expand_beams(beams, lm, task, k=3)
             for beam in beams:

@@ -235,6 +235,19 @@ def test_a_task_rejects_a_hook_set_on_an_instance():
     assert TaskSpec(name="t", constraints=(_NoWordTest(),)).constraints
 
 
+def test_a_summary_carries_the_prompt_that_renders_its_words():
+    """Each push joins its word to the prompt with one space, none before the first, as ``render_prefix`` does."""
+    for require_period in (True, False):
+        task = _task(MandatoryKeywords({"beach"}), CharCountExact(60), require_period=require_period)
+        summary, words = summarize((), task), []
+        assert summary.prompt == ""
+        for word in ("U.S.", "don't", "well-known", "Beach"):
+            summary = summary.push(word)
+            words.append(word)
+            assert summary.prompt == render_prefix(words), (require_period, words)
+        assert summary.prompt == "U.S. don't well-known Beach"
+
+
 def can_extend(words, constraints):
     """``PrefixSummary.can_extend`` of the words under the constraints, no period required."""
     return summarize(words, _task(*constraints, require_period=False)).can_extend()

@@ -552,8 +552,8 @@ def _check_summary(words, summary, task):
     """A node's summary against one rebuilt from scratch, the rescans and ``check_complete``."""
     reserve = 1 if task.require_period else 0
     scratch = summarize(words, task)
-    assert (summary.count, summary.length, summary.failed, summary.seen) == (
-        scratch.count, scratch.length, scratch.failed, scratch.seen)
+    assert (summary.count, summary.prompt, summary.failed, summary.seen) == (
+        scratch.count, scratch.prompt, scratch.failed, scratch.seen)
     assert summary.can_extend() == _rescanned_can_extend(words, task.constraints, reserve)
     assert summary.complete() == check_complete(words + ["."] * reserve, task)
     if not summary.failed:
@@ -837,10 +837,10 @@ def test_window_equals_the_reference_pipeline(window):
     assert got == _reference_node_domain(prefix, summary, raw, task, ordering)
     k = task.lm_params.k
     for width in {max(1, k - 1), k, k + 1}:
-        beam = Beam(tuple(prefix), -1.0, summary, render_prefix(prefix), answer=raw)
+        beam = Beam(tuple(prefix), -1.0, summary, answer=raw)
         expected = sorted(_reference_extensions(beam, task, width), key=lambda e: (-e[1], e[0]))
         survivors, dead = expand_beams([beam], None, task, width)
-        assert [(b.words, b.cum_logprob, b.prompt) for b in survivors] == expected[:width]
+        assert [(b.words, b.cum_logprob, b.summary.prompt) for b in survivors] == expected[:width]
         assert dead == ([] if expected else [beam])
 
 

@@ -1,5 +1,5 @@
 """The mutation catalogue cannot rot silently: every mutant's original line is still there, once,
-and every test it names still exists.
+every test it names still exists, and no two entries repeat a mutant or a name.
 
 ``tools/mutate.py`` runs the catalogue itself, which takes minutes, so the
 suite checks only, and statically, that each entry still applies.
@@ -8,6 +8,7 @@ suite checks only, and statically, that each entry still applies.
 import ast
 import functools
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,14 @@ def _draws(test_id):
         if getattr(target, "id", getattr(target, "attr", None)) == "given":
             return True
     return False
+
+
+def test_entries_are_distinct():
+    """No two entries make the same mutant, and no two share a ``what``, which names a test above."""
+    mutants = Counter((e["file"], e["original"], e["replacement"]) for e in ENTRIES)
+    assert [m for m, n in mutants.items() if n > 1] == []
+    names = Counter(e["what"] for e in ENTRIES)
+    assert [what for what, n in names.items() if n > 1] == []
 
 
 def test_every_named_test_exists():
