@@ -14,7 +14,6 @@ from .constraints import (
     KeywordSeparation,
     MandatoryKeywords,
     MaxWordLen,
-    Ordering,
     PositionLexical,
     PrefixSummary,
     StartsWith,

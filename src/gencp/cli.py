@@ -90,6 +90,8 @@ def _load_task(args, k=None):
     if args.seed_words is not None:
         seed = tuple(w for w in args.seed_words.split(",") if w)
         task = replace(task, seed=seed)
+    if getattr(args, "ordering", None):  # solve and bench take --ordering
+        task = replace(task, ordering=args.ordering)
     return task
 
 
@@ -97,7 +99,6 @@ def _solve_options(args):
     return SolveOptions(
         max_solutions=args.max_solutions,
         time_budget=args.time_budget,
-        ordering=cst.parse_ordering(args.ordering) if args.ordering else None,
         backtrack_to=args.backtrack_to,
         max_variables=args.max_variables,
     )

@@ -32,10 +32,10 @@ class Constraint:
     """Base of the constraint types: pruning hooks that admit by default.
 
     ``prefix`` is the ``PrefixSummary`` of the words before ``word`` in
-    ``admits_next`` and of the whole sentence in ``admits_end``; ``length``
-    is the rendered length with ``word``; ``reserve``, which the summary
-    takes from its task, is 1 when a final period is required, and a word
-    admitted with it is admitted without.
+    ``admits_next`` and of the whole sentence in ``admits_end``; it holds
+    the prompt that renders those words and, in ``prefix.rules.reserve``,
+    the 1 character a final period takes when its task requires one.  A
+    word admitted with that reserve is admitted without it.
     ``keywords`` are the casefolded words whose last positions the summary
     records, and the caps and ``required_words`` feed ``can_extend``'s
     lookahead.  ``holds``, the type's clause of ``check_complete``, reads
@@ -53,11 +53,11 @@ class Constraint:
         """Whether the word, on its own, may appear at all."""
         return True
 
-    def admits_next(self, prefix, word, length, reserve):
+    def admits_next(self, prefix, word):
         """Whether the word may follow the prefix; no later word undoes a rejection."""
         return True
 
-    def admits_end(self, prefix, reserve):
+    def admits_end(self, prefix):
         """Whether a sentence whose words all passed the tests above may end here."""
         return True
 
@@ -76,11 +76,12 @@ class CharCountExact(Constraint):
 
     char_cap = property(lambda self: self.n)
 
-    def admits_next(self, prefix, word, length, reserve):
-        return length + reserve <= self.n
+    def admits_next(self, prefix, word):
+        space = 1 if prefix.count else 0  # none before the first word
+        return len(prefix.prompt) + space + len(word) + prefix.rules.reserve <= self.n
 
-    def admits_end(self, prefix, reserve):
-        return len(prefix.prompt) + reserve == self.n
+    def admits_end(self, prefix):
+        return len(prefix.prompt) + prefix.rules.reserve == self.n
 
     def holds(self, words, content):
         return len(render_sentence(words)) == self.n
@@ -102,10 +103,10 @@ class WordCountRange(Constraint):
 
     word_cap = property(lambda self: self.hi)
 
-    def admits_next(self, prefix, word, length, reserve):
+    def admits_next(self, prefix, word):
         return self.hi is None or prefix.count < self.hi
 
-    def admits_end(self, prefix, reserve):
+    def admits_end(self, prefix):
         return prefix.count >= self.lo
 
     def holds(self, words, content):
@@ -145,10 +146,10 @@ class PositionLexical(Constraint):
         if not self.word:
             raise ValueError("pinned word is empty")
 
-    def admits_next(self, prefix, word, length, reserve):
+    def admits_next(self, prefix, word):
         return prefix.count + 1 != self.position or word == self.word
 
-    def admits_end(self, prefix, reserve):
+    def admits_end(self, prefix):
         return prefix.count >= self.position
 
     def holds(self, words, content):
@@ -171,7 +172,7 @@ class MandatoryKeywords(Constraint):
 
     required_words = property(lambda self: self.keywords)
 
-    def admits_end(self, prefix, reserve):
+    def admits_end(self, prefix):
         return self.keywords <= prefix.seen.keys()
 
     def holds(self, words, content):
@@ -196,7 +197,7 @@ class KeywordSeparation(Constraint):
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
-    def admits_next(self, prefix, word, length, reserve):
+    def admits_next(self, prefix, word):
         if word.casefold() not in self.keywords:
             return True
         seen = prefix.seen
@@ -241,49 +242,34 @@ class StartsWith(Constraint):
         if not self.prefix:
             raise ValueError("prefix is empty")
 
-    def admits_next(self, prefix, word, length, reserve):
+    def admits_next(self, prefix, word):
         return prefix.count >= len(self.prefix) or word == self.prefix[prefix.count]
 
-    def admits_end(self, prefix, reserve):
+    def admits_end(self, prefix):
         return prefix.count >= len(self.prefix)
 
     def holds(self, words, content):
         return tuple(content[: len(self.prefix)]) == self.prefix
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """How a freshly created domain is ordered before values are tried.
-
-    ``probability`` keeps the backend ranking.  ``char-target`` tries longer
-    words first for variables before ``pivot`` and shorter words first from
-    the pivot on, which steers exact-character tasks toward their target
-    length.
-    """
-
-    kind: str
-    pivot: int = 10
-
-    def __post_init__(self):
-        if self.kind not in ("probability", "char-target"):
-            raise ValueError(f"unknown ordering {self.kind!r}")
-        if self.pivot < 1:
-            raise ValueError("pivot must be >= 1")
-
-
 def parse_ordering(name):
-    """Parse "probability", "ppl", "char-target" or "char-target:<pivot>".
+    """The pivot of "char-target" or "char-target:<pivot>", or None for "probability" and "ppl".
 
-    "ppl" is an alias of "probability": every candidate extends the same
-    prefix, so ascending perplexity is the backend's own ranking.
+    An ordering says how a freshly created domain is ordered before values
+    are tried.  "probability" keeps the backend ranking; "ppl" is an alias
+    of it: every candidate extends the same prefix, so ascending perplexity
+    is the backend's own ranking.  "char-target" tries longer words first
+    for variables before the pivot, 10 unless given, and shorter words first
+    from the pivot on, which steers exact-character tasks toward their
+    target length.
     """
     if name in ("probability", "ppl"):
-        return Ordering("probability")
+        return None
     if name == "char-target":
-        return Ordering("char-target")
+        return 10
     kind, _, pivot = name.partition(":")
     if kind == "char-target" and pivot.isdecimal() and int(pivot) >= 1:
-        return Ordering("char-target", int(pivot))
+        return int(pivot)
     raise ValueError(f"unknown ordering {name!r}; expected probability, ppl or char-target[:PIVOT]"
                      " with PIVOT an integer >= 1")
 
@@ -292,7 +278,8 @@ def parse_ordering(name):
 class TaskSpec:
     """One full problem instance: constraints, seed words, and LM settings.
 
-    ``clauses`` are the constraints in the order ``check_complete`` asks them, the scans last.
+    ``clauses`` are the constraints in the order ``check_complete`` asks them, the scans last;
+    ``pivot`` is what ``parse_ordering`` makes of ``ordering``.
     """
 
     name: str
@@ -303,6 +290,7 @@ class TaskSpec:
     ordering: str = "probability"
     backtrack_to: int | None = None
     clauses: tuple = field(init=False, repr=False, compare=False)
+    pivot: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -320,7 +308,7 @@ class TaskSpec:
                 raise ValueError(f"seed word {word!r} violates the constraints")
         if self.backtrack_to is not None and self.backtrack_to < 1:
             raise ValueError("backtrack_to must be >= 1")
-        parse_ordering(self.ordering)
+        object.__setattr__(self, "pivot", parse_ordering(self.ordering))
 
 
 def word_valid(word, constraints):
@@ -434,17 +422,12 @@ class PrefixSummary:
 
     def admits(self, word):
         """Whether ``word`` may come next, with room kept for a period the summary's task requires."""
-        for c in self.rules.word_tests:
-            if not c.admits_word(word):
-                return False
-        return self._follows(word)
+        return word_valid(word, self.rules.word_tests) and self._follows(word)
 
     def _follows(self, word):
         """Whether the ``admits_next`` tests admit ``word`` after the prefix, with the period reserve."""
-        rules = self.rules
-        length = len(self.prompt) + len(word) + 1 if self.count else len(word)  # the child's, unbuilt
-        for c in rules.next_tests:
-            if not c.admits_next(self, word, length, rules.reserve):
+        for c in self.rules.next_tests:
+            if not c.admits_next(self, word):
                 return False
         return True
 
@@ -506,7 +489,7 @@ class PrefixSummary:
         if self.failed or not self.count:
             return False
         for c in self.rules.end_tests:
-            if not c.admits_end(self, self.rules.reserve):
+            if not c.admits_end(self):
                 return False
         return True
 

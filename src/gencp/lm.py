@@ -173,11 +173,15 @@ class TableLM(LanguageModel):
     or (word, probability) pairs.  Unknown prefixes predict nothing, which
     kills the corresponding search branch.  Each entry is held once, in its
     prefix's ranked list, which ``conditional_logprob`` scans in full, past ``predict``'s window.
+    Only the prefixes with several entries are ranked and checked for a
+    repeated word and a sum above 1, as a lone entry is ranked, unique and at most 1.
     """
 
     def __init__(self, table):
-        self._table = {prefix: _checked(prefix, map(_as_candidate, entries))
-                       for prefix, entries in table.items()}
+        self._table = {}
+        for prefix, entries in table.items():
+            candidates = [_as_candidate(entry) for entry in entries]
+            self._table[prefix] = _checked(prefix, candidates) if len(candidates) > 1 else candidates
 
     @classmethod
     def from_file(cls, path):
@@ -185,9 +189,8 @@ class TableLM(LanguageModel):
 
         The root prefix is written as an empty first field; blank lines are
         ignored.  One pass builds each line's candidate; the first bad line
-        raises, naming its number.  After the last line, only the prefixes
-        with several entries are ranked and checked for a repeated word and
-        a sum above 1, as a lone entry is ranked, unique and at most 1.
+        raises, naming its number.  After the last line the constructor
+        ranks and checks each prefix's candidates, and its error names the file.
         """
         table = defaultdict(list)
         with open(path, encoding="utf-8") as fh:
@@ -207,15 +210,10 @@ class TableLM(LanguageModel):
                     table[prefix].append(_candidate(word, prob))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-        for prefix, candidates in table.items():
-            if len(candidates) > 1:
-                try:
-                    table[prefix] = _checked(prefix, candidates)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {exc}") from None
-        lm = cls.__new__(cls)  # every list is ranked and checked: __init__ would redo it
-        lm._table = dict(table)
-        return lm
+        try:
+            return cls(table)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def predict(self, sentence, params, k=None):
         k = params.k if k is None else k

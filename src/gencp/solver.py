@@ -44,12 +44,12 @@ class SearchAborted(RuntimeError):
         self.stats = stats
 
 
-def order_candidates(candidates, ordering, var_index):
-    """Apply an ordering strategy; ties always break lexicographically."""
+def order_candidates(candidates, pivot, var_index):
+    """Order a domain by a task's ``pivot`` (see ``parse_ordering``); ties always break lexicographically."""
     candidates = list(candidates)
-    if ordering.kind == "probability":
+    if pivot is None:
         return candidates
-    if var_index < ordering.pivot:
+    if var_index < pivot:
         return sorted(candidates, key=lambda c: (-len(c.text), c.text))
     return sorted(candidates, key=lambda c: (len(c.text), c.text))
 
@@ -62,11 +62,10 @@ def check_time_budget(seconds):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Run-level knobs; ordering/backtrack_to default to the task's own."""
+    """Run-level knobs; backtrack_to defaults to the task's own, and the task alone sets the ordering."""
 
     max_solutions: int | None = None
     time_budget: float | None = None
-    ordering: cst.Ordering | None = None
     backtrack_to: int | None = None
     max_variables: int = 64
 
@@ -80,19 +79,20 @@ class SolveOptions:
         check_time_budget(self.time_budget)
 
 
-def generate_variable(summary, raw, task, ordering):
+def generate_variable(summary, raw, task):
     """The domain of the variable after the words that ``summary`` describes, from the backend's answer ``raw``.
 
     The node step that beam search shares, ``summary.window``: of the first
     k word-valid predictions, the ones the constraints admit after the
-    prefix; then ordered.  The window keeps rank order, and ordering sorts
-    on a total key, so ordering before or after the prefix tests gives the
-    same domain.  No value repeats, as no backend answers a word twice (see
+    prefix; then ordered as the task's ``ordering`` says, read from its
+    ``pivot``.  The window keeps rank order, and ordering sorts on a total
+    key, so ordering before or after the prefix tests gives the same
+    domain.  No value repeats, as no backend answers a word twice (see
     ``LanguageModel.predict``): ``TableLM`` checks each prefix's entries
     (``_checked``), ``RemoteLM``'s ``_candidates`` keys its answer by word
     and ``NGramLM`` ranks a dict over its vocabulary.
     """
-    return order_candidates(summary.window(raw, task.lm_params.k), ordering, summary.count + 1)
+    return order_candidates(summary.window(raw, task.lm_params.k), task.pivot, summary.count + 1)
 
 
 def completes(summary, raw, task):
@@ -139,7 +139,7 @@ def _asks(summary, grows, task):
     return grows and not summary.complete()
 
 
-def _hints(summary, task, ordering, max_variables):
+def _hints(summary, task, max_variables):
     """The prefetch hint of the prefix that ``summary`` describes, if the search asks about it.
 
     Its expansion yields the hints of the children the search asks about, in
@@ -148,16 +148,16 @@ def _hints(summary, task, ordering, max_variables):
     """
     grows = _grows(summary, max_variables)
     if _asks(summary, grows, task):
-        args = (summary, grows, task, ordering, max_variables)
+        args = (summary, grows, task, max_variables)
         yield summary.prompt, functools.partial(_expansion, *args)
 
 
-def _expansion(summary, grows, task, ordering, max_variables, raw):
+def _expansion(summary, grows, task, max_variables, raw):
     """The hints below the prefix that ``summary`` describes, given its answer ``raw``; none at a leaf or a solution."""
     if not grows or completes(summary, raw, task) is not None:
         return
-    for cand in generate_variable(summary, raw, task, ordering):
-        yield from _hints(summary.push(cand.text, admitted=True), task, ordering, max_variables)
+    for cand in generate_variable(summary, raw, task):
+        yield from _hints(summary.push(cand.text, admitted=True), task, max_variables)
 
 
 @dataclass
@@ -175,7 +175,6 @@ def run_search(task, lm, options=None, exhaustive=False):
     opts = options if options is not None else SolveOptions()
     if opts.max_variables < len(task.seed) + 1:
         raise ValueError("max_variables must exceed the seed length")
-    ordering = opts.ordering if opts.ordering is not None else cst.parse_ordering(task.ordering)
     if exhaustive:
         max_solutions = None
         jump_to = None
@@ -199,7 +198,7 @@ def run_search(task, lm, options=None, exhaustive=False):
 
     try:
         if enumerating:
-            hints = _hints(summaries[-1], task, ordering, opts.max_variables)
+            hints = _hints(summaries[-1], task, opts.max_variables)
             lm.prefetch(hints, task.lm_params)
         while opts.time_budget is None or time.perf_counter() - started <= opts.time_budget:
             # Every variable is assigned here.
@@ -225,7 +224,7 @@ def run_search(task, lm, options=None, exhaustive=False):
                     del frames[max(jump_to - base, 0):]
             elif grows:  # grow: a new variable at its first value
                 stats.lm_calls += 1
-                domain = generate_variable(summary, raw, task, ordering)
+                domain = generate_variable(summary, raw, task)
             if domain:
                 frames.append([domain, 0])
             else:  # backtrack: the next untried value of the deepest variable that has one

@@ -146,7 +146,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             server.counts[payload["prompt"]] = server.counts.get(payload["prompt"], 0) + 1
             server.in_flight += 1
             server.peak_in_flight = max(server.peak_in_flight, server.in_flight)
+            server.arrived.notify_all()
         try:
+            server.answering.wait()
             time.sleep(server.delay)
             self._answer(server, payload)
         finally:
@@ -187,13 +189,17 @@ class StubServer:
     """In-process completion server; tokens get llama-style leading spaces.
 
     Connections are HTTP/1.1 keep-alive.  ``delay`` seconds pass before each
-    answer; ``peak_in_flight`` is the most requests the server was handling
-    at once, and ``connections`` the connections it accepted.
+    answer, and ``hold_answers`` keeps every answer until ``release_answers``;
+    ``peak_in_flight`` is the most requests the server was handling at once,
+    and ``connections`` the connections it accepted.
     """
 
     def __init__(self, table, delay=0.0):
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._httpd.lock = threading.Lock()
+        self._httpd.arrived = threading.Condition(self._httpd.lock)  # notified at each request
+        self._httpd.answering = threading.Event()
+        self._httpd.answering.set()
         self.serve(table)
         self._httpd.fail_with = None
         self._httpd.raw_body = None
@@ -238,6 +244,18 @@ class StubServer:
     def connections(self):
         return self._httpd.connections
 
+    def hold_answers(self):
+        """Keep every answer, also to the requests in flight, until ``release_answers``."""
+        self._httpd.answering.clear()
+
+    def release_answers(self):
+        self._httpd.answering.set()
+
+    def wait_for(self, prompt, timeout=5.0):
+        """Whether a request for ``prompt`` has arrived, waiting up to ``timeout`` seconds for one."""
+        with self._httpd.arrived:
+            return self._httpd.arrived.wait_for(lambda: prompt in self._httpd.counts, timeout)
+
     def drop_idle_connections(self):
         """Close each connection after its response, without a ``Connection: close``."""
         self._httpd.drop_idle = True
@@ -253,6 +271,7 @@ class StubServer:
         self._httpd.raw_body = None
 
     def close(self):
+        self.release_answers()
         self._httpd.shutdown()
         self._httpd.server_close()
 

@@ -428,6 +428,30 @@ def test_unknown_ordering_in_a_task_file_exits_1(fixtures_dir, tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--max-solutions", "1"],
+    ["bench", "--k", "2", "--method", "gencp", "--max-solutions", "1", "--format", "json"],
+], ids=lambda c: c[0])
+def test_ordering_flag_prints_what_the_task_file_ordering_prints(tmp_path, capsys, command):
+    """``--ordering`` sets the task's ordering, as ``"ordering"`` in the task file does."""
+    table = tmp_path / "t.tbl"
+    table.write_text("\tWe\t1.0\nWe\tgo\t0.5\nWe\twander\t0.4\nWe go\t.\t1.0\nWe wander\t.\t1.0\n",
+                     encoding="utf-8")
+
+    def output(flags, **fields):
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"constraints": [WORDS_2], **fields}), encoding="utf-8")
+        assert main(command + ["--task", str(task), "--lm", f"table:{table}"] + flags) == 0
+        out = capsys.readouterr().out
+        if command[0] == "bench":  # the rows without their wall times
+            return [{**row, "seconds": None} for row in json.loads(out)]
+        return out
+
+    by_flag = output(["--ordering", "char-target"])
+    assert by_flag == output([], ordering="char-target")
+    assert by_flag != output([])  # longer words first: "We wander." before "We go."
+
+
 GOOD_NGRAM = {"format": "gencp-ngram", "order": 1, "smoothing": 1.0, "vocabulary": ["a", "b"],
               "counts": [[0, [], [["a", 1], ["b", 1]]]]}
 

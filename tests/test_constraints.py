@@ -185,7 +185,7 @@ class _CountingWordTest(Constraint):
 class _NoWordTest(Constraint):
     """A type that overrides ``admits_next`` but not ``admits_word``."""
 
-    def admits_next(self, prefix, word, length, reserve):
+    def admits_next(self, prefix, word):
         return True
 
 
@@ -246,6 +246,19 @@ def test_a_summary_carries_the_prompt_that_renders_its_words():
             words.append(word)
             assert summary.prompt == render_prefix(words), (require_period, words)
         assert summary.prompt == "U.S. don't well-known Beach"
+
+
+def test_char_count_admits_the_word_that_reaches_n_exactly():
+    """The child's length is the prompt, a space unless the word is the first, the word and the period reserve."""
+    for require_period in (False, True):
+        reserve = 1 if require_period else 0
+        limit = CharCountExact(10)
+        task = _task(limit, require_period=require_period)
+        root, after = summarize([], task), summarize(["abcd"], task)
+        assert limit.admits_next(root, "a" * (10 - reserve)), require_period
+        assert not limit.admits_next(root, "a" * (11 - reserve)), require_period
+        assert limit.admits_next(after, "b" * (5 - reserve)), require_period  # after "abcd "
+        assert not limit.admits_next(after, "b" * (6 - reserve)), require_period
 
 
 def can_extend(words, constraints):

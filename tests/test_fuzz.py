@@ -60,7 +60,6 @@ from gencp import (
     check_complete,
     expand_beams,
     order_candidates,
-    parse_ordering,
     perplexity,
     render_prefix,
     render_sentence,
@@ -221,8 +220,7 @@ def test_solution_scores_are_the_backend_rescoring(instance):
     lm = TableLM(table)
     task = _fuzz_task(constraints, k, require_period, seed)
     records = solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))
-    records += solve_all(task, lm, SolveOptions(
-        max_variables=MAX_DEPTH, ordering=parse_ordering("char-target:2")))
+    records += solve_all(replace(task, ordering="char-target:2"), lm, SolveOptions(max_variables=MAX_DEPTH))
     records += beam_search(task, lm, max_words=MAX_DEPTH)[0]
     records += beam_search(task, lm, k=k + 1, max_words=MAX_DEPTH)[0]
     for r in records:
@@ -461,9 +459,7 @@ def test_prefetch_hints_are_the_prompts_exhaustive_searches_ask(instance):
         lambda lm: beam_search(task, lm, max_words=MAX_DEPTH),
         lambda lm: solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH)),
         # Short words first: the visit order differs from the backend's ranking.
-        lambda lm: solve_all(
-            task, lm, SolveOptions(max_variables=MAX_DEPTH, ordering=parse_ordering("char-target"))
-        ),
+        lambda lm: solve_all(replace(task, ordering="char-target"), lm, SolveOptions(max_variables=MAX_DEPTH)),
         lambda lm: solve_all(task, lm, SolveOptions(max_variables=cap)),
         lambda lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
         lambda lm: brute_force_oracle(task, lm, depth_cap=cap),
@@ -642,8 +638,8 @@ def _beam_outputs(task, lm, width=None):
 
 EQUIVALENT_SEARCHES = {
     "solve_all": lambda task, lm: _records(solve_all(task, lm, SolveOptions(max_variables=MAX_DEPTH))),
-    "solve_all char-target": lambda task, lm: _records(solve_all(task, lm, SolveOptions(
-        max_variables=MAX_DEPTH, ordering=parse_ordering("char-target")))),
+    "solve_all char-target": lambda task, lm: _records(solve_all(
+        replace(task, ordering="char-target"), lm, SolveOptions(max_variables=MAX_DEPTH))),
     "solve capped jump-back": lambda task, lm: _records(solve(task, lm, SolveOptions(
         max_variables=MAX_DEPTH, max_solutions=2, backtrack_to=1))),
     "oracle": lambda task, lm: brute_force_oracle(task, lm, depth_cap=MAX_DEPTH),
@@ -761,10 +757,10 @@ def _reference_filter_domain(summary, domain):
     return [cand for cand in domain if summary.admits(cand.text)]
 
 
-def _reference_node_domain(words, summary, raw, task, ordering):
+def _reference_node_domain(words, summary, raw, task):
     """``generate_variable`` as first written: the window, ordered, then filtered."""
     window = _reference_window(raw, task.constraints, task.lm_params.k)
-    ordered = order_candidates(window, ordering, len(words) + 1)
+    ordered = order_candidates(window, task.pivot, len(words) + 1)
     return _reference_filter_domain(summary, ordered)
 
 
@@ -816,10 +812,9 @@ def windows(draw):
                     for m in draw(st.lists(st.integers(2, 4), max_size=2))]
     params = LMParams(k=k, top_k=k * oversample, oversample=oversample)
     task = TaskSpec(name="window", constraints=draw(st.permutations(constraints)),
-                    lm_params=params, require_period=require_period)
-    ordering = draw(st.sampled_from(
-        (parse_ordering("probability"), parse_ordering("char-target"), parse_ordering("char-target:2"))))
-    return prefix, raw, task, ordering
+                    lm_params=params, require_period=require_period,
+                    ordering=draw(st.sampled_from(("probability", "char-target", "char-target:2"))))
+    return prefix, raw, task
 
 
 @settings(max_examples=300)
@@ -831,10 +826,10 @@ def test_window_equals_the_reference_pipeline(window):
     ``_looks_like_word`` in its first form, and kept the first k.  Today's
     runs only the word tests of the types that override ``admits_word``.
     """
-    prefix, raw, task, ordering = window
+    prefix, raw, task = window
     summary = summarize(prefix, task)
-    got = generate_variable(summary, raw, task, ordering)
-    assert got == _reference_node_domain(prefix, summary, raw, task, ordering)
+    got = generate_variable(summary, raw, task)
+    assert got == _reference_node_domain(prefix, summary, raw, task)
     k = task.lm_params.k
     for width in {max(1, k - 1), k, k + 1}:
         beam = Beam(tuple(prefix), -1.0, summary, answer=raw)

@@ -13,7 +13,6 @@ import gencp.solver
 from gencp import (
     ForbiddenChars,
     LMParams,
-    Ordering,
     SolutionRecord,
     SolveOptions,
     TableLM,
@@ -21,7 +20,6 @@ from gencp import (
     WordCandidate,
     WordCountRange,
     check_complete,
-    parse_ordering,
     render_prefix,
     render_sentence,
     run_search,
@@ -122,7 +120,6 @@ class TestWordCandidate:
 
 
 EMPTY_TASK = TaskSpec(name="empty", constraints=())
-PROBABILITY = Ordering("probability")
 
 
 def _cands(*pairs):
@@ -271,7 +268,6 @@ def _copying_search(task, lm, opts):
     words, summary and prompt are made from scratch, so nothing carries over
     from one node to the next.
     """
-    ordering = parse_ordering(task.ordering)
     period = ["."] if task.require_period else []
     seed = tuple(task.seed)
     frames, found, asked, backtracks = (), [], [], 0
@@ -291,7 +287,7 @@ def _copying_search(task, lm, opts):
             if opts.backtrack_to is not None and opts.backtrack_to < len(words):
                 frames = frames[:max(opts.backtrack_to - len(seed), 0)]
         elif grows:
-            values = generate_variable(summary, raw, task, ordering)
+            values = generate_variable(summary, raw, task)
             if values:
                 frames = frames + ((values, 0),)
                 continue
@@ -327,16 +323,16 @@ class TestIncrementalState:
 class TestContainsEmptyVariable:
     def test_empty_generated_domain(self):
         # as after a failed prediction
-        assert generate_variable(summarize(["A", "boy"], EMPTY_TASK), [], EMPTY_TASK, PROBABILITY) == []
+        assert generate_variable(summarize(["A", "boy"], EMPTY_TASK), [], EMPTY_TASK) == []
 
     def test_fresh_model_with_values(self):
         raw = _cands(("man", -0.5))
-        assert generate_variable(summarize(["A"], EMPTY_TASK), raw, EMPTY_TASK, PROBABILITY) == raw
+        assert generate_variable(summarize(["A"], EMPTY_TASK), raw, EMPTY_TASK) == raw
 
     def test_fully_filtered_domain(self):
         task = TaskSpec(name="t", constraints=(ForbiddenChars("e"),), require_period=False)
         raw = _cands(("the", -0.3), ("he", -0.9))
-        assert generate_variable(summarize(["A"], task), raw, task, PROBABILITY) == []
+        assert generate_variable(summarize(["A"], task), raw, task) == []
 
 
 class TestLeftToRightInvariant:

@@ -119,12 +119,22 @@ class SequentialRemoteLM(RemoteLM):
 
 
 class FailingRemoteLM(RemoteLM):
-    """Fails the POST for one prompt after 50 ms, as a dropped connection would."""
+    """Fails the POST for one prompt after 50 ms, as a dropped connection would.
+
+    ``refused`` is set when the POST starts to fail, and ``failed`` once the
+    future of that prompt's request holds the failure.
+    """
 
     def __init__(self, url, prompt):
         super().__init__(url)
         self.prompt = prompt
         self.refused = threading.Event()
+        self.failed = threading.Event()
+
+    def _fetch(self, fut, sentence, *args):
+        if sentence == self.prompt:
+            fut.add_done_callback(lambda _: self.failed.set())
+        return super()._fetch(fut, sentence, *args)
 
     def _request(self, body):
         if json.loads(body)["prompt"] == self.prompt:
@@ -666,15 +676,24 @@ class TestPrefetch:
     @pytest.mark.parametrize("refused", [None, "yak"], ids=["unannounced", "failed"])
     def test_predict_does_not_queue_behind_prefetches(self, stub_server, refused):
         words = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "jay", "koi", "owl")
-        server = stub_server({w: [("ok", 0.5)] for w in words + ("yak",)}, delay=0.05)
+        server = stub_server({w: [("ok", 0.5)] for w in words + ("yak",)})
         lm = FailingRemoteLM(server.url, refused)
         if refused is not None:
             lm.prefetch([refused], PARAMS)
-            assert lm.refused.wait(timeout=5)
-            time.sleep(0.1)  # the failure is in the memo
+            assert lm.failed.wait(timeout=5)  # the failure is in the memo
             lm.prompt = None
+
+        def release_once_yak_arrives():
+            server.wait_for("yak")  # times out when "yak" waits behind the held prefetches
+            server.release_answers()
+
+        # No prefetch frees its thread before "yak" has gone out.
+        server.hold_answers()
+        releaser = threading.Thread(target=release_once_yak_arrives)
+        releaser.start()
         lm.prefetch(words, PARAMS)
         assert [c.text for c in lm.predict("yak", PARAMS)] == ["ok"]
+        releaser.join()
         lm.cancel_prefetch()
         # "yak" went out at once, beside the prefetches already started,
         # not behind the ones still queued.

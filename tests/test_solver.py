@@ -13,7 +13,6 @@ from gencp import (
     LMParams,
     MandatoryKeywords,
     MaxWordLen,
-    Ordering,
     PositionLexical,
     SolveOptions,
     StartsWith,
@@ -49,9 +48,6 @@ def _cands(*pairs):
     return [WordCandidate(text, lp) for text, lp in pairs]
 
 
-PROBABILITY = Ordering("probability")
-
-
 def _simple_task(**kwargs):
     defaults = dict(
         name="t", constraints=(), seed=(), lm_params=LMParams(k=3), require_period=True
@@ -71,7 +67,7 @@ class TestGenerateVariable:
 
     def test_appends_with_empty_domain(self):
         task = _simple_task()
-        assert generate_variable(summarize(["A", "man"], task), [], task, PROBABILITY) == []
+        assert generate_variable(summarize(["A", "man"], task), [], task) == []
 
     def test_cap_forces_backtrack_not_crash(self, fig_lm):
         task = _simple_task(constraints=(ForbiddenChars("e"),), seed=("A",))
@@ -81,7 +77,7 @@ class TestGenerateVariable:
 
 def _domain(words, raw, task):
     """The texts of the domain ``generate_variable`` makes after ``words`` from the answer ``raw``."""
-    return [c.text for c in generate_variable(summarize(words, task), raw, task, PROBABILITY)]
+    return [c.text for c in generate_variable(summarize(words, task), raw, task)]
 
 
 class TestGenerateDomain:
@@ -123,19 +119,17 @@ class TestGenerateConstraints:
 class TestOrdering:
     def test_char_target_before_pivot_prefers_long(self):
         cands = _cands(("a", -0.1), ("the", -0.2), ("wonderful", -0.3))
-        ordering = Ordering("char-target", pivot=10)
-        out = order_candidates(cands, ordering, 3)
+        out = order_candidates(cands, 10, 3)
         assert [c.text for c in out] == ["wonderful", "the", "a"]
 
     def test_char_target_at_pivot_prefers_short(self):
         cands = _cands(("a", -0.1), ("the", -0.2), ("wonderful", -0.3))
-        ordering = Ordering("char-target", pivot=10)
-        out = order_candidates(cands, ordering, 10)
+        out = order_candidates(cands, 10, 10)
         assert [c.text for c in out] == ["a", "the", "wonderful"]
 
     def test_probability_keeps_backend_order(self):
         cands = _cands(("zig", -0.1), ("alpha", -0.2))
-        out = order_candidates(cands, Ordering("probability"), 1)
+        out = order_candidates(cands, None, 1)
         assert [c.text for c in out] == ["zig", "alpha"]
 
     def test_ppl_ordering_matches_probability_on_tables(self, fig_lm):
@@ -145,26 +139,25 @@ class TestOrdering:
 
     def test_length_ties_break_lexicographically(self):
         cands = _cands(("new", -0.1), ("New", -0.2))
-        out = order_candidates(cands, Ordering("char-target", 10), 2)
+        out = order_candidates(cands, 10, 2)
         assert [c.text for c in out] == ["New", "new"]
 
     def test_search_tries_values_in_the_given_order(self):
         lm = TableLM({"": [("We", 1.0)], "We": [("go", 0.5), ("wander", 0.4)],
                       "We go": [(".", 1.0)], "We wander": [(".", 1.0)]})
-        task = _simple_task(constraints=(WordCountRange(2, 2),))
 
         def first(ordering):
-            opts = SolveOptions(max_solutions=1, ordering=parse_ordering(ordering))
-            return solve(task, lm, opts)[0].sentence
+            task = _simple_task(constraints=(WordCountRange(2, 2),), ordering=ordering)
+            return solve(task, lm, SolveOptions(max_solutions=1))[0].sentence
 
         assert first("probability") == "We go."
         assert first("char-target") == "We wander."  # longer words first before the pivot
 
     def test_parse_ordering(self):
-        assert parse_ordering("probability") == Ordering("probability")
-        assert parse_ordering("ppl") == Ordering("probability")
-        assert parse_ordering("char-target") == Ordering("char-target", 10)
-        assert parse_ordering("char-target:7") == Ordering("char-target", 7)
+        assert parse_ordering("probability") is None
+        assert parse_ordering("ppl") is None
+        assert parse_ordering("char-target") == 10
+        assert parse_ordering("char-target:7") == 7
         with pytest.raises(ValueError):
             parse_ordering("alphabetical")
 
