@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .lm import LMParams
 from .model import has_whitespace, render_sentence
@@ -609,9 +609,9 @@ def _parse_constraint(obj):
 def load_task_file(path):
     """Parse a JSON task file into a TaskSpec; unknown keys and wrong types are rejected.
 
+    A field the file omits takes its default from ``LMParams`` or ``TaskSpec``.
     The task is named after the file, its last suffix dropped, exactly as
-    ``pathlib.PurePath.stem`` names it: "x." keeps its dot, and "..json" is
-    named ".".
+    ``pathlib.PurePath.stem`` names it: "x." keeps its dot, and "..json" is named ".".
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -621,25 +621,12 @@ def load_task_file(path):
     if extra:
         raise ValueError(f"{path}: unknown keys {sorted(extra)}")
     _check_fields(str(path), data, _TASK_FILE_FIELDS)
-    constraints = tuple(_parse_constraint(obj) for obj in data.get("constraints", []))
-    params = LMParams(
-        k=data.get("k", LMParams.k),
-        top_k=data.get("top_k", LMParams.top_k),
-        top_p=data.get("top_p", LMParams.top_p),
-        temperature=data.get("temperature", LMParams.temperature),
-        oversample=data.get("oversample", LMParams.oversample),
-    )
+    constraints = tuple(_parse_constraint(obj) for obj in data.pop("constraints", []))
+    params = LMParams(**{f.name: data.pop(f.name) for f in fields(LMParams) if f.name in data})
     name = os.path.basename(path)
     dot = name.rfind(".")
-    return TaskSpec(
-        name=name[:dot] if 0 < dot < len(name) - 1 else name,
-        constraints=constraints,
-        seed=tuple(data.get("seed", ())),
-        lm_params=params,
-        require_period=data.get("require_period", True),
-        ordering=data.get("ordering", "probability"),
-        backtrack_to=data.get("backtrack_to"),
-    )
+    name = name[:dot] if 0 < dot < len(name) - 1 else name
+    return TaskSpec(name=name, constraints=constraints, lm_params=params, **data)
 
 
 def resolve_task(task, k=None):

@@ -1,9 +1,10 @@
 """Next-word prediction backends and sequence scoring.
 
-Every backend answers a ranked candidate list for a sentence prefix and can
-score individual conditionals.  Rankings must be deterministic within a
-process run: searches that share a backend, and the rescoring of their
-solutions, rely on getting the same answer for the same prefix.  A search
+Every backend answers a ranked candidate list for a prompt, a rendered
+prefix, and scores a word after a prompt, by default from that answer.
+Rankings must be deterministic within a process run: searches that share a
+backend, and the rescoring of their solutions, rely on getting the same
+answer for the same prefix.  A search
 asks each prefix once; backtracking re-asks nothing.  This module holds the
 interface, the table and n-gram backends and ``load_backend``; the client of
 a completion server, ``RemoteLM``, is in ``gencp.remote``, which
@@ -63,7 +64,7 @@ class LMParams:
 
 
 class LanguageModel:
-    """Interface shared by all backends."""
+    """Interface shared by all backends; every method takes the prompt, a rendered prefix."""
 
     def predict(self, sentence, params, k=None):
         """Ranked next-word candidates for ``sentence`` (a rendered prefix).
@@ -76,9 +77,12 @@ class LanguageModel:
         """
         raise NotImplementedError
 
-    def conditional_logprob(self, prefix_words, word, params):
-        """ln P(word | prefix words), or None when the backend never offers it."""
-        raise NotImplementedError
+    def conditional_logprob(self, sentence, word, params):
+        """ln P(word | sentence) as ``predict(sentence, params)`` ranks it, or None when that answer lacks it.
+
+        Backends that hold more than their answers override it to score also the words ranked past them.
+        """
+        return ranked_logprob(self.predict(sentence, params), word)
 
     def prefetch(self, hints, params, k=None):
         """Hint that ``predict(s, params, k)`` will follow for each prompt s in ``hints``.
@@ -99,8 +103,8 @@ class LanguageModel:
 def sequence_logprob(lm, words, params):
     """Sum of conditional log-probabilities along the sequence.
 
-    Words the backend does not offer at their prefix are charged the floor
-    probability, so every sequence gets a finite score.
+    Each word is scored after its rendered prefix; words the backend does not
+    offer there are charged the floor probability, so every sequence gets a finite score.
     """
     words = list(words)
     if not words:
@@ -108,7 +112,7 @@ def sequence_logprob(lm, words, params):
     total = 0.0
     floor = math.log(PROB_FLOOR)
     for i, word in enumerate(words):
-        lp = lm.conditional_logprob(words[:i], word, params)
+        lp = lm.conditional_logprob(render_prefix(words[:i]), word, params)
         total += floor if lp is None else lp
     return total
 
@@ -219,8 +223,8 @@ class TableLM(LanguageModel):
         k = params.k if k is None else k
         return self._table.get(sentence, [])[: k * params.oversample]
 
-    def conditional_logprob(self, prefix_words, word, params):
-        return ranked_logprob(self._table.get(render_prefix(prefix_words), ()), word)
+    def conditional_logprob(self, sentence, word, params):
+        return ranked_logprob(self._table.get(sentence, ()), word)
 
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:['\-][^\W\d_]+)*|\.")
@@ -234,30 +238,29 @@ def tokenize(text):
 class NGramLM(LanguageModel):
     """Additively smoothed n-gram backend trained from plain text.
 
-    ``order`` is the context length in words.  Counts are kept for every
-    context length from 0 up to ``order``, in tables only as deep as the
-    corpus reaches; a longer context is unseen.  Prediction uses the longest
+    ``order`` is the context length in words.  ``counts[length]`` maps each
+    context of that many words to its continuations' counts, in tables only
+    as deep as the corpus reaches; a longer context is unseen, and a
+    context's total is the sum of its counts.  Prediction uses the longest
     context, backing off to shorter ones only when smoothing is zero and the
-    context was never observed.  ``predict`` and ``conditional_logprob``
-    both condition on the tokens of the rendered prefix, so a word that is
-    not one token ("U.S.") gets the same context from each.
+    context was never observed.  ``conditional_logprob`` reads the word from
+    the distribution ``predict`` ranks, also past its window.
     """
 
-    def __init__(self, order, smoothing, counts, totals, vocabulary):
+    def __init__(self, order, smoothing, counts, vocabulary):
         self.order = order
         self.smoothing = smoothing
         self._counts = counts
-        self._totals = totals
         self.vocabulary = list(vocabulary)
 
     def _distribution(self, context_words):
         context_words = list(context_words)
         for length in range(min(self.order, len(context_words)), -1, -1):
             ctx = tuple(context_words[len(context_words) - length:])
-            total = self._totals[length].get(ctx, 0) if length < len(self._totals) else 0
+            seen = self._counts[length].get(ctx, {}) if length < len(self._counts) else {}
+            total = sum(seen.values())
             if total == 0 and self.smoothing == 0.0:
                 continue
-            seen = self._counts[length].get(ctx, {}) if total else {}
             denom = total + self.smoothing * len(self.vocabulary)
             dist = {}
             for word in self.vocabulary:
@@ -273,8 +276,8 @@ class NGramLM(LanguageModel):
         cands = [WordCandidate(w, math.log(p)) for w, p in dist.items()]
         return _rank(cands)[: k * params.oversample]
 
-    def conditional_logprob(self, prefix_words, word, params):
-        p = self._distribution(tokenize(render_prefix(prefix_words))).get(word)
+    def conditional_logprob(self, sentence, word, params):
+        p = self._distribution(tokenize(sentence)).get(word)
         return math.log(p) if p else None
 
     def to_dict(self):
@@ -306,7 +309,7 @@ class NGramLM(LanguageModel):
             raise ValueError("n-gram model field 'vocabulary' must be a non-empty list of words")
         if not isinstance(entries, list):
             raise ValueError("n-gram model field 'counts' must be a list")
-        counts, totals = [{}], [{}]
+        counts = [{}]
         for i, entry in enumerate(entries):
             try:
                 length, ctx, pairs = entry
@@ -315,17 +318,18 @@ class NGramLM(LanguageModel):
                     raise ValueError
                 while len(counts) <= length:  # no deeper than the longest context saved
                     counts.append({})
-                    totals.append({})
-                bucket = counts[length].setdefault(ctx, {})
+                if ctx in counts[length]:
+                    raise ValueError
+                bucket = counts[length][ctx] = {}
                 for word, count in pairs:
-                    if not isinstance(word, str) or type(count) is not int or count < 1:
+                    if not isinstance(word, str) or type(count) is not int or count < 1 or word in bucket:
                         raise ValueError
                     bucket[word] = count
-                    totals[length][ctx] = totals[length].get(ctx, 0) + count
             except (TypeError, ValueError):
-                bad = f"must be [length <= {order}, context of that length, [[word, count >= 1], ...]]"
+                bad = (f"must be [length <= {order}, context of that length, [[word, count >= 1], ...]]"
+                       ", with no word twice and a context no other entry lists")
                 raise ValueError(f"n-gram model field 'counts[{i}]' {bad}") from None
-        return cls(order, smoothing, counts, totals, vocabulary)
+        return cls(order, smoothing, counts, vocabulary)
 
     @classmethod
     def load(cls, path):
@@ -360,7 +364,6 @@ def train_ngram(corpus, order, smoothing=1.0):
         raise ValueError("empty corpus")
     depth = min(order, len(tokens))  # no context is longer than the corpus
     counts = [{} for _ in range(depth + 1)]
-    totals = [{} for _ in range(depth + 1)]
     for i, token in enumerate(tokens):
         for length in range(0, order + 1):
             if i < length:
@@ -368,9 +371,8 @@ def train_ngram(corpus, order, smoothing=1.0):
             ctx = tuple(tokens[i - length:i])
             bucket = counts[length].setdefault(ctx, {})
             bucket[token] = bucket.get(token, 0) + 1
-            totals[length][ctx] = totals[length].get(ctx, 0) + 1
     vocabulary = sorted(set(tokens))
-    return NGramLM(order, smoothing, counts, totals, vocabulary)
+    return NGramLM(order, smoothing, counts, vocabulary)
 
 
 def load_backend(spec):

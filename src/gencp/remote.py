@@ -18,8 +18,8 @@ import threading
 import urllib.parse
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
-from .lm import LanguageModel, TransportError, _rank, ranked_logprob
-from .model import WordCandidate, has_whitespace, render_prefix
+from .lm import LanguageModel, TransportError, _rank
+from .model import WordCandidate, has_whitespace
 
 DEFAULT_TIMEOUT_SECS = 120.0
 TIMEOUT_ENV_VAR = "GENCP_LM_TIMEOUT_SECS"
@@ -289,6 +289,3 @@ class RemoteLM(LanguageModel):
         except BaseException:
             conn.close()
             raise
-
-    def conditional_logprob(self, prefix_words, word, params):
-        return ranked_logprob(self.predict(render_prefix(prefix_words), params), word)

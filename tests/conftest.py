@@ -28,8 +28,8 @@ class PromptLog(LanguageModel):
         self.prompts.append(sentence)
         return self.inner.predict(sentence, params, k)
 
-    def conditional_logprob(self, prefix_words, word, params):
-        return self.inner.conditional_logprob(prefix_words, word, params)
+    def conditional_logprob(self, sentence, word, params):
+        return self.inner.conditional_logprob(sentence, word, params)
 
 
 @pytest.fixture

@@ -138,8 +138,7 @@ def test_criterion_5_uniform_model_perplexity_equals_vocabulary_size():
         vocab = sorted({letters[i // 10] + letters[i % 10] + "x" for i in range(v)})
         assert len(vocab) == v
         counts = [{(): {w: 1 for w in vocab}}, {}]
-        totals = [{(): v}, {}]
-        lm = NGramLM(order=1, smoothing=1.0, counts=counts, totals=totals, vocabulary=vocab)
+        lm = NGramLM(order=1, smoothing=1.0, counts=counts, vocabulary=vocab)
         params = LMParams(k=min(v, 10))
         for n in (1, 5, 20):
             words = [vocab[i % v] for i in range(n)]

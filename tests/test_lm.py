@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from gencp import (
     LMParams,
     NGramLM,
+    RemoteLM,
     SolveOptions,
     TableLM,
     TaskSpec,
     WordCandidate,
     WordCountRange,
+    beam_search,
     perplexity,
     predicts_period,
     render_prefix,
@@ -210,7 +212,7 @@ class TestTableLM:
         # A file of 20,000 words under one prefix loads in about 0.1 s on a
         # 2-vCPU host; a scan of the prefix's words for each line took 14 s.
         assert time.perf_counter() - started < 2.0
-        assert lm.conditional_logprob([], f"w{n - 1}", PARAMS) == math.log(0.5 / n)
+        assert lm.conditional_logprob("", f"w{n - 1}", PARAMS) == math.log(0.5 / n)
 
     def test_determinism(self):
         lm = TableLM(FIG4_TABLE)
@@ -240,11 +242,11 @@ class TestTableLM:
             ranked = _rank(_as_candidate(e) for e in table[render_prefix(words)])
             lookup = {c.text: c.logprob for c in ranked}  # the reference
             for word in lookup:
-                assert lm.conditional_logprob(words, word, SCORING_PARAMS) == lookup[word]
+                assert lm.conditional_logprob(render_prefix(words), word, SCORING_PARAMS) == lookup[word]
             for word in set(SCORING_VOCAB) - lookup.keys():
-                assert lm.conditional_logprob(words, word, SCORING_PARAMS) is None
+                assert lm.conditional_logprob(render_prefix(words), word, SCORING_PARAMS) is None
         unknown = [w for w in SCORING_VOCAB if w not in table]
-        assert all(lm.conditional_logprob([w], "a", SCORING_PARAMS) is None for w in unknown)
+        assert all(lm.conditional_logprob(w, "a", SCORING_PARAMS) is None for w in unknown)
 
 
 def _probabilities(weighted):
@@ -270,6 +272,69 @@ class TestPrefetchHint:
             lm.prefetch(_unreadable_hint(), PARAMS)
             lm.prefetch(_unreadable_hint(), PARAMS, k=1)
             lm.cancel_prefetch()
+
+
+class TestScoringDefault:
+    """``conditional_logprob`` reads a word from the answer ``predict`` gives the same prompt.
+
+    The table and the n-gram model hold more than their answers and score
+    also the words ranked past them; ``remote:`` knows only its answers.
+    """
+
+    # A window of 4 candidates, at k=2 as at k=1 with the default
+    # oversample; "e" ranks 5th at the root.
+    TABLE = {
+        "": [("a", 0.3), ("b", 0.25), ("c", 0.2), ("d", 0.15), ("e", 0.05)],
+        "e": [(".", 0.5)],
+    }
+    CORPUS = "a b a c . d e . b a . c a a e ."
+    PARAMS = LMParams(k=2, oversample=2)
+    WIDE = LMParams(k=10)
+    BACKENDS = ["table", "ngram-0", "ngram-1", "remote"]
+
+    @pytest.fixture
+    def make(self, stub_server):
+        """Builds the backend a test names; closes the remote clients afterwards."""
+        clients = []
+
+        def make(name):
+            if name == "table":
+                return TableLM(self.TABLE)
+            if name.startswith("ngram"):
+                return train_ngram(self.CORPUS, order=1, smoothing=float(name[-1]))
+            clients.append(RemoteLM(stub_server(self.TABLE).url))
+            return clients[-1]
+
+        yield make
+        for lm in clients:
+            lm.close()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("prompt", ["", "e", "b", "zzz"], ids=["root", "e", "b", "unknown"])
+    def test_each_candidate_scores_its_own_logprob(self, make, name, prompt):
+        lm = make(name)
+        for cand in lm.predict(prompt, self.PARAMS):
+            assert lm.conditional_logprob(prompt, cand.text, self.PARAMS) == cand.logprob
+        assert lm.conditional_logprob(prompt, "zzz", self.PARAMS) is None
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_a_word_past_the_answer_is_scored_by_local_backends_alone(self, make, name):
+        lm = make(name)
+        answer = lm.predict("", self.PARAMS)
+        past = lm.predict("", self.WIDE)[len(answer):]
+        assert past
+        for cand in past:
+            got = lm.conditional_logprob("", cand.text, self.PARAMS)
+            assert got == (None if name == "remote" else cand.logprob)
+
+    @pytest.mark.parametrize("name, ppl", [("table", 6.32), ("remote", 141_421.36)])
+    def test_a_seed_word_past_the_answer_costs_remote_the_floor(self, make, name, ppl):
+        """Seed ("e",): sqrt(1 / (0.05 * 0.5)) from the table, sqrt(1 / (1e-10 * 0.5)) from the server."""
+        lm = make(name)
+        task = TaskSpec(name="seeded", constraints=(WordCountRange(1, 2),), seed=("e",),
+                        lm_params=LMParams(k=1))
+        for records in (solve_all(task, lm), beam_search(task, lm)[0]):
+            assert [(r.sentence, round(r.ppl, 2)) for r in records] == [("e.", ppl)]
 
 
 class TestSequenceLogProb:
@@ -345,13 +410,13 @@ class TestTokenize:
 class TestTrainNGram:
     def test_observed_bigram_is_certain(self):
         lm = train_ngram("a b a b", order=1, smoothing=0.0)
-        assert lm.conditional_logprob(["a"], "b", PARAMS) == pytest.approx(0.0)
+        assert lm.conditional_logprob("a", "b", PARAMS) == pytest.approx(0.0)
 
     def test_laplace_unseen_pair(self):
         # vocab {a, b}; context "a" seen twice; unseen continuation gets 1/(2+2)
         lm = train_ngram("a b a b", order=1, smoothing=1.0)
-        assert lm.conditional_logprob(["a"], "a", PARAMS) == pytest.approx(math.log(1 / 4))
-        assert lm.conditional_logprob(["a"], "b", PARAMS) == pytest.approx(math.log(3 / 4))
+        assert lm.conditional_logprob("a", "a", PARAMS) == pytest.approx(math.log(1 / 4))
+        assert lm.conditional_logprob("a", "b", PARAMS) == pytest.approx(math.log(3 / 4))
 
     def test_single_word_corpus_has_unigram_only(self):
         lm = train_ngram("hello", order=1)
@@ -375,7 +440,7 @@ class TestTrainNGram:
 
     def test_accepts_stream(self):
         lm = train_ngram(io.StringIO("a b a b"), order=1, smoothing=0.0)
-        assert lm.conditional_logprob(["a"], "b", PARAMS) == pytest.approx(0.0)
+        assert lm.conditional_logprob("a", "b", PARAMS) == pytest.approx(0.0)
 
     def test_conditionals_sum_to_one(self):
         lm = train_ngram("the cat sat on the mat . the dog ran .", order=2, smoothing=0.5)
@@ -385,7 +450,7 @@ class TestTrainNGram:
 
     def test_unknown_word_is_absent(self):
         lm = train_ngram("a b a b", order=1, smoothing=1.0)
-        assert lm.conditional_logprob(["a"], "zzz", PARAMS) is None
+        assert lm.conditional_logprob("a", "zzz", PARAMS) is None
 
     def test_determinism(self):
         a = train_ngram("the cat sat . the cat ran .", order=2)
@@ -432,6 +497,17 @@ class TestTrainNGram:
     def test_order_at_the_cap_trains(self):
         assert train_ngram("the cat sat .", order=MAX_NGRAM_ORDER).order == MAX_NGRAM_ORDER
 
+    @pytest.mark.parametrize("counts, i", [
+        ([[1, ["a"], [["b", 2]]], [1, ["a"], [["a", 1]]]], 1),
+        ([[1, ["a"], [["b", 2], ["a", 1], ["b", 1]]]], 0),
+    ], ids=["context", "word"])
+    def test_from_dict_rejects_an_entry_listed_twice(self, counts, i):
+        # Kept, the last count would win while the context's total added both.
+        data = {"format": "gencp-ngram", "order": 1, "smoothing": 0.0, "vocabulary": ["a", "b"],
+                "counts": [[0, [], [["a", 3], ["b", 2]]], *counts]}
+        with pytest.raises(ValueError, match=rf"^n-gram model field 'counts\[{i + 1}\]' must be "):
+            NGramLM.from_dict(data)
+
     def test_save_load_roundtrip(self, tmp_path):
         lm = train_ngram("the cat sat on the mat .", order=2, smoothing=0.5)
         path = tmp_path / "model.json"
@@ -457,7 +533,7 @@ class TestLoadBackend:
         path.write_text("a b a b", encoding="utf-8")
         lm = load_backend(f"ngram:{path},1")
         assert lm.order == 1
-        assert lm.conditional_logprob(["a"], "b", PARAMS) is not None
+        assert lm.conditional_logprob("a", "b", PARAMS) is not None
 
     def test_ngram_model_form(self, tmp_path):
         from gencp import load_backend

@@ -520,10 +520,11 @@ def test_searches_score_solutions_without_the_backend(monkeypatch):
     """Solutions are scored from the candidates the search assigned, the seed aside."""
     lm, task = _deep_chains()
     asked = lm.conditional_logprob
+    scoring = {render_prefix(task.seed[:i]) for i in range(len(task.seed))}
 
-    def seed_only(prefix_words, word, params):
-        assert len(prefix_words) < len(task.seed), f"rescored {word!r} after {prefix_words}"
-        return asked(prefix_words, word, params)
+    def seed_only(sentence, word, params):
+        assert sentence in scoring, f"rescored {word!r} after {sentence!r}"
+        return asked(sentence, word, params)
 
     with monkeypatch.context() as patched:
         patched.setattr(lm, "conditional_logprob", seed_only)
