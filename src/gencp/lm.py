@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
-from .model import WordCandidate, render_prefix
+from .model import WordCandidate
 
 PROB_FLOOR = 1e-10  # conditional probability charged for words a backend never offered
 MAX_NGRAM_ORDER = 10  # training counts each context length up to the order at every token
@@ -101,19 +101,26 @@ class LanguageModel:
 
 
 def sequence_logprob(lm, words, params):
-    """Sum of conditional log-probabilities along the sequence.
+    """Sum of conditional log-probabilities along the sequence, added in word order.
 
-    Each word is scored after its rendered prefix; words the backend does not
-    offer there are charged the floor probability, so every sequence gets a finite score.
+    Each word is scored after its rendered prefix, built from the one before it; words the backend does
+    not offer there are charged the floor probability, so every sequence gets a finite score.
     """
     words = list(words)
     if not words:
         raise ValueError("empty sequence")
     total = 0.0
     floor = math.log(PROB_FLOOR)
+    prompt = spaced = ""  # render_prefix(words[:i]) and " ".join(words[:i])
     for i, word in enumerate(words):
-        lp = lm.conditional_logprob(render_prefix(words[:i]), word, params)
+        lp = lm.conditional_logprob(prompt, word, params)
         total += floor if lp is None else lp
+        if not i:
+            prompt = spaced = word
+        elif word == ".":  # attaches to the word before only while it ends the prefix
+            prompt, spaced = spaced + ".", spaced + " ."
+        else:
+            prompt = spaced = f"{spaced} {word}"
     return total
 
 
@@ -177,26 +184,28 @@ class TableLM(LanguageModel):
     or (word, probability) pairs.  Unknown prefixes predict nothing, which
     kills the corresponding search branch.  Each entry is held once, in its
     prefix's ranked list, which ``conditional_logprob`` scans in full, past ``predict``'s window.
-    Only the prefixes with several entries are ranked and checked for a
-    repeated word and a sum above 1, as a lone entry is ranked, unique and at most 1.
+    That list is the constructor's own copy, so a caller's later change to its lists reaches no answer;
+    only a prefix with several entries is ranked and checked for a repeated word and a sum above 1.
     """
 
     def __init__(self, table):
         self._table = {}
         for prefix, entries in table.items():
-            candidates = [_as_candidate(entry) for entry in entries]
-            self._table[prefix] = _checked(prefix, candidates) if len(candidates) > 1 else candidates
+            if len(entries) == 1:
+                self._table[prefix] = [_as_candidate(entries[0])]
+            else:
+                self._table[prefix] = _checked(prefix, [_as_candidate(entry) for entry in entries])
 
     @classmethod
     def from_file(cls, path):
         """Load the tab-separated table format: ``prefix<TAB>word<TAB>prob``.
 
         The root prefix is written as an empty first field; blank lines are
-        ignored.  One pass builds each line's candidate; the first bad line
-        raises, naming its number.  After the last line the constructor
-        ranks and checks each prefix's candidates, and its error names the file.
+        ignored.  One pass builds one checked candidate per line into one list per
+        prefix; the first bad line raises, naming its number.  After the last line the
+        constructor copies each list, ranking and checking those with several entries, and its error names the file.
         """
-        table = defaultdict(list)
+        table = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -211,7 +220,7 @@ class TableLM(LanguageModel):
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
                 try:
-                    table[prefix].append(_candidate(word, prob))
+                    table.setdefault(prefix, []).append(_candidate(word, prob))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
         try:

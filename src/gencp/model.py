@@ -20,20 +20,22 @@ def has_whitespace(text):
     return bool(text) and text.split() != [text]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WordCandidate:
-    """One predicted surface word with its natural-log probability; slotted, so it has no ``__dict__``."""
+    """A predicted surface word and its natural-log probability, checked and set in one ``__init__`` frame; slotted."""
 
     text: str
     logprob: float
 
-    def __post_init__(self):
-        if not self.text:
+    def __init__(self, text, logprob):
+        if not text:
             raise ValueError("candidate text is empty")
-        if has_whitespace(self.text):
-            raise ValueError(f"candidate text contains whitespace: {self.text!r}")
-        if self.logprob > 0.0:
-            raise ValueError(f"logprob must be <= 0, got {self.logprob}")
+        if has_whitespace(text):
+            raise ValueError(f"candidate text contains whitespace: {text!r}")
+        if logprob > 0.0:
+            raise ValueError(f"logprob must be <= 0, got {logprob}")
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "logprob", logprob)
 
 
 @dataclass

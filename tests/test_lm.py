@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 import re
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gencp import (
     LMParams,
+    LanguageModel,
     NGramLM,
     RemoteLM,
     SolveOptions,
@@ -106,6 +108,31 @@ class TestTableLM:
     def test_accepts_candidates_directly(self):
         lm = TableLM({"": [WordCandidate("a", math.log(0.5))]})
         assert lm.predict("", PARAMS)[0].logprob == math.log(0.5)
+
+    @pytest.mark.parametrize("entries, answer", [
+        ([("a", 0.5)], [WordCandidate("a", math.log(0.5))]),
+        ([WordCandidate("a", -0.75)], [WordCandidate("a", -0.75)]),
+        ([], []),
+    ], ids=["pair", "candidate", "empty"])
+    def test_a_prefix_with_one_entry_or_none_loads_its_candidates(self, entries, answer):
+        lm = TableLM({"x": entries})
+        assert lm.predict("x", PARAMS) == answer
+        assert all(type(c) is WordCandidate for c in lm.predict("x", PARAMS))
+        assert lm.conditional_logprob("x", "a", PARAMS) == (answer[0].logprob if answer else None)
+
+    def test_a_caller_changing_its_lists_changes_no_answer(self):
+        table = {"": [("a", 0.5), ("b", 0.25)], "a": [WordCandidate("c", -0.5)], "b": [("d", 1.0)]}
+        lm = TableLM(table)
+
+        def answers():
+            return [(lm.predict(p, PARAMS), [lm.conditional_logprob(p, w, PARAMS) for w in "abcdz"])
+                    for p in table]
+
+        before = answers()
+        for entries in table.values():
+            entries.append(("z", 0.01))
+            entries[0] = ("z", 0.02)
+        assert answers() == before
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "t.tbl"
@@ -355,6 +382,29 @@ class TestSequenceLogProb:
     def test_empty_sequence_errors(self):
         with pytest.raises(ValueError, match="empty"):
             sequence_logprob(TableLM(FIG4_TABLE), [], PARAMS)
+
+    def test_scores_each_word_after_its_rendered_prefix_in_word_order(self):
+        """Every word list over {"a", "bb", "."} up to 5 words, "." also inside it."""
+
+        def score(sentence, word):
+            return None if word == "bb" and len(sentence) % 3 == 0 else -(len(sentence) + 1) / 7
+
+        class Recording(LanguageModel):
+            def conditional_logprob(self, sentence, word, params):
+                asked.append(sentence)
+                return score(sentence, word)
+
+        for n in range(1, 6):
+            for words in itertools.product(("a", "bb", "."), repeat=n):
+                asked = []
+                got = sequence_logprob(Recording(), words, PARAMS)
+                prompts = [render_prefix(words[:i]) for i in range(n)]
+                assert asked == prompts
+                expected = 0.0  # the reference: every prefix rendered anew, summed in word order
+                for prompt, word in zip(prompts, words):
+                    lp = score(prompt, word)
+                    expected += math.log(PROB_FLOOR) if lp is None else lp
+                assert got == expected
 
 
 class TestPerplexity:
