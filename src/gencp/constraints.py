@@ -36,6 +36,8 @@ class Constraint:
     the prompt that renders those words and, in ``prefix.rules.reserve``,
     the 1 character a final period takes when its task requires one.  A
     word admitted with that reserve is admitted without it.
+    ``word_floor`` (at least 1) is the fewest content words the clause admits,
+    the end test of a type that only counts; ``complete`` asks no hook below it.
     ``keywords`` are the casefolded words whose last positions the summary
     records, and the caps and ``required_words`` feed ``can_extend``'s
     lookahead.  ``holds``, the type's clause of ``check_complete``, reads
@@ -44,6 +46,7 @@ class Constraint:
     """
 
     scans = False
+    word_floor = 1
     word_cap = None
     char_cap = None
     keywords = ()
@@ -101,13 +104,11 @@ class WordCountRange(Constraint):
         if self.hi is not None and self.lo > self.hi:
             raise ValueError("lo must not exceed hi")
 
+    word_floor = property(lambda self: self.lo)
     word_cap = property(lambda self: self.hi)
 
     def admits_next(self, prefix, word):
         return self.hi is None or prefix.count < self.hi
-
-    def admits_end(self, prefix):
-        return prefix.count >= self.lo
 
     def holds(self, words, content):
         return self.lo <= len(content) and (self.hi is None or len(content) <= self.hi)
@@ -139,6 +140,7 @@ class PositionLexical(Constraint):
     position: int
     word: str
     schema = ("position_lexical", {"position": "int", "word": "str"})
+    word_floor = property(lambda self: self.position)
 
     def __post_init__(self):
         if self.position < 1:
@@ -148,9 +150,6 @@ class PositionLexical(Constraint):
 
     def admits_next(self, prefix, word):
         return prefix.count + 1 != self.position or word == self.word
-
-    def admits_end(self, prefix):
-        return prefix.count >= self.position
 
     def holds(self, words, content):
         return self.position <= len(content) and content[self.position - 1] == self.word
@@ -236,6 +235,7 @@ class StartsWith(Constraint):
 
     prefix: tuple
     schema = ("starts_with", {"prefix": "words"})
+    word_floor = property(lambda self: len(self.prefix))
 
     def __init__(self, prefix):
         object.__setattr__(self, "prefix", tuple(prefix))
@@ -244,9 +244,6 @@ class StartsWith(Constraint):
 
     def admits_next(self, prefix, word):
         return prefix.count >= len(self.prefix) or word == self.prefix[prefix.count]
-
-    def admits_end(self, prefix):
-        return prefix.count >= len(self.prefix)
 
     def holds(self, words, content):
         return tuple(content[: len(self.prefix)]) == self.prefix
@@ -365,14 +362,20 @@ _HOOKS = ("admits_word", "admits_next", "admits_end")
 
 
 class _Rules:
-    """The constraints sorted by the hooks each type overrides, the lookahead caps and the period reserve."""
+    """The hooks the types override, the largest word floor, the lookahead caps and the period reserve.
+
+    ``word_tests`` are constraints, for ``word_valid``; ``next_tests`` and ``end_tests`` are bound hooks.
+    """
 
     def __init__(self, constraints, reserve):
         def overriding(hook):
             base = getattr(Constraint, hook)
             return tuple(c for c in constraints if getattr(type(c), hook) is not base)
 
-        self.word_tests, self.next_tests, self.end_tests = map(overriding, _HOOKS)
+        self.word_tests = overriding("admits_word")
+        self.next_tests = tuple(c.admits_next for c in overriding("admits_next"))
+        self.end_tests = tuple(c.admits_end for c in overriding("admits_end"))
+        self.word_floor = max((c.word_floor for c in constraints), default=1)
         self.keywords = frozenset(w for c in constraints for w in c.keywords)
         self.required = frozenset(w for c in constraints for w in c.required_words)
         self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
@@ -426,8 +429,8 @@ class PrefixSummary:
 
     def _follows(self, word):
         """Whether the ``admits_next`` tests admit ``word`` after the prefix, with the period reserve."""
-        for c in self.rules.next_tests:
-            if not c.admits_next(self, word):
+        for admits_next in self.rules.next_tests:
+            if not admits_next(self, word):
                 return False
         return True
 
@@ -470,12 +473,10 @@ class PrefixSummary:
         word_cap = rules.word_cap
         if word_cap is not None and count >= word_cap:
             return False
-        if not rules.required:
-            return True
         seen = self.seen
-        missing = [w for w in rules.required if w not in seen]
-        if not missing:
+        if rules.required <= seen.keys():
             return True
+        missing = [w for w in rules.required if w not in seen]
         if word_cap is not None and count + len(missing) > word_cap:
             return False
         if rules.char_cap is not None:
@@ -485,11 +486,14 @@ class PrefixSummary:
         return True
 
     def complete(self):
-        """Whether the words, with the final period when the task requires one, pass ``check_complete``."""
-        if self.failed or not self.count:
+        """Whether the words, with the final period when the task requires one, pass ``check_complete``.
+
+        Below the task's word floor it asks no ``admits_end``.
+        """
+        if self.failed or self.count < self.rules.word_floor:
             return False
-        for c in self.rules.end_tests:
-            if not c.admits_end(self):
+        for admits_end in self.rules.end_tests:
+            if not admits_end(self):
                 return False
         return True
 

@@ -32,7 +32,7 @@ class WordCandidate:
             raise ValueError("candidate text is empty")
         if has_whitespace(text):
             raise ValueError(f"candidate text contains whitespace: {text!r}")
-        if logprob > 0.0:
+        if not logprob <= 0.0:  # NaN included
             raise ValueError(f"logprob must be <= 0, got {logprob}")
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "logprob", logprob)

@@ -39,12 +39,12 @@ def _candidates(raw, n):
 
     ``raw`` holds the response's (whitespace-stripped token, probability)
     pairs in the server's order.  Empty tokens, tokens with inner
-    whitespace and non-positive probabilities are dropped, and a word that
+    whitespace and non-positive or NaN probabilities are dropped, and a word that
     several tokens spell (" the" and "the") keeps its highest probability.
     """
     best = {}
     for text, prob in raw[:n]:
-        if not text or prob <= 0.0 or has_whitespace(text):
+        if not text or not prob > 0.0 or has_whitespace(text):  # NaN included
             continue
         prob = min(prob, 1.0)
         if text not in best or prob > best[text]:

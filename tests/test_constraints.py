@@ -373,7 +373,45 @@ class TestCheckComplete:
 
 _TYPES = (CharCountExact, WordCountRange, MaxWordLen, PositionLexical, MandatoryKeywords,
           KeywordSeparation, ForbiddenChars, StartsWith)
-_PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen", "keywords", "required_words", "word_cap", "char_cap"}
+_PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen", "keywords", "required_words", "word_floor", "word_cap",
+                  "char_cap"}
+
+
+SCOPE_WORDS = ("a", "bb", "ccc")
+
+
+def small_scope_constraints():
+    """Every constraint whose parameters range over the boundaries the words {a, bb, ccc} make, 64 in all."""
+    pairs = list(itertools.combinations(SCOPE_WORDS, 2))
+    return (
+        [CharCountExact(n) for n in range(1, 14)]
+        + [WordCountRange(lo, hi) for lo in (1, 2, 3) for hi in (*range(lo, 4), None)]
+        + [MaxWordLen(limit) for limit in (1, 2, 3)]
+        + [PositionLexical(position, w) for position in (1, 2, 3) for w in SCOPE_WORDS]
+        + [MandatoryKeywords(ws) for ws in [(w,) for w in SCOPE_WORDS] + pairs]
+        + [KeywordSeparation(ws, gap) for ws in pairs for gap in (1, 2)]
+        + [ForbiddenChars(chars) for chars in ("a", "b", "c", "ab", "ac", "bc")]
+        + [StartsWith(ws) for n in (1, 2) for ws in itertools.product(SCOPE_WORDS, repeat=n)]
+    )
+
+
+def test_complete_equals_check_complete_at_small_scope():
+    """``complete()`` of every prefix of 0-3 words over {a, bb, ccc} equals ``check_complete``.
+
+    Under every pair of the small scope's constraints, with and without the
+    period: the word floor and the end tests answer as the specification does.
+    """
+    constraints = small_scope_constraints()
+    assert len(constraints) == len(set(constraints)) == 64
+    prefixes = [list(p) for n in range(4) for p in itertools.product(SCOPE_WORDS, repeat=n)]
+    mismatches = []
+    for pair in itertools.combinations(constraints, 2):
+        for period in (True, False):
+            task = _task(*pair, require_period=period)
+            for words in prefixes:
+                if summarize(words, task).complete() != check_complete(words + ["."] * period, task):
+                    mismatches.append((pair, period, words))
+    assert (len(mismatches), mismatches[:3]) == (0, [])
 
 
 @pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)

@@ -103,6 +103,10 @@ class TestWordCandidate:
         with pytest.raises(ValueError):
             WordCandidate("ok", 0.5)
 
+    def test_rejects_a_nan_logprob(self):
+        with pytest.raises(ValueError, match="logprob must be <= 0"):
+            WordCandidate("x", float("nan"))
+
     def test_holds_no_instance_dict(self):
         assert not hasattr(WordCandidate("ok", -1.0), "__dict__")
 

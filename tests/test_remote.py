@@ -165,6 +165,14 @@ class TestRemotePredict:
         cands = RemoteLM(server.url).predict("x", PARAMS)
         assert [(c.text, c.logprob) for c in cands] == [("cat", math.log(0.5)), ("dog", math.log(0.3))]
 
+    def test_a_nan_probability_is_dropped_as_a_non_positive_one_is(self, stub_server):
+        """``json`` decodes a bare ``NaN`` token; the word it scores is no candidate."""
+        server = stub_server({})
+        server.respond_raw(b'{"completion_probabilities": [{"probs": '
+                           b'[{"token": " a", "prob": NaN}, {"token": "b", "prob": 0.5}]}]}')
+        cands = RemoteLM(server.url).predict("x", PARAMS)
+        assert [(c.text, c.logprob) for c in cands] == [("b", math.log(0.5))]
+
     def test_request_carries_sampling_fields(self, stub_server):
         server = stub_server({"x": [("ok", 0.5)]})
         lm = RemoteLM(server.url)
