@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import constraints as cst
 from .lm import sequence_logprob
@@ -46,19 +46,20 @@ def expand_beams(beams, lm, task, k):
     Returns (survivors, dead): the k best feasible extensions, and the input
     beams that had no feasible extension at all.  An extension is feasible
     when it can still grow or already is a finished sentence structurally.
-    A beam's words come from the first ``k * oversample`` of its answer,
-    which is asked at ``max(k, params.k)`` when the beam holds none, so that
-    a search asks each prompt at one width.
+    A beam's words come from the first ``k * oversample`` of its answer; one
+    that holds none is asked with the task's params, ``k`` in place of theirs
+    where the beam is wider, so that a search asks each prompt at one width.
     """
-    params = task.lm_params
-    width = max(k, params.k)
+    params = ask = task.lm_params
     extensions = []
     dead = []
     for beam in beams:
         raw = beam.answer
         if raw is None:
-            raw = lm.predict(beam.summary.prompt, params, width)
-        if width > k:
+            if k > ask.k:
+                ask = replace(params, k=k)
+            raw = lm.predict(beam.summary.prompt, ask)
+        if params.k > k:
             raw = raw[: k * params.oversample]
         words, cum, summary = beam.words, beam.cum_logprob, beam.summary
         before = len(extensions)
@@ -92,7 +93,7 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
         raise ValueError("max_words must exceed the seed length")
     check_time_budget(time_budget)
     params = task.lm_params
-    width = max(k, params.k)  # the period check reads the first params.k, the expansion the first k
+    ask = replace(params, k=k) if k > params.k else params  # the period check still reads the first params.k
     summary = cst.summarize(seed, task)
     if not (summary.can_extend() or summary.complete()):  # the test expand_beams applies to later beams
         return [], [summary.prompt]
@@ -109,9 +110,9 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
                 break
             if task.require_period:  # the period check asks about each beam that ends a sentence
                 whole = [b for b in beams if b.summary.complete()]
-                lm.prefetch((b.summary.prompt for b in whole), params, width)
+                lm.prefetch((b.summary.prompt for b in whole), ask)
                 for beam in whole:
-                    beam.answer = lm.predict(beam.summary.prompt, params, width)
+                    beam.answer = lm.predict(beam.summary.prompt, ask)
             survivors = []
             for beam in beams:
                 end = completes(beam.summary, beam.answer, task)
@@ -125,7 +126,7 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
             bad_outputs.extend(b.summary.prompt for b in survivors if b.summary.count >= max_words)
             survivors = [b for b in survivors if b.summary.count < max_words]
             # Announced after the checks: a beam that turns out a solution is never expanded.
-            lm.prefetch((b.summary.prompt for b in survivors if b.answer is None), params, width)
+            lm.prefetch((b.summary.prompt for b in survivors if b.answer is None), ask)
             beams, dead = expand_beams(survivors, lm, task, k)
             bad_outputs.extend(b.summary.prompt for b in dead)
     finally:

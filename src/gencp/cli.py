@@ -127,7 +127,7 @@ def _cmd_beam(args):
     task = _load_task(args, args.k)
     with closing(load_backend(args.lm)) as lm:
         records, bad = beam_search(
-            task, lm, k=args.k, mode=HaltingMode(args.mode), time_budget=args.time_budget,
+            task, lm, mode=HaltingMode(args.mode), time_budget=args.time_budget,
             max_words=args.max_variables,
         )
     _print_records(records)

@@ -618,7 +618,10 @@ def load_task_file(path):
     ``pathlib.PurePath.stem`` names it: "x." keeps its dot, and "..json" is named ".".
     """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # not a ValueError: input nested past the interpreter's limit
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: task file must hold a JSON object")
     extra = set(data) - set(_TASK_FILE_FIELDS)

@@ -192,7 +192,7 @@ def _run_method(method, task, lm, k, config, bs_reference):
             extra.update(sat_pct=100.0 if ppls else None, n_backtracks=outcome.stats.backtracks)
         elif method in ("bs-first", "bs-all"):
             records, bad = beam_search(
-                task, lm, k=k, mode=HaltingMode(method.removeprefix("bs-")),
+                task, lm, mode=HaltingMode(method.removeprefix("bs-")),
                 time_budget=opts.time_budget, max_words=opts.max_variables,
             )
             seconds = time.perf_counter() - started

@@ -38,8 +38,8 @@ class TransportError(RuntimeError):
 class LMParams:
     """Sampling parameters shared by all backends.
 
-    ``k`` is the number of words the search wants per call; backends fetch up
-    to ``k * oversample`` raw candidates so that k survive validity filtering.
+    ``k``, the words a search wants per call, is the one width a backend is asked at: it
+    fetches up to ``k * oversample`` raw candidates so that k survive validity filtering.
     """
 
     k: int = 10
@@ -66,14 +66,13 @@ class LMParams:
 class LanguageModel:
     """Interface shared by all backends; every method takes the prompt, a rendered prefix."""
 
-    def predict(self, sentence, params, k=None):
+    def predict(self, sentence, params):
         """Ranked next-word candidates for ``sentence`` (a rendered prefix).
 
-        At most ``k * params.oversample`` candidates, sorted by descending
+        At most ``params.k * params.oversample`` candidates, sorted by descending
         log-probability with lexicographic tie-break on text; no word appears
         twice in an answer, so the search takes a node's domain from it
-        unchecked.  ``k`` defaults to ``params.k``.  An unknown prefix yields
-        an empty list.
+        unchecked.  An unknown prefix yields an empty list.
         """
         raise NotImplementedError
 
@@ -84,8 +83,8 @@ class LanguageModel:
         """
         return ranked_logprob(self.predict(sentence, params), word)
 
-    def prefetch(self, hints, params, k=None):
-        """Hint that ``predict(s, params, k)`` will follow for each prompt s in ``hints``.
+    def prefetch(self, hints, params):
+        """Hint that ``predict(s, params)`` will follow for each prompt s in ``hints``.
 
         A hint is a prompt, or a (prompt, expansion) pair whose expansion
         maps the prompt's answer to the hints below it.  Hints come in visit
@@ -228,9 +227,8 @@ class TableLM(LanguageModel):
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    def predict(self, sentence, params, k=None):
-        k = params.k if k is None else k
-        return self._table.get(sentence, [])[: k * params.oversample]
+    def predict(self, sentence, params):
+        return self._table.get(sentence, [])[: params.k * params.oversample]
 
     def conditional_logprob(self, sentence, word, params):
         return ranked_logprob(self._table.get(sentence, ()), word)
@@ -279,11 +277,10 @@ class NGramLM(LanguageModel):
             return dist
         return {}
 
-    def predict(self, sentence, params, k=None):
-        k = params.k if k is None else k
+    def predict(self, sentence, params):
         dist = self._distribution(tokenize(sentence))
         cands = [WordCandidate(w, math.log(p)) for w, p in dist.items()]
-        return _rank(cands)[: k * params.oversample]
+        return _rank(cands)[: params.k * params.oversample]
 
     def conditional_logprob(self, sentence, word, params):
         p = self._distribution(tokenize(sentence)).get(word)
@@ -343,7 +340,10 @@ class NGramLM(LanguageModel):
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except RecursionError:  # not a ValueError: input nested past the interpreter's limit
+                raise ValueError(f"{path}: JSON nested too deeply") from None
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -29,9 +29,9 @@ REMOTE_WORKERS = 4
 log = logging.getLogger(__name__)
 
 
-def _memo_key(sentence, n, params):
-    """What a request sends: the prompt, its width ``n_probs`` and the sampling fields."""
-    return sentence, n, params.temperature, params.top_k, params.top_p
+def _memo_key(sentence, params):
+    """What a request sends: the prompt and, from ``params``, the width ``n_probs`` and the sampling fields."""
+    return sentence, params.k * params.oversample, params.temperature, params.top_k, params.top_p
 
 
 def _candidates(raw, n):
@@ -81,17 +81,17 @@ _URL_UNSAFE_RE = re.compile(r"[\x00-\x20\x7f]")
 class RemoteLM(LanguageModel):
     """Client for an HTTP completion server reporting per-token probabilities.
 
-    One POST per request: the memo maps each (sentence, n_probs,
-    temperature, top_k, top_p) to the future of the ranked answer, for the
-    lifetime of the instance, so an answer once given is given again.  A
-    request at another width POSTs again; a search asks each prompt at one
-    width.  A failed response is not reused.  Announced prompts are POSTed
-    while the search works, on a pool of up to ``REMOTE_WORKERS`` threads
-    started on demand.  Each free thread starts the queued prompt first in
-    the search's depth-first visit order (see ``_queue``), and queues its
-    expansion's hints before it resolves the prompt's future, so the root's
-    hint alone fetches an exhaustive search's tree.  ``predict`` waits on an
-    announced prompt's future and POSTs any other prompt on the caller's
+    One POST per request: the memo maps each (sentence, n_probs, temperature,
+    top_k, top_p) to the future of the ranked answer, for the lifetime of the
+    instance, so an answer once given is given again.  A request at another
+    width, ``k * oversample`` of its params, POSTs again; a search asks each
+    prompt at one width.  A failed response is not reused.  Announced prompts
+    are POSTed while the search works, on a pool of up to ``REMOTE_WORKERS``
+    threads started on demand.  Each free thread starts the queued prompt
+    first in the search's depth-first visit order (see ``_queue``), and queues
+    its expansion's hints before it resolves the prompt's future, so the
+    root's hint alone fetches an exhaustive search's tree.  ``predict`` waits
+    on an announced prompt's future and POSTs any other prompt on the caller's
     thread, never behind announced ones.
     ``cancel_prefetch`` drops the prompts no thread has started and the
     expansions of those in flight, also those of other searches sharing the
@@ -141,12 +141,11 @@ class RemoteLM(LanguageModel):
         self._epoch = 0  # cancel_prefetch calls so far
         self._pool = ThreadPoolExecutor(REMOTE_WORKERS, thread_name_prefix="gencp-remote")
 
-    def prefetch(self, hints, params, k=None):
-        n = (params.k if k is None else k) * params.oversample
+    def prefetch(self, hints, params):
         hints = list(hints)  # a lazy generator runs outside the lock
         with self._lock:
             self._batches += 1
-            self._queue(hints, params, n, (-self._batches,), self._epoch)
+            self._queue(hints, params, (-self._batches,), self._epoch)
 
     def cancel_prefetch(self):
         with self._lock:
@@ -165,9 +164,8 @@ class RemoteLM(LanguageModel):
             conn.auto_open = 0  # an HTTPConnection reopens on its next request otherwise
             conn.close()
 
-    def predict(self, sentence, params, k=None):
-        n = (params.k if k is None else k) * params.oversample
-        key = _memo_key(sentence, n, params)
+    def predict(self, sentence, params):
+        key = _memo_key(sentence, params)
         while True:
             with self._lock:
                 fut = self._live(key)
@@ -179,9 +177,9 @@ class RemoteLM(LanguageModel):
                 return list(fut.result())
             except CancelledError:
                 continue  # a cancel_prefetch dropped it
-        return list(self._fetch(own, sentence, n, params))
+        return list(self._fetch(own, sentence, params))
 
-    def _queue(self, hints, params, n, order, epoch):
+    def _queue(self, hints, params, order, epoch):
         """Queue each hinted prompt not live in the memo, with a pool job that POSTs one.
 
         Call with the lock held.  The i-th hint's visit-order key is
@@ -193,11 +191,11 @@ class RemoteLM(LanguageModel):
             return
         for i, hint in enumerate(hints):
             sentence, expand = (hint, None) if isinstance(hint, str) else hint
-            key = _memo_key(sentence, n, params)
+            key = _memo_key(sentence, params)
             if self._live(key) is None:
                 self._pool.submit(self._post_earliest)  # raises after ``close``
                 fut = self._memo[key] = Future()
-                heapq.heappush(self._pending, (order + (i,), fut, sentence, params, n, expand, epoch))
+                heapq.heappush(self._pending, (order + (i,), fut, sentence, params, expand, epoch))
 
     def _post_earliest(self):
         """Pool job: ``_fetch`` the queued prompt first in visit order; log an error no future carries."""
@@ -205,23 +203,23 @@ class RemoteLM(LanguageModel):
             while True:
                 if not self._pending:
                     return  # a cancel, or another job, took the entry
-                order, fut, sentence, params, n, expand, epoch = heapq.heappop(self._pending)
+                order, fut, sentence, params, expand, epoch = heapq.heappop(self._pending)
                 if fut.set_running_or_notify_cancel():
                     break
         try:
-            self._fetch(fut, sentence, n, params, expand, order, epoch)
+            self._fetch(fut, sentence, params, expand, order, epoch)
         except Exception as exc:  # nothing reads the job's own future
             if not (fut.done() and fut.exception() is exc):  # a failed POST reaches callers through fut
                 log.error("prefetch of prompt %r failed", sentence, exc_info=exc)
 
-    def _fetch(self, fut, sentence, n, params, expand=None, order=None, epoch=None):
+    def _fetch(self, fut, sentence, params, expand=None, order=None, epoch=None):
         """POST for the running future ``fut``, rank the answer, queue its expansion, resolve ``fut``.
 
         Resolved last: nothing else announces the expansion's prompts, so a
         search that had the answer before they were queued would POST them itself.
         """
         try:
-            answer = tuple(_candidates(self._post(sentence, n, params), n))
+            answer = tuple(_candidates(self._post(sentence, params), params.k * params.oversample))
         except BaseException as exc:
             fut.set_exception(exc)
             raise
@@ -229,7 +227,7 @@ class RemoteLM(LanguageModel):
             if expand is not None:
                 hints = list(expand(list(answer)))
                 with self._lock:
-                    self._queue(hints, params, n, order, epoch)
+                    self._queue(hints, params, order, epoch)
         finally:
             fut.set_result(answer)
         return answer
@@ -241,11 +239,11 @@ class RemoteLM(LanguageModel):
             return None
         return fut
 
-    def _post(self, sentence, n, params):
+    def _post(self, sentence, params):
         payload = {
             "prompt": sentence,
             "n_predict": 1,
-            "n_probs": n,
+            "n_probs": params.k * params.oversample,
             "temperature": params.temperature,
             "top_k": params.top_k,
             "top_p": params.top_p,
@@ -258,7 +256,7 @@ class RemoteLM(LanguageModel):
             raise TransportError(f"{self.endpoint} answered HTTP {status}")
         try:
             doc = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise TransportError(f"{self.endpoint} answered malformed JSON") from exc
         return _extract(doc)
 

@@ -24,9 +24,9 @@ class PromptLog(LanguageModel):
         self.inner = inner
         self.prompts = []
 
-    def predict(self, sentence, params, k=None):
+    def predict(self, sentence, params):
         self.prompts.append(sentence)
-        return self.inner.predict(sentence, params, k)
+        return self.inner.predict(sentence, params)
 
     def conditional_logprob(self, sentence, word, params):
         return self.inner.conditional_logprob(sentence, word, params)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 
 from gencp import (
     Beam,
@@ -157,14 +158,23 @@ class TestBeamSearch:
         widths = []
 
         class WidthLog(TableLM):
-            def predict(self, sentence, params, k=None):
-                widths.append((sentence, k))
-                return super().predict(sentence, params, k)
+            def predict(self, sentence, params):
+                widths.append((sentence, params.k))
+                return super().predict(sentence, params)
 
         lm = WidthLog({"": [("fine", 0.5)], "fine": [(".", 0.9)]})
         task = _task(WordCountRange(1, 3), k=2)
         assert [s.sentence for s in beam_search(task, lm, k=1)[0]] == ["fine."]
         assert widths == [("", 2), ("fine", 2)]  # the expansion, then the period check
+
+    def test_a_beam_wider_than_top_k_times_oversample_is_refused_before_any_ask(self):
+        lm = PromptLog(TableLM({"": [("fine", 0.5)], "fine": [(".", 0.9)]}))
+        task = _task(WordCountRange(1, 3))  # top_k 40 and oversample 4 allow a width of 160
+        assert [s.sentence for s in beam_search(task, lm, k=160)[0]] == ["fine."]
+        lm.prompts.clear()
+        with pytest.raises(ValueError, match=r"^k exceeds top_k \* oversample$"):
+            beam_search(task, lm, k=161)
+        assert lm.prompts == []
 
     def test_a_beam_that_is_not_a_solution_is_expanded_from_its_period_check_answer(self):
         # "fine" ends a sentence but "." ranks below k = 1; its children come

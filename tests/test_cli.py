@@ -474,3 +474,23 @@ def test_malformed_ngram_model_exits_1(payload, field, fixtures_dir, tmp_path, c
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and field in err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.load raises RecursionError, not a ValueError
+
+
+@pytest.mark.parametrize("where", ["task", "ngram"])
+def test_json_nested_past_the_recursion_limit_exits_1(where, fixtures_dir, tmp_path, capsys):
+    task, lm = str(fixtures_dir / "two_words.json"), f"table:{fixtures_dir / 'bs_miss.tbl'}"
+    deep = tmp_path / "deep.json"
+    if where == "task":
+        deep.write_text(DEEP_JSON, encoding="utf-8")
+        task = str(deep)
+    else:
+        deep.write_text(json.dumps({**GOOD_NGRAM, "counts": None}).replace("null", DEEP_JSON), encoding="utf-8")
+        lm = f"ngram:{deep}"
+    code = main(["solve", "--task", task, "--lm", lm])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+    assert captured.out == ""

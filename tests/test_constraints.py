@@ -7,6 +7,7 @@ import sys
 import textwrap
 import unicodedata
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -205,8 +206,8 @@ def test_searches_run_the_word_tests_once_per_candidate(search, monkeypatch):
     answer = lm.predict
     validated, inherited = Counter(), []
 
-    def predict_with_tail(sentence, params, k=None):
-        raw = answer(sentence, params, k)
+    def predict_with_tail(sentence, params):
+        raw = answer(sentence, params)
         return raw + [WordCandidate("tail", -9.0)] if raw else raw
 
     def word_valid_counted(word, constraints):
@@ -610,13 +611,13 @@ class TestFilterSoundness:
                 yield list(words)
                 if depth == 0:
                     return
-                for cand in lm.predict(render_prefix(words), params, k=3):
+                for cand in lm.predict(render_prefix(words), replace(params, k=3)):
                     if cand.text == ".":
                         continue
                     yield from completions(words + [cand.text], depth - 1)
 
             def check_node(words, depth):
-                raw = lm.predict(render_prefix(words), params, k=3)
+                raw = lm.predict(render_prefix(words), replace(params, k=3))
                 cands = only_words(raw)
                 kept = {c.text for c in summarize(words, task).window(cands, len(cands))}
                 for cand in cands:

@@ -402,10 +402,9 @@ class HintedTableLM(TableLM):
         self.announcements = 0
         self._following = 0
 
-    def prefetch(self, hints, params, k=None):
-        k = params.k if k is None else k
+    def prefetch(self, hints, params):
         hints = [(h, None) if isinstance(h, str) else h for h in hints]
-        batch = [(s, k) for s, _ in hints]
+        batch = [(s, params.k) for s, _ in hints]
         self.log.append(("hint", batch))
         self.announcements += not self._following
         if self.announcements == 1:
@@ -413,12 +412,12 @@ class HintedTableLM(TableLM):
         self._following += 1
         for sentence, expand in hints:
             if expand is not None:
-                self.prefetch(expand(TableLM.predict(self, sentence, params, k)), params, k)
+                self.prefetch(expand(TableLM.predict(self, sentence, params)), params)
         self._following -= 1
 
-    def predict(self, sentence, params, k=None):
-        self.log.append(("ask", (sentence, params.k if k is None else k)))
-        return super().predict(sentence, params, k)
+    def predict(self, sentence, params):
+        self.log.append(("ask", (sentence, params.k)))
+        return super().predict(sentence, params)
 
     def prompts(self, kind):
         if kind == "hint":

@@ -66,9 +66,9 @@ class TestBruteForceOracle:
 
     def test_refuses_past_time_budget(self, fig_task):
         class SlowTableLM(TableLM):
-            def predict(self, sentence, params, k=None):
+            def predict(self, sentence, params):
                 time.sleep(0.02)
-                return super().predict(sentence, params, k)
+                return super().predict(sentence, params)
 
         with pytest.raises(OracleLimitError, match="time budget"):
             brute_force_oracle(fig_task, SlowTableLM(FIG_TABLE), depth_cap=8, time_budget=0.01)

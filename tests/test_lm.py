@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -76,7 +77,7 @@ class TestLMParams:
 class TestTableLM:
     def test_ranked_by_probability(self):
         lm = TableLM(FIG4_TABLE)
-        assert [c.text for c in lm.predict("A", PARAMS, k=3)] == ["man", "house", "boy"]
+        assert [c.text for c in lm.predict("A", replace(PARAMS, k=3))] == ["man", "house", "boy"]
 
     def test_unknown_prefix_is_empty(self):
         assert TableLM(FIG4_TABLE).predict("A boy", PARAMS) == []
@@ -297,7 +298,7 @@ class TestPrefetchHint:
     def test_local_backends_never_iterate_the_hint(self):
         for lm in (TableLM(FIG4_TABLE), train_ngram("the cat sat .", order=1)):
             lm.prefetch(_unreadable_hint(), PARAMS)
-            lm.prefetch(_unreadable_hint(), PARAMS, k=1)
+            lm.prefetch(_unreadable_hint(), replace(PARAMS, k=1))
             lm.cancel_prefetch()
 
 

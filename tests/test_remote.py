@@ -11,6 +11,7 @@ import time
 import warnings
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -212,9 +213,12 @@ class TestRemotePredict:
 
     def test_malformed_json_is_transport_error(self, stub_server):
         server = stub_server({})
-        server.respond_raw(b"this is not json")
-        with pytest.raises(TransportError, match="malformed"):
-            RemoteLM(server.url).predict("x", PARAMS)
+        lm = RemoteLM(server.url)
+        # the second nests past the interpreter's recursion limit: a RecursionError, not a ValueError
+        for body in (b"this is not json", b"[" * 100_000 + b"]" * 100_000):
+            server.respond_raw(body)
+            with pytest.raises(TransportError, match="malformed"):
+                lm.predict("x", PARAMS)
 
     def test_missing_path_is_transport_error(self, stub_server):
         server = stub_server({})
@@ -331,7 +335,7 @@ class TestConnections:
             warnings.simplefilter("always", ResourceWarning)
             lm = RemoteLM(server.url)
             _solve(lm)
-            lm.prefetch(["red", "big"], WIDE_TASK.lm_params, 9)  # queued or in flight at close
+            lm.prefetch(["red", "big"], replace(WIDE_TASK.lm_params, k=9))  # queued or in flight at close
             lm.close()
             assert _open_sockets(opened) == []
         assert len(opened) > 1  # one per pool thread that posted
@@ -568,13 +572,13 @@ class TestOnePostPerPrompt:
         lm = RemoteLM(server.url)
         params = self.TASK.lm_params
         local = TableLM(self.TABLE)
-        wide = lm.predict("red", params, 9)
+        wide = lm.predict("red", replace(params, k=9))
         narrow = lm.predict("red", params)
-        lm.prefetch(["red"], params, 2)
-        assert wide == local.predict("red", params, 9)
+        lm.prefetch(["red"], replace(params, k=2))
+        assert wide == local.predict("red", replace(params, k=9))
         assert [c.text for c in wide] == ["red", "big", "old", "new", "."]
         assert narrow == local.predict("red", params)
-        assert lm.predict("red", params, 2) == local.predict("red", params, 2)
+        assert lm.predict("red", replace(params, k=2)) == local.predict("red", replace(params, k=2))
         # The announced width-2 request went out once, and the search's ask waited on it.
         assert [r["n_probs"] for r in server.requests] == [36, 12, 8]
 
@@ -583,9 +587,9 @@ class TestOnePostPerPrompt:
         lm = RemoteLM(server.url)
         params = self.TASK.lm_params
         lm.predict("red", params)
-        lm.prefetch(["red"], params, 9)
+        lm.prefetch(["red"], replace(params, k=9))
         for k in (9, 3, 9):
-            lm.predict("red", params, k)
+            lm.predict("red", replace(params, k=k))
         assert [r["n_probs"] for r in server.requests] == [12, 36]
 
     def test_an_answer_once_given_survives_a_wider_response(self, stub_server):
@@ -598,9 +602,9 @@ class TestOnePostPerPrompt:
         server.respond_raw(json.dumps({"completion_probabilities": [
             {"probs": [{"token": " new", "prob": 0.5}, {"token": " red", "prob": 0.1}]}
         ]}).encode())
-        assert [c.text for c in lm.predict("red", params, 9)] == ["new", "red"]
+        assert [c.text for c in lm.predict("red", replace(params, k=9))] == ["new", "red"]
         assert lm.predict("red", params) == narrow
-        assert [c.text for c in lm.predict("red", params, 9)] == ["new", "red"]
+        assert [c.text for c in lm.predict("red", replace(params, k=9))] == ["new", "red"]
         assert [r["n_probs"] for r in server.requests] == [12, 36]
 
     def test_failed_wide_response_is_not_reused_for_a_narrow_request(self, stub_server):
@@ -609,10 +613,10 @@ class TestOnePostPerPrompt:
         params = self.TASK.lm_params
         server.fail_with(500)
         with pytest.raises(TransportError, match="HTTP 500"):
-            lm.predict("red", params, 9)
+            lm.predict("red", replace(params, k=9))
         server.respond_normally()
         assert lm.predict("red", params) == TableLM(self.TABLE).predict("red", params)
-        assert lm.predict("red", params, 9) == TableLM(self.TABLE).predict("red", params, 9)
+        assert lm.predict("red", replace(params, k=9)) == TableLM(self.TABLE).predict("red", replace(params, k=9))
         assert [r["n_probs"] for r in server.requests] == [36, 12, 36]
 
     def test_width_is_cut_before_duplicate_spellings_merge(self, stub_server):
@@ -632,7 +636,7 @@ class TestOnePostPerPrompt:
         lm = RemoteLM(server.url)
         assert [c.text for c in lm.predict("p", params)] == ["a", "b"]
         assert not predicts_period(lm, "p", params)
-        assert [c.text for c in lm.predict("p", params, 9)] == ["a", "b", ".", "c"]
+        assert [c.text for c in lm.predict("p", replace(params, k=9))] == ["a", "b", ".", "c"]
         assert [r["n_probs"] for r in server.requests] == [12, 36]
 
 
@@ -806,12 +810,12 @@ class RecordingRemoteLM(RemoteLM):
         self.holding = threading.Event()
         self.posts = []
 
-    def _post(self, sentence, n, params):
+    def _post(self, sentence, params):
         self.posts.append((sentence, threading.current_thread().name.startswith("gencp-remote")))
         if sentence in self.held:
             self.holding.set()
             assert self.gate.wait(timeout=5)
-        return super()._post(sentence, n, params)
+        return super()._post(sentence, params)
 
 
 def _fixed(*hints):
@@ -825,13 +829,13 @@ class TestSubtreePrefetch:
         seen = {}
 
         class WaitingRemoteLM(RemoteLM):
-            def predict(self, sentence, params, k=None):
+            def predict(self, sentence, params):
                 if sentence == "red":  # a child of the root, which the search asks first
                     deadline = time.perf_counter() + 2
                     while "red old" not in server.counts and time.perf_counter() < deadline:
                         time.sleep(0.005)
                     seen[sentence] = "red old" in server.counts
-                return super().predict(sentence, params, k)
+                return super().predict(sentence, params)
 
         assert _solve(WaitingRemoteLM(server.url)) == _solve(TableLM(WIDE))
         # Only the expansion of "red" announces "red old" before the search
