@@ -4,13 +4,14 @@ Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
 
-Each constraint class carries its own pruning hooks: ``admits_word``,
-``admits_next`` and ``admits_end``.  The searches do not rescan a prefix to
-apply them.  They keep one ``PrefixSummary`` per prefix (word count,
-prompt, where the keywords stand, whether a word failed its test), built by
-``summarize`` for one task, whose period reserve it holds, and extended by
-one word at a time; ``window``, the node step the solver and beam search
-share, ``can_extend``, the solution predicate and the backend's asks read it.
+Each constraint class carries its own pruning: its caps and pins as data,
+and the hooks ``admits_word``, ``admits_next`` and ``admits_end`` for the
+rest.  The searches do not rescan a prefix to apply them.  They keep one
+``PrefixSummary`` per prefix (word count, prompt, where the keywords stand,
+whether a word failed its test), built by ``summarize`` for one task, whose
+period reserve it holds, and extended by one word at a time; ``window``, the
+node step the solver and beam search share, ``can_extend``, the solution
+predicate and the backend's asks read it.
 ``check_complete``, the plain specification the pruning is fuzz-tested
 against, asks each type's ``holds``, the O(1) clauses before the scans.
 """
@@ -25,7 +26,7 @@ import unicodedata
 from dataclasses import dataclass, field, fields, replace
 
 from .lm import LMParams
-from .model import has_whitespace, render_sentence
+from .model import WordCandidate, has_whitespace, render_sentence
 
 
 class Constraint:
@@ -38,6 +39,8 @@ class Constraint:
     word admitted with that reserve is admitted without it.
     ``word_floor`` (at least 1) is the fewest content words the clause admits,
     the end test of a type that only counts; ``complete`` asks no hook below it.
+    ``word_cap``, ``char_cap`` and ``pins``, (1-based position, word) pairs,
+    are the caps and pins ``window`` tests once per node, asking no hook.
     ``keywords`` are the casefolded words whose last positions the summary
     records, and the caps and ``required_words`` feed ``can_extend``'s
     lookahead.  ``holds``, the type's clause of ``check_complete``, reads
@@ -49,6 +52,7 @@ class Constraint:
     word_floor = 1
     word_cap = None
     char_cap = None
+    pins = ()
     keywords = ()
     required_words = ()
 
@@ -79,10 +83,6 @@ class CharCountExact(Constraint):
 
     char_cap = property(lambda self: self.n)
 
-    def admits_next(self, prefix, word):
-        space = 1 if prefix.count else 0  # none before the first word
-        return len(prefix.prompt) + space + len(word) + prefix.rules.reserve <= self.n
-
     def admits_end(self, prefix):
         return len(prefix.prompt) + prefix.rules.reserve == self.n
 
@@ -106,9 +106,6 @@ class WordCountRange(Constraint):
 
     word_floor = property(lambda self: self.lo)
     word_cap = property(lambda self: self.hi)
-
-    def admits_next(self, prefix, word):
-        return self.hi is None or prefix.count < self.hi
 
     def holds(self, words, content):
         return self.lo <= len(content) and (self.hi is None or len(content) <= self.hi)
@@ -141,15 +138,13 @@ class PositionLexical(Constraint):
     word: str
     schema = ("position_lexical", {"position": "int", "word": "str"})
     word_floor = property(lambda self: self.position)
+    pins = property(lambda self: ((self.position, self.word),))
 
     def __post_init__(self):
         if self.position < 1:
             raise ValueError("position must be >= 1")
         if not self.word:
             raise ValueError("pinned word is empty")
-
-    def admits_next(self, prefix, word):
-        return prefix.count + 1 != self.position or word == self.word
 
     def holds(self, words, content):
         return self.position <= len(content) and content[self.position - 1] == self.word
@@ -236,14 +231,12 @@ class StartsWith(Constraint):
     prefix: tuple
     schema = ("starts_with", {"prefix": "words"})
     word_floor = property(lambda self: len(self.prefix))
+    pins = property(lambda self: tuple(enumerate(self.prefix, 1)))
 
     def __init__(self, prefix):
         object.__setattr__(self, "prefix", tuple(prefix))
         if not self.prefix:
             raise ValueError("prefix is empty")
-
-    def admits_next(self, prefix, word):
-        return prefix.count >= len(self.prefix) or word == self.prefix[prefix.count]
 
     def holds(self, words, content):
         return tuple(content[: len(self.prefix)]) == self.prefix
@@ -362,7 +355,7 @@ _HOOKS = ("admits_word", "admits_next", "admits_end")
 
 
 class _Rules:
-    """The hooks the types override, the largest word floor, the lookahead caps and the period reserve.
+    """The hooks the types override, the largest word floor, the caps, the pins and the period reserve.
 
     ``word_tests`` are constraints, for ``word_valid``; ``next_tests`` and ``end_tests`` are bound hooks.
     """
@@ -380,6 +373,10 @@ class _Rules:
         self.required = frozenset(w for c in constraints for w in c.required_words)
         self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
         self.char_cap = min((c.char_cap for c in constraints if c.char_cap is not None), default=None)
+        self.pins = {}  # position -> the word pinned there; "" where two pins clash, which no word equals
+        for c in constraints:
+            for position, word in c.pins:
+                self.pins[position] = word if self.pins.get(position, word) == word else ""
         self.reserve = reserve
 
 
@@ -388,9 +385,9 @@ class PrefixSummary:
 
     ``count`` words render to ``prompt``, the text a search asks the backend
     about, a child's being its parent's plus one word; ``failed`` says that
-    some word failed ``admits_word`` or ``admits_next``, with the task's
-    period reserve, where it stands, which no later word can mend; ``seen`` maps
-    each tracked keyword (casefolded) to the last position that holds it.
+    some word failed ``admits``, with the task's period reserve, where it
+    stands, which no later word can mend; ``seen`` maps each tracked keyword
+    (casefolded) to the last position that holds it.
     ``push`` gives the summary one word longer, testing the word in
     O(#constraints + #keywords) and copying the prompt once, so a search
     keeps one summary per prefix instead of rescanning or rendering it.
@@ -424,36 +421,42 @@ class PrefixSummary:
         return PrefixSummary(rules, count + 1, prompt, failed, seen)
 
     def admits(self, word):
-        """Whether ``word`` may come next, with room kept for a period the summary's task requires."""
-        return word_valid(word, self.rules.word_tests) and self._follows(word)
+        """Whether ``word`` may come next: the window's test of it, also when it does not look like a word ("U.S.")."""
+        return bool(self.window((WordCandidate(word, 0.0),), 1, looks_like_word=bool))
 
-    def _follows(self, word):
-        """Whether the ``admits_next`` tests admit ``word`` after the prefix, with the period reserve."""
-        for admits_next in self.rules.next_tests:
-            if not admits_next(self, word):
-                return False
-        return True
-
-    def window(self, raw, k):
+    def window(self, raw, k, looks_like_word=_looks_like_word):
         """The node step: the candidates of the ranked answer ``raw`` that may come next, in rank order.
 
         One pass over the first k candidates that look like words (see
-        ``only_words``) and pass ``word_valid``, which asks only the types
-        that override ``admits_word``; it stops at the k-th.  Of those it
-        keeps the ones the ``admits_next`` tests admit after the prefix,
-        room kept for a period the summary's task requires.  The solver
-        orders what it keeps into a node's domain, and beam search extends
-        a beam by it.
+        ``only_words``; ``admits`` takes any word) and pass ``word_valid``,
+        which asks only the types that override ``admits_word``; it stops at
+        the k-th.  Of those it keeps the ones that fit the characters left
+        under the cap, a required period's kept free, match the word pinned
+        next and pass the ``admits_next`` tests; the room and the pin are
+        worked out once per node, and at the word cap it keeps none.  The
+        solver orders what it keeps into a node's domain, and beam search
+        extends a beam by it.
         """
-        tests = self.rules.word_tests
+        rules = self.rules
+        count = self.count
+        if rules.word_cap is not None and count >= rules.word_cap:
+            return []
+        room = sys.maxsize if rules.char_cap is None else rules.char_cap - len(self.prompt) - (1 if count else 0) - rules.reserve
+        pin = rules.pins.get(count + 1)
+        tests, next_tests = rules.word_tests, rules.next_tests
         kept = []
         for cand in raw:
             if not k:
                 break
             word = cand.text
-            if _looks_like_word(word) and word_valid(word, tests):
+            if looks_like_word(word) and word_valid(word, tests):
                 k -= 1
-                if self._follows(word):
+                if len(word) > room or pin is not None and word != pin:
+                    continue
+                for admits_next in next_tests:
+                    if not admits_next(self, word):
+                        break
+                else:
                     kept.append(cand)
         return kept
 

@@ -276,9 +276,18 @@ def _coerce(field, value):
     return value if parse is None else parse(value)
 
 
+def _row(n, cells):
+    """The ReportRow of the n-th row's cells, in ``REPORT_FIELDS`` order; ValueError naming the row when they do not fit."""
+    if len(cells) != len(REPORT_FIELDS):
+        raise ValueError(f"report row {n} has {len(cells)} fields, not {len(REPORT_FIELDS)}")
+    try:
+        return ReportRow(**{f: _coerce(f, v) for f, v in zip(REPORT_FIELDS, cells)})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"report row {n}: {exc}") from None
+
+
 def loads_report(text, fmt="csv"):
-    """Parse report text back into ReportRow objects."""
-    rows = []
+    """Parse report text back into ReportRow objects; a malformed report raises ValueError."""
     if fmt == "csv":
         import csv
 
@@ -286,15 +295,18 @@ def loads_report(text, fmt="csv"):
         header = next(reader, None)
         if header != list(REPORT_FIELDS):
             raise ValueError("unexpected report header")
-        for record in reader:
-            if not record:
-                continue
-            rows.append(ReportRow(**{f: _coerce(f, v) for f, v in zip(REPORT_FIELDS, record)}))
-        return rows
+        return [_row(n, record) for n, record in enumerate(filter(None, reader), 1)]
     if fmt == "json":
-        for obj in json.loads(text):
-            rows.append(ReportRow(**{f: _coerce(f, obj.get(f)) for f in REPORT_FIELDS}))
-        return rows
+        try:
+            objs = json.loads(text)
+        except RecursionError:  # not a ValueError: input nested past the interpreter's limit
+            raise ValueError("report JSON nested too deeply") from None
+        if not isinstance(objs, list):
+            raise ValueError("a JSON report holds a list of rows")
+        for n, obj in enumerate(objs, 1):
+            if not isinstance(obj, dict) or obj.keys() != set(REPORT_FIELDS):
+                raise ValueError(f"report row {n} is not an object with the keys {', '.join(REPORT_FIELDS)}")
+        return [_row(n, [obj[f] for f in REPORT_FIELDS]) for n, obj in enumerate(objs, 1)]
     raise ValueError(f"unknown report format {fmt!r}")
 
 

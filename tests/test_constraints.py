@@ -253,13 +253,12 @@ def test_char_count_admits_the_word_that_reaches_n_exactly():
     """The child's length is the prompt, a space unless the word is the first, the word and the period reserve."""
     for require_period in (False, True):
         reserve = 1 if require_period else 0
-        limit = CharCountExact(10)
-        task = _task(limit, require_period=require_period)
+        task = _task(CharCountExact(10), require_period=require_period)
         root, after = summarize([], task), summarize(["abcd"], task)
-        assert limit.admits_next(root, "a" * (10 - reserve)), require_period
-        assert not limit.admits_next(root, "a" * (11 - reserve)), require_period
-        assert limit.admits_next(after, "b" * (5 - reserve)), require_period  # after "abcd "
-        assert not limit.admits_next(after, "b" * (6 - reserve)), require_period
+        assert root.admits("a" * (10 - reserve)), require_period
+        assert not root.admits("a" * (11 - reserve)), require_period
+        assert after.admits("b" * (5 - reserve)), require_period  # after "abcd "
+        assert not after.admits("b" * (6 - reserve)), require_period
 
 
 def can_extend(words, constraints):
@@ -375,7 +374,7 @@ class TestCheckComplete:
 _TYPES = (CharCountExact, WordCountRange, MaxWordLen, PositionLexical, MandatoryKeywords,
           KeywordSeparation, ForbiddenChars, StartsWith)
 _PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen", "keywords", "required_words", "word_floor", "word_cap",
-                  "char_cap"}
+                  "char_cap", "pins"}
 
 
 SCOPE_WORDS = ("a", "bb", "ccc")
@@ -412,6 +411,68 @@ def test_complete_equals_check_complete_at_small_scope():
             for words in prefixes:
                 if summarize(words, task).complete() != check_complete(words + ["."] * period, task):
                     mismatches.append((pair, period, words))
+    assert (len(mismatches), mismatches[:3]) == (0, [])
+
+
+# The admits_next hooks that the caps and pins replaced, as the four types defined them.
+def _char_count_next(self, prefix, word):
+    space = 1 if prefix.count else 0  # none before the first word
+    return len(prefix.prompt) + space + len(word) + prefix.rules.reserve <= self.n
+
+
+def _word_count_next(self, prefix, word):
+    return self.hi is None or prefix.count < self.hi
+
+
+def _position_next(self, prefix, word):
+    return prefix.count + 1 != self.position or word == self.word
+
+
+def _starts_with_next(self, prefix, word):
+    return prefix.count >= len(self.prefix) or word == self.prefix[prefix.count]
+
+
+_REMOVED_NEXT = {CharCountExact: _char_count_next, WordCountRange: _word_count_next,
+                 PositionLexical: _position_next, StartsWith: _starts_with_next}
+
+
+def _reference_admits(summary, word, constraints):
+    """``summary.admits(word)`` as each constraint's word test and its own hook, the removed ones included."""
+    return word_valid(word, constraints) and all(
+        _REMOVED_NEXT.get(type(c), type(c).admits_next)(c, summary, word) for c in constraints)
+
+
+def test_caps_and_pins_admit_what_the_removed_hooks_did_at_small_scope():
+    """``admits`` and ``window`` equal the per-constraint hooks they replace, clashing pins included.
+
+    Under every pair of the small scope's constraints, with and without the
+    period, after every prefix of 0-3 words over {a, bb, ccc}: each next word
+    alone, and the window of a ranked answer that offers "." first and every
+    word, at each k.
+    """
+    constraints = small_scope_constraints()
+    pairs = list(itertools.combinations(constraints, 2))
+    assert (PositionLexical(1, "bb"), StartsWith(("a",))) in pairs  # two words pinned at position 1
+    raw = _cands((".", -0.1), ("ccc", -0.2), ("a", -0.3), ("bb", -0.4))
+    mismatches, checks = [], 0
+    for pair in pairs:
+        for period in (True, False):
+            task = _task(*pair, require_period=period)
+            level = [((), summarize((), task))]
+            for _ in range(4):
+                for words, summary in level:
+                    for word in SCOPE_WORDS:
+                        checks += 1
+                        if summary.admits(word) != _reference_admits(summary, word, pair):
+                            mismatches.append((pair, period, words, word))
+                    for k in (1, 2, 3):
+                        checks += 1
+                        valid = [c for c in only_words(raw) if word_valid(c.text, pair)][:k]
+                        expected = [c for c in valid if _reference_admits(summary, c.text, pair)]
+                        if summary.window(raw, k) != expected:
+                            mismatches.append((pair, period, words, k))
+                level = [(words + (w,), summary.push(w)) for words, summary in level for w in SCOPE_WORDS]
+    assert checks == 2016 * 2 * 40 * 6
     assert (len(mismatches), mismatches[:3]) == (0, [])
 
 

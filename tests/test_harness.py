@@ -263,6 +263,22 @@ class TestReportIO:
         with pytest.raises(ValueError, match="header"):
             loads_report("method,task\n", "csv")
 
+    def test_malformed_rows_raise_one_line_value_errors_naming_the_row(self):
+        csv_text = dumps_report(SAMPLE_ROWS[:1], "csv")
+        cases = [
+            ("[1]", "json", "report row 1 is not an object"),
+            ("{}", "json", "a JSON report holds a list of rows"),
+            ("[" * 100_000 + "]" * 100_000, "json", "nested too deeply"),
+            ('[{"method": "gencp"}]', "json", "report row 1 is not an object with the keys method, task,"),
+            (csv_text + "gencp,demo-60,10\n", "csv", "report row 2 has 3 fields, not 10"),
+            (csv_text + "gencp,demo-60,10,0.5,4,,,,,,9\n", "csv", "report row 2 has 11 fields, not 10"),
+            (csv_text + "gencp,demo-60,ten,0.5,4,,,,,\n", "csv", "report row 2: invalid literal"),
+        ]
+        for text, fmt, message in cases:
+            with pytest.raises(ValueError, match=message) as raised:
+                loads_report(text, fmt)
+            assert "\n" not in str(raised.value), message
+
     def test_random_rows_roundtrip(self):
         rng = random.Random(99)
         methods = ["gencp", "bs-first", "bs-all", "oracle"]
