@@ -4,14 +4,15 @@ Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
 
-Each constraint class carries its own pruning: its caps and pins as data,
-and the hooks ``admits_word``, ``admits_next`` and ``admits_end`` for the
-rest.  The searches do not rescan a prefix to apply them.  They keep one
-``PrefixSummary`` per prefix (word count, prompt, where the keywords stand,
-whether a word failed its test), built by ``summarize`` for one task, whose
-period reserve it holds, and extended by one word at a time; ``window``, the
-node step the solver and beam search share, ``can_extend``, the solution
-predicate and the backend's asks read it.
+Each constraint class carries its own pruning: its floors, caps, pins and
+required keywords as data, and the hooks ``admits_word`` and ``admits_next``
+for the per-word tests the data cannot state.  The searches do not rescan a
+prefix to apply them.  They keep one ``PrefixSummary`` per prefix (word
+count, prompt, where the keywords stand, whether a word failed its test),
+built by ``summarize`` for one task, whose period reserve it holds, and
+extended by one word at a time; ``window``, the node step the solver and
+beam search share, ``can_extend``, the solution predicate and the backend's
+asks read it.
 ``check_complete``, the plain specification the pruning is fuzz-tested
 against, asks each type's ``holds``, the O(1) clauses before the scans.
 """
@@ -30,26 +31,29 @@ from .model import WordCandidate, has_whitespace, render_sentence
 
 
 class Constraint:
-    """Base of the constraint types: pruning hooks that admit by default.
+    """Base of the constraint types: pruning hooks that admit by default, and no bounds.
 
     ``prefix`` is the ``PrefixSummary`` of the words before ``word`` in
-    ``admits_next`` and of the whole sentence in ``admits_end``; it holds
-    the prompt that renders those words and, in ``prefix.rules.reserve``,
-    the 1 character a final period takes when its task requires one.  A
-    word admitted with that reserve is admitted without it.
-    ``word_floor`` (at least 1) is the fewest content words the clause admits,
-    the end test of a type that only counts; ``complete`` asks no hook below it.
+    ``admits_next``; it holds the prompt that renders those words and, in
+    ``prefix.rules.reserve``, the 1 character a final period takes when its
+    task requires one.  A word admitted with that reserve is admitted
+    without it.
+    ``word_floor`` (at least 1) and ``char_floor`` are the fewest content
+    words and rendered characters, the period included, the clause admits;
     ``word_cap``, ``char_cap`` and ``pins``, (1-based position, word) pairs,
     are the caps and pins ``window`` tests once per node, asking no hook.
-    ``keywords`` are the casefolded words whose last positions the summary
-    records, and the caps and ``required_words`` feed ``can_extend``'s
-    lookahead.  ``holds``, the type's clause of ``check_complete``, reads
-    none of these; ``scans`` marks a clause that reads every word, and
+    A pin at position p is also a floor of p words.  ``keywords`` are the
+    casefolded words whose last positions the summary records, and
+    ``required_words`` those a sentence must hold.  ``complete`` reads the
+    floors and ``required_words``, and ``can_extend``'s lookahead the caps and
+    ``required_words``.  ``holds``, the type's clause of ``check_complete``,
+    reads none of these; ``scans`` marks a clause that reads every word, and
     ``schema`` is the task-file type and its field kinds.
     """
 
     scans = False
     word_floor = 1
+    char_floor = 0
     word_cap = None
     char_cap = None
     pins = ()
@@ -62,10 +66,6 @@ class Constraint:
 
     def admits_next(self, prefix, word):
         """Whether the word may follow the prefix; no later word undoes a rejection."""
-        return True
-
-    def admits_end(self, prefix):
-        """Whether a sentence whose words all passed the tests above may end here."""
         return True
 
 
@@ -81,10 +81,7 @@ class CharCountExact(Constraint):
         if self.n <= 0:
             raise ValueError("character count must be > 0")
 
-    char_cap = property(lambda self: self.n)
-
-    def admits_end(self, prefix):
-        return len(prefix.prompt) + prefix.rules.reserve == self.n
+    char_floor = char_cap = property(lambda self: self.n)
 
     def holds(self, words, content):
         return len(render_sentence(words)) == self.n
@@ -137,7 +134,6 @@ class PositionLexical(Constraint):
     position: int
     word: str
     schema = ("position_lexical", {"position": "int", "word": "str"})
-    word_floor = property(lambda self: self.position)
     pins = property(lambda self: ((self.position, self.word),))
 
     def __post_init__(self):
@@ -165,9 +161,6 @@ class MandatoryKeywords(Constraint):
             raise ValueError("keyword set is empty")
 
     required_words = property(lambda self: self.keywords)
-
-    def admits_end(self, prefix):
-        return self.keywords <= prefix.seen.keys()
 
     def holds(self, words, content):
         return set(map(str.casefold, self.words)).issubset(map(str.casefold, content))
@@ -230,7 +223,6 @@ class StartsWith(Constraint):
 
     prefix: tuple
     schema = ("starts_with", {"prefix": "words"})
-    word_floor = property(lambda self: len(self.prefix))
     pins = property(lambda self: tuple(enumerate(self.prefix, 1)))
 
     def __init__(self, prefix):
@@ -351,13 +343,14 @@ def fold_length(key):
     return best[-1]
 
 
-_HOOKS = ("admits_word", "admits_next", "admits_end")
+_HOOKS = ("admits_word", "admits_next")
 
 
 class _Rules:
-    """The hooks the types override, the largest word floor, the caps, the pins and the period reserve.
+    """The hooks the types override, the largest floors, the caps, the pins, the keywords and the period reserve.
 
-    ``word_tests`` are constraints, for ``word_valid``; ``next_tests`` and ``end_tests`` are bound hooks.
+    ``word_tests`` are constraints, for ``word_valid``; ``next_tests`` are bound hooks.  A pin at
+    position p raises the word floor to p, since a sentence needs p words to hold it.
     """
 
     def __init__(self, constraints, reserve):
@@ -367,8 +360,6 @@ class _Rules:
 
         self.word_tests = overriding("admits_word")
         self.next_tests = tuple(c.admits_next for c in overriding("admits_next"))
-        self.end_tests = tuple(c.admits_end for c in overriding("admits_end"))
-        self.word_floor = max((c.word_floor for c in constraints), default=1)
         self.keywords = frozenset(w for c in constraints for w in c.keywords)
         self.required = frozenset(w for c in constraints for w in c.required_words)
         self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
@@ -377,6 +368,8 @@ class _Rules:
         for c in constraints:
             for position, word in c.pins:
                 self.pins[position] = word if self.pins.get(position, word) == word else ""
+        self.word_floor = max([*self.pins, *(c.word_floor for c in constraints)], default=1)
+        self.char_floor = max((c.char_floor for c in constraints), default=0)
         self.reserve = reserve
 
 
@@ -491,14 +484,15 @@ class PrefixSummary:
     def complete(self):
         """Whether the words, with the final period when the task requires one, pass ``check_complete``.
 
-        Below the task's word floor it asks no ``admits_end``.
+        It asks no hook: unless ``failed``, every word passed its tests where
+        it stands, so what is left is the floors and the required keywords.
+        Those tests kept the rendered length within the character cap, so a
+        length at ``CharCountExact``'s floor is its exact count.
         """
-        if self.failed or self.count < self.rules.word_floor:
+        rules = self.rules
+        if self.failed or self.count < rules.word_floor:
             return False
-        for admits_end in self.rules.end_tests:
-            if not admits_end(self):
-                return False
-        return True
+        return len(self.prompt) + rules.reserve >= rules.char_floor and rules.required <= self.seen.keys()
 
 
 def summarize(words, task):

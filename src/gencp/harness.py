@@ -40,6 +40,8 @@ class ReportRow:
 REPORT_FIELDS = tuple(f.name for f in fields(ReportRow))
 _KINDS = {f.name: f.type for f in fields(ReportRow)}  # "int", "float | None", ...: strings, as annotations are here
 _OPTIONAL_FIELDS = tuple(name for name, kind in _KINDS.items() if kind.endswith(" | None"))
+_JSON_FIELDS = {name: {"int": "int", "float": "number", "str": "str"}[kind.removesuffix(" | None")]
+               + "?" * (name in _OPTIONAL_FIELDS) for name, kind in _KINDS.items()}  # as a task file's fields
 
 
 @dataclass(frozen=True)
@@ -306,6 +308,7 @@ def loads_report(text, fmt="csv"):
         for n, obj in enumerate(objs, 1):
             if not isinstance(obj, dict) or obj.keys() != set(REPORT_FIELDS):
                 raise ValueError(f"report row {n} is not an object with the keys {', '.join(REPORT_FIELDS)}")
+            cst._check_fields(f"report row {n}", obj, _JSON_FIELDS)  # _coerce would truncate 1.5 and read "0.5"
         return [_row(n, [obj[f] for f in REPORT_FIELDS]) for n, obj in enumerate(objs, 1)]
     raise ValueError(f"unknown report format {fmt!r}")
 

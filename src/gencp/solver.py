@@ -38,10 +38,9 @@ from .model import SearchStats, SolutionRecord
 class SearchAborted(RuntimeError):
     """The backend failed mid-search; carries whatever was found so far."""
 
-    def __init__(self, message, solutions=(), stats=None):
+    def __init__(self, message, solutions=()):
         super().__init__(message)
         self.solutions = list(solutions)
-        self.stats = stats
 
 
 def order_candidates(candidates, pivot, var_index):
@@ -238,7 +237,7 @@ def run_search(task, lm, options=None, exhaustive=False):
             values, cursor = frames[-1]
             summaries.append(summaries[-1].push(values[cursor].text, admitted=True))
     except TransportError as exc:
-        raise SearchAborted(str(exc), solutions, stats) from exc
+        raise SearchAborted(str(exc), solutions) from exc
     finally:
         lm.cancel_prefetch()
     return SearchOutcome(solutions=solutions, stats=stats)

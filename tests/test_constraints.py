@@ -373,8 +373,9 @@ class TestCheckComplete:
 
 _TYPES = (CharCountExact, WordCountRange, MaxWordLen, PositionLexical, MandatoryKeywords,
           KeywordSeparation, ForbiddenChars, StartsWith)
-_PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen", "keywords", "required_words", "word_floor", "word_cap",
-                  "char_cap", "pins"}
+# the summary and every pruning datum and hook a type can give, so a new one is barred from ``holds`` too
+_PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen"} | {
+    name for name in vars(cst.Constraint) if not name.startswith("_")} - {"scans"}
 
 
 SCOPE_WORDS = ("a", "bb", "ccc")
@@ -399,7 +400,7 @@ def test_complete_equals_check_complete_at_small_scope():
     """``complete()`` of every prefix of 0-3 words over {a, bb, ccc} equals ``check_complete``.
 
     Under every pair of the small scope's constraints, with and without the
-    period: the word floor and the end tests answer as the specification does.
+    period: the floors, the pins and the required keywords answer as the specification does.
     """
     constraints = small_scope_constraints()
     assert len(constraints) == len(set(constraints)) == 64
@@ -497,7 +498,7 @@ def test_no_clause_reads_the_pruning(cls):
     tree = ast.parse(textwrap.dedent(inspect.getsource(cls.holds)))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {n for n in names if n in _PRUNING_NAMES or n.startswith("admits_")} == set()
+    assert names & _PRUNING_NAMES == set()
 
 
 class TestBuiltinTask:

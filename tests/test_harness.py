@@ -1,7 +1,9 @@
 import ast
 import inspect
+import json
 import logging
 import random
+import re
 import textwrap
 import time
 
@@ -274,10 +276,22 @@ class TestReportIO:
             (csv_text + "gencp,demo-60,10,0.5,4,,,,,,9\n", "csv", "report row 2 has 11 fields, not 10"),
             (csv_text + "gencp,demo-60,ten,0.5,4,,,,,\n", "csv", "report row 2: invalid literal"),
         ]
+        row = json.loads(dumps_report(SAMPLE_ROWS[:1], "json"))[0]
+        for field, value, kind in [("k", 1.5, "an integer"), ("n_solutions", 2.9, "an integer"),
+                                   ("k", True, "an integer"), ("seconds", "0.5", "a number"),
+                                   ("method", 5, "a string"), ("k", None, "an integer"),
+                                   ("n_backtracks", "", "an integer")]:  # a JSON cell must have its field's type
+            cases.append((json.dumps([row, {**row, field: value}]), "json",
+                          re.escape(f"report row 2: {field!r} must be {kind}, got {value!r}") + "$"))
         for text, fmt, message in cases:
             with pytest.raises(ValueError, match=message) as raised:
                 loads_report(text, fmt)
             assert "\n" not in str(raised.value), message
+
+    def test_a_json_number_fills_a_float_field_as_a_float(self):
+        rows = json.loads(dumps_report(SAMPLE_ROWS, "json"))
+        rows[0]["seconds"] = 2
+        assert type(loads_report(json.dumps(rows), "json")[0].seconds) is float
 
     def test_random_rows_roundtrip(self):
         rng = random.Random(99)
