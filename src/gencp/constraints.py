@@ -4,17 +4,18 @@ Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
 
-Each constraint class carries its own pruning: its floors, caps, pins and
-required keywords as data, and the hooks ``admits_word`` and ``admits_next``
-for the per-word tests the data cannot state.  The searches do not rescan a
-prefix to apply them.  They keep one ``PrefixSummary`` per prefix (word
+Each constraint class carries its own pruning: its floors, caps, pins,
+word tests and required keywords as data, and the hook ``admits_next`` for
+the tests the data cannot state.  The searches do not rescan a prefix to
+apply them.  They keep one ``PrefixSummary`` per prefix (word
 count, prompt, where the keywords stand, whether a word failed its test),
 built by ``summarize`` for one task, whose period reserve it holds, and
 extended by one word at a time; ``window``, the node step the solver and
 beam search share, ``can_extend``, the solution predicate and the backend's
 asks read it.
 ``check_complete``, the plain specification the pruning is fuzz-tested
-against, asks each type's ``holds``, the O(1) clauses before the scans.
+against, asks each type's ``holds``, the O(1) clauses before the scans;
+``word_valid``, the oracle's word test, asks the ``per_word`` clauses alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .model import WordCandidate, has_whitespace, render_sentence
 
 
 class Constraint:
-    """Base of the constraint types: pruning hooks that admit by default, and no bounds.
+    """Base of the constraint types: a pruning hook that admits by default, and no bounds.
 
     ``prefix`` is the ``PrefixSummary`` of the words before ``word`` in
     ``admits_next``; it holds the prompt that renders those words and, in
@@ -41,28 +42,30 @@ class Constraint:
     ``word_floor`` (at least 1) and ``char_floor`` are the fewest content
     words and rendered characters, the period included, the clause admits;
     ``word_cap``, ``char_cap`` and ``pins``, (1-based position, word) pairs,
-    are the caps and pins ``window`` tests once per node, asking no hook.
+    are the caps and pins ``window`` tests once per node, asking no hook;
+    ``word_len_cap`` and ``forbidden``, the longest content word and the
+    characters none may hold, are the word tests it makes of each candidate.
     A pin at position p is also a floor of p words.  ``keywords`` are the
     casefolded words whose last positions the summary records, and
     ``required_words`` those a sentence must hold.  ``complete`` reads the
     floors and ``required_words``, and ``can_extend``'s lookahead the caps and
     ``required_words``.  ``holds``, the type's clause of ``check_complete``,
-    reads none of these; ``scans`` marks a clause that reads every word, and
-    ``schema`` is the task-file type and its field kinds.
+    reads none of these; ``scans`` marks a clause that reads every word,
+    ``per_word`` one that holds of a sentence exactly when it holds of each
+    content word alone, and ``schema`` is the task-file type and its field kinds.
     """
 
     scans = False
+    per_word = False
     word_floor = 1
     char_floor = 0
     word_cap = None
     char_cap = None
     pins = ()
+    word_len_cap = sys.maxsize
+    forbidden = frozenset()
     keywords = ()
     required_words = ()
-
-    def admits_word(self, word):
-        """Whether the word, on its own, may appear at all."""
-        return True
 
     def admits_next(self, prefix, word):
         """Whether the word may follow the prefix; no later word undoes a rejection."""
@@ -114,14 +117,13 @@ class MaxWordLen(Constraint):
 
     limit: int
     schema = ("max_word_len", {"limit": "int"})
-    scans = True
+    scans = per_word = True
 
     def __post_init__(self):
         if self.limit < 1:
             raise ValueError("word length limit must be >= 1")
 
-    def admits_word(self, word):
-        return len(word) <= self.limit
+    word_len_cap = property(lambda self: self.limit)
 
     def holds(self, words, content):
         return max(map(len, content)) <= self.limit
@@ -203,15 +205,14 @@ class ForbiddenChars(Constraint):
 
     chars: frozenset
     schema = ("forbidden_chars", {"chars": "str"})
-    scans = True
+    scans = per_word = True
 
     def __init__(self, chars):
         object.__setattr__(self, "chars", frozenset(chars))
         if not self.chars:
             raise ValueError("forbidden character set is empty")
 
-    def admits_word(self, word):
-        return self.chars.isdisjoint(word)
+    forbidden = property(lambda self: self.chars)
 
     def holds(self, words, content):
         return self.chars.isdisjoint("".join(content))
@@ -278,8 +279,8 @@ class TaskSpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "clauses", tuple(sorted(self.constraints, key=lambda c: c.scans)))
         object.__setattr__(self, "seed", tuple(self.seed))
-        for c in self.constraints:  # a hook takes part only when the type overrides it (see _Rules)
-            if getattr(c, "__dict__", {}).keys() & _HOOKS:
+        for c in self.constraints:  # the hook takes part only when the type overrides it (see _Rules)
+            if "admits_next" in getattr(c, "__dict__", {}):
                 raise TypeError(f"{type(c).__name__} sets a hook on an instance; override it on the class")
         for word in self.seed:
             if word == ".":  # the period ends a sentence; "a." and "U.S." are words
@@ -294,11 +295,12 @@ class TaskSpec:
 
 
 def word_valid(word, constraints):
-    """Whether the word, taken on its own, violates no per-word constraint."""
+    """Whether the one-word sentence ``word`` satisfies each ``per_word`` clause: the specification's word test."""
     if not word:
         raise ValueError("empty word")
+    words = (word,)
     for c in constraints:
-        if not c.admits_word(word):
+        if c.per_word and not c.holds(words, words):
             return False
     return True
 
@@ -343,23 +345,18 @@ def fold_length(key):
     return best[-1]
 
 
-_HOOKS = ("admits_word", "admits_next")
-
-
 class _Rules:
-    """The hooks the types override, the largest floors, the caps, the pins, the keywords and the period reserve.
+    """The hooks the types override, the largest floors, the caps, the pins, the word tests, the keywords and the period reserve.
 
-    ``word_tests`` are constraints, for ``word_valid``; ``next_tests`` are bound hooks.  A pin at
-    position p raises the word floor to p, since a sentence needs p words to hold it.
+    ``next_tests`` are bound hooks, ``word_len_cap`` the least cap and ``forbidden`` the union of the
+    sets.  A pin at position p raises the word floor to p, since a sentence needs p words to hold it.
     """
 
     def __init__(self, constraints, reserve):
-        def overriding(hook):
-            base = getattr(Constraint, hook)
-            return tuple(c for c in constraints if getattr(type(c), hook) is not base)
-
-        self.word_tests = overriding("admits_word")
-        self.next_tests = tuple(c.admits_next for c in overriding("admits_next"))
+        base = Constraint.admits_next
+        self.next_tests = tuple(c.admits_next for c in constraints if type(c).admits_next is not base)
+        self.word_len_cap = min((c.word_len_cap for c in constraints), default=sys.maxsize)
+        self.forbidden = frozenset().union(*(c.forbidden for c in constraints))
         self.keywords = frozenset(w for c in constraints for w in c.keywords)
         self.required = frozenset(w for c in constraints for w in c.required_words)
         self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
@@ -421,9 +418,9 @@ class PrefixSummary:
         """The node step: the candidates of the ranked answer ``raw`` that may come next, in rank order.
 
         One pass over the first k candidates that look like words (see
-        ``only_words``; ``admits`` takes any word) and pass ``word_valid``,
-        which asks only the types that override ``admits_word``; it stops at
-        the k-th.  Of those it keeps the ones that fit the characters left
+        ``only_words``; ``admits`` takes any word), are no longer than the
+        word-length cap and hold no forbidden character; it stops at the
+        k-th.  Of those it keeps the ones that fit the characters left
         under the cap, a required period's kept free, match the word pinned
         next and pass the ``admits_next`` tests; the room and the pin are
         worked out once per node, and at the word cap it keeps none.  The
@@ -436,13 +433,13 @@ class PrefixSummary:
             return []
         room = sys.maxsize if rules.char_cap is None else rules.char_cap - len(self.prompt) - (1 if count else 0) - rules.reserve
         pin = rules.pins.get(count + 1)
-        tests, next_tests = rules.word_tests, rules.next_tests
+        cap, forbidden, next_tests = rules.word_len_cap, rules.forbidden, rules.next_tests
         kept = []
         for cand in raw:
             if not k:
                 break
             word = cand.text
-            if looks_like_word(word) and word_valid(word, tests):
+            if looks_like_word(word) and len(word) <= cap and forbidden.isdisjoint(word):
                 k -= 1
                 if len(word) > room or pin is not None and word != pin:
                     continue

@@ -83,7 +83,8 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
 
     Depth-first walk over the top-k valid words per prefix, deliberately
     sharing no machinery with the solver: its own explicit stack of
-    prefixes, no domains, no prefix summaries.  A child's rendering is its parent's plus one word,
+    prefixes, no domains, no prefix summaries, and each word tested by the
+    ``per_word`` clauses themselves.  A child's rendering is its parent's plus one word,
     so a node costs the same at any depth.  A branch stops at the first
     prefix that satisfies the solution predicate, since nothing past a
     finished sentence is reachable by a search that backtracks on success.
@@ -95,7 +96,7 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
         raise ValueError("depth_cap must exceed the seed length")
     check_time_budget(time_budget)
     params = task.lm_params
-    constraints = task.constraints
+    per_word = [c for c in task.constraints if c.per_word]  # picked once, not for each word
     period = ["."] if task.require_period else []
     found = {}
     started = time.perf_counter()
@@ -116,7 +117,7 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
             return None
         if len(words) >= depth_cap:
             return []
-        valid = [c.text for c in cst.only_words(raw) if cst.word_valid(c.text, constraints)]
+        valid = [c.text for c in cst.only_words(raw) if cst.word_valid(c.text, per_word)]
         return [entry(words + [word], f"{prompt} {word}" if words else word) for word in valid[: params.k]]
 
     def hints(words, prompt, whole, raw):

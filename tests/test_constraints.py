@@ -65,13 +65,16 @@ class TestWordValid:
         assert word_valid("short", (MaxWordLen(6),)) is True
 
     def test_word_length_at_the_limit(self):
-        assert MaxWordLen(6).admits_word("planet") is True
-        assert MaxWordLen(6).admits_word("planets") is False
+        """The specification's word test and the window's agree at the limit."""
+        admits = summarize((), _task(MaxWordLen(6))).admits
+        assert word_valid("planet", (MaxWordLen(6),)) is admits("planet") is True
+        assert word_valid("planets", (MaxWordLen(6),)) is admits("planets") is False
 
     def test_forbidden_char_at_either_end(self):
-        assert ForbiddenChars("e").admits_word("egg") is False
-        assert ForbiddenChars("e").admits_word("she") is False
-        assert ForbiddenChars("e").admits_word("tram") is True
+        admits = summarize((), _task(ForbiddenChars("e"))).admits
+        assert word_valid("egg", (ForbiddenChars("e"),)) is admits("egg") is False
+        assert word_valid("she", (ForbiddenChars("e"),)) is admits("she") is False
+        assert word_valid("tram", (ForbiddenChars("e"),)) is admits("tram") is True
 
     def test_position_independent(self):
         constraints = (PositionLexical(3, "soft"), WordCountRange(2, 5))
@@ -172,68 +175,40 @@ class TestFilterDomain:
         assert [c.text for c in summarize([], task).window(cands, 2)] == ["soft"]
 
 
-class _CountingWordTest(Constraint):
-    """Admits every word and counts its ``admits_word`` calls per word."""
-
-    def __init__(self):
-        self.calls = Counter()
-
-    def admits_word(self, word):
-        self.calls[word] += 1
-        return True
-
-
-class _NoWordTest(Constraint):
-    """A type that overrides ``admits_next`` but not ``admits_word``."""
+class _NextTest(Constraint):
+    """A type that overrides ``admits_next``."""
 
     def admits_next(self, prefix, word):
         return True
 
 
 @pytest.mark.parametrize("search", ["solve_all", "beam_search"])
-def test_searches_run_the_word_tests_once_per_candidate(search, monkeypatch):
-    """``word_valid`` tests each candidate; the prefix tests do not test it again.
+def test_searches_call_no_word_valid(search, monkeypatch):
+    """The window tests each candidate by the task's word-length cap and forbidden set.
 
-    Only the types that override ``admits_word`` are asked: the inherited
-    ``Constraint.admits_word`` notes every word it is asked about.  The window
-    stops at the k-th word-valid candidate, so "tail", ranked after every
-    answer's words, is never tested.
+    ``word_valid``, which asks the clauses themselves, is the oracle's and
+    the seed check's, so a search that called it would share it with the
+    oracle it is checked against.
     """
-    counting = _CountingWordTest()
-    task = TaskSpec(name="t", constraints=(counting, _NoWordTest(), WordCountRange(1, 4)),
+    task = TaskSpec(name="t", constraints=(MaxWordLen(5), ForbiddenChars("q"), WordCountRange(1, 4)),
                     lm_params=LMParams(k=2), require_period=True)
-    lm = random_table(random.Random(5), depth=5)  # three words in every answer that has any
-    answer = lm.predict
-    validated, inherited = Counter(), []
-
-    def predict_with_tail(sentence, params):
-        raw = answer(sentence, params)
-        return raw + [WordCandidate("tail", -9.0)] if raw else raw
-
-    def word_valid_counted(word, constraints):
-        validated[word] += 1
-        return word_valid(word, constraints)
-
-    monkeypatch.setattr(lm, "predict", predict_with_tail)
-    monkeypatch.setattr(cst, "word_valid", word_valid_counted)
-    monkeypatch.setattr(Constraint, "admits_word", lambda self, word: inherited.append(word) or True)
+    lm = random_table(random.Random(5), depth=5)
+    called = []
+    monkeypatch.setattr(cst, "word_valid", lambda word, constraints: called.append(word) or True)
     if search == "solve_all":
         assert solve_all(task, lm, SolveOptions(max_variables=5))
     else:
         assert beam_search(task, lm, k=2)[0]
-    assert sum(validated.values()) > 0
-    assert "tail" not in validated
-    assert counting.calls == validated
-    assert inherited == []
+    assert called == []
 
 
 def test_a_task_rejects_a_hook_set_on_an_instance():
-    """The searches ask a hook only when the type overrides it, so a task takes no other."""
-    hooked = _NoWordTest()
-    object.__setattr__(hooked, "admits_word", lambda word: False)
-    with pytest.raises(TypeError, match="_NoWordTest sets a hook on an instance"):
+    """The searches ask the hook only when the type overrides it, so a task takes no other."""
+    hooked = _NextTest()
+    object.__setattr__(hooked, "admits_next", lambda prefix, word: False)
+    with pytest.raises(TypeError, match="_NextTest sets a hook on an instance"):
         TaskSpec(name="t", constraints=(WordCountRange(1, 4), hooked))
-    assert TaskSpec(name="t", constraints=(_NoWordTest(),)).constraints
+    assert TaskSpec(name="t", constraints=(_NextTest(),)).constraints
 
 
 def test_a_summary_carries_the_prompt_that_renders_its_words():
@@ -373,9 +348,10 @@ class TestCheckComplete:
 
 _TYPES = (CharCountExact, WordCountRange, MaxWordLen, PositionLexical, MandatoryKeywords,
           KeywordSeparation, ForbiddenChars, StartsWith)
-# the summary and every pruning datum and hook a type can give, so a new one is barred from ``holds`` too
+# the summary and every pruning datum and hook a type can give, so a new one is barred from ``holds`` too;
+# ``scans`` and ``per_word`` describe the clause, for the specification
 _PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen"} | {
-    name for name in vars(cst.Constraint) if not name.startswith("_")} - {"scans"}
+    name for name in vars(cst.Constraint) if not name.startswith("_")} - {"scans", "per_word"}
 
 
 SCOPE_WORDS = ("a", "bb", "ccc")
@@ -394,6 +370,25 @@ def small_scope_constraints():
         + [ForbiddenChars(chars) for chars in ("a", "b", "c", "ab", "ac", "bc")]
         + [StartsWith(ws) for n in (1, 2) for ws in itertools.product(SCOPE_WORDS, repeat=n)]
     )
+
+
+def test_per_word_clauses_hold_word_by_word_at_small_scope():
+    """A ``per_word`` clause holds of a sentence exactly when it holds of each word alone.
+
+    Over every per-word constraint of the small scope and every sentence of
+    1-3 words over {a, bb, ccc}; and ``word_valid``, which asks the clause,
+    admits a word exactly when the window's data test does.
+    """
+    constraints = [c for c in small_scope_constraints() if c.per_word]
+    assert Counter(map(type, constraints)) == {MaxWordLen: 3, ForbiddenChars: 6}
+    sentences = [p for n in (1, 2, 3) for p in itertools.product(SCOPE_WORDS, repeat=n)]
+    for c in constraints:
+        for content in sentences:
+            alone = all(c.holds((w,), (w,)) for w in content)
+            assert c.holds((*content, "."), content) == alone, (c, content)
+        admits = summarize((), _task(c)).admits
+        for w in SCOPE_WORDS:
+            assert word_valid(w, (c,)) == admits(w), (c, w)
 
 
 def test_complete_equals_check_complete_at_small_scope():
@@ -482,6 +477,12 @@ def test_each_type_carries_its_clause_and_schema(cls):
     assert {"holds", "schema"} <= vars(cls).keys()
     assert cls.scans == (cls in (CharCountExact, MaxWordLen, ForbiddenChars, MandatoryKeywords,
                                  KeywordSeparation))
+    assert cls.per_word == (cls in (MaxWordLen, ForbiddenChars))
+
+
+def test_every_per_word_type_gives_its_word_test_as_data():
+    """The window tests words by ``word_len_cap`` and ``forbidden`` alone, so a per-word type gives one of them."""
+    assert [cls for cls in _TYPES if cls.per_word and not {"word_len_cap", "forbidden"} & vars(cls).keys()] == []
 
 
 def test_the_task_file_types_are_the_classes_schemas():
@@ -492,10 +493,11 @@ def test_the_task_file_types_are_the_classes_schemas():
     ]
 
 
-@pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
-def test_no_clause_reads_the_pruning(cls):
-    """``check_complete`` is the specification the pruning is tested against, so it reads none of it."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.holds)))
+@pytest.mark.parametrize("clause", [cls.holds for cls in _TYPES] + [word_valid],
+                         ids=[cls.__name__ for cls in _TYPES] + ["word_valid"])
+def test_no_clause_reads_the_pruning(clause):
+    """``check_complete`` and ``word_valid`` are the specification the pruning is tested against, so they read none of it."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(clause)))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert names & _PRUNING_NAMES == set()

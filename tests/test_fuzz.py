@@ -69,7 +69,7 @@ from gencp import (
     summarize,
     word_valid,
 )
-from gencp.constraints import Constraint, fold_length
+from gencp.constraints import fold_length
 from gencp.solver import generate_variable
 
 from conftest import PromptLog
@@ -779,16 +779,6 @@ def _reference_extensions(beam, task, k):
     return found
 
 
-class _LengthResidue(Constraint):
-    """A test-only word test of its own type: no word whose length is ``r`` modulo ``m``."""
-
-    def __init__(self, m, r):
-        self.m, self.r = m, r
-
-    def admits_word(self, word):
-        return len(word) % self.m != self.r
-
-
 # plain words, and texts that only some of the window's tests reject
 WINDOW_TEXTS = ("cat", "Sun", "beach", "a", "of", "sky", "soft", "glass", "Straße", "re-do",
                 "don't", "'s", "-", "3rd", "U.S.", ".", "кот", "λόγος", "猫", "x-", "rock'n'roll",
@@ -807,8 +797,6 @@ def windows(draw):
     require_period = draw(st.booleans())
     target = prefix + draw(st.lists(st.sampled_from(texts), min_size=1, max_size=3))
     constraints = _constraints(draw, target, require_period)
-    constraints += [_LengthResidue(m, draw(st.integers(0, m - 1)))
-                    for m in draw(st.lists(st.integers(2, 4), max_size=2))]
     params = LMParams(k=k, top_k=k * oversample, oversample=oversample)
     task = TaskSpec(name="window", constraints=draw(st.permutations(constraints)),
                     lm_params=params, require_period=require_period,
@@ -823,7 +811,7 @@ def test_window_equals_the_reference_pipeline(window):
 
     That pipeline tested every candidate against every constraint, with
     ``_looks_like_word`` in its first form, and kept the first k.  Today's
-    runs only the word tests of the types that override ``admits_word``.
+    tests each candidate by the task's word-length cap and forbidden set.
     """
     prefix, raw, task = window
     summary = summarize(prefix, task)

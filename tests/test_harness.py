@@ -12,6 +12,7 @@ import pytest
 from gencp import (
     ForbiddenChars,
     LMParams,
+    MaxWordLen,
     OracleLimitError,
     ReportRow,
     RunConfig,
@@ -59,6 +60,26 @@ class TestBruteForceOracle:
             searched = {s.sentence: s.words for s in solve_all(task, lm, SolveOptions(max_variables=5))}
             assert oracle == searched
 
+    def test_matches_exhaustive_search_at_the_word_tests_boundaries(self):
+        """The oracle tests words by the clauses, the window by their data; both agree at either boundary.
+
+        One table needs a word exactly as long as the limit.  The other ranks
+        words with the forbidden letter at their start or their end above the
+        one word free of it, which at k = 1 is the only child.
+        """
+        cases = [
+            (_task(MaxWordLen(6), k=1), {"": [("planet", 0.5)], "planet": [(".", 0.5)]}, {"planet."}),
+            (_task(ForbiddenChars("e"), k=1),
+             {"": [("egg", 0.4), ("she", 0.3), ("tram", 0.2)], "tram": [(".", 0.5)],
+              "egg": [(".", 0.5)], "she": [(".", 0.5)]}, {"tram."}),
+        ]
+        for task, table, expected in cases:
+            lm = TableLM(table)
+            oracle = brute_force_oracle(task, lm, depth_cap=3)
+            searched = {s.sentence: s.words for s in solve_all(task, lm, SolveOptions(max_variables=3))}
+            assert oracle == searched
+            assert oracle.keys() == expected
+
     def test_refuses_past_node_limit(self):
         rng = random.Random(1)
         lm = random_table(rng, depth=5, branching=4, period_prob=0.0)
@@ -82,12 +103,14 @@ class TestBruteForceOracle:
         assert found == {" ".join(words) + ".": (*words, ".")}
 
     def test_shares_no_machinery_with_the_searches(self):
-        """The oracle is the independent check: it reads no summary, window or solver state."""
+        """The oracle is the independent check: it reads no summary, window, solver state or pruning datum."""
         tree = ast.parse(textwrap.dedent(inspect.getsource(brute_force_oracle)))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert names & {"PrefixSummary", "summarize", "_Rules", "window", "generate_variable",
                         "order_candidates", "run_search", "completes", "can_extend", "admits"} == set()
+        assert names & {"word_len_cap", "forbidden", "word_cap", "char_cap", "pins", "word_floor",
+                        "char_floor", "required_words"} == set()
         assert {"only_words", "word_valid", "check_complete"} <= names
 
     def test_respects_seed(self):

@@ -1,5 +1,6 @@
 """The mutation catalogue cannot rot silently: every mutant's original line is still there, once,
-every test it names still exists, and no two entries repeat a mutant or a name.
+every entry is named after code its file still defines, every test it names still exists, and no
+two entries repeat a mutant or a name.
 
 ``tools/mutate.py`` runs the catalogue itself, which takes minutes, so the
 suite checks only, and statically, that each entry still applies.
@@ -8,6 +9,7 @@ suite checks only, and statically, that each entry still applies.
 import ast
 import functools
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +31,41 @@ def test_original_line_occurs_exactly_once(entry):
 @functools.lru_cache(maxsize=None)
 def _module(path):
     return ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_names(path):
+    """The functions and classes a file defines, at any depth, and ``Class.name`` for each method and attribute.
+
+    An attribute is assigned in the class body or to ``self`` in one of its methods.
+    """
+    names = set()
+    for node in ast.walk(ast.Module(body=_module(path), type_ignores=[])):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for inner in node.body:
+            if isinstance(inner, ast.FunctionDef):
+                names.add(f"{node.name}.{inner.name}")
+            targets = inner.targets if isinstance(inner, ast.Assign) else [getattr(inner, "target", None)]
+            names |= {f"{node.name}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+        names |= {f"{node.name}.{inner.attr}" for inner in ast.walk(node)
+                  if isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Store)
+                  and getattr(inner.value, "id", None) == "self"}
+    return names
+
+
+def test_every_entry_names_live_code():
+    """Each ``what`` begins with a name its file defines: a function, a class, ``Class.method`` or ``Class.attr``.
+
+    A possessive "'s" and trailing punctuation are not part of the name.  An
+    entry whose code was renamed or deleted, while its line lived on
+    elsewhere, would otherwise keep the old name.
+    """
+    stale = [e["what"] for e in ENTRIES
+             if re.match(r"[\w.]+", e["what"]).group().rstrip(".") not in _defined_names(e["file"])]
+    assert stale == []
 
 
 def _function(test_id):
