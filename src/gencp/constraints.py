@@ -4,15 +4,14 @@ Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
 
-Each constraint class carries its own pruning: its floors, caps, pins,
-word tests and required keywords as data, and the hook ``admits_next`` for
-the tests the data cannot state.  The searches do not rescan a prefix to
-apply them.  They keep one ``PrefixSummary`` per prefix (word
-count, prompt, where the keywords stand, whether a word failed its test),
-built by ``summarize`` for one task, whose period reserve it holds, and
-extended by one word at a time; ``window``, the node step the solver and
-beam search share, ``can_extend``, the solution predicate and the backend's
-asks read it.
+Each constraint class carries its own pruning as data: its floors, caps,
+pins, word tests, required keywords and keyword gaps, and no hook.  The
+searches do not rescan a prefix to apply them.  They keep one
+``PrefixSummary`` per prefix (word count, prompt, where the keywords
+stand, whether a word failed its test), built by ``summarize`` for one
+task, whose period reserve it holds, and extended by one word at a time;
+``window``, the node step the solver and beam search share,
+``can_extend``, the solution predicate and the backend's asks read it.
 ``check_complete``, the plain specification the pruning is fuzz-tested
 against, asks each type's ``holds``, the O(1) clauses before the scans;
 ``word_valid``, the oracle's word test, asks the ``per_word`` clauses alone.
@@ -32,27 +31,25 @@ from .model import WordCandidate, has_whitespace, render_sentence
 
 
 class Constraint:
-    """Base of the constraint types: a pruning hook that admits by default, and no bounds.
+    """Base of the constraint types: pruning data that admits everything.
 
-    ``prefix`` is the ``PrefixSummary`` of the words before ``word`` in
-    ``admits_next``; it holds the prompt that renders those words and, in
-    ``prefix.rules.reserve``, the 1 character a final period takes when its
-    task requires one.  A word admitted with that reserve is admitted
-    without it.
     ``word_floor`` (at least 1) and ``char_floor`` are the fewest content
     words and rendered characters, the period included, the clause admits;
     ``word_cap``, ``char_cap`` and ``pins``, (1-based position, word) pairs,
-    are the caps and pins ``window`` tests once per node, asking no hook;
+    are the caps and pins ``window`` tests once per node;
     ``word_len_cap`` and ``forbidden``, the longest content word and the
     characters none may hold, are the word tests it makes of each candidate.
     A pin at position p is also a floor of p words.  ``keywords`` are the
-    casefolded words whose last positions the summary records, and
-    ``required_words`` those a sentence must hold.  ``complete`` reads the
-    floors and ``required_words``, and ``can_extend``'s lookahead the caps and
-    ``required_words``.  ``holds``, the type's clause of ``check_complete``,
-    reads none of these; ``scans`` marks a clause that reads every word,
-    ``per_word`` one that holds of a sentence exactly when it holds of each
-    content word alone, and ``schema`` is the task-file type and its field kinds.
+    casefolded words whose last positions the summary records,
+    ``required_words`` those a sentence must hold, and ``separations``
+    (casefolded keywords, min_gap) pairs: ``window`` admits one of those
+    keywords only with at least min_gap words since the last of them.
+    ``complete`` reads the floors and ``required_words``, and
+    ``can_extend``'s lookahead the caps and ``required_words``.  ``holds``,
+    the type's clause of ``check_complete``, reads none of these; ``scans``
+    marks a clause that reads every word, ``per_word`` one that holds of a
+    sentence exactly when it holds of each content word alone, and
+    ``schema`` is the task-file type and its field kinds.
     """
 
     scans = False
@@ -66,10 +63,7 @@ class Constraint:
     forbidden = frozenset()
     keywords = ()
     required_words = ()
-
-    def admits_next(self, prefix, word):
-        """Whether the word may follow the prefix; no later word undoes a rejection."""
-        return True
+    separations = ()
 
 
 @dataclass(frozen=True)
@@ -186,12 +180,7 @@ class KeywordSeparation(Constraint):
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
-    def admits_next(self, prefix, word):
-        if word.casefold() not in self.keywords:
-            return True
-        seen = prefix.seen
-        last = max(seen.get(w, 0) for w in self.keywords)
-        return not last or prefix.count - last >= self.min_gap
+    separations = property(lambda self: ((self.keywords, self.min_gap),))
 
     def holds(self, words, content):
         lowered = set(map(str.casefold, self.words))
@@ -279,9 +268,6 @@ class TaskSpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "clauses", tuple(sorted(self.constraints, key=lambda c: c.scans)))
         object.__setattr__(self, "seed", tuple(self.seed))
-        for c in self.constraints:  # the hook takes part only when the type overrides it (see _Rules)
-            if "admits_next" in getattr(c, "__dict__", {}):
-                raise TypeError(f"{type(c).__name__} sets a hook on an instance; override it on the class")
         for word in self.seed:
             if word == ".":  # the period ends a sentence; "a." and "U.S." are words
                 raise ValueError("seed word '.' is the final period, not a word")
@@ -346,15 +332,13 @@ def fold_length(key):
 
 
 class _Rules:
-    """The hooks the types override, the largest floors, the caps, the pins, the word tests, the keywords and the period reserve.
+    """The largest floors, the caps, the pins, the word tests, the keywords, the gaps and the period reserve.
 
-    ``next_tests`` are bound hooks, ``word_len_cap`` the least cap and ``forbidden`` the union of the
-    sets.  A pin at position p raises the word floor to p, since a sentence needs p words to hold it.
+    ``word_len_cap`` is the least cap and ``forbidden`` the union of the sets.  A pin at position p
+    raises the word floor to p, since a sentence needs p words to hold it.
     """
 
     def __init__(self, constraints, reserve):
-        base = Constraint.admits_next
-        self.next_tests = tuple(c.admits_next for c in constraints if type(c).admits_next is not base)
         self.word_len_cap = min((c.word_len_cap for c in constraints), default=sys.maxsize)
         self.forbidden = frozenset().union(*(c.forbidden for c in constraints))
         self.keywords = frozenset(w for c in constraints for w in c.keywords)
@@ -367,6 +351,11 @@ class _Rules:
                 self.pins[position] = word if self.pins.get(position, word) == word else ""
         self.word_floor = max([*self.pins, *(c.word_floor for c in constraints)], default=1)
         self.char_floor = max((c.char_floor for c in constraints), default=0)
+        self.separations = {}  # keyword -> the (keywords, min_gap) separations that name it
+        for c in constraints:
+            for keys, gap in c.separations:
+                for w in keys:
+                    self.separations[w] = self.separations.get(w, ()) + ((keys, gap),)
         self.reserve = reserve
 
 
@@ -422,10 +411,11 @@ class PrefixSummary:
         word-length cap and hold no forbidden character; it stops at the
         k-th.  Of those it keeps the ones that fit the characters left
         under the cap, a required period's kept free, match the word pinned
-        next and pass the ``admits_next`` tests; the room and the pin are
-        worked out once per node, and at the word cap it keeps none.  The
-        solver orders what it keeps into a node's domain, and beam search
-        extends a beam by it.
+        next and, if a separated keyword, have at least min_gap words since
+        the last keyword of each separation that names it; the room and the
+        pin are worked out once per node, and at the word cap it keeps none.
+        The solver orders what it keeps into a node's domain, and beam
+        search extends a beam by it.
         """
         rules = self.rules
         count = self.count
@@ -433,7 +423,7 @@ class PrefixSummary:
             return []
         room = sys.maxsize if rules.char_cap is None else rules.char_cap - len(self.prompt) - (1 if count else 0) - rules.reserve
         pin = rules.pins.get(count + 1)
-        cap, forbidden, next_tests = rules.word_len_cap, rules.forbidden, rules.next_tests
+        cap, forbidden, separations, seen = rules.word_len_cap, rules.forbidden, rules.separations, self.seen
         kept = []
         for cand in raw:
             if not k:
@@ -443,11 +433,11 @@ class PrefixSummary:
                 k -= 1
                 if len(word) > room or pin is not None and word != pin:
                     continue
-                for admits_next in next_tests:
-                    if not admits_next(self, word):
-                        break
-                else:
-                    kept.append(cand)
+                if separations:
+                    gaps = separations.get(word.casefold())
+                    if gaps and any(count - seen[w] < gap for keys, gap in gaps for w in keys if w in seen):
+                        continue
+                kept.append(cand)
         return kept
 
     def can_extend(self):
@@ -481,8 +471,8 @@ class PrefixSummary:
     def complete(self):
         """Whether the words, with the final period when the task requires one, pass ``check_complete``.
 
-        It asks no hook: unless ``failed``, every word passed its tests where
-        it stands, so what is left is the floors and the required keywords.
+        Unless ``failed``, every word passed its tests where it stands, so
+        what is left is the floors and the required keywords.
         Those tests kept the rendered length within the character cap, so a
         length at ``CharCountExact``'s floor is its exact count.
         """

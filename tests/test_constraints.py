@@ -148,6 +148,8 @@ class TestFilterDomain:
         cands = _cands(("math", -0.1), ("sand", -0.2))
         out = summarize(["soft", "and"], task).window(cands, len(cands))
         assert [c.text for c in out] == ["sand"]
+        short = summarize(["soft", "a", "b"], task).window(cands, len(cands))  # two words between, one too few
+        assert [c.text for c in short] == ["sand"]
         out2 = summarize(["soft", "a", "b", "c"], task).window(cands, len(cands))
         assert [c.text for c in out2] == ["math", "sand"]
 
@@ -175,13 +177,6 @@ class TestFilterDomain:
         assert [c.text for c in summarize([], task).window(cands, 2)] == ["soft"]
 
 
-class _NextTest(Constraint):
-    """A type that overrides ``admits_next``."""
-
-    def admits_next(self, prefix, word):
-        return True
-
-
 @pytest.mark.parametrize("search", ["solve_all", "beam_search"])
 def test_searches_call_no_word_valid(search, monkeypatch):
     """The window tests each candidate by the task's word-length cap and forbidden set.
@@ -200,15 +195,6 @@ def test_searches_call_no_word_valid(search, monkeypatch):
     else:
         assert beam_search(task, lm, k=2)[0]
     assert called == []
-
-
-def test_a_task_rejects_a_hook_set_on_an_instance():
-    """The searches ask the hook only when the type overrides it, so a task takes no other."""
-    hooked = _NextTest()
-    object.__setattr__(hooked, "admits_next", lambda prefix, word: False)
-    with pytest.raises(TypeError, match="_NextTest sets a hook on an instance"):
-        TaskSpec(name="t", constraints=(WordCountRange(1, 4), hooked))
-    assert TaskSpec(name="t", constraints=(_NextTest(),)).constraints
 
 
 def test_a_summary_carries_the_prompt_that_renders_its_words():
@@ -348,7 +334,7 @@ class TestCheckComplete:
 
 _TYPES = (CharCountExact, WordCountRange, MaxWordLen, PositionLexical, MandatoryKeywords,
           KeywordSeparation, ForbiddenChars, StartsWith)
-# the summary and every pruning datum and hook a type can give, so a new one is barred from ``holds`` too;
+# the summary and every pruning datum a type can give, so a new one is barred from ``holds`` too;
 # ``scans`` and ``per_word`` describe the clause, for the specification
 _PRUNING_NAMES = {"PrefixSummary", "_Rules", "seen"} | {
     name for name in vars(cst.Constraint) if not name.startswith("_")} - {"scans", "per_word"}
@@ -410,7 +396,7 @@ def test_complete_equals_check_complete_at_small_scope():
     assert (len(mismatches), mismatches[:3]) == (0, [])
 
 
-# The admits_next hooks that the caps and pins replaced, as the four types defined them.
+# The admits_next hooks that the caps, the pins and the gaps replaced, as the five types defined them.
 def _char_count_next(self, prefix, word):
     space = 1 if prefix.count else 0  # none before the first word
     return len(prefix.prompt) + space + len(word) + prefix.rules.reserve <= self.n
@@ -428,18 +414,27 @@ def _starts_with_next(self, prefix, word):
     return prefix.count >= len(self.prefix) or word == self.prefix[prefix.count]
 
 
+def _separation_next(self, prefix, word):
+    if word.casefold() not in self.keywords:
+        return True
+    seen = prefix.seen
+    last = max(seen.get(w, 0) for w in self.keywords)
+    return not last or prefix.count - last >= self.min_gap
+
+
 _REMOVED_NEXT = {CharCountExact: _char_count_next, WordCountRange: _word_count_next,
-                 PositionLexical: _position_next, StartsWith: _starts_with_next}
+                 PositionLexical: _position_next, StartsWith: _starts_with_next,
+                 KeywordSeparation: _separation_next}
 
 
 def _reference_admits(summary, word, constraints):
-    """``summary.admits(word)`` as each constraint's word test and its own hook, the removed ones included."""
+    """``summary.admits(word)`` as each constraint's word test and its removed hook; the other types admit."""
     return word_valid(word, constraints) and all(
-        _REMOVED_NEXT.get(type(c), type(c).admits_next)(c, summary, word) for c in constraints)
+        type(c) not in _REMOVED_NEXT or _REMOVED_NEXT[type(c)](c, summary, word) for c in constraints)
 
 
 def test_caps_and_pins_admit_what_the_removed_hooks_did_at_small_scope():
-    """``admits`` and ``window`` equal the per-constraint hooks they replace, clashing pins included.
+    """``admits`` and ``window`` equal the hooks they replace, two pins at one position or two gaps on one word included.
 
     Under every pair of the small scope's constraints, with and without the
     period, after every prefix of 0-3 words over {a, bb, ccc}: each next word
@@ -449,6 +444,7 @@ def test_caps_and_pins_admit_what_the_removed_hooks_did_at_small_scope():
     constraints = small_scope_constraints()
     pairs = list(itertools.combinations(constraints, 2))
     assert (PositionLexical(1, "bb"), StartsWith(("a",))) in pairs  # two words pinned at position 1
+    assert (KeywordSeparation(("a", "bb"), 1), KeywordSeparation(("a", "ccc"), 2)) in pairs  # "a" has two gaps
     raw = _cands((".", -0.1), ("ccc", -0.2), ("a", -0.3), ("bb", -0.4))
     mismatches, checks = [], 0
     for pair in pairs:
@@ -478,6 +474,14 @@ def test_each_type_carries_its_clause_and_schema(cls):
     assert cls.scans == (cls in (CharCountExact, MaxWordLen, ForbiddenChars, MandatoryKeywords,
                                  KeywordSeparation))
     assert cls.per_word == (cls in (MaxWordLen, ForbiddenChars))
+
+
+def test_no_type_has_a_pruning_hook():
+    """A constraint is its fields, its clause and its pruning data: ``holds`` is the one public method of any type."""
+    def methods(cls):
+        return {name for name, value in vars(cls).items() if inspect.isfunction(value) and not name.startswith("_")}
+    assert methods(Constraint) == set()
+    assert {cls.__name__: methods(cls) for cls in _TYPES} == {cls.__name__: {"holds"} for cls in _TYPES}
 
 
 def test_every_per_word_type_gives_its_word_test_as_data():

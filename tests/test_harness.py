@@ -20,6 +20,7 @@ from gencp import (
     TableLM,
     TaskSpec,
     WordCountRange,
+    beam_search,
     brute_force_oracle,
     dumps_report,
     emit_report,
@@ -30,7 +31,7 @@ from gencp import (
 )
 from gencp.harness import REPORT_FIELDS
 
-from conftest import FIG_TABLE, long_chain, random_table
+from conftest import FIG_TABLE, PromptLog, long_chain, random_table
 
 
 def _task(*constraints, k=3):
@@ -110,7 +111,7 @@ class TestBruteForceOracle:
         assert names & {"PrefixSummary", "summarize", "_Rules", "window", "generate_variable",
                         "order_candidates", "run_search", "completes", "can_extend", "admits"} == set()
         assert names & {"word_len_cap", "forbidden", "word_cap", "char_cap", "pins", "word_floor",
-                        "char_floor", "required_words"} == set()
+                        "char_floor", "required_words", "separations"} == set()
         assert {"only_words", "word_valid", "check_complete"} <= names
 
     def test_respects_seed(self):
@@ -122,6 +123,36 @@ class TestBruteForceOracle:
         task = TaskSpec(name="seeded", constraints=(WordCountRange(2, 2),),
                         seed=("The",), lm_params=LMParams(k=2))
         assert brute_force_oracle(task, lm, depth_cap=3).keys() == {"The end."}
+
+
+def test_the_three_word_caps_are_one_bound():
+    """``max_variables``, ``max_words`` and ``depth_cap`` at m each bound a search to m content words.
+
+    On tables deeper than m that offer "." first after every word, none of
+    the three searches asks about a prompt of more than m words or emits a
+    longer sentence; each emits m-word sentences when the task's floor is m
+    and none when it is m + 1; and each refuses a cap no longer than its seed.
+    """
+    searches = {
+        "solver": lambda task, lm, m: [r.words for r in solve_all(task, lm, SolveOptions(max_variables=m))],
+        "beam": lambda task, lm, m: [r.words for r in beam_search(task, lm, max_words=m)[0]],
+        "oracle": lambda task, lm, m: list(brute_force_oracle(task, lm, depth_cap=m).values()),
+    }
+    for m in (1, 2, 3, 4):
+        for period in (True, False):
+            lm = random_table(random.Random(m), depth=m + 2, branching=2, period_prob=1.0)
+            for floor in (m, m + 1):
+                task = TaskSpec(name="cap", constraints=(WordCountRange(floor),), lm_params=LMParams(k=2),
+                                require_period=period)
+                for name, search in searches.items():
+                    log = PromptLog(lm)
+                    lengths = {len([w for w in words if w != "."]) for words in search(task, log, m)}
+                    assert lengths == ({m} if floor == m else set()), (name, m, period, floor)
+                    assert max(len(p.split()) for p in log.prompts) <= m, (name, m, period, floor)
+            seeded = TaskSpec(name="cap", constraints=(WordCountRange(1),), seed=("a",) * m, require_period=period)
+            for name, search in searches.items():
+                with pytest.raises(ValueError, match="must exceed the seed length"):
+                    search(seeded, lm, m)
 
 
 class TestRunBenchmark:
