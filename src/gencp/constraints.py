@@ -4,10 +4,11 @@ Character counts are taken on the rendered sentence, spaces and the final
 period included.  Word counts, per-word length limits, and positional pins
 apply to content words only; the trailing period is not a word.
 
-Each constraint class carries its own pruning as data: its floors, caps,
-pins, word tests, required keywords and keyword gaps, and no hook.  The
-searches do not rescan a prefix to apply them.  They keep one
-``PrefixSummary`` per prefix (word count, prompt, where the keywords
+Each constraint class carries its own pruning as data: its floors, caps
+(numbers, ``sys.maxsize`` where it sets none), pins, word tests, required
+keywords and keyword gaps, and no hook.  The searches do not rescan a
+prefix to apply them.  They keep one ``PrefixSummary`` per prefix (word
+count, prompt, where the required and the separated keywords last
 stand, whether a word failed its test), built by ``summarize`` for one
 task, whose period reserve it holds, and extended by one word at a time;
 ``window``, the node step the solver and beam search share,
@@ -39,11 +40,12 @@ class Constraint:
     are the caps and pins ``window`` tests once per node;
     ``word_len_cap`` and ``forbidden``, the longest content word and the
     characters none may hold, are the word tests it makes of each candidate.
-    A pin at position p is also a floor of p words.  ``keywords`` are the
-    casefolded words whose last positions the summary records,
-    ``required_words`` those a sentence must hold, and ``separations``
+    A cap is always a number, ``sys.maxsize`` where the clause sets none.
+    A pin at position p is also a floor of p words.  ``required_words`` are
+    the casefolded words a sentence must hold, and ``separations``
     (casefolded keywords, min_gap) pairs: ``window`` admits one of those
-    keywords only with at least min_gap words since the last of them.
+    keywords only with at least min_gap words since the last of them.  The
+    summary records where the required and the separated keywords last stand.
     ``complete`` reads the floors and ``required_words``, and
     ``can_extend``'s lookahead the caps and ``required_words``.  ``holds``,
     the type's clause of ``check_complete``, reads none of these; ``scans``
@@ -56,12 +58,9 @@ class Constraint:
     per_word = False
     word_floor = 1
     char_floor = 0
-    word_cap = None
-    char_cap = None
+    word_cap = char_cap = word_len_cap = sys.maxsize
     pins = ()
-    word_len_cap = sys.maxsize
     forbidden = frozenset()
-    keywords = ()
     required_words = ()
     separations = ()
 
@@ -99,7 +98,7 @@ class WordCountRange(Constraint):
             raise ValueError("lo must not exceed hi")
 
     word_floor = property(lambda self: self.lo)
-    word_cap = property(lambda self: self.hi)
+    word_cap = property(lambda self: sys.maxsize if self.hi is None else self.hi)
 
     def holds(self, words, content):
         return self.lo <= len(content) and (self.hi is None or len(content) <= self.hi)
@@ -152,11 +151,10 @@ class MandatoryKeywords(Constraint):
 
     def __init__(self, words):
         object.__setattr__(self, "words", frozenset(words))
-        object.__setattr__(self, "keywords", frozenset(w.casefold() for w in self.words))
         if not self.words:
             raise ValueError("keyword set is empty")
 
-    required_words = property(lambda self: self.keywords)
+    required_words = property(lambda self: frozenset(w.casefold() for w in self.words))
 
     def holds(self, words, content):
         return set(map(str.casefold, self.words)).issubset(map(str.casefold, content))
@@ -174,13 +172,12 @@ class KeywordSeparation(Constraint):
     def __init__(self, words, min_gap):
         object.__setattr__(self, "words", frozenset(words))
         object.__setattr__(self, "min_gap", min_gap)
-        object.__setattr__(self, "keywords", frozenset(w.casefold() for w in self.words))
         if not self.words:
             raise ValueError("keyword set is empty")
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
-    separations = property(lambda self: ((self.keywords, self.min_gap),))
+    separations = property(lambda self: ((frozenset(w.casefold() for w in self.words), self.min_gap),))
 
     def holds(self, words, content):
         lowered = set(map(str.casefold, self.words))
@@ -332,19 +329,19 @@ def fold_length(key):
 
 
 class _Rules:
-    """The largest floors, the caps, the pins, the word tests, the keywords, the gaps and the period reserve.
+    """The largest floors, the least caps, the pins, the word tests, the keywords, the gaps and the period reserve.
 
-    ``word_len_cap`` is the least cap and ``forbidden`` the union of the sets.  A pin at position p
-    raises the word floor to p, since a sentence needs p words to hold it.
+    ``forbidden`` is the union of the sets.  A pin at position p raises the word floor to p, since a
+    sentence needs p words to hold it.  ``keywords``, those whose last positions the summary
+    records, are the required ones and the keys of ``separations``, every separated one.
     """
 
     def __init__(self, constraints, reserve):
         self.word_len_cap = min((c.word_len_cap for c in constraints), default=sys.maxsize)
         self.forbidden = frozenset().union(*(c.forbidden for c in constraints))
-        self.keywords = frozenset(w for c in constraints for w in c.keywords)
         self.required = frozenset(w for c in constraints for w in c.required_words)
-        self.word_cap = min((c.word_cap for c in constraints if c.word_cap is not None), default=None)
-        self.char_cap = min((c.char_cap for c in constraints if c.char_cap is not None), default=None)
+        self.word_cap = min((c.word_cap for c in constraints), default=sys.maxsize)
+        self.char_cap = min((c.char_cap for c in constraints), default=sys.maxsize)
         self.pins = {}  # position -> the word pinned there; "" where two pins clash, which no word equals
         for c in constraints:
             for position, word in c.pins:
@@ -356,6 +353,7 @@ class _Rules:
             for keys, gap in c.separations:
                 for w in keys:
                     self.separations[w] = self.separations.get(w, ()) + ((keys, gap),)
+        self.keywords = self.required | frozenset(self.separations)
         self.reserve = reserve
 
 
@@ -419,9 +417,9 @@ class PrefixSummary:
         """
         rules = self.rules
         count = self.count
-        if rules.word_cap is not None and count >= rules.word_cap:
+        if count >= rules.word_cap:
             return []
-        room = sys.maxsize if rules.char_cap is None else rules.char_cap - len(self.prompt) - (1 if count else 0) - rules.reserve
+        room = rules.char_cap - len(self.prompt) - (1 if count else 0) - rules.reserve
         pin = rules.pins.get(count + 1)
         cap, forbidden, separations, seen = rules.word_len_cap, rules.forbidden, rules.separations, self.seen
         kept = []
@@ -449,24 +447,18 @@ class PrefixSummary:
         once however many constraints or case variants name it, and is
         charged the shortest string that casefolds to it (``fold_length``).
         """
-        if self.failed:
-            return False
         rules = self.rules
         count = self.count
-        word_cap = rules.word_cap
-        if word_cap is not None and count >= word_cap:
+        if self.failed or count >= rules.word_cap:
             return False
         seen = self.seen
         if rules.required <= seen.keys():
             return True
         missing = [w for w in rules.required if w not in seen]
-        if word_cap is not None and count + len(missing) > word_cap:
+        if count + len(missing) > rules.word_cap:
             return False
-        if rules.char_cap is not None:
-            needed = sum(fold_length(w) + 1 for w in missing) - (0 if count else 1)
-            if len(self.prompt) + needed > rules.char_cap:
-                return False
-        return True
+        needed = sum(fold_length(w) + 1 for w in missing) - (0 if count else 1)
+        return len(self.prompt) + needed <= rules.char_cap
 
     def complete(self):
         """Whether the words, with the final period when the task requires one, pass ``check_complete``.

@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import WordCandidate
+from .model import WordCandidate, has_whitespace
 
 PROB_FLOOR = 1e-10  # conditional probability charged for words a backend never offered
 MAX_NGRAM_ORDER = 10  # training counts each context length up to the order at every token
@@ -311,11 +311,13 @@ class NGramLM(LanguageModel):
             raise ValueError(f"n-gram model field 'order' must be an integer >= 1, got {order!r}")
         smoothing = _smoothing(data.get("smoothing"))
         if not (isinstance(vocabulary, list) and vocabulary
-                and all(isinstance(w, str) for w in vocabulary)):
-            raise ValueError("n-gram model field 'vocabulary' must be a non-empty list of words")
+                and all(isinstance(w, str) and w and not has_whitespace(w) for w in vocabulary)
+                and len(set(vocabulary)) == len(vocabulary)):
+            raise ValueError("n-gram model field 'vocabulary' must be a non-empty list of distinct words"
+                             ", none empty or holding whitespace")
         if not isinstance(entries, list):
             raise ValueError("n-gram model field 'counts' must be a list")
-        counts = [{}]
+        counts, known = [{}], set(vocabulary)
         for i, entry in enumerate(entries):
             try:
                 length, ctx, pairs = entry
@@ -328,11 +330,11 @@ class NGramLM(LanguageModel):
                     raise ValueError
                 bucket = counts[length][ctx] = {}
                 for word, count in pairs:
-                    if not isinstance(word, str) or type(count) is not int or count < 1 or word in bucket:
+                    if word not in known or type(count) is not int or count < 1 or word in bucket:
                         raise ValueError
                     bucket[word] = count
             except (TypeError, ValueError):
-                bad = (f"must be [length <= {order}, context of that length, [[word, count >= 1], ...]]"
+                bad = (f"must be [length <= {order}, context of that length, [[vocabulary word, count >= 1], ...]]"
                        ", with no word twice and a context no other entry lists")
                 raise ValueError(f"n-gram model field 'counts[{i}]' {bad}") from None
         return cls(order, smoothing, counts, vocabulary)

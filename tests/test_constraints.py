@@ -23,6 +23,7 @@ from gencp import (
     MaxWordLen,
     PositionLexical,
     StartsWith,
+    TableLM,
     TaskSpec,
     WordCandidate,
     WordCountRange,
@@ -396,7 +397,71 @@ def test_complete_equals_check_complete_at_small_scope():
     assert (len(mismatches), mismatches[:3]) == (0, [])
 
 
-# The admits_next hooks that the caps, the pins and the gaps replaced, as the five types defined them.
+class _Needs(Constraint):
+    """A test-only type that names its keyword in ``required_words`` and nowhere else."""
+
+    scans = True
+
+    def __init__(self, word):
+        self.word = word
+
+    required_words = property(lambda self: (self.word,))
+
+    def holds(self, words, content):
+        return self.word in content
+
+
+class _Apart(Constraint):
+    """A test-only type that names its keywords in ``separations`` and nowhere else."""
+
+    scans = True
+
+    def __init__(self, words, min_gap):
+        self.words, self.min_gap = frozenset(words), min_gap
+
+    separations = property(lambda self: ((self.words, self.min_gap),))
+
+    def holds(self, words, content):
+        hits = [j for j, w in enumerate(content) if w in self.words]
+        return all(b - a - 1 >= self.min_gap for a, b in zip(hits, hits[1:]))
+
+
+def test_a_keyword_named_once_is_tracked():
+    """A type that names a keyword only as required, or only as separated, has it tracked all the same.
+
+    The summary records where every required and every separated keyword
+    stands, so under either type ``complete()`` equals ``check_complete``
+    after each prefix of 0-3 words over {a, bb, ccc}, the window rejects the
+    word a gap forbids, and the solver emits only sentences that pass
+    ``check_complete``.
+    """
+    prefixes = [list(p) for n in range(4) for p in itertools.product(SCOPE_WORDS, repeat=n)]
+    constraints = [_Needs(w) for w in SCOPE_WORDS] + [
+        _Apart(ws, gap) for ws in itertools.combinations(SCOPE_WORDS, 2) for gap in (1, 2)]
+    for c in constraints:
+        task = _task(c)
+        for words in prefixes:
+            assert summarize(words, task).complete() == check_complete(words + ["."], task), (c, words)
+    gap = _task(_Apart(("x", "y"), 1))
+    assert summarize(["x"], gap).window(_cands(("y", -0.1), ("z", -0.2)), 2) == _cands(("z", -0.2))
+    lm = TableLM({"": [("x", 0.9)], "x": [("y", 0.9)], "x y": [(".", 0.9)]})
+    for task, expected in ((gap, []), (_task(_Needs("y")), ["x y."])):
+        records = solve_all(task, lm, SolveOptions(max_variables=3))
+        assert [r.sentence for r in records] == expected
+        assert all(check_complete(r.words, task) for r in records)
+
+
+def test_every_cap_is_a_number():
+    """A clause that sets no cap gives ``sys.maxsize``, so the pruning merges and tests the caps with no None test."""
+    constraints = small_scope_constraints()
+    assert {type(c) for c in constraints} == set(_TYPES)
+    assert [(c, name) for c in constraints for name in ("word_cap", "char_cap", "word_len_cap")
+            if type(getattr(c, name)) is not int] == []
+    assert WordCountRange(2).word_cap == CharCountExact(5).word_cap == sys.maxsize
+
+
+# The admits_next hooks that the caps, the pins and the gaps replaced, as the five types defined them,
+# except that the gap's finds the keywords in the prompt, not in ``seen``, so it also checks ``seen``.
 def _char_count_next(self, prefix, word):
     space = 1 if prefix.count else 0  # none before the first word
     return len(prefix.prompt) + space + len(word) + prefix.rules.reserve <= self.n
@@ -415,11 +480,11 @@ def _starts_with_next(self, prefix, word):
 
 
 def _separation_next(self, prefix, word):
-    if word.casefold() not in self.keywords:
+    keywords = {w.casefold() for w in self.words}
+    if word.casefold() not in keywords:
         return True
-    seen = prefix.seen
-    last = max(seen.get(w, 0) for w in self.keywords)
-    return not last or prefix.count - last >= self.min_gap
+    hits = [j for j, w in enumerate(prefix.prompt.split(), 1) if w.casefold() in keywords]
+    return not hits or prefix.count - hits[-1] >= self.min_gap
 
 
 _REMOVED_NEXT = {CharCountExact: _char_count_next, WordCountRange: _word_count_next,

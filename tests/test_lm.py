@@ -559,6 +559,21 @@ class TestTrainNGram:
         with pytest.raises(ValueError, match=rf"^n-gram model field 'counts\[{i + 1}\]' must be "):
             NGramLM.from_dict(data)
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda data: data["vocabulary"].append("a"), "vocabulary"),
+        (lambda data: data["vocabulary"].append(""), "vocabulary"),
+        (lambda data: data["vocabulary"].append("d e"), "vocabulary"),
+        (lambda data: data["counts"][1][2].append(["z", 1]), "counts[1]"),
+    ], ids=["repeated-word", "empty-word", "whitespace-word", "word-outside-the-vocabulary"])
+    def test_from_dict_rejects_what_training_never_writes(self, edit, field):
+        # Loaded, a repeated word or a count outside the vocabulary leaves the
+        # answers summing to less than 1, and an empty word fails the first predict.
+        data = train_ngram("a b . a c .", 1).to_dict()
+        assert NGramLM.from_dict(data).to_dict() == data
+        edit(data)
+        with pytest.raises(ValueError, match=rf"^n-gram model field '{re.escape(field)}' must be "):
+            NGramLM.from_dict(data)
+
     def test_save_load_roundtrip(self, tmp_path):
         lm = train_ngram("the cat sat on the mat .", order=2, smoothing=0.5)
         path = tmp_path / "model.json"
