@@ -80,12 +80,11 @@ def expand_beams(beams, lm, task, k):
 def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=None, max_words=64):
     """Run beam decoding from the task seed.
 
-    Returns (solutions, bad_outputs): solution records, and the rendered
-    sentences of terminal beams that were not solutions (dead ends, leftovers
+    Returns (solutions, bad_outputs): solution records, and the rendered sentences of
+    terminal beams that were not solutions (dead ends, beams of ``max_words`` words, leftovers
     at a first-solution halt, or beams alive when the budget ran out).
     """
-    if k is None:
-        k = task.lm_params.k
+    k = task.lm_params.k if k is None else k
     if k < 1:
         raise ValueError("k must be >= 1")
     seed = tuple(task.seed)
@@ -108,25 +107,31 @@ def beam_search(task, lm, k=None, mode=HaltingMode.ALL_SOLUTIONS, time_budget=No
             if time_budget is not None and time.perf_counter() - started > time_budget:
                 bad_outputs.extend(b.summary.prompt for b in beams)
                 break
-            if task.require_period:  # the period check asks about each beam that ends a sentence
-                whole = [b for b in beams if b.summary.complete()]
-                lm.prefetch((b.summary.prompt for b in whole), ask)
-                for beam in whole:
-                    beam.answer = lm.predict(beam.summary.prompt, ask)
+            whole = [b for b in beams if b.summary.complete()]
+            if whole:  # ``completes`` is None for every other beam
+                if task.require_period:  # the period check asks about each beam that ends a sentence
+                    lm.prefetch([b.summary.prompt for b in whole], ask)
+                    for beam in whole:
+                        beam.answer = lm.predict(beam.summary.prompt, ask)
+                survivors = []
+                for beam in beams:
+                    end = completes(beam.summary, beam.answer, task)
+                    if end is not None:
+                        solutions.append(make_record(beam.words, beam.cum_logprob, end, task, started))
+                    else:
+                        survivors.append(beam)
+                if len(survivors) < len(beams) and mode is HaltingMode.FIRST_SOLUTION:
+                    bad_outputs.extend(b.summary.prompt for b in survivors)
+                    return solutions, bad_outputs
+                beams = survivors
             survivors = []
             for beam in beams:
-                end = completes(beam.summary, beam.answer, task)
-                if end is not None:
-                    solutions.append(make_record(beam.words, beam.cum_logprob, end, task, started))
-                else:
+                if beam.summary.count < max_words:
                     survivors.append(beam)
-            if len(survivors) < len(beams) and mode is HaltingMode.FIRST_SOLUTION:
-                bad_outputs.extend(b.summary.prompt for b in survivors)
-                return solutions, bad_outputs
-            bad_outputs.extend(b.summary.prompt for b in survivors if b.summary.count >= max_words)
-            survivors = [b for b in survivors if b.summary.count < max_words]
+                else:
+                    bad_outputs.append(beam.summary.prompt)
             # Announced after the checks: a beam that turns out a solution is never expanded.
-            lm.prefetch((b.summary.prompt for b in survivors if b.answer is None), ask)
+            lm.prefetch([b.summary.prompt for b in survivors if b.answer is None], ask)
             beams, dead = expand_beams(survivors, lm, task, k)
             bad_outputs.extend(b.summary.prompt for b in dead)
     finally:

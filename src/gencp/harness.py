@@ -81,14 +81,14 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     Iterating, sorting, counting or testing ``in`` on the dict reads the
     sentences.
 
-    Depth-first walk over the top-k valid words per prefix, deliberately
-    sharing no machinery with the solver: its own explicit stack of
-    prefixes, no domains, no prefix summaries, and each word tested by the
-    ``per_word`` clauses themselves.  A child's rendering is its parent's plus one word,
-    so a node costs the same at any depth.  A branch stops at the first
-    prefix that satisfies the solution predicate, since nothing past a
-    finished sentence is reachable by a search that backtracks on success.
-    One backend answer per prefix serves its period check and its children.
+    Depth-first walk over the top-k valid words per prefix, deliberately sharing no
+    machinery with the solver: its own explicit stack of prefixes, no domains, no prefix
+    summaries, and words tested in rank order by the ``per_word`` clauses themselves, up
+    to the k-th that passes.  A stack entry carries its rendering, its parent's plus one
+    word, and whether the walk asks about it, so a node costs the same at any depth.  A
+    branch stops at the first prefix that satisfies the solution predicate, since nothing
+    past a finished sentence is reachable by a search that backtracks on success.  One
+    backend answer per prefix serves its period check and its children.
     Raises OracleLimitError past ``node_limit`` visited prefixes or
     ``time_budget`` seconds.
     """
@@ -102,14 +102,9 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
     started = time.perf_counter()
 
     def entry(words, prompt):
-        """A stack entry: ``words``, rendered as ``prompt``, and whether they finish a sentence."""
-        return words, prompt, bool(words) and cst.check_complete(words + period, task)
-
-    def asks(words, whole):
-        """Whether the walk asks about ``words``, which ``whole`` says finish a sentence."""
-        if task.require_period:
-            return whole or len(words) < depth_cap
-        return not whole and len(words) < depth_cap
+        """A stack entry: ``words``, rendered as ``prompt``, whether they finish a sentence and whether the walk asks about them."""
+        whole = bool(words) and cst.check_complete(words + period, task)
+        return words, prompt, whole, task.require_period if whole else len(words) < depth_cap
 
     def children(words, prompt, whole, raw):
         """The entries the walk visits below ``words``, from its answer ``raw``; None at a solution."""
@@ -117,30 +112,35 @@ def brute_force_oracle(task, lm, depth_cap, node_limit=8**8, time_budget=None):
             return None
         if len(words) >= depth_cap:
             return []
-        valid = [c.text for c in cst.only_words(raw) if cst.word_valid(c.text, per_word)]
-        return [entry(words + [word], f"{prompt} {word}" if words else word) for word in valid[: params.k]]
+        below = []
+        for cand in cst.only_words(raw):
+            word = cand.text
+            if cst.word_valid(word, per_word):
+                below.append(entry(words + [word], f"{prompt} {word}" if words else word))
+                if len(below) == params.k:  # no word past the k-th valid one is tested
+                    break
+        return below
 
     def hints(words, prompt, whole, raw):
         """Hints for the children of ``words`` that the walk asks about, each expanding likewise."""
         for child in children(words, prompt, whole, raw) or ():
-            if asks(child[0], child[2]):
-                yield child[1], functools.partial(hints, *child)
+            if child[3]:
+                yield child[1], functools.partial(hints, *child[:3])
 
     seed = entry(list(task.seed), render_prefix(task.seed))
     stack = [seed]
     visited = 0
     try:
-        if asks(seed[0], seed[2]):  # its hint, expansions followed, names every prompt of the walk
-            lm.prefetch([(seed[1], functools.partial(hints, *seed))], params)
+        if seed[3]:  # its hint, expansions followed, names every prompt of the walk
+            lm.prefetch([(seed[1], functools.partial(hints, *seed[:3]))], params)
         while stack:
-            words, prompt, whole = stack.pop()
+            words, prompt, whole, asked = stack.pop()
             visited += 1
             if visited > node_limit:
                 raise OracleLimitError(f"enumeration exceeded {node_limit} nodes")
             if time_budget is not None and time.perf_counter() - started > time_budget:
                 raise OracleLimitError(f"enumeration exceeded its {time_budget} s time budget")
-            raw = lm.predict(prompt, params) if asks(words, whole) else None
-            below = children(words, prompt, whole, raw)
+            below = children(words, prompt, whole, lm.predict(prompt, params) if asked else None)
             if below is None:
                 found[prompt + "." if task.require_period else prompt] = tuple(words + period)
             else:

@@ -9,6 +9,7 @@ from gencp import (
     ForbiddenChars,
     HaltingMode,
     LMParams,
+    MandatoryKeywords,
     TableLM,
     TaskSpec,
     WordCountRange,
@@ -231,6 +232,17 @@ class TestBeamSearch:
         sols, bad = beam_search(task, lm, k=2, mode=HaltingMode.ALL_SOLUTIONS)
         assert sorted(s.sentence for s in sols) == ["We eat pie.", "We run."]
         assert bad == []
+
+    def test_a_whole_beam_among_unfinished_ones_is_a_solution_at_its_step(self):
+        """A step checks each beam that ends a sentence, also when the other beams do not end one."""
+        lm = TableLM({
+            "": [("go", 0.6), ("stop", 0.4)],
+            "go": [("stop", 0.7), (".", 0.2)],
+            "stop": [(".", 0.9)],
+            "go stop": [(".", 0.9)],
+        })
+        sols, bad = beam_search(_task(MandatoryKeywords(("stop",))), lm)
+        assert ([s.sentence for s in sols], bad) == (["stop.", "go stop."], [])
 
     def test_unsatisfiable_all_beams_go_bad(self):
         lm = TableLM({

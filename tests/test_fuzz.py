@@ -27,8 +27,14 @@ its first, one-pass form, kept here as the reference, in every order of the
 constraints, and the candidate window of ``generate_variable`` and
 ``expand_beams`` equals the pipeline first written, kept here likewise, on
 ranked answers that mix words with fragments, numerals and punctuation.
+Beam search's whole output, its solutions with their perplexities and its
+bad outputs, equals a plain reference that rescans every prefix, at small
+scope: every pair of ``tests/test_constraints.py``'s small-scope
+constraints on a full tree over {a, bb, ccc}.
 """
 
+import itertools
+import math
 import random
 from contextlib import closing
 from dataclasses import replace
@@ -43,6 +49,7 @@ from gencp import (
     Beam,
     CharCountExact,
     ForbiddenChars,
+    HaltingMode,
     KeywordSeparation,
     LMParams,
     MandatoryKeywords,
@@ -59,20 +66,24 @@ from gencp import (
     brute_force_oracle,
     check_complete,
     expand_beams,
+    only_words,
     order_candidates,
     perplexity,
     render_prefix,
     render_sentence,
     run_search,
+    sequence_logprob,
     solve,
     solve_all,
     summarize,
     word_valid,
 )
 from gencp.constraints import fold_length
+from gencp.lm import ranked_period
 from gencp.solver import generate_variable
 
 from conftest import PromptLog
+from test_constraints import SCOPE_WORDS, small_scope_constraints
 
 MAX_DEPTH = 6
 MAX_FANOUT = 4
@@ -541,6 +552,98 @@ def _rescanned_can_extend(words, constraints, reserve):
         needed = sum(fold_length(k) + 1 for k in missing) - (0 if words else 1)
         return length + needed <= min(char_caps)
     return True
+
+
+def _reference_beam_search(task, lm, k, mode, max_words):
+    """Beam search of width ``k`` as its docstrings state it, with no summary: each test rescans the prefix.
+
+    Each step checks every beam for a solution through ``check_complete`` and
+    the period among the first task k of its answer, halts at the first
+    solution in ``FIRST_SOLUTION`` mode, reports the beams of ``max_words``
+    words as bad, then extends every other beam by the first ``k`` valid
+    words of its answer that still pass where they stand and can still grow
+    or end a sentence, reports a beam with none as bad, and keeps the ``k``
+    best of the pool by (-cumulative log-probability, prompt).  Returns
+    ((sentence, ppl) pairs, bad outputs).
+    """
+    params, constraints = task.lm_params, task.constraints
+    ask = replace(params, k=max(k, params.k))
+    reserve = 1 if task.require_period else 0
+    period = ["."] * reserve
+    seed = list(task.seed)
+    if not (_rescanned_can_extend(seed, constraints, reserve) or check_complete(seed + period, task)):
+        return [], [render_prefix(seed)]
+    beams = [(seed, sequence_logprob(lm, seed, params) if seed else 0.0)]
+    solutions, bad = [], []
+    while beams:
+        survivors = []
+        for words, cum in beams:
+            end = None
+            if check_complete(words + period, task):
+                end = ranked_period(lm.predict(render_prefix(words), ask), params.k) if reserve else 0.0
+            if end is None:
+                survivors.append((words, cum))
+            else:
+                solutions.append((render_sentence(words + period), math.exp(-(cum + end) / len(words + period))))
+        if mode is HaltingMode.FIRST_SOLUTION and len(survivors) < len(beams):
+            return solutions, bad + [render_prefix(words) for words, _ in survivors]
+        bad += [render_prefix(words) for words, _ in survivors if len(words) >= max_words]
+        pool = []
+        for words, cum in survivors:
+            if len(words) >= max_words:
+                continue
+            raw = lm.predict(render_prefix(words), ask)[: k * params.oversample]
+            valid = [c for c in only_words(raw) if word_valid(c.text, constraints)][:k]
+            children = [(words + [c.text], cum + c.logprob) for c in valid]
+            children = [(w, s) for w, s in children if _words_pass(w, constraints, reserve) and (
+                _rescanned_can_extend(w, constraints, reserve) or check_complete(w + period, task))]
+            if not children:
+                bad.append(render_prefix(words))
+            pool += children
+        pool.sort(key=lambda b: (-b[1], render_prefix(b[0])))
+        beams = pool[:k]
+    return solutions, bad
+
+
+def _scope_tree():
+    """Every prefix of 0-3 words over {a, bb, ccc} offers ".", a, bb and ccc in a seeded order.
+
+    The probabilities are 0.4, 0.3, 0.2 and 0.1, so cumulative scores tie
+    across beams, and "." ranks anywhere from first to last.
+    """
+    rng = random.Random(15)
+    table = {}
+    for n in range(4):
+        for words in itertools.product(SCOPE_WORDS, repeat=n):
+            offered = [".", *SCOPE_WORDS]
+            rng.shuffle(offered)
+            table[render_prefix(words)] = list(zip(offered, (0.4, 0.3, 0.2, 0.1)))
+    return TableLM(table)
+
+
+def test_beam_search_equals_the_plain_reference_at_small_scope():
+    """Beam search's solutions, their perplexities and its bad outputs equal the plain reference's.
+
+    Under every pair of the small scope's constraints on the {a, bb, ccc}
+    tree, with and without the period, at widths k - 1, k and k + 1 (k = 2,
+    one raw candidate per unit of width) and in both halting modes.
+    """
+    lm = _scope_tree()
+    pairs = list(itertools.combinations(small_scope_constraints(), 2))
+    mismatches, solved = [], 0
+    for pair in pairs:
+        for period in (True, False):
+            task = TaskSpec(name="scope", constraints=pair, lm_params=LMParams(k=2, oversample=1),
+                            require_period=period)
+            for width in (1, 2, 3):
+                for mode in HaltingMode:
+                    found, bad = beam_search(task, lm, k=width, mode=mode, max_words=3)
+                    got = ([(r.sentence, r.ppl) for r in found], bad)
+                    if got != _reference_beam_search(task, lm, width, mode, 3):
+                        mismatches.append((pair, period, width, mode))
+                    solved += bool(found)
+    assert (len(mismatches), mismatches[:3]) == (0, [])
+    assert solved > len(pairs)  # the sweep is not vacuous
 
 
 def _check_summary(words, summary, task):

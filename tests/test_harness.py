@@ -29,6 +29,7 @@ from gencp import (
     run_benchmark,
     solve_all,
 )
+from gencp.constraints import Constraint
 from gencp.harness import REPORT_FIELDS
 
 from conftest import FIG_TABLE, PromptLog, long_chain, random_table
@@ -80,6 +81,37 @@ class TestBruteForceOracle:
             searched = {s.sentence: s.words for s in solve_all(task, lm, SolveOptions(max_variables=3))}
             assert oracle == searched
             assert oracle.keys() == expected
+
+    def test_tests_words_only_up_to_the_kth_valid_one(self):
+        """The oracle tests a prefix's words in rank order and stops at the k-th that passes.
+
+        The root offers eight candidates at k = 2: fragments, which no clause
+        is asked about, words with a "z", which fail the clause, and two
+        valid words ranked past the second.
+        """
+        class NoZ(Constraint):
+            """A test-only ``per_word`` clause, no "z" in any word, that logs the words it tests alone."""
+
+            per_word = True
+
+            def __init__(self):
+                self.tested = []
+
+            def holds(self, words, content):
+                if "." not in words:  # a word test; ``check_complete`` passes the sentence with its period
+                    self.tested += content
+                return not any("z" in w for w in content)
+
+        lm = TableLM({
+            "": [("3rd", 0.3), ("zap", 0.2), ("sun", 0.15), ("-", 0.1), ("fizz", 0.08), ("moon", 0.07),
+                 ("sky", 0.05), ("buzz", 0.02)],
+            "sun": [(".", 0.9)], "moon": [(".", 0.9)], "sky": [(".", 0.9)], "zap": [(".", 0.9)],
+        })
+        clause = NoZ()
+        found = brute_force_oracle(_task(clause, k=2), lm, depth_cap=3)
+        assert clause.tested == ["zap", "sun", "fizz", "moon"]
+        assert found == brute_force_oracle(_task(ForbiddenChars("z"), k=2), lm, depth_cap=3) == {
+            "sun.": ("sun", "."), "moon.": ("moon", ".")}
 
     def test_refuses_past_node_limit(self):
         rng = random.Random(1)
